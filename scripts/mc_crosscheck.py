@@ -4,6 +4,9 @@
 Runs the simulation at each (mu, L) operating point and prints the
 deviation of every tallied statistic from its closed form, in binomial
 standard errors. Exits nonzero if any row exceeds the sigma budget.
+Each configuration also reports how many rows are informative, that
+is, expect at least 10 counts; the others carry little evidence either
+way.
 """
 
 import argparse
@@ -23,8 +26,9 @@ def run(rounds: int, seed: int, threads: int, budget: float, verbose: bool) -> i
             worst = max_abs_sigma(rows)
             worst_overall = max(worst_overall, worst)
             flag = "ok" if worst <= budget else "EXCEEDED"
+            informative = sum(r["informative"] for r in rows)
             print(f"mu={mu:<5} L={l_km:>5.0f} km  rows={len(rows):3d}  "
-                  f"max|sigma|={worst:5.2f}  {flag}")
+                  f"informative={informative:3d}  max|sigma|={worst:5.2f}  {flag}")
             shown = rows if verbose else [r for r in rows if abs(r["sigma"]) > 2.0]
             for r in shown:
                 print(f"    {r['name']:34s} count={r['count']:>9d} "

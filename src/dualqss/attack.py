@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .optics import coherent_overlap
+from .optics import coherent_overlap, require_finite
 
 __all__ = [
     "TapParams",
@@ -41,6 +41,7 @@ class TapParams:
     eta_t: float
 
     def __post_init__(self) -> None:
+        require_finite(self, "mu", "eta_t")
         if self.mu < 0:
             raise ValueError(f"mu must be non-negative, got {self.mu!r}")
         if not 0.0 <= self.eta_t <= 1.0:

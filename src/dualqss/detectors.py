@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Iterable
 
-from .optics import ModeIntensities, poisson_even_mass, poisson_odd_mass
+from .optics import ModeIntensities, poisson_even_mass, poisson_odd_mass, require_finite
 
 __all__ = [
     "Detector",
@@ -62,6 +62,7 @@ class SystemParams:
     f: float = 1.15
 
     def __post_init__(self) -> None:
+        require_finite(self, "mu", "alpha", "l_km", "eta_d", "p_d", "f")
         if self.mu < 0:
             raise ValueError(f"mu must be non-negative, got {self.mu!r}")
         if self.alpha < 0:

@@ -1,14 +1,34 @@
-"""Round-by-round stochastic simulation of the full protocol.
+"""Event-driven stochastic simulation of the full protocol.
 
 This is the oracle for the analytic gains and error rates. Coherent
 states remain coherent through the beam splitter network, so each
 detector sees an independent Poisson photon count with mean equal to
-its mode intensity, plus an independent dark count. Rounds are
-processed in fixed-size blocks, each drawing from a stream seeded by
-(seed, block index), so reports are bit-identical for any worker count.
-Attack randomness lives on a separate per-block stream: paired runs
-with the same seed see identical protocol randomness whether or not an
-attack is active.
+its mode intensity, plus an independent dark count. The mode
+intensities depend only on a round's class: the two senders' bases
+and their four key bits, 64 classes in all.
+
+Rounds are processed in fixed-size blocks. A block first draws how many
+of its rounds fall in each class, with one multinomial draw. Then, for
+each class of m rounds and each detector of mean lam, it draws the
+photon total as Poisson(m * lam) and scatters it uniformly over the m
+rounds. This is exact, not an approximation: a Poisson total split
+uniformly over m bins gives independent Poisson(lam) counts per bin.
+Cells with lam >= 1 draw per-round Poisson counts directly instead,
+which is the same distribution without one array entry per photon.
+Dark counts stay Bernoulli(p_d) per detector and round: a
+Binomial(m, p_d) count per class and detector, placed on rounds drawn
+without replacement. The sampler uses none of the closed forms that it
+checks.
+
+Only rounds in which some detector clicked get per-round work: click
+classification, the check lottery and the attack draws. Rounds without
+a click can produce no event, so the basis tallies of the block follow
+from the class counts alone.
+
+Each block draws from a stream seeded by (seed, block index), so
+reports are bit-identical for any worker count. Attack randomness lives
+on a separate per-block stream: paired runs with the same seed see
+identical protocol randomness whether or not an attack is active.
 
 Basis handling follows the protocol: both senders choose the X basis
 with probability ``basis_policy``; rounds with differing bases are
@@ -33,7 +53,7 @@ from .detectors import (
     exclusive_double_click,
     exclusive_single_click,
 )
-from .optics import PolPairing, detector_amplitudes, intensities
+from .optics import PolPairing, detector_amplitudes, intensities, require_finite
 from .rates import event1_rates, event2_rates, event3_rates
 
 __all__ = [
@@ -48,8 +68,25 @@ __all__ = [
 
 ATTACKS = ("none", "beam_split", "dishonest_bob")
 
+# A comparison row expecting fewer counts than this carries little
+# statistical power: a 0-sigma result against 0.001 expected events is
+# no evidence of agreement.
+MIN_EXPECTED = 10.0
+
 _BLOCK = 500_000
-_SQRT2 = math.sqrt(2.0)
+_SQRT_HALF = math.sqrt(0.5)
+
+# Cells whose per-round mean reaches this draw per-round counts instead
+# of scattering a Poisson total, which would hold one entry per photon.
+_SCATTER_MAX_LAM = 1.0
+
+# Sampling classes c = (x_a << 5) | (x_b << 4) | enc: x = 1 is the X
+# basis, enc the 4-bit encoding id (ka_ph, ka_pol, kb_ph, kb_pol).
+_CLASSES = np.arange(64)
+_XA = (_CLASSES >> 5 & 1).astype(bool)
+_XB = (_CLASSES >> 4 & 1).astype(bool)
+_KA_PH, _KA_POL, _KB_PH, _KB_POL = ((_CLASSES >> s & 1).astype(bool) for s in (3, 2, 1, 0))
+_XX_CLASS = 0b110000
 
 # Double-click patterns as (name, H detector, V detector, event class).
 _DOUBLE_PATTERNS = (
@@ -86,6 +123,7 @@ class SimConfig:
     flip_fraction: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self, "rounds", "basis_policy", "check_fraction", "flip_fraction")
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds!r}")
         if not 0.0 <= self.basis_policy <= 1.0:
@@ -220,10 +258,34 @@ class SimReport:
         }
 
 
+def _unit_intensities() -> np.ndarray:
+    """Mode intensities (D1H, D2H, D1V, D2V) of every class at mu_arm = 1.
+
+    Each sender's X-basis pulse splits evenly over H and V with the
+    polarization bit as their relative sign; a Z-basis pulse sits wholly
+    in the mode its polarization bit names. Intensities scale linearly
+    with mu_arm, and cancelled modes come out exactly zero.
+    """
+
+    def arm(x, ph, pol):
+        s = 1.0 - 2.0 * ph
+        h = np.where(x, s * _SQRT_HALF, np.where(pol, 0.0, s))
+        v = np.where(x, s * (1.0 - 2.0 * pol) * _SQRT_HALF, np.where(pol, s, 0.0))
+        return h, v
+
+    a_h, a_v = arm(_XA, _KA_PH, _KA_POL)
+    b_h, b_v = arm(_XB, _KB_PH, _KB_POL)
+    modes = (a_h + b_h, a_h - b_h, a_v + b_v, a_v - b_v)
+    return np.stack([amp * amp / 2.0 for amp in modes], axis=1)
+
+
+_UNIT_LAM = _unit_intensities()
+
+
 def _block_tallies(cfg: SimConfig, block: int, size: int) -> dict[str, int]:
     """Simulate one block of rounds and return flat integer tallies.
 
-    The draw order from the protocol stream is fixed (bases, bits,
+    The draw order from the protocol stream is fixed (class counts,
     photons, darks, check lottery) so that tallies depend only on
     (seed, block, size), never on the attack setting.
     """
@@ -231,67 +293,88 @@ def _block_tallies(cfg: SimConfig, block: int, size: int) -> dict[str, int]:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, block)))
     attack_rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, block)))
 
-    basis_a = rng.random(size) < cfg.basis_policy
-    basis_b = rng.random(size) < cfg.basis_policy
-    ka_ph = rng.integers(0, 2, size=size, dtype=np.int8)
-    ka_pol = rng.integers(0, 2, size=size, dtype=np.int8)
-    kb_ph = rng.integers(0, 2, size=size, dtype=np.int8)
-    kb_pol = rng.integers(0, 2, size=size, dtype=np.int8)
+    # Rounds are exchangeable within a class, so class c owns the round
+    # ids [start[c], start[c] + m[c]) of the block.
+    bp = cfg.basis_policy
+    m = rng.multinomial(size, np.where(_XA, bp, 1.0 - bp) * np.where(_XB, bp, 1.0 - bp) / 16.0)
+    start = np.cumsum(m) - m
+    lam = sp.mu_arm * _UNIT_LAM
 
-    root_x = math.sqrt(sp.mu_arm / 2.0)
-    root_z = math.sqrt(sp.mu_arm)
-    s_a = 1.0 - 2.0 * ka_ph
-    p_a = 1.0 - 2.0 * ka_pol
-    s_b = 1.0 - 2.0 * kb_ph
-    p_b = 1.0 - 2.0 * kb_pol
-    a_h = np.where(basis_a, s_a * root_x, np.where(ka_pol == 0, s_a * root_z, 0.0))
-    a_v = np.where(basis_a, s_a * p_a * root_x, np.where(ka_pol == 1, s_a * root_z, 0.0))
-    b_h = np.where(basis_b, s_b * root_x, np.where(kb_pol == 0, s_b * root_z, 0.0))
-    b_v = np.where(basis_b, s_b * p_b * root_x, np.where(kb_pol == 1, s_b * root_z, 0.0))
+    # Dim cells scatter a Poisson(m * lam) photon total uniformly over
+    # their m rounds, one (round id, detector) entry per photon. Bright
+    # cells, where that would mean more photons than rounds, draw per
+    # round and keep (round id, detector, count) for the rounds lit.
+    dim = lam < _SCATTER_MAX_LAM
+    totals = rng.poisson(m[:, None] * np.where(dim, lam, 0.0)).ravel()
+    dim_cls, dim_det = np.divmod(np.repeat(np.arange(totals.size), totals), 4)
+    dim_round = start[dim_cls] + rng.integers(0, m[dim_cls])
+    bright = [(np.empty(0, np.int64),) * 3]
+    for c, d in zip(*np.nonzero(~dim & (m[:, None] > 0))):
+        k = rng.poisson(lam[c, d], m[c])
+        lit = np.flatnonzero(k)
+        bright.append((start[c] + lit, np.full(lit.size, d), k[lit]))
+    br_round, br_det, br_count = map(np.concatenate, zip(*bright))
 
-    h1 = (a_h + b_h) / _SQRT2
-    h2 = (a_h - b_h) / _SQRT2
-    v1 = (a_v + b_v) / _SQRT2
-    v2 = (a_v - b_v) / _SQRT2
-    lam = np.stack((h1 * h1, h2 * h2, v1 * v1, v2 * v2), axis=1)
+    # Dark counts stay Bernoulli per detector and round: a binomial count
+    # per cell, placed on distinct rounds.
+    n_dark = rng.binomial(np.broadcast_to(m[:, None], lam.shape), sp.p_d)
+    darks = [(np.empty(0, np.int64),) * 2]
+    for c, d in zip(*np.nonzero(n_dark)):
+        darks.append((start[c] + rng.choice(m[c], n_dark[c, d], replace=False),
+                      np.full(n_dark[c, d], d)))
+    dk_round, dk_det = map(np.concatenate, zip(*darks))
 
-    photons = rng.poisson(lam)
-    dark = rng.random((size, 4)) < sp.p_d
-    check_draw = rng.random(size)
+    # Only rounds with a click need per-round work; they become rows.
+    hit = np.zeros(size, bool)
+    hit[dim_round] = True
+    hit[br_round] = True
+    hit[dk_round] = True
+    rows = np.flatnonzero(hit)
+    n = rows.size
+    row_of = np.empty(size, np.intp)
+    row_of[rows] = np.arange(n)
+    photons = np.zeros((n, 4), np.int64)
+    photons[row_of[br_round], br_det] = br_count
+    np.add.at(photons, (row_of[dim_round], dim_det), 1)
+    dark = np.zeros((n, 4), bool)
+    dark[row_of[dk_round], dk_det] = True
+    cls = np.searchsorted(start + m, rows, side="right")
+    check_draw = rng.random(n)
 
     flip_ph = flip_pol = eve_draw = None
     if cfg.attack == "dishonest_bob":
-        flip_ph = attack_rng.random(size) < cfg.flip_fraction
-        flip_pol = attack_rng.random(size) < cfg.flip_fraction
+        flip_ph = attack_rng.random(n) < cfg.flip_fraction
+        flip_pol = attack_rng.random(n) < cfg.flip_fraction
     elif cfg.attack == "beam_split":
         leak = ie_dual(TapParams(mu=sp.mu, eta_t=sp.eta_t))
-        eve_draw = attack_rng.random(size) < leak
+        eve_draw = attack_rng.random(n) < leak
 
     clicks = (photons > 0) | dark
-    n_click = clicks.sum(axis=1)
     c_h1, c_h2 = clicks[:, 0], clicks[:, 1]
     c_v1, c_v2 = clicks[:, 2], clicks[:, 3]
+    n_click = c_h1.astype(np.int8) + c_h2 + c_v1 + c_v2
     ev1 = (n_click == 1) & (c_h1 | c_h2)
     ev2 = (n_click == 2) & ((c_h1 & c_v1) | (c_h2 & c_v2))
     ev3 = (n_click == 2) & ((c_h1 & c_v2) | (c_h2 & c_v1))
     any_event = ev1 | ev2 | ev3
 
-    xx = basis_a & basis_b
-    zz = ~basis_a & ~basis_b
+    xx = _XA[cls] & _XB[cls]
+    zz = ~_XA[cls] & ~_XB[cls]
+    ka_pol, kb_pol = _KA_POL[cls], _KB_POL[cls]
 
     # Charlie announces the phase relation from the H-detector index and
     # the polarization relation from the pattern class.
     kc_ph = c_h2
-    t_ph = (ka_ph ^ kb_ph).astype(bool)
-    t_pol = (ka_pol ^ kb_pol).astype(bool)
+    t_ph = _KA_PH[cls] ^ _KB_PH[cls]
+    t_pol = ka_pol ^ kb_pol
     err_ph = kc_ph ^ t_ph
     err_pol2 = t_pol
     err_pol3 = ~t_pol
 
     x1, x2, x3 = xx & ev1, xx & ev2, xx & ev3
     t: dict[str, int] = {}
-    t["n_xx"] = int(xx.sum())
-    t["n_zz"] = int(zz.sum())
+    t["n_xx"] = int(m[_XA & _XB].sum())
+    t["n_zz"] = int(m[~_XA & ~_XB].sum())
     t["n_mixed"] = size - t["n_xx"] - t["n_zz"]
     t["n_event1"] = int(x1.sum())
     t["n_event2"] = int(x2.sum())
@@ -326,7 +409,7 @@ def _block_tallies(cfg: SimConfig, block: int, size: int) -> dict[str, int]:
     # Z-basis checking where the inference is well defined: both senders
     # sent the H polarization mode, so a lone H click carries the phase
     # relation exactly as in the X basis.
-    zc = zz & ev1 & (ka_pol == 0) & (kb_pol == 0)
+    zc = zz & ev1 & ~ka_pol & ~kb_pol
     t["n_check_z_bits"] = int(zc.sum())
     t["n_check_z_err"] = int((zc & obs_ph).sum())
 
@@ -334,16 +417,11 @@ def _block_tallies(cfg: SimConfig, block: int, size: int) -> dict[str, int]:
     t["n_key_events"] = int(key.sum())
     t["n_eve_success"] = int((key & eve_draw).sum()) if eve_draw is not None else 0
 
-    even = (photons % 2) == 0
-    enc = (
-        (ka_ph.astype(np.int16) << 3)
-        | (ka_pol.astype(np.int16) << 2)
-        | (kb_ph.astype(np.int16) << 1)
-        | kb_pol.astype(np.int16)
-    )
+    even = (photons & 1) == 0
     for rep_name, rep_id in _REPS:
-        sel = xx & (enc == rep_id)
-        t[f"par_{rep_name}_n"] = int(sel.sum())
+        rep_class = _XX_CLASS | rep_id
+        sel = cls == rep_class
+        t[f"par_{rep_name}_n"] = int(m[rep_class])
         for det_name, det in (("h1", Detector.D1H), ("h2", Detector.D2H)):
             mask = sel & ev1 & clicks[:, det]
             n_even = int((mask & even[:, det]).sum())
@@ -461,7 +539,9 @@ def compare_to_analytic(report: SimReport) -> list[dict]:
     """Count-space comparison rows between the report and the closed forms.
 
     Each row holds the observed count, the trial count, the analytic
-    probability, and the deviation in binomial standard errors. Gains
+    probability, the expected count, the deviation in binomial standard
+    errors, and ``informative``: whether the row expects at least
+    ``MIN_EXPECTED`` counts. Gains
     and QBERs test the rate formulas; parity cells test the exclusive
     click probabilities at the two representative encodings; the Eve
     row (beam-split runs only) tests the leakage bound.
@@ -478,6 +558,7 @@ def compare_to_analytic(report: SimReport) -> list[dict]:
                 "p_analytic": p,
                 "expected": n * p,
                 "sigma": _sigma(count, n, p),
+                "informative": n * p >= MIN_EXPECTED,
             }
         )
 

@@ -31,6 +31,18 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
+def require_finite(obj: object, *names: str) -> None:
+    """Raise ValueError unless each named attribute of ``obj`` is finite.
+
+    Parameter classes call this first, so that NaN and infinities are
+    rejected at construction instead of failing deep inside a formula.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EncodingPair:
     """The four classical bits behind one round.

@@ -15,6 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .detectors import SystemParams
+from .optics import require_finite
 from .rates import RatePoint, at_distance, at_intensity, key_rate
 
 __all__ = [
@@ -56,6 +57,7 @@ class SweepSpec:
     fixed: SystemParams
 
     def __post_init__(self) -> None:
+        require_finite(self, "lo", "hi", "step")
         if self.step <= 0:
             raise ValueError(f"step must be positive, got {self.step!r}")
         if self.hi < self.lo:

@@ -45,6 +45,13 @@ def test_tap_params_validation():
         TapParams(mu=0.5, eta_t=1.5)
 
 
+@pytest.mark.parametrize("value", (float("nan"), float("inf"), float("-inf")))
+@pytest.mark.parametrize("name", ("mu", "eta_t"))
+def test_tap_params_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        TapParams(**{"mu": 0.5, "eta_t": 0.5, name: value})
+
+
 @given(tap_st)
 def test_leakage_ordering(tap):
     # one polarization bit is cheaper to hide than the dual encoding,

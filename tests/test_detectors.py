@@ -125,6 +125,13 @@ def test_system_params_validation():
         SystemParams(l_km=-5.0)
 
 
+@pytest.mark.parametrize("value", (float("nan"), float("inf"), float("-inf")))
+@pytest.mark.parametrize("name", ("mu", "alpha", "l_km", "eta_d", "p_d", "f"))
+def test_system_params_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SystemParams(**{name: value})
+
+
 def test_eta_t_at_zero_distance():
     sp = SystemParams(l_km=0.0)
     assert sp.eta_t == pytest.approx(sp.eta_d, rel=1e-15)

@@ -122,6 +122,20 @@ def test_gain_decreases_with_distance_paired_seeds():
     assert tallies[0] > tallies[1] > tallies[2]
 
 
+def test_saturated_darks_produce_no_events():
+    # every detector clicks in every round, so no pattern is usable
+    rep = simulate(SimConfig(sp=SystemParams(p_d=1.0), rounds=100_000, seed=2,
+                             basis_policy=1.0))
+    assert rep.n_event1 == rep.n_event2 == rep.n_event3 == 0
+    assert rep.n_fail_xx == rep.n_xx
+
+
+def test_full_check_fraction_leaves_no_key():
+    rep = simulate(config(check_fraction=1.0, basis_policy=1.0))
+    assert rep.n_key_events == 0
+    assert rep.n_check_x_bits == rep.n_event1 + 2 * (rep.n_event2 + rep.n_event3)
+
+
 def test_dark_source_produces_no_events():
     sp = SystemParams(mu=0.0, p_d=0.0)
     rep = simulate(SimConfig(sp=sp, rounds=100_000, seed=2, basis_policy=1.0))
@@ -150,6 +164,43 @@ def test_compare_rows_within_five_sigma_smoke():
     assert max_abs_sigma(rows) < 5.0
     names = {r["name"] for r in rows}
     assert {"q_event1", "q_event2", "q_event3", "qber_event1_ph"} <= names
+
+
+def informative(rows):
+    return [r for r in rows if r["informative"]]
+
+
+def test_rows_flag_their_evidence():
+    rows = compare_to_analytic(simulate(config(basis_policy=1.0)))
+    assert all(r["informative"] == (r["expected"] >= 10.0) for r in rows)
+    assert 0 < len(informative(rows)) < len(rows)
+
+
+def test_heavy_dark_counts_match_closed_forms():
+    # p_d = 0.02 makes darks a large share of every click pattern
+    sp = SystemParams(mu=0.84, l_km=100.0, p_d=0.02)
+    rows = compare_to_analytic(simulate(SimConfig(sp=sp, rounds=1_000_000, seed=13,
+                                                  basis_policy=1.0)))
+    assert len(informative(rows)) > 20
+    assert max_abs_sigma(informative(rows)) < 5.0
+
+
+def test_bright_cells_match_closed_forms_for_any_worker_count():
+    # mean photon numbers up to ~29 per mode: the per-round Poisson cells
+    sp = SystemParams(mu=20.0, l_km=0.0, eta_d=1.0)
+    cfg = SimConfig(sp=sp, rounds=700_000, seed=17, basis_policy=0.5)
+    rep = simulate(cfg, threads=1)
+    assert rep == simulate(cfg, threads=3)
+    rows = informative(compare_to_analytic(rep))
+    assert len(rows) >= 10
+    assert max_abs_sigma(rows) < 5.0
+
+
+@pytest.mark.parametrize("value", (float("nan"), float("inf"), float("-inf")))
+@pytest.mark.parametrize("name", ("rounds", "basis_policy", "check_fraction", "flip_fraction"))
+def test_config_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        config(**{name: value})
 
 
 def test_config_validation():

@@ -45,6 +45,14 @@ def test_sweep_spec_validation():
         SweepSpec(variable=SweepVariable.MU, lo=0.1, hi=0.5, step=0.0, fixed=SP)
 
 
+@pytest.mark.parametrize("value", (float("nan"), float("inf"), float("-inf")))
+@pytest.mark.parametrize("name", ("lo", "hi", "step"))
+def test_sweep_spec_rejects_non_finite(name, value):
+    bounds = {"lo": 0.1, "hi": 0.5, "step": 0.1, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SweepSpec(variable=SweepVariable.MU, fixed=SP, **bounds)
+
+
 # --- intensity optimization ---
 
 def test_optimize_methods_agree():
