@@ -121,7 +121,11 @@ def ie_dual(tp: TapParams) -> float:
 
     1 - (1/3)[e^{-2x} + 2 e^{-x}] with x = (1 - eta_t) mu.
     """
-    x = tp.tapped_mu
+    return _ie_dual_tapped(tp.tapped_mu)
+
+
+def _ie_dual_tapped(x: float) -> float:
+    """``ie_dual`` as a plain function of the tapped intensity x."""
     return 1.0 - (math.exp(-2.0 * x) + 2.0 * math.exp(-x)) / 3.0
 
 

@@ -11,14 +11,16 @@ sets the simulation worker count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 from .attack import TapParams, ie_dps_tf, ie_dual, ie_wcp_ph, ie_wcp_pol
-from .detectors import SystemParams
+from .detectors import SystemParams, arm_efficiency
 from .montecarlo import SimConfig, compare_to_analytic, max_abs_sigma, simulate
 from .optimize import SweepSpec, SweepVariable, max_distance, optimize_mu, sweep
 from .rates import (
@@ -34,31 +36,6 @@ _THREADS_ENV = "DUALQSS_THREADS"
 
 _CSV_HEADER = "L_km,mu,R,R_event1,R_event2,R_event3,I_E,PLOB"
 _CSV_IE_EXTRA = ",IE_dual,IE_ph,IE_pol,IE_dps"
-
-# Config-file keys, mapped to a coercion function per argparse dest.
-_CONFIG_TYPES = {
-    "mu": float,
-    "L": float,
-    "alpha": float,
-    "eta_d": float,
-    "p_d": float,
-    "f": float,
-    "var": str,
-    "lo": float,
-    "hi": float,
-    "step": float,
-    "ie_compare": None,  # bool, handled separately
-    "method": str,
-    "seed": int,
-    "l_hi": float,
-    "event": int,
-    "rounds": int,
-    "basis_policy": float,
-    "check_fraction": float,
-    "attack": str,
-    "flip": float,
-    "output": str,
-}
 
 
 def _fmt(x: float) -> str:
@@ -89,29 +66,22 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Overlay config-file values under explicitly given flags."""
-    if not getattr(args, "config", None):
-        return
-    values = _load_config(args.config)
-    valid = vars(args)
-    for key, raw in values.items():
-        if key not in valid or key == "config":
+def _config_args(args: argparse.Namespace) -> list[str]:
+    """The config file of ``args`` as flags for the same command.
+
+    Parsed ahead of the command line, so that explicit flags win and
+    argparse does all the typing.
+    """
+    flags = []
+    for key, raw in _load_config(args.config).items():
+        if key not in vars(args) or key in ("command", "config"):
             raise ValueError(f"unknown config key {key!r}")
         flag = "--" + key.replace("_", "-")
-        explicit = any(tok == flag or tok.startswith(flag + "=") for tok in argv)
-        if explicit:
-            continue
-        coerce = _CONFIG_TYPES.get(key)
-        if coerce is None and key == "ie_compare":
-            setattr(args, key, _parse_bool(raw))
-        elif coerce is None:
-            setattr(args, key, raw)
+        if isinstance(getattr(args, key), bool):
+            flags += [flag] if _parse_bool(raw) else []
         else:
-            try:
-                setattr(args, key, coerce(raw))
-            except ValueError as exc:
-                raise ValueError(f"config key {key!r}: {exc}") from exc
+            flags += [flag, raw]
+    return flags
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -160,17 +130,6 @@ def _system_params(args: argparse.Namespace, l_km: float | None = None) -> Syste
     )
 
 
-def _params_dict(sp: SystemParams) -> dict:
-    return {
-        "mu": sp.mu,
-        "alpha": sp.alpha,
-        "l_km": sp.l_km,
-        "eta_d": sp.eta_d,
-        "p_d": sp.p_d,
-        "f": sp.f,
-    }
-
-
 def _add_physics_args(parser: argparse.ArgumentParser, l_default: float = 100.0) -> None:
     parser.add_argument("--mu", type=float, default=0.84, help="source mean photon number")
     parser.add_argument("--L", type=float, default=l_default, help="total distance in km")
@@ -190,7 +149,9 @@ def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--step", type=float, default=1.0, help="sweep step")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="dualqss",
         description="Key rates of the dual-degree-of-freedom quantum secret sharing protocol.",
@@ -281,8 +242,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             _fmt(plob_bound(point.l_km, args.alpha)),
         ]
         if ie_compare:
-            eta_t = args.eta_d * 10.0 ** (-args.alpha * point.l_km / 20.0)
-            tap = TapParams(mu=point.mu, eta_t=eta_t)
+            tap = TapParams(mu=point.mu, eta_t=arm_efficiency(args.eta_d, args.alpha, point.l_km))
             fields += [
                 _fmt(ie_dual(tap)),
                 _fmt(ie_wcp_ph(tap)),
@@ -306,7 +266,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             "method": result.method,
             "seed": args.seed,
             "l_km": args.L,
-            "params": _params_dict(sp),
+            "params": asdict(sp),
         },
     )
     return 0
@@ -320,7 +280,7 @@ def cmd_max_distance(args: argparse.Namespace) -> int:
         {
             "max_distance_km": value,
             "event": args.event,
-            "params": _params_dict(sp),
+            "params": asdict(sp),
         },
     )
     return 0
@@ -359,7 +319,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
             "event1": qber_threshold_event1(sp),
             "event23_reported": QBER_THRESHOLD_EVENT23_REPORTED,
             "event23_status": "unverified",
-            "params": _params_dict(sp),
+            "params": asdict(sp),
         },
     )
     return 0
@@ -379,10 +339,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "ie-compare":
-        args.ie_compare = True
     try:
-        _apply_config(args, argv)
+        if args.config:
+            args = parser.parse_args(argv[:1] + _config_args(args) + argv[1:])
+        if args.command == "ie-compare":
+            args.ie_compare = True
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

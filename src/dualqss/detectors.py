@@ -21,6 +21,7 @@ __all__ = [
     "Detector",
     "ClickParity",
     "SystemParams",
+    "arm_efficiency",
     "click_prob",
     "exclusive_single_click",
     "exclusive_double_click",
@@ -78,17 +79,22 @@ class SystemParams:
 
     @property
     def eta_t(self) -> float:
-        """End-to-end per-arm efficiency eta_d * 10^(-alpha l / 20).
-
-        Each sender's pulse travels half the total distance, hence the
-        20 in the exponent; detector efficiency is merged in.
-        """
-        return self.eta_d * 10.0 ** (-self.alpha * self.l_km / 20.0)
+        """End-to-end per-arm efficiency; see ``arm_efficiency``."""
+        return arm_efficiency(self.eta_d, self.alpha, self.l_km)
 
     @property
     def mu_arm(self) -> float:
         """Mean photon number of one sender's pulse at the beam splitter."""
         return self.eta_t * self.mu
+
+
+def arm_efficiency(eta_d: float, alpha: float, l_km: float) -> float:
+    """End-to-end per-arm efficiency eta_d * 10^(-alpha l / 20).
+
+    Each sender's pulse travels half the total distance, hence the 20 in
+    the exponent; detector efficiency is merged in. Checks nothing.
+    """
+    return eta_d * 10.0 ** (-alpha * l_km / 20.0)
 
 
 def click_prob(i: float, p_d: float) -> float:

@@ -40,6 +40,7 @@ sacrificed for checking.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -124,8 +125,11 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         require_finite(self, "rounds", "basis_policy", "check_fraction", "flip_fraction")
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {self.rounds!r}")
+        # numpy's samplers and seed sequences take integers only, not bools
+        for name, least in (("rounds", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not 0.0 <= self.basis_policy <= 1.0:
             raise ValueError(f"basis_policy must be in [0, 1], got {self.basis_policy!r}")
         if not 0.0 <= self.check_fraction <= 1.0:

@@ -4,19 +4,23 @@ Best source intensity at a fixed distance (deterministic grid plus
 golden-section refinement by default, with a pure golden-section mode
 and a seeded genetic algorithm for cross-checking), maximum reachable
 distance at a fixed intensity, and grid sweeps for curve generation.
+Each varies one parameter over a range whose two ends are validated
+once; every point then goes through the plain-float kernel of ``rates``
+and gives the same floats as ``key_rate``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .detectors import SystemParams
+from .detectors import SystemParams, arm_efficiency
 from .optics import require_finite
-from .rates import RatePoint, at_distance, at_intensity, key_rate
+from .rates import RatePoint, _rate_point, at_distance, at_intensity
 
 __all__ = [
     "SweepVariable",
@@ -77,16 +81,27 @@ class OptResult:
     method: str
 
 
+def _curve(
+    sp: SystemParams, variable: SweepVariable, lo: float, hi: float
+) -> Callable[[float], RatePoint]:
+    """Key rate of ``sp`` against ``variable`` on [lo, hi]. Each constraint
+    of ``SystemParams`` is an interval, so checking the ends covers [lo, hi]."""
+    distance = variable is SweepVariable.DISTANCE
+    at = at_distance if distance else at_intensity
+    at(sp, lo)
+    at(sp, hi)
+    if distance:
+        mu, eta_d, alpha, p_d, f = sp.mu, sp.eta_d, sp.alpha, sp.p_d, sp.f
+        return lambda l_km: _rate_point(mu, l_km, arm_efficiency(eta_d, alpha, l_km), p_d, f)
+    l_km, eta_t, p_d, f = sp.l_km, sp.eta_t, sp.p_d, sp.f
+    return lambda mu: _rate_point(mu, l_km, eta_t, p_d, f)
+
+
 def sweep(spec: SweepSpec) -> list[RatePoint]:
     """Evaluate the rate at every grid value, in grid order."""
-    points = []
-    for value in spec.values():
-        if spec.variable is SweepVariable.DISTANCE:
-            sp = at_distance(spec.fixed, value)
-        else:
-            sp = at_intensity(spec.fixed, value)
-        points.append(key_rate(sp))
-    return points
+    values = spec.values()
+    rate = _curve(spec.fixed, spec.variable, values[0], values[-1])
+    return [rate(value) for value in values]
 
 
 def _golden_section(rate, lo: float, hi: float, tol: float) -> tuple[float, float, int]:
@@ -130,10 +145,10 @@ def optimize_mu(
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
 
-    base = at_distance(sp, l_km)
+    rate_at = _curve(at_distance(sp, l_km), SweepVariable.MU, mu_lo, mu_hi)
 
     def rate(mu: float) -> float:
-        return key_rate(at_intensity(base, mu)).r
+        return rate_at(mu).r
 
     if method == "golden":
         best_mu, best_rate, evaluations = _golden_section(rate, mu_lo, mu_hi, _GOLDEN_TOL)
@@ -213,10 +228,10 @@ def max_distance(
         raise ValueError(f"event must be None, 1, 2, or 3, got {event!r}")
     if l_hi <= 0:
         raise ValueError(f"l_hi must be positive, got {l_hi!r}")
-    base = at_intensity(sp, mu)
+    rate_at = _curve(at_intensity(sp, mu), SweepVariable.DISTANCE, 0.0, l_hi)
 
     def rate(l_km: float) -> float:
-        point = key_rate(at_distance(base, l_km))
+        point = rate_at(l_km)
         return point.r if event is None else point.r_events[event - 1]
 
     if rate(l_hi) > 0.0:

@@ -23,14 +23,21 @@ factors of the spectator detectors. Error rates divide the
 pairing-conditional error terms by twice the conditional-gain sum,
 which leaves them independent of the overall normalization. The
 Monte-Carlo module cross-checks every one of these quantities.
+
+One path evaluates all of this: ``_event_terms`` (the only copy of each
+closed form) and the kernel ``_rate_point`` take plain, already
+validated floats and compute each intermediate once per point. It stays
+scalar ``math`` code: numpy's transcendentals differ from ``math`` in
+the last bit on a few percent of inputs, which would change the curves.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
-from .attack import TapParams, ie_dual
+from .attack import TapParams, _ie_dual_tapped, ie_dual
 from .detectors import SystemParams
 from .optics import binary_entropy
 
@@ -83,14 +90,32 @@ class RatePoint:
     r_events: tuple[float, float, float]
 
 
-def _masses(sp: SystemParams) -> tuple[float, float, float, float]:
-    """Return (u, v, ge, go) at the arm intensity of ``sp``."""
-    i = sp.mu_arm
-    u = math.expm1(i) + sp.p_d
-    v = sp.p_d
-    ge = 2.0 * math.sinh(0.5 * i) ** 2 + sp.p_d
+def _event_terms(i: float, p_d: float) -> tuple[tuple[float, float, float], ...]:
+    """(q, e_bit, e_ph) of Event1, Event2 and Event3 at arm intensity ``i``."""
+    u = math.expm1(i) + p_d
+    v = p_d
+    ge = 2.0 * math.sinh(0.5 * i) ** 2 + p_d
     go = math.sinh(i)
-    return u, v, ge, go
+    s = u + v
+    if s == 0.0:
+        return ((0.0, 0.0, 0.0),) * 3
+    no_click = math.exp(-2.0 * i)
+    event1 = ((1.0 - p_d) ** 3 * no_click * s, v / s, ge / s)
+    q = 0.5 * ((1.0 - p_d) ** 2 * no_click) * s ** 2
+    denom = 2.0 * s ** 2
+    if denom < sys.float_info.min:
+        # s ** 2 is subnormal or zero (I and p_d both below ~1e-154).
+        # The double-click error rates are ratios of quadratic forms in
+        # the masses, so take them on the masses scaled by 1 / s.
+        u, v, ge, go = u / s, v / s, ge / s, go / s
+        denom = 2.0
+    n_ph2 = (2.0 * go * ge + ge * go + ge * ge) + (go * v) + (v * v)
+    n_ph3 = (go * v) + (ge * go + 2.0 * go * ge + ge * ge) + (v * v)
+    return (
+        event1,
+        (q, (v * u + v * v + 2.0 * v * u) / denom, n_ph2 / denom),
+        (q, (u * v + 2.0 * u * v + v * v) / denom, n_ph3 / denom),
+    )
 
 
 def event1_rates(sp: SystemParams) -> EventRates:
@@ -100,12 +125,7 @@ def event1_rates(sp: SystemParams) -> EventRates:
     bit error collects the dark-driven wrong-detector terms and the
     phase error the even-parity terms of the lit detector.
     """
-    u, v, ge, _ = _masses(sp)
-    c = (1.0 - sp.p_d) ** 3 * math.exp(-2.0 * sp.mu_arm)
-    denom = u + v
-    if denom == 0.0:
-        return EventRates(q=0.0, e_bit=0.0, e_ph=0.0)
-    return EventRates(q=c * denom, e_bit=v / denom, e_ph=ge / denom)
+    return EventRates(*_event_terms(sp.mu_arm, sp.p_d)[0])
 
 
 def event2_rates(sp: SystemParams) -> EventRates:
@@ -118,16 +138,7 @@ def event2_rates(sp: SystemParams) -> EventRates:
     2(o,e) + (e,o) + (e,e) on the lit pattern, (e,o) + (o,e) on the
     half-lit pattern, and (e,e) + (o,e) on the unlit pattern.
     """
-    u, v, ge, go = _masses(sp)
-    b = (1.0 - sp.p_d) ** 2 * math.exp(-2.0 * sp.mu_arm)
-    s = u + v
-    if s == 0.0:
-        return EventRates(q=0.0, e_bit=0.0, e_ph=0.0)
-    q = 0.5 * b * s ** 2
-    denom = 2.0 * s ** 2
-    n_bit = v * u + v * v + 2.0 * v * u
-    n_ph = (2.0 * go * ge + ge * go + ge * ge) + (go * v) + (v * v)
-    return EventRates(q=q, e_bit=n_bit / denom, e_ph=n_ph / denom)
+    return EventRates(*_event_terms(sp.mu_arm, sp.p_d)[1])
 
 
 def event3_rates(sp: SystemParams) -> EventRates:
@@ -138,16 +149,22 @@ def event3_rates(sp: SystemParams) -> EventRates:
     fully lit. The both-dark pattern is conditioned on the pairing that
     leaves both of its detectors unlit, mirroring the same-index event.
     """
-    u, v, ge, go = _masses(sp)
-    b = (1.0 - sp.p_d) ** 2 * math.exp(-2.0 * sp.mu_arm)
-    s = u + v
-    if s == 0.0:
-        return EventRates(q=0.0, e_bit=0.0, e_ph=0.0)
-    q = 0.5 * b * s ** 2
-    denom = 2.0 * s ** 2
-    n_bit = u * v + 2.0 * u * v + v * v
-    n_ph = (go * v) + (ge * go + 2.0 * go * ge + ge * ge) + (v * v)
-    return EventRates(q=q, e_bit=n_bit / denom, e_ph=n_ph / denom)
+    return EventRates(*_event_terms(sp.mu_arm, sp.p_d)[2])
+
+
+def _rate_point(mu: float, l_km: float, eta_t: float, p_d: float, f: float) -> RatePoint:
+    """``key_rate`` on plain floats that the caller has already validated."""
+    terms = _event_terms(eta_t * mu, p_d)
+    i_e = _ie_dual_tapped((1.0 - eta_t) * mu)
+    budget = 1.0 - i_e
+    r_events = tuple(
+        [
+            q * max(0.0, budget - binary_entropy(e_ph) - f * binary_entropy(e_bit))
+            for q, e_bit, e_ph in terms
+        ]
+    )
+    events = tuple([EventRates(*t) for t in terms])
+    return RatePoint(l_km, mu, sum(r_events), i_e, events, r_events)
 
 
 def key_rate(sp: SystemParams) -> RatePoint:
@@ -157,21 +174,7 @@ def key_rate(sp: SystemParams) -> RatePoint:
     dying event cannot subtract from live ones and per-event rates are
     exact zeros beyond their death distance.
     """
-    events = (event1_rates(sp), event2_rates(sp), event3_rates(sp))
-    i_e = ie_dual(TapParams(mu=sp.mu, eta_t=sp.eta_t))
-    r_events = tuple(
-        ev.q
-        * max(0.0, 1.0 - i_e - binary_entropy(ev.e_ph) - sp.f * binary_entropy(ev.e_bit))
-        for ev in events
-    )
-    return RatePoint(
-        l_km=sp.l_km,
-        mu=sp.mu,
-        r=sum(r_events),
-        i_e=i_e,
-        events=events,
-        r_events=r_events,
-    )
+    return _rate_point(sp.mu, sp.l_km, sp.eta_t, sp.p_d, sp.f)
 
 
 def plob_bound(l_km: float, alpha: float = 0.2) -> float:

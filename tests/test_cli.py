@@ -1,11 +1,14 @@
 """End-to-end CLI behavior: formats, precedence, atomicity, errors."""
 
+import hashlib
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import pytest
 
-from dualqss.cli import main
+from dualqss.cli import build_parser, main
 
 HEADER = "L_km,mu,R,R_event1,R_event2,R_event3,I_E,PLOB"
 
@@ -60,6 +63,49 @@ def test_sweep_ie_compare_flag_matches_subcommand(capsys):
                          "--step", "1")
     _, via_cmd, _ = run(capsys, "ie-compare", "--lo", "100", "--hi", "100", "--step", "1")
     assert via_flag.splitlines()[1:] == via_cmd.splitlines()[1:]
+
+
+def test_second_main_call_carries_no_state(capsys):
+    # the parser is built once per process and shared by every call
+    assert build_parser() is build_parser()
+    code, _, _ = run(capsys, "ie-compare", "--var", "mu", "--lo", "0.5", "--hi", "0.5",
+                     "--step", "1", "--L", "300", "--alpha", "0.3", "--mu", "1.2")
+    assert code == 0
+    argv = ["sweep", "--lo", "100", "--hi", "100", "--step", "1"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == ("# params: mu=0.84 L=100 alpha=0.2 eta_d=0.145 p_d=8e-08 f=1.15 "
+                        "var=L lo=100 hi=100 step=1 ie_compare=false")
+    assert lines[1] == HEADER
+    assert lines[2].split(",")[:2] == ["100", "0.84"]
+    fresh = build_parser.__wrapped__()
+    assert vars(build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
+
+
+# SHA-256 of each CSV that scripts/make_figure_data.py writes, as of
+# commit 60f7309. The published curves must not change by a single bit.
+FIGURE_DIGESTS = {
+    "leakage_vs_mu.csv":
+        "4e644f8a4b68cffa14a6ced8f8874b10dd98988be7253edb2915f21805af1dcc",
+    "rate_vs_distance_mu084.csv":
+        "0c2435f573eeaeb721001bccd8ffa083b9774b90764152500bca08ae13aba8d5",
+    "rate_vs_distance_mu150.csv":
+        "9c169013bd2a44c008045c75f40f5b8ef5e7757ddf899c797deafa90be077cc1",
+    "rate_vs_mu_400km.csv":
+        "7edf317077f51e8c371777834e7c8044df6e92f65edbdd98b9588bbc4908282f",
+}
+
+
+def test_figure_data_bytes_unchanged(tmp_path, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_figure_data.py"
+    spec = importlib.util.spec_from_file_location("make_figure_data", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.run(str(tmp_path))
+    capsys.readouterr()
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == FIGURE_DIGESTS
 
 
 def test_output_file_atomic(tmp_path, capsys):
@@ -154,6 +200,15 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert code == 2
     assert "error:" in err
     assert "muu" in err
+
+
+def test_config_value_is_typed_by_argparse(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mu = abc\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["thresholds", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "argument --mu: invalid float value: 'abc'" in capsys.readouterr().err
 
 
 def test_malformed_config_line_exits_2(tmp_path, capsys):

@@ -4,6 +4,7 @@ Statistical assertions use generous sigma margins at fixed seeds so
 they stay deterministic.
 """
 
+import numpy as np
 import pytest
 
 from dualqss.detectors import SystemParams
@@ -201,6 +202,23 @@ def test_bright_cells_match_closed_forms_for_any_worker_count():
 def test_config_rejects_non_finite(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         config(**{name: value})
+
+
+@pytest.mark.parametrize("name, value", (
+    ("rounds", 1.5),
+    ("rounds", 2.0),
+    ("rounds", True),
+    ("seed", -1),
+    ("seed", 1.5),
+))
+def test_config_rejects_non_integer_counts(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        config(**{name: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = config(rounds=np.int64(1000), seed=np.uint32(3))
+    assert simulate(cfg).rounds == 1000
 
 
 def test_config_validation():

@@ -10,6 +10,7 @@ from dualqss.optimize import (
     optimize_mu,
     sweep,
 )
+from dualqss.rates import at_distance, at_intensity, key_rate
 
 SP = SystemParams(mu=0.84, l_km=400.0)
 
@@ -36,6 +37,26 @@ def test_sweep_handles_inexact_step():
     values = spec.values()
     assert len(values) == 5
     assert values[-1] == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("fixed", (SP, SystemParams(mu=1.3, alpha=0.27, l_km=80.0, eta_d=0.6,
+                                                   p_d=3e-4, f=1.4)))
+@pytest.mark.parametrize("variable, lo, hi, step, at", (
+    (SweepVariable.DISTANCE, 0.0, 460.0, 0.5, at_distance),
+    (SweepVariable.MU, 0.0, 3.0, 0.01, at_intensity),
+))
+def test_sweep_points_equal_key_rate(fixed, variable, lo, hi, step, at):
+    # the per-point kernel must give the very floats of key_rate
+    spec = SweepSpec(variable=variable, lo=lo, hi=hi, step=step, fixed=fixed)
+    assert sweep(spec) == [key_rate(at(fixed, value)) for value in spec.values()]
+
+
+@pytest.mark.parametrize("variable, name", ((SweepVariable.DISTANCE, "l_km"),
+                                            (SweepVariable.MU, "mu")))
+def test_sweep_rejects_negative_lo(variable, name):
+    spec = SweepSpec(variable=variable, lo=-1.0, hi=1.0, step=0.5, fixed=SP)
+    with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+        sweep(spec)
 
 
 def test_sweep_spec_validation():

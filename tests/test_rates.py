@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualqss.detectors import SystemParams
+from dualqss.optics import binary_entropy
 from dualqss.rates import (
     QBER_THRESHOLD_EVENT23_REPORTED,
     at_distance,
@@ -150,3 +151,46 @@ def test_at_distance_and_at_intensity():
     scaled = at_intensity(sp, 1.5)
     assert scaled.mu == 1.5
     assert scaled.l_km == 100.0
+
+
+# The whole valid domain. The 1e-12 slack on the error rates is rounding:
+# at p_d = 1 an error rate already evaluates to 0.5000000000000002.
+_ERROR_RATE_MAX = 0.5 + 1e-12
+
+domain_st = st.builds(
+    SystemParams,
+    mu=st.floats(min_value=0.0, max_value=50.0),
+    l_km=st.floats(min_value=0.0, max_value=1000.0),
+    eta_d=st.floats(min_value=0.0, max_value=1.0),
+    p_d=st.floats(min_value=0.0, max_value=1.0),
+    alpha=st.floats(min_value=0.0, max_value=1.0),
+    f=st.floats(min_value=1.0, max_value=3.0),
+)
+
+
+@settings(max_examples=300)
+@given(domain_st)
+def test_key_rate_finite_and_non_negative(sp):
+    point = key_rate(sp)
+    assert math.isfinite(point.r) and point.r >= 0.0
+    assert all(math.isfinite(r) and r >= 0.0 for r in point.r_events)
+
+
+@settings(max_examples=300)
+@given(domain_st)
+def test_error_rates_within_half(sp):
+    for ev in key_rate(sp).events:
+        assert 0.0 <= ev.e_bit <= _ERROR_RATE_MAX
+        assert 0.0 <= ev.e_ph <= _ERROR_RATE_MAX
+
+
+@settings(max_examples=300)
+@given(domain_st)
+def test_event_rate_is_zero_exactly_when_bracket_is_not_positive(sp):
+    point = key_rate(sp)
+    for ev, r in zip(point.events, point.r_events):
+        bracket = 1.0 - point.i_e - binary_entropy(ev.e_ph) - sp.f * binary_entropy(ev.e_bit)
+        # q * bracket can also be zero for a positive bracket: q is zero
+        # without clicks (eta_d = p_d = 0) or at p_d = 1, or the product
+        # underflows.
+        assert (r == 0.0) == (bracket <= 0.0 or ev.q * bracket == 0.0)
