@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Regenerate the CSV data behind the standard figures.
 
-Writes three files into --outdir:
-  leakage_vs_mu.csv       eavesdropper bounds against source intensity
-  rate_vs_distance.csv    total and per-event key rates for mu=0.84 and 1.5,
-                          with the repeaterless bound for reference
-  rate_vs_mu_400km.csv    the flat optimum region at 400 km
+Writes four files into --outdir:
+  leakage_vs_mu.csv           eavesdropper bounds against source intensity
+  rate_vs_distance_mu084.csv  total and per-event key rates for mu=0.84,
+                              with the repeaterless bound for reference
+  rate_vs_distance_mu150.csv  the same for mu=1.5
+  rate_vs_mu_400km.csv        the flat optimum region at 400 km
 """
 
 import argparse

@@ -10,6 +10,7 @@ way.
 """
 
 import argparse
+import os
 import sys
 
 from dualqss.detectors import SystemParams
@@ -42,7 +43,9 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rounds", type=int, default=10_000_000)
     parser.add_argument("--seed", type=int, default=2026)
-    parser.add_argument("--threads", type=int, default=4)
+    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                        help="worker threads (default: one per core); "
+                             "tallies are the same for any count")
     parser.add_argument("--budget", type=float, default=5.0)
     parser.add_argument("--verbose", action="store_true",
                         help="print every row, not only |sigma| > 2")

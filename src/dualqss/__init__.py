@@ -22,7 +22,6 @@ from .detectors import (
     Detector,
     SystemParams,
     click_prob,
-    exclusive_double_click,
     exclusive_pattern_prob,
     exclusive_single_click,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "event1_rates",
     "event2_rates",
     "event3_rates",
-    "exclusive_double_click",
     "exclusive_pattern_prob",
     "exclusive_single_click",
     "ie_dps_tf",

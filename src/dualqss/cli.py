@@ -1,11 +1,12 @@
 """Command-line interface emitting reproducible CSV and JSON outputs.
 
-Commands: sweep (rate curves as CSV), ie-compare (sweep with the four
-leakage columns), optimize (best intensity), max-distance, thresholds,
-and simulate (Monte-Carlo run with analytic comparison). A flat
-key=value config file can preload any flag; explicit flags win. Output
-files are written atomically. The DUALQSS_THREADS environment variable
-sets the simulation worker count.
+Commands: sweep (rate curves as CSV), ie-compare (the same sweep with
+the four leakage columns added), optimize (best intensity by grid search
+and golden-section refinement), max-distance, thresholds, and simulate
+(Monte-Carlo run with analytic comparison). A flat key=value config file
+can preload any flag; explicit flags win. Output files are written
+atomically. The DUALQSS_THREADS environment variable sets the simulation
+worker count.
 """
 
 from __future__ import annotations
@@ -42,15 +43,6 @@ def _fmt(x: float) -> str:
     return _FLOAT_FMT % x
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"cannot parse boolean config value {raw!r}")
-
-
 def _load_config(path: str) -> dict[str, str]:
     """Parse a flat key=value config file; # starts a comment."""
     values: dict[str, str] = {}
@@ -76,11 +68,7 @@ def _config_args(args: argparse.Namespace) -> list[str]:
     for key, raw in _load_config(args.config).items():
         if key not in vars(args) or key in ("command", "config"):
             raise ValueError(f"unknown config key {key!r}")
-        flag = "--" + key.replace("_", "-")
-        if isinstance(getattr(args, key), bool):
-            flags += [flag] if _parse_bool(raw) else []
-        else:
-            flags += [flag, raw]
+        flags += ["--" + key.replace("_", "-"), raw]
     return flags
 
 
@@ -160,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="rate curve as CSV")
     _add_sweep_args(p_sweep)
-    p_sweep.add_argument("--ie-compare", action="store_true", help="add leakage columns")
 
     p_ie = sub.add_parser("ie-compare", help="sweep with the four leakage columns")
     _add_sweep_args(p_ie)
@@ -169,8 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_physics_args(p_opt, l_default=400.0)
     p_opt.add_argument("--lo", type=float, default=0.1, help="intensity lower bound")
     p_opt.add_argument("--hi", type=float, default=2.0, help="intensity upper bound")
-    p_opt.add_argument("--method", choices=("grid", "golden", "genetic"), default="grid")
-    p_opt.add_argument("--seed", type=int, default=7, help="genetic algorithm seed")
 
     p_max = sub.add_parser("max-distance", help="largest distance with positive rate")
     _add_physics_args(p_max)
@@ -211,7 +196,7 @@ def _echo_params(args: argparse.Namespace, extra: dict) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    ie_compare = getattr(args, "ie_compare", False)
+    ie_compare = args.command == "ie-compare"
     fixed = _system_params(args)
     variable = SweepVariable.MU if args.var == "mu" else SweepVariable.DISTANCE
     spec = SweepSpec(variable=variable, lo=args.lo, hi=args.hi, step=args.step, fixed=fixed)
@@ -256,7 +241,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     sp = _system_params(args)
-    result = optimize_mu(args.L, sp, bounds=(args.lo, args.hi), method=args.method, seed=args.seed)
+    result = optimize_mu(args.L, sp, bounds=(args.lo, args.hi))
     _emit_json(
         args,
         {
@@ -264,7 +249,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             "best_rate": result.best_rate,
             "evaluations": result.evaluations,
             "method": result.method,
-            "seed": args.seed,
             "l_km": args.L,
             "params": asdict(sp),
         },
@@ -342,8 +326,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.config:
             args = parser.parse_args(argv[:1] + _config_args(args) + argv[1:])
-        if args.command == "ie-compare":
-            args.ie_compare = True
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

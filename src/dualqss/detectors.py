@@ -6,6 +6,12 @@ p_d per gate. A clicked detector is classified Even when its photon
 count is even (a dark-count click on vacuum counts as Even, since zero
 is even) and Odd otherwise; the Even class is the one that corrupts the
 interference-based inference.
+
+One function, ``exclusive_pattern_prob``, gives the probability that
+exactly a given set of detectors clicks, optionally with a parity class
+per clicked detector; the detectors are independent, so it is a product
+of per-detector terms. ``exclusive_single_click`` is its one-detector
+case.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ __all__ = [
     "arm_efficiency",
     "click_prob",
     "exclusive_single_click",
-    "exclusive_double_click",
     "exclusive_pattern_prob",
 ]
 
@@ -132,57 +137,40 @@ def exclusive_single_click(
     ``parity=None`` accepts any click. The three other detectors must
     register neither photons nor dark counts.
     """
-    vec = ints.as_tuple()
-    others = 1.0
-    for d in range(4):
-        if d != target:
-            others *= _no_click_prob(vec[d], p_d)
-    return others * _classified_click_mass(vec[target], parity, p_d)
-
-
-def exclusive_double_click(
-    targets: tuple[Detector, Detector],
-    parities: tuple[ClickParity | None, ClickParity | None],
-    ints: ModeIntensities,
-    p_d: float,
-) -> float:
-    """Probability that exactly the two target detectors click with the
-    given parity classes."""
-    t1, t2 = targets
-    if t1 == t2:
-        raise ValueError("double-click targets must be distinct detectors")
-    vec = ints.as_tuple()
-    others = 1.0
-    for d in range(4):
-        if d not in (t1, t2):
-            others *= _no_click_prob(vec[d], p_d)
-    return (
-        others
-        * _classified_click_mass(vec[t1], parities[0], p_d)
-        * _classified_click_mass(vec[t2], parities[1], p_d)
-    )
+    return exclusive_pattern_prob((target,), ints, p_d, (parity,))
 
 
 def exclusive_pattern_prob(
     clicked: Iterable[Detector],
     ints: ModeIntensities,
     p_d: float,
+    parities: Iterable[ClickParity | None] | None = None,
 ) -> float:
-    """Probability that exactly the given detector subset clicks (any parity).
+    """Probability that exactly the given detector subset clicks.
 
-    Detectors are independent, so the pattern probability factorizes
-    into per-detector click / no-click terms.
+    ``parities`` gives one parity class per clicked detector, in the
+    order of ``clicked``, where None accepts any click; ``parities=None``
+    accepts any click on every detector. A detector may be listed twice
+    only with the same class. Detectors are independent, so the pattern
+    probability factorizes into the no-click terms of the others and the
+    classified click terms of the clicked ones.
     """
-    clicked_set = set()
-    for d in clicked:
+    clicked = list(clicked)
+    parities = [None] * len(clicked) if parities is None else list(parities)
+    if len(parities) != len(clicked):
+        raise ValueError(f"need one parity per clicked detector, got {len(parities)} "
+                         f"for {len(clicked)}")
+    classes: dict[int, ClickParity | None] = {}
+    for d, parity in zip(clicked, parities):
         if isinstance(d, bool) or not 0 <= int(d) <= 3:
             raise ValueError(f"clicked must contain detector indices, got {d!r}")
-        clicked_set.add(int(d))
+        if classes.setdefault(int(d), parity) != parity:
+            raise ValueError(f"detector {d!r} listed with conflicting parities")
     vec = ints.as_tuple()
     prob = 1.0
     for d in range(4):
-        if d in clicked_set:
-            prob *= click_prob(vec[d], p_d)
-        else:
+        if d not in classes:
             prob *= _no_click_prob(vec[d], p_d)
+    for d, parity in classes.items():
+        prob *= _classified_click_mass(vec[d], parity, p_d)
     return prob

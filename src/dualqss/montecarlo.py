@@ -42,18 +42,12 @@ from __future__ import annotations
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .attack import TapParams, ie_dual
-from .detectors import (
-    ClickParity,
-    Detector,
-    SystemParams,
-    exclusive_double_click,
-    exclusive_single_click,
-)
+from .detectors import ClickParity, Detector, SystemParams, exclusive_pattern_prob
 from .optics import PolPairing, detector_amplitudes, intensities, require_finite
 from .rates import event1_rates, event2_rates, event3_rates
 
@@ -101,7 +95,6 @@ _DOUBLE_PATTERNS = (
 # 4-bit id (ka_ph, ka_pol, kb_ph, kb_pol).
 _REPS = (("plus_plus", 0b0000), ("plus_minus", 0b0001))
 
-_SINGLE_CELLS = ("odd", "even")
 _DOUBLE_CELLS = ("oo", "oe", "eo", "ee")
 
 
@@ -182,14 +175,7 @@ class SimReport:
     parity: dict
 
     def system_params(self) -> SystemParams:
-        return SystemParams(
-            mu=self.mu,
-            alpha=self.alpha,
-            l_km=self.l_km,
-            eta_d=self.eta_d,
-            p_d=self.p_d,
-            f=self.f,
-        )
+        return SystemParams(*(getattr(self, f.name) for f in fields(SystemParams)))
 
     def to_dict(self) -> dict:
         """JSON-ready view with stable key order and derived frequencies."""
@@ -203,26 +189,6 @@ class SimReport:
             p = k / n
             return math.sqrt(p * (1.0 - p) / n)
 
-        counts = {
-            "n_xx": self.n_xx,
-            "n_zz": self.n_zz,
-            "n_mixed": self.n_mixed,
-            "n_event1": self.n_event1,
-            "n_event2": self.n_event2,
-            "n_event3": self.n_event3,
-            "n_fail_xx": self.n_fail_xx,
-            "n_err1_ph": self.n_err1_ph,
-            "n_err2_ph": self.n_err2_ph,
-            "n_err2_pol": self.n_err2_pol,
-            "n_err3_ph": self.n_err3_ph,
-            "n_err3_pol": self.n_err3_pol,
-            "n_check_x_bits": self.n_check_x_bits,
-            "n_check_x_err": self.n_check_x_err,
-            "n_check_z_bits": self.n_check_z_bits,
-            "n_check_z_err": self.n_check_z_err,
-            "n_key_events": self.n_key_events,
-            "n_eve_success": self.n_eve_success,
-        }
         rates = {
             "q_event1": ratio(self.n_event1, self.n_xx),
             "q_event1_se": se(self.n_event1, self.n_xx),
@@ -242,24 +208,17 @@ class SimReport:
             "eve_leak_fraction": ratio(self.n_eve_success, self.n_key_events),
         }
         return {
-            "config": {
-                "rounds": self.rounds,
-                "seed": self.seed,
-                "basis_policy": self.basis_policy,
-                "check_fraction": self.check_fraction,
-                "attack": self.attack,
-                "flip_fraction": self.flip_fraction,
-                "mu": self.mu,
-                "alpha": self.alpha,
-                "l_km": self.l_km,
-                "eta_d": self.eta_d,
-                "p_d": self.p_d,
-                "f": self.f,
-            },
-            "counts": counts,
+            "config": {name: getattr(self, name) for name in _CONFIG_FIELDS},
+            "counts": {name: getattr(self, name) for name in _COUNT_FIELDS},
             "rates": rates,
             "parity": self.parity,
         }
+
+
+# The configuration echo and the counts of a report, in declaration order.
+_COUNT_FIELDS = tuple(f.name for f in fields(SimReport) if f.name.startswith("n_"))
+_CONFIG_FIELDS = tuple(f.name for f in fields(SimReport)
+                       if f.name not in _COUNT_FIELDS and f.name != "parity")
 
 
 def _unit_intensities() -> np.ndarray:
@@ -286,8 +245,10 @@ def _unit_intensities() -> np.ndarray:
 _UNIT_LAM = _unit_intensities()
 
 
-def _block_tallies(cfg: SimConfig, block: int, size: int) -> dict[str, int]:
-    """Simulate one block of rounds and return flat integer tallies.
+def _block_tallies(cfg: SimConfig, block: int, size: int) -> dict:
+    """Simulate one block of rounds and return its integer tallies: the
+    ``n_*`` counts of ``SimReport`` and, under "parity", its nested
+    parity cells.
 
     The draw order from the protocol stream is fixed (class counts,
     photons, darks, check lottery) so that tallies depend only on
@@ -422,31 +383,28 @@ def _block_tallies(cfg: SimConfig, block: int, size: int) -> dict[str, int]:
     t["n_eve_success"] = int((key & eve_draw).sum()) if eve_draw is not None else 0
 
     even = (photons & 1) == 0
+    t["parity"] = {}
     for rep_name, rep_id in _REPS:
         rep_class = _XX_CLASS | rep_id
         sel = cls == rep_class
-        t[f"par_{rep_name}_n"] = int(m[rep_class])
+        rep = t["parity"][rep_name] = {"n": int(m[rep_class])}
         for det_name, det in (("h1", Detector.D1H), ("h2", Detector.D2H)):
             mask = sel & ev1 & clicks[:, det]
             n_even = int((mask & even[:, det]).sum())
-            t[f"par_{rep_name}_{det_name}_even"] = n_even
-            t[f"par_{rep_name}_{det_name}_odd"] = int(mask.sum()) - n_even
+            rep[det_name] = {"odd": int(mask.sum()) - n_even, "even": n_even}
         for pat_name, det_h, det_v, event_class in _DOUBLE_PATTERNS:
             ev = ev2 if event_class == 2 else ev3
             mask = sel & ev & clicks[:, det_h]
             idx = even[mask, det_h].astype(np.int8) * 2 + even[mask, det_v].astype(np.int8)
-            cells = np.bincount(idx, minlength=4)
-            for cell_idx, cell in enumerate(_DOUBLE_CELLS):
-                t[f"par_{rep_name}_{pat_name}_{cell}"] = int(cells[cell_idx])
+            rep[pat_name] = dict(zip(_DOUBLE_CELLS, np.bincount(idx, minlength=4).tolist()))
     return t
 
 
-def _merge(tallies: list[dict[str, int]]) -> dict[str, int]:
-    total: dict[str, int] = dict(tallies[0])
-    for t in tallies[1:]:
-        for k, v in t.items():
-            total[k] += v
-    return total
+def _merge(tallies: list):
+    """Sum block tallies key by key, recursing into nested dicts."""
+    if isinstance(tallies[0], dict):
+        return {k: _merge([t[k] for t in tallies]) for k in tallies[0]}
+    return sum(tallies)
 
 
 def simulate(config: SimConfig, threads: int = 1) -> SimReport:
@@ -469,55 +427,8 @@ def simulate(config: SimConfig, threads: int = 1) -> SimReport:
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             tallies = list(pool.map(lambda bs: _block_tallies(config, bs[0], bs[1]), blocks))
-    total = _merge(tallies)
-
-    parity: dict[str, dict] = {}
-    for rep_name, _ in _REPS:
-        rep: dict[str, object] = {"n": total[f"par_{rep_name}_n"]}
-        for det_name in ("h1", "h2"):
-            rep[det_name] = {
-                cell: total[f"par_{rep_name}_{det_name}_{cell}"] for cell in _SINGLE_CELLS
-            }
-        for pat_name, _, _, _ in _DOUBLE_PATTERNS:
-            rep[pat_name] = {
-                cell: total[f"par_{rep_name}_{pat_name}_{cell}"] for cell in _DOUBLE_CELLS
-            }
-        parity[rep_name] = rep
-
-    sp = config.sp
-    return SimReport(
-        rounds=config.rounds,
-        seed=config.seed,
-        basis_policy=config.basis_policy,
-        check_fraction=config.check_fraction,
-        attack=config.attack,
-        flip_fraction=config.flip_fraction,
-        mu=sp.mu,
-        alpha=sp.alpha,
-        l_km=sp.l_km,
-        eta_d=sp.eta_d,
-        p_d=sp.p_d,
-        f=sp.f,
-        n_xx=total["n_xx"],
-        n_zz=total["n_zz"],
-        n_mixed=total["n_mixed"],
-        n_event1=total["n_event1"],
-        n_event2=total["n_event2"],
-        n_event3=total["n_event3"],
-        n_fail_xx=total["n_fail_xx"],
-        n_err1_ph=total["n_err1_ph"],
-        n_err2_ph=total["n_err2_ph"],
-        n_err2_pol=total["n_err2_pol"],
-        n_err3_ph=total["n_err3_ph"],
-        n_err3_pol=total["n_err3_pol"],
-        n_check_x_bits=total["n_check_x_bits"],
-        n_check_x_err=total["n_check_x_err"],
-        n_check_z_bits=total["n_check_z_bits"],
-        n_check_z_err=total["n_check_z_err"],
-        n_key_events=total["n_key_events"],
-        n_eve_success=total["n_eve_success"],
-        parity=parity,
-    )
+    echo = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "sp"}
+    return SimReport(**echo, **asdict(config.sp), **_merge(tallies))
 
 
 def simulate_beam_split(config: SimConfig, threads: int = 1) -> SimReport:
@@ -571,16 +482,11 @@ def compare_to_analytic(report: SimReport) -> list[dict]:
     add("q_event2", report.n_event2, report.n_xx, e2.q)
     add("q_event3", report.n_event3, report.n_xx, e3.q)
 
-    # Per-DOF QBER closed forms in the shorthand of the rates module:
-    # a wrong H index is dark-driven (v / (u+v)); a wrong pattern class
-    # swaps lit and unlit detectors (2uv / (u+v)^2). Their per-event
-    # average reproduces e_bit of the double-click events.
-    i = sp.mu_arm
-    u = math.expm1(i) + sp.p_d
-    v = sp.p_d
-    s = u + v
-    p_wrong_h = v / s if s > 0 else 0.0
-    p_wrong_pat = 2.0 * u * v / s ** 2 if s > 0 else 0.0
+    # Per-DOF QBERs: a wrong H index is dark-driven and is the Event1 bit
+    # error; a wrong pattern class is the rest of the double-click bit
+    # error, which averages the two per-DOF rates.
+    p_wrong_h = e1.e_bit
+    p_wrong_pat = 2.0 * e2.e_bit - e1.e_bit
     add("qber_event1_ph", report.n_err1_ph, report.n_event1, p_wrong_h)
     add("qber_event2_ph", report.n_err2_ph, report.n_event2, p_wrong_h)
     add("qber_event2_pol", report.n_err2_pol, report.n_event2, p_wrong_pat)
@@ -591,20 +497,18 @@ def compare_to_analytic(report: SimReport) -> list[dict]:
         "plus_plus": PolPairing.PLUS_PLUS,
         "plus_minus": PolPairing.PLUS_MINUS,
     }
+    patterns = [("h1", (Detector.D1H,)), ("h2", (Detector.D2H,))]
+    patterns += [(name, (det_h, det_v)) for name, det_h, det_v, _ in _DOUBLE_PATTERNS]
     for rep_name, pairing in pairings.items():
         ints = intensities(detector_amplitudes(pairing.representative(), sp.mu_arm))
         cells = report.parity[rep_name]
         n_enc = cells["n"]
-        for det_name, det in (("h1", Detector.D1H), ("h2", Detector.D2H)):
-            for cell, parity in (("odd", ClickParity.ODD), ("even", ClickParity.EVEN)):
-                p = exclusive_single_click(det, parity, ints, sp.p_d)
-                add(f"parity_{rep_name}_{det_name}_{cell}", cells[det_name][cell], n_enc, p)
-        for pat_name, det_h, det_v, _ in _DOUBLE_PATTERNS:
-            for cell in _DOUBLE_CELLS:
-                par_h = ClickParity.ODD if cell[0] == "o" else ClickParity.EVEN
-                par_v = ClickParity.ODD if cell[1] == "o" else ClickParity.EVEN
-                p = exclusive_double_click((det_h, det_v), (par_h, par_v), ints, sp.p_d)
-                add(f"parity_{rep_name}_{pat_name}_{cell}", cells[pat_name][cell], n_enc, p)
+        for pat_name, dets in patterns:
+            for cell, count in cells[pat_name].items():
+                # the cell name starts with one letter per detector, o(dd) or e(ven)
+                pars = [ClickParity.ODD if c == "o" else ClickParity.EVEN for c in cell[:len(dets)]]
+                p = exclusive_pattern_prob(dets, ints, sp.p_d, pars)
+                add(f"parity_{rep_name}_{pat_name}_{cell}", count, n_enc, p)
 
     if report.attack == "beam_split":
         leak = ie_dual(TapParams(mu=sp.mu, eta_t=sp.eta_t))

@@ -39,7 +39,11 @@ def require_finite(obj: object, *names: str) -> None:
     """
     for name in names:
         value = getattr(obj, name)
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            raise ValueError(f"{name} must be finite, got an integer beyond the float range") from None
+        if not finite:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 

@@ -1,9 +1,8 @@
 """Parameter search over the key-rate surface.
 
 Best source intensity at a fixed distance (deterministic grid plus
-golden-section refinement by default, with a pure golden-section mode
-and a seeded genetic algorithm for cross-checking), maximum reachable
-distance at a fixed intensity, and grid sweeps for curve generation.
+golden-section refinement), maximum reachable distance at a fixed
+intensity, and grid sweeps for curve generation.
 Each varies one parameter over a range whose two ends are validated
 once; every point then goes through the plain-float kernel of ``rates``
 and gives the same floats as ``key_rate``.
@@ -15,8 +14,6 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .detectors import SystemParams, arm_efficiency
 from .optics import require_finite
@@ -31,17 +28,14 @@ __all__ = [
     "max_distance",
 ]
 
-METHODS = ("grid", "golden", "genetic")
-
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 61
 _GOLDEN_TOL = 1e-6
-_GA_POPULATION = 32
-_GA_GENERATIONS = 60
-_GA_TOURNAMENT = 3
-_GA_ELITE = 2
-_GA_SIGMA = 0.05
 _SCAN_STEP_KM = 20.0
+
+# Largest grid a SweepSpec may describe. The densest shipped sweep has
+# 9,201 points; a tiny step would otherwise exhaust memory in values().
+_MAX_SWEEP_POINTS = 10_000_000
 
 
 class SweepVariable(Enum):
@@ -66,6 +60,8 @@ class SweepSpec:
             raise ValueError(f"step must be positive, got {self.step!r}")
         if self.hi < self.lo:
             raise ValueError(f"hi must be >= lo, got [{self.lo!r}, {self.hi!r}]")
+        if (self.hi - self.lo) / self.step + 1 > _MAX_SWEEP_POINTS:
+            raise ValueError(f"sweep must have at most {_MAX_SWEEP_POINTS} points; raise step")
 
     def values(self) -> list[float]:
         # Relative epsilon so that e.g. (0.3 - 0.0) / 0.1 lands on 3 points.
@@ -131,64 +127,26 @@ def optimize_mu(
     sp: SystemParams,
     bounds: tuple[float, float] = (0.1, 2.0),
     method: str = "grid",
-    seed: int = 7,
 ) -> OptResult:
     """Source intensity maximizing the key rate at ``l_km``.
 
-    Ties break toward the lower intensity (the ascending grid keeps the
-    first maximum, and a refinement result is adopted only when it is
-    strictly better).
+    An ascending coarse grid, then golden-section refinement in the
+    interval that brackets the grid maximum. ``method`` must be "grid",
+    the only method. Ties break toward the lower intensity (the grid
+    keeps the first maximum, and a refinement result is adopted only
+    when it is strictly better).
     """
     mu_lo, mu_hi = bounds
     if not 0.0 < mu_lo < mu_hi:
         raise ValueError(f"bounds must satisfy 0 < lo < hi, got {bounds!r}")
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    if method != "grid":
+        raise ValueError(f"method must be 'grid', got {method!r}")
 
     rate_at = _curve(at_distance(sp, l_km), SweepVariable.MU, mu_lo, mu_hi)
 
     def rate(mu: float) -> float:
         return rate_at(mu).r
 
-    if method == "golden":
-        best_mu, best_rate, evaluations = _golden_section(rate, mu_lo, mu_hi, _GOLDEN_TOL)
-        return OptResult(best_mu=best_mu, best_rate=best_rate, evaluations=evaluations, method=method)
-
-    if method == "genetic":
-        rng = np.random.default_rng(seed)
-        evaluations = 0
-
-        def fitness(pop: np.ndarray) -> np.ndarray:
-            nonlocal evaluations
-            evaluations += len(pop)
-            return np.array([rate(mu) for mu in pop])
-
-        pop = mu_lo + (mu_hi - mu_lo) * rng.random(_GA_POPULATION)
-        fit = fitness(pop)
-        for _ in range(_GA_GENERATIONS):
-            order = np.argsort(-fit, kind="stable")
-            pop, fit = pop[order], fit[order]
-            children = list(pop[:_GA_ELITE])
-            while len(children) < _GA_POPULATION:
-                picks = rng.integers(0, _GA_POPULATION, size=_GA_TOURNAMENT)
-                p1 = pop[picks.min()]
-                picks = rng.integers(0, _GA_POPULATION, size=_GA_TOURNAMENT)
-                p2 = pop[picks.min()]
-                blend = rng.random()
-                child = blend * p1 + (1.0 - blend) * p2 + rng.normal(0.0, _GA_SIGMA)
-                children.append(min(mu_hi, max(mu_lo, child)))
-            pop = np.array(children)
-            fit = fitness(pop)
-        best = int(np.argmax(fit))
-        return OptResult(
-            best_mu=float(pop[best]),
-            best_rate=float(fit[best]),
-            evaluations=evaluations,
-            method=method,
-        )
-
-    # Default: ascending coarse grid, then golden-section refinement in
-    # the bracketing interval.
     step = (mu_hi - mu_lo) / (_GRID_POINTS - 1)
     best_mu, best_rate = mu_lo, rate(mu_lo)
     evaluations = 1

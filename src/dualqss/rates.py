@@ -63,6 +63,10 @@ QBER_THRESHOLD_EVENT23_REPORTED = 0.0208
 
 _BISECT_ITERS = 100
 
+# From this arm intensity on, 2 s ** 2 ~ 2 e^2I is not a finite float:
+# it raises OverflowError or, as inf, zeroes the double-click error rates.
+_SCALED_FROM_I = 0.5 * math.log(0.5 * sys.float_info.max)
+
 
 @dataclass(frozen=True)
 class EventRates:
@@ -92,16 +96,31 @@ class RatePoint:
 
 def _event_terms(i: float, p_d: float) -> tuple[tuple[float, float, float], ...]:
     """(q, e_bit, e_ph) of Event1, Event2 and Event3 at arm intensity ``i``."""
-    u = math.expm1(i) + p_d
-    v = p_d
-    ge = 2.0 * math.sinh(0.5 * i) ** 2 + p_d
-    go = math.sinh(i)
-    s = u + v
-    if s == 0.0:
-        return ((0.0, 0.0, 0.0),) * 3
-    no_click = math.exp(-2.0 * i)
-    event1 = ((1.0 - p_d) ** 3 * no_click * s, v / s, ge / s)
-    q = 0.5 * ((1.0 - p_d) ** 2 * no_click) * s ** 2
+    if i >= _SCALED_FROM_I:
+        # 2 s ** 2 and then e^I would overflow. Take the masses times e^-I:
+        # every error rate is a ratio of forms of equal degree in them, so
+        # it stays as it is, and the e^-2I of the no-click factors folds
+        # into the gains.
+        x = math.exp(-i)
+        v = p_d * x
+        u = -math.expm1(-i) + v
+        ge = 0.5 * math.expm1(-i) ** 2 + v
+        go = -0.5 * math.expm1(-2.0 * i)
+        s = u + v
+        q1 = (1.0 - p_d) ** 3 * x * s
+        q = 0.5 * (1.0 - p_d) ** 2 * s ** 2
+    else:
+        u = math.expm1(i) + p_d
+        v = p_d
+        ge = 2.0 * math.sinh(0.5 * i) ** 2 + p_d
+        go = math.sinh(i)
+        s = u + v
+        if s == 0.0:
+            return ((0.0, 0.0, 0.0),) * 3
+        no_click = math.exp(-2.0 * i)
+        q1 = (1.0 - p_d) ** 3 * no_click * s
+        q = 0.5 * ((1.0 - p_d) ** 2 * no_click) * s ** 2
+    event1 = (q1, v / s, ge / s)
     denom = 2.0 * s ** 2
     if denom < sys.float_info.min:
         # s ** 2 is subnormal or zero (I and p_d both below ~1e-154).

@@ -51,6 +51,7 @@ def test_ie_compare_columns(capsys):
     code, out, _ = run(capsys, "ie-compare", "--lo", "100", "--hi", "100", "--step", "1")
     assert code == 0
     lines = out.splitlines()
+    assert lines[0].endswith(" ie_compare=true")
     assert lines[1] == HEADER + ",IE_dual,IE_ph,IE_pol,IE_dps"
     row = lines[2].split(",")
     assert len(row) == 12
@@ -58,11 +59,15 @@ def test_ie_compare_columns(capsys):
     assert ie_pol < ie_dual < ie_ph
 
 
-def test_sweep_ie_compare_flag_matches_subcommand(capsys):
-    _, via_flag, _ = run(capsys, "sweep", "--ie-compare", "--lo", "100", "--hi", "100",
-                         "--step", "1")
-    _, via_cmd, _ = run(capsys, "ie-compare", "--lo", "100", "--hi", "100", "--step", "1")
-    assert via_flag.splitlines()[1:] == via_cmd.splitlines()[1:]
+@pytest.mark.parametrize("argv", (
+    ["optimize", "--method", "golden"],
+    ["optimize", "--seed", "3"],
+    ["sweep", "--ie-compare"],
+))
+def test_removed_flags_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_second_main_call_carries_no_state(capsys):
@@ -121,12 +126,12 @@ def test_output_file_atomic(tmp_path, capsys):
 
 def test_optimize_json(tmp_path, capsys):
     target = tmp_path / "opt.json"
-    code, _, _ = run(capsys, "optimize", "--L", "400", "--method", "golden",
-                     "-o", str(target))
+    code, _, _ = run(capsys, "optimize", "--L", "400", "-o", str(target))
     assert code == 0
     data = json.loads(target.read_text())
-    assert set(data) >= {"best_mu", "best_rate", "evaluations", "method", "l_km", "params"}
-    assert data["method"] == "golden"
+    assert list(data) == ["best_mu", "best_rate", "evaluations", "method", "l_km", "params"]
+    assert data["method"] == "grid"
+    assert data["evaluations"] == 86
     assert 0.5 < data["best_mu"] < 1.2
     assert data["best_rate"] > 0.0
 

@@ -15,7 +15,6 @@ from dualqss.detectors import (
     Detector,
     SystemParams,
     click_prob,
-    exclusive_double_click,
     exclusive_pattern_prob,
     exclusive_single_click,
 )
@@ -42,13 +41,13 @@ def test_exclusive_single_click_frozen():
 
 
 def test_exclusive_double_click_frozen():
-    p = exclusive_double_click(
+    p = exclusive_pattern_prob(
         (Detector.D1H, Detector.D2V),
-        (ClickParity.ODD, ClickParity.EVEN),
         INTS,
         PD,
+        parities=(ClickParity.ODD, ClickParity.EVEN),
     )
-    assert p == pytest.approx(0.0006074018712909553, rel=1e-12)
+    assert p == pytest.approx(0.0006074018712909553, rel=1e-15)
 
 
 def test_single_click_parity_sum():
@@ -59,14 +58,25 @@ def test_single_click_parity_sum():
         assert odd + even == pytest.approx(any_parity, abs=1e-15)
 
 
-def test_double_click_rejects_identical_targets():
-    with pytest.raises(ValueError):
-        exclusive_double_click(
+def test_pattern_duplicate_detectors():
+    # listed twice with one class it counts once; with two it is an error
+    twice = exclusive_pattern_prob((Detector.D1H, Detector.D1H), INTS, PD,
+                                   parities=(ClickParity.ODD, ClickParity.ODD))
+    assert twice == exclusive_single_click(Detector.D1H, ClickParity.ODD, INTS, PD)
+    with pytest.raises(ValueError, match="conflicting parities"):
+        exclusive_pattern_prob(
             (Detector.D1H, Detector.D1H),
-            (ClickParity.ODD, ClickParity.ODD),
             INTS,
             PD,
+            parities=(ClickParity.ODD, ClickParity.EVEN),
         )
+    with pytest.raises(ValueError, match="conflicting parities"):
+        exclusive_pattern_prob((Detector.D2V, Detector.D2V), INTS, PD, (None, ClickParity.ODD))
+
+
+def test_pattern_needs_one_parity_per_detector():
+    with pytest.raises(ValueError, match="one parity per clicked detector"):
+        exclusive_pattern_prob((Detector.D1H, Detector.D2V), INTS, PD, (ClickParity.ODD,))
 
 
 ints_st = st.builds(

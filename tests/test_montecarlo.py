@@ -210,6 +210,7 @@ def test_config_rejects_non_finite(name, value):
     ("rounds", True),
     ("seed", -1),
     ("seed", 1.5),
+    ("rounds", 10**400),
 ))
 def test_config_rejects_non_integer_counts(name, value):
     with pytest.raises(ValueError, match=f"{name} must be"):
@@ -230,6 +231,26 @@ def test_config_validation():
         SimConfig(sp=SP, rounds=10, seed=1, attack="siphon")
     with pytest.raises(ValueError):
         simulate(config(), threads=0)
+
+
+def test_report_dict_key_order():
+    d = simulate(config(rounds=1000)).to_dict()
+    assert list(d) == ["config", "counts", "rates", "parity"]
+    assert list(d["config"]) == [
+        "rounds", "seed", "basis_policy", "check_fraction", "attack", "flip_fraction",
+        "mu", "alpha", "l_km", "eta_d", "p_d", "f",
+    ]
+    assert list(d["counts"]) == [
+        "n_xx", "n_zz", "n_mixed", "n_event1", "n_event2", "n_event3", "n_fail_xx",
+        "n_err1_ph", "n_err2_ph", "n_err2_pol", "n_err3_ph", "n_err3_pol",
+        "n_check_x_bits", "n_check_x_err", "n_check_z_bits", "n_check_z_err",
+        "n_key_events", "n_eve_success",
+    ]
+    assert list(d["parity"]) == ["plus_plus", "plus_minus"]
+    rep = d["parity"]["plus_minus"]
+    assert list(rep) == ["n", "h1", "h2", "h1v1", "h2v2", "h1v2", "h2v1"]
+    assert list(rep["h2"]) == ["odd", "even"]
+    assert list(rep["h1v2"]) == ["oo", "oe", "eo", "ee"]
 
 
 def test_report_dict_shape():

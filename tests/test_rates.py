@@ -6,6 +6,7 @@ is required to 1e-12 relative.
 """
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -153,13 +154,15 @@ def test_at_distance_and_at_intensity():
     assert scaled.l_km == 100.0
 
 
-# The whole valid domain. The 1e-12 slack on the error rates is rounding:
+# The whole valid domain; mu reaches far past the ~354.5 arm intensity
+# at which 2 e^2I overflows. The 1e-12 slack on the error rates is rounding:
 # at p_d = 1 an error rate already evaluates to 0.5000000000000002.
 _ERROR_RATE_MAX = 0.5 + 1e-12
 
 domain_st = st.builds(
     SystemParams,
-    mu=st.floats(min_value=0.0, max_value=50.0),
+    mu=st.one_of(st.floats(min_value=0.0, max_value=50.0),
+                 st.floats(min_value=50.0, max_value=sys.float_info.max)),
     l_km=st.floats(min_value=0.0, max_value=1000.0),
     eta_d=st.floats(min_value=0.0, max_value=1.0),
     p_d=st.floats(min_value=0.0, max_value=1.0),
@@ -194,3 +197,26 @@ def test_event_rate_is_zero_exactly_when_bracket_is_not_positive(sp):
         # without clicks (eta_d = p_d = 0) or at p_d = 1, or the product
         # underflows.
         assert (r == 0.0) == (bracket <= 0.0 or ev.q * bracket == 0.0)
+
+
+@pytest.mark.parametrize("mu", (354.0, 354.6, 354.9, 400.0, 1e4, 1e300, sys.float_info.max))
+@pytest.mark.parametrize("p_d", (0.0, 8e-8, 1.0))
+def test_key_rate_at_huge_intensity(mu, p_d):
+    # 2 e^2I overflows past I ~ 354.54; the rate stays finite and is zero,
+    # since the even-parity phase error of a bright lit detector is 1/2
+    point = key_rate(SystemParams(mu=mu, l_km=0.0, eta_d=1.0, p_d=p_d))
+    assert point.r == 0.0
+    for ev in point.events:
+        assert all(math.isfinite(x) for x in (ev.q, ev.e_bit, ev.e_ph))
+        assert ev.e_ph == pytest.approx(0.5, abs=1e-12)
+
+
+def test_event_rates_continuous_across_overflow_edge():
+    # the overflow-free form takes over at I = ln(max float / 2) / 2
+    edge = 0.5 * math.log(0.5 * sys.float_info.max)
+    below = key_rate(SystemParams(mu=math.nextafter(edge, 0.0), l_km=0.0, eta_d=1.0, p_d=1e-3))
+    above = key_rate(SystemParams(mu=edge, l_km=0.0, eta_d=1.0, p_d=1e-3))
+    for a, b in zip(below.events, above.events):
+        assert b.q == pytest.approx(a.q, rel=1e-12)
+        assert b.e_bit == pytest.approx(a.e_bit, rel=1e-12)
+        assert b.e_ph == pytest.approx(a.e_ph, rel=1e-12)
