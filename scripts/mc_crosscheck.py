@@ -6,15 +6,20 @@ deviation of every tallied statistic from its closed form, in binomial
 standard errors. Exits nonzero if any row exceeds the sigma budget.
 Each configuration also reports how many rows are informative, that
 is, expect at least 10 counts; the others carry little evidence either
-way.
+way. Its rarest gain or QBER row is named with the rounds it would need
+for 10 expected counts. A QBER row's expected count is taken from the
+closed forms (X-basis rounds x event gain x QBER), since its trials, the
+events seen, are often none at 400 km.
 """
 
 import argparse
+import math
 import os
 import sys
 
 from dualqss.detectors import SystemParams
-from dualqss.montecarlo import SimConfig, compare_to_analytic, max_abs_sigma, simulate
+from dualqss.montecarlo import (MIN_EXPECTED, SimConfig, compare_to_analytic, max_abs_sigma,
+                                simulate)
 
 
 def run(rounds: int, seed: int, threads: int, budget: float, verbose: bool) -> int:
@@ -30,6 +35,16 @@ def run(rounds: int, seed: int, threads: int, budget: float, verbose: bool) -> i
             informative = sum(r["informative"] for r in rows)
             print(f"mu={mu:<5} L={l_km:>5.0f} km  rows={len(rows):3d}  "
                   f"informative={informative:3d}  max|sigma|={worst:5.2f}  {flag}")
+            gain = {r["name"]: r["expected"] for r in rows if r["name"].startswith("q_event")}
+            expected = dict(gain)
+            for r in rows:
+                if r["name"].startswith("qber_event"):
+                    expected[r["name"]] = gain["q_" + r["name"].split("_")[1]] * r["p_analytic"]
+            rare = min(expected, key=expected.get)
+            need = (f"{math.ceil(rounds * MIN_EXPECTED / expected[rare])}" if expected[rare] > 0
+                    else "unbounded")
+            print(f"    rarest {rare}: expected={expected[rare]:.3g}, "
+                  f"rounds for {MIN_EXPECTED:g} expected counts: {need}")
             shown = rows if verbose else [r for r in rows if abs(r["sigma"]) > 2.0]
             for r in shown:
                 print(f"    {r['name']:34s} count={r['count']:>9d} "

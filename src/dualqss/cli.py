@@ -5,8 +5,8 @@ the four leakage columns added), optimize (best intensity by grid search
 and golden-section refinement), max-distance, thresholds, and simulate
 (Monte-Carlo run with analytic comparison). A flat key=value config file
 can preload any flag; explicit flags win. Output files are written
-atomically. The DUALQSS_THREADS environment variable sets the simulation
-worker count.
+atomically. A simulation runs one worker thread per core; its tallies are
+the same for any worker count.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .rates import (
 __all__ = ["main"]
 
 _FLOAT_FMT = "%.10g"
-_THREADS_ENV = "DUALQSS_THREADS"
 
 _CSV_HEADER = "L_km,mu,R,R_event1,R_event2,R_event3,I_E,PLOB"
 _CSV_IE_EXTRA = ",IE_dual,IE_ph,IE_pol,IE_dps"
@@ -281,8 +280,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         attack=args.attack.replace("-", "_"),
         flip_fraction=args.flip,
     )
-    threads = int(os.environ.get(_THREADS_ENV, "1"))
-    report = simulate(config, threads=max(1, threads))
+    report = simulate(config, threads=os.cpu_count() or 1)
     comparison = compare_to_analytic(report)
     _emit_json(
         args,

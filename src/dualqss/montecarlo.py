@@ -20,10 +20,16 @@ Binomial(m, p_d) count per class and detector, placed on rounds drawn
 without replacement. The sampler uses none of the closed forms that it
 checks.
 
-Only rounds in which some detector clicked get per-round work: click
-classification, the check lottery and the attack draws. Rounds without
-a click can produce no event, so the basis tallies of the block follow
-from the class counts alone.
+Photons and darks arrive as (round id, detector, weight) entries; a
+dark count weighs 2, so it clicks without changing the photon parity.
+Sorting their round ids gives the clicked rounds, the only rows of work:
+click classification, the check lottery and the attack draws. No array
+is indexed by round, so a block costs in proportion to its clicks (bar
+the per-round draws of bright cells). Rounds without a click produce no
+event, so the block's basis tallies follow from the class counts alone.
+One table, ``_PATTERNS``, declares the six tallied click patterns; the
+event masks, the parity cells of the two ``PolPairing`` representatives
+and the comparison rows all derive from it.
 
 Each block draws from a stream seeded by (seed, block index), so
 reports are bit-identical for any worker count. Attack randomness lives
@@ -39,6 +45,7 @@ sacrificed for checking.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
@@ -75,6 +82,9 @@ _SQRT_HALF = math.sqrt(0.5)
 # of scattering a Poisson total, which would hold one entry per photon.
 _SCATTER_MAX_LAM = 1.0
 
+# numpy's largest Poisson mean, as numpy computes it; beyond it a draw raises.
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
+
 # Sampling classes c = (x_a << 5) | (x_b << 4) | enc: x = 1 is the X
 # basis, enc the 4-bit encoding id (ka_ph, ka_pol, kb_ph, kb_pol).
 _CLASSES = np.arange(64)
@@ -83,19 +93,21 @@ _XB = (_CLASSES >> 4 & 1).astype(bool)
 _KA_PH, _KA_POL, _KB_PH, _KB_POL = ((_CLASSES >> s & 1).astype(bool) for s in (3, 2, 1, 0))
 _XX_CLASS = 0b110000
 
-# Double-click patterns as (name, H detector, V detector, event class).
-_DOUBLE_PATTERNS = (
-    ("h1v1", Detector.D1H, Detector.D1V, 2),
-    ("h2v2", Detector.D2H, Detector.D2V, 2),
-    ("h1v2", Detector.D1H, Detector.D2V, 3),
-    ("h2v1", Detector.D2H, Detector.D1V, 3),
+# Tallied click patterns as (name, clicked detectors, event class). A
+# round shows a pattern when exactly its detectors click.
+_PATTERNS = (
+    ("h1", (Detector.D1H,), 1),
+    ("h2", (Detector.D2H,), 1),
+    ("h1v1", (Detector.D1H, Detector.D1V), 2),
+    ("h2v2", (Detector.D2H, Detector.D2V), 2),
+    ("h1v2", (Detector.D1H, Detector.D2V), 3),
+    ("h2v1", (Detector.D2H, Detector.D1V), 3),
 )
 
-# Representative encodings tallied for parity statistics, keyed by the
-# 4-bit id (ka_ph, ka_pol, kb_ph, kb_pol).
-_REPS = (("plus_plus", 0b0000), ("plus_minus", 0b0001))
-
-_DOUBLE_CELLS = ("oo", "oe", "eo", "ee")
+# Parity-cell names by number of clicked detectors, in the order of the
+# cell index: one bit per clicked detector, the first one highest, set
+# for an even photon count.
+_CELLS = {1: ("odd", "even"), 2: ("oo", "oe", "eo", "ee")}
 
 
 @dataclass(frozen=True)
@@ -123,14 +135,17 @@ class SimConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not 0.0 <= self.basis_policy <= 1.0:
-            raise ValueError(f"basis_policy must be in [0, 1], got {self.basis_policy!r}")
-        if not 0.0 <= self.check_fraction <= 1.0:
-            raise ValueError(f"check_fraction must be in [0, 1], got {self.check_fraction!r}")
+        for name in ("basis_policy", "check_fraction", "flip_fraction"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
         if self.attack not in ATTACKS:
             raise ValueError(f"attack must be one of {ATTACKS}, got {self.attack!r}")
-        if not 0.0 <= self.flip_fraction <= 1.0:
-            raise ValueError(f"flip_fraction must be in [0, 1], got {self.flip_fraction!r}")
+        # A Z-basis pulse lands wholly in one mode, at twice the arm intensity.
+        lam_max = _UNIT_LAM.max() * self.sp.mu_arm
+        if lam_max > _POISSON_LAM_MAX:
+            raise ValueError(f"sp must be within numpy's Poisson limit of {_POISSON_LAM_MAX:.4g} "
+                             f"photons per detector; mu = {self.sp.mu!r} gives {lam_max:.4g}")
 
 
 @dataclass(frozen=True)
@@ -265,48 +280,39 @@ def _block_tallies(cfg: SimConfig, block: int, size: int) -> dict:
     start = np.cumsum(m) - m
     lam = sp.mu_arm * _UNIT_LAM
 
-    # Dim cells scatter a Poisson(m * lam) photon total uniformly over
-    # their m rounds, one (round id, detector) entry per photon. Bright
-    # cells, where that would mean more photons than rounds, draw per
-    # round and keep (round id, detector, count) for the rounds lit.
+    # Clicks as (round id, detector, weight) entries. Dim cells scatter a
+    # Poisson(m * lam) total uniformly over their m rounds, one entry per
+    # photon. Bright cells, where that would mean more photons than
+    # rounds, draw per round and keep one entry per round lit.
     dim = lam < _SCATTER_MAX_LAM
     totals = rng.poisson(m[:, None] * np.where(dim, lam, 0.0)).ravel()
     dim_cls, dim_det = np.divmod(np.repeat(np.arange(totals.size), totals), 4)
-    dim_round = start[dim_cls] + rng.integers(0, m[dim_cls])
-    bright = [(np.empty(0, np.int64),) * 3]
+    entries = [(start[dim_cls] + rng.integers(0, m[dim_cls]), dim_det, np.ones_like(dim_det))]
     for c, d in zip(*np.nonzero(~dim & (m[:, None] > 0))):
         k = rng.poisson(lam[c, d], m[c])
         lit = np.flatnonzero(k)
-        bright.append((start[c] + lit, np.full(lit.size, d), k[lit]))
-    br_round, br_det, br_count = map(np.concatenate, zip(*bright))
+        entries.append((start[c] + lit, np.full(lit.size, d), k[lit]))
 
     # Dark counts stay Bernoulli per detector and round: a binomial count
-    # per cell, placed on distinct rounds.
+    # per cell, placed on distinct rounds. A dark count weighs 2: its
+    # detector clicks, and the photon parity stays as it was.
     n_dark = rng.binomial(np.broadcast_to(m[:, None], lam.shape), sp.p_d)
-    darks = [(np.empty(0, np.int64),) * 2]
     for c, d in zip(*np.nonzero(n_dark)):
-        darks.append((start[c] + rng.choice(m[c], n_dark[c, d], replace=False),
-                      np.full(n_dark[c, d], d)))
-    dk_round, dk_det = map(np.concatenate, zip(*darks))
+        k = n_dark[c, d]
+        entries.append((start[c] + rng.choice(m[c], k, replace=False), np.full(k, d), np.full(k, 2)))
+    round_id, det, weight = map(np.concatenate, zip(*entries))
 
-    # Only rounds with a click need per-round work; they become rows.
-    hit = np.zeros(size, bool)
-    hit[dim_round] = True
-    hit[br_round] = True
-    hit[dk_round] = True
-    rows = np.flatnonzero(hit)
+    # The clicked rounds, sorted, are the rows; each entry learns its row.
+    rows, row = np.unique(round_id, return_inverse=True)
     n = rows.size
-    row_of = np.empty(size, np.intp)
-    row_of[rows] = np.arange(n)
-    photons = np.zeros((n, 4), np.int64)
-    photons[row_of[br_round], br_det] = br_count
-    np.add.at(photons, (row_of[dim_round], dim_det), 1)
-    dark = np.zeros((n, 4), bool)
-    dark[row_of[dk_round], dk_det] = True
+    counts = np.zeros(4 * n, np.int64)
+    np.add.at(counts, 4 * row + det, weight)  # a flat index takes numpy's fast path
+    counts = counts.reshape(n, 4)
     cls = np.searchsorted(start + m, rows, side="right")
     check_draw = rng.random(n)
 
-    flip_ph = flip_pol = eve_draw = None
+    # Without an attack nothing is flipped and Eve learns nothing.
+    flip_ph = flip_pol = eve_draw = False
     if cfg.attack == "dishonest_bob":
         flip_ph = attack_rng.random(n) < cfg.flip_fraction
         flip_pol = attack_rng.random(n) < cfg.flip_fraction
@@ -314,13 +320,13 @@ def _block_tallies(cfg: SimConfig, block: int, size: int) -> dict:
         leak = ie_dual(TapParams(mu=sp.mu, eta_t=sp.eta_t))
         eve_draw = attack_rng.random(n) < leak
 
-    clicks = (photons > 0) | dark
-    c_h1, c_h2 = clicks[:, 0], clicks[:, 1]
-    c_v1, c_v2 = clicks[:, 2], clicks[:, 3]
-    n_click = c_h1.astype(np.int8) + c_h2 + c_v1 + c_v2
-    ev1 = (n_click == 1) & (c_h1 | c_h2)
-    ev2 = (n_click == 2) & ((c_h1 & c_v1) | (c_h2 & c_v2))
-    ev3 = (n_click == 2) & ((c_h1 & c_v2) | (c_h2 & c_v1))
+    clicks = counts > 0
+    n_click = clicks.sum(axis=1)
+    shows = [(n_click == len(dets)) & clicks[:, dets].all(axis=1) for _, dets, _ in _PATTERNS]
+    ev = np.zeros((3, n), bool)
+    for pattern, (_, _, event) in zip(shows, _PATTERNS):
+        ev[event - 1] |= pattern
+    ev1, ev2, ev3 = ev
     any_event = ev1 | ev2 | ev3
 
     xx = _XA[cls] & _XB[cls]
@@ -329,7 +335,7 @@ def _block_tallies(cfg: SimConfig, block: int, size: int) -> dict:
 
     # Charlie announces the phase relation from the H-detector index and
     # the polarization relation from the pattern class.
-    kc_ph = c_h2
+    kc_ph = clicks[:, Detector.D2H]
     t_ph = _KA_PH[cls] ^ _KB_PH[cls]
     t_pol = ka_pol ^ kb_pol
     err_ph = kc_ph ^ t_ph
@@ -353,23 +359,17 @@ def _block_tallies(cfg: SimConfig, block: int, size: int) -> dict:
 
     # Announced-bit comparisons: a dishonest receiver flips the bits he
     # announces, which shows up only in the checking tallies.
-    if flip_ph is None:
-        obs_ph, obs_pol2, obs_pol3 = err_ph, err_pol2, err_pol3
-    else:
-        obs_ph = err_ph ^ flip_ph
-        obs_pol2 = err_pol2 ^ flip_pol
-        obs_pol3 = err_pol3 ^ flip_pol
+    obs_ph = err_ph ^ flip_ph
+    obs_pol2 = err_pol2 ^ flip_pol
+    obs_pol3 = err_pol3 ^ flip_pol
 
+    # Every checked event yields the phase bit, a double click also the
+    # polarization bit.
     checked = xx & any_event & (check_draw < cfg.check_fraction)
-    chk1, chk2, chk3 = checked & ev1, checked & ev2, checked & ev3
-    t["n_check_x_bits"] = int(chk1.sum()) + 2 * int(chk2.sum()) + 2 * int(chk3.sum())
-    t["n_check_x_err"] = (
-        int((chk1 & obs_ph).sum())
-        + int((chk2 & obs_ph).sum())
-        + int((chk2 & obs_pol2).sum())
-        + int((chk3 & obs_ph).sum())
-        + int((chk3 & obs_pol3).sum())
-    )
+    chk2, chk3 = checked & ev2, checked & ev3
+    t["n_check_x_bits"] = int(checked.sum() + chk2.sum() + chk3.sum())
+    t["n_check_x_err"] = int((checked & obs_ph).sum() + (chk2 & obs_pol2).sum()
+                             + (chk3 & obs_pol3).sum())
 
     # Z-basis checking where the inference is well defined: both senders
     # sent the H polarization mode, so a lone H click carries the phase
@@ -380,23 +380,19 @@ def _block_tallies(cfg: SimConfig, block: int, size: int) -> dict:
 
     key = xx & any_event & ~checked
     t["n_key_events"] = int(key.sum())
-    t["n_eve_success"] = int((key & eve_draw).sum()) if eve_draw is not None else 0
+    t["n_eve_success"] = int((key & eve_draw).sum())
 
-    even = (photons & 1) == 0
+    even = (counts & 1) == 0
     t["parity"] = {}
-    for rep_name, rep_id in _REPS:
-        rep_class = _XX_CLASS | rep_id
+    for pairing in PolPairing:
+        enc = pairing.representative()
+        rep_class = _XX_CLASS | enc.ka_ph << 3 | enc.ka_pol << 2 | enc.kb_ph << 1 | enc.kb_pol
         sel = cls == rep_class
-        rep = t["parity"][rep_name] = {"n": int(m[rep_class])}
-        for det_name, det in (("h1", Detector.D1H), ("h2", Detector.D2H)):
-            mask = sel & ev1 & clicks[:, det]
-            n_even = int((mask & even[:, det]).sum())
-            rep[det_name] = {"odd": int(mask.sum()) - n_even, "even": n_even}
-        for pat_name, det_h, det_v, event_class in _DOUBLE_PATTERNS:
-            ev = ev2 if event_class == 2 else ev3
-            mask = sel & ev & clicks[:, det_h]
-            idx = even[mask, det_h].astype(np.int8) * 2 + even[mask, det_v].astype(np.int8)
-            rep[pat_name] = dict(zip(_DOUBLE_CELLS, np.bincount(idx, minlength=4).tolist()))
+        rep = t["parity"][pairing.name.lower()] = {"n": int(m[rep_class])}
+        for (name, dets, _), pattern in zip(_PATTERNS, shows):
+            cells = _CELLS[len(dets)]
+            index = even[sel & pattern][:, dets] @ (1 << np.arange(len(dets)))[::-1]
+            rep[name] = dict(zip(cells, np.bincount(index, minlength=len(cells)).tolist()))
     return t
 
 
@@ -416,11 +412,7 @@ def simulate(config: SimConfig, threads: int = 1) -> SimReport:
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads!r}")
-    sizes = []
-    remaining = config.rounds
-    while remaining > 0:
-        sizes.append(min(_BLOCK, remaining))
-        remaining -= _BLOCK
+    sizes = [min(_BLOCK, config.rounds - lo) for lo in range(0, config.rounds, _BLOCK)]
     blocks = list(enumerate(sizes))
     if threads == 1 or len(blocks) == 1:
         tallies = [_block_tallies(config, b, s) for b, s in blocks]
@@ -493,22 +485,16 @@ def compare_to_analytic(report: SimReport) -> list[dict]:
     add("qber_event3_ph", report.n_err3_ph, report.n_event3, p_wrong_h)
     add("qber_event3_pol", report.n_err3_pol, report.n_event3, p_wrong_pat)
 
-    pairings = {
-        "plus_plus": PolPairing.PLUS_PLUS,
-        "plus_minus": PolPairing.PLUS_MINUS,
-    }
-    patterns = [("h1", (Detector.D1H,)), ("h2", (Detector.D2H,))]
-    patterns += [(name, (det_h, det_v)) for name, det_h, det_v, _ in _DOUBLE_PATTERNS]
-    for rep_name, pairing in pairings.items():
+    for pairing in PolPairing:
+        rep_name = pairing.name.lower()
         ints = intensities(detector_amplitudes(pairing.representative(), sp.mu_arm))
         cells = report.parity[rep_name]
-        n_enc = cells["n"]
-        for pat_name, dets in patterns:
-            for cell, count in cells[pat_name].items():
-                # the cell name starts with one letter per detector, o(dd) or e(ven)
-                pars = [ClickParity.ODD if c == "o" else ClickParity.EVEN for c in cell[:len(dets)]]
+        for name, dets, _ in _PATTERNS:
+            # product() runs through the parity classes in the cell order
+            classes = itertools.product((ClickParity.ODD, ClickParity.EVEN), repeat=len(dets))
+            for (cell, count), pars in zip(cells[name].items(), classes):
                 p = exclusive_pattern_prob(dets, ints, sp.p_d, pars)
-                add(f"parity_{rep_name}_{pat_name}_{cell}", count, n_enc, p)
+                add(f"parity_{rep_name}_{name}_{cell}", count, cells["n"], p)
 
     if report.attack == "beam_split":
         leak = ie_dual(TapParams(mu=sp.mu, eta_t=sp.eta_t))

@@ -17,7 +17,7 @@ from enum import Enum
 
 from .detectors import SystemParams, arm_efficiency
 from .optics import require_finite
-from .rates import RatePoint, _rate_point, at_distance, at_intensity
+from .rates import RatePoint, _bracket, _rate_point, at_distance, at_intensity
 
 __all__ = [
     "SweepVariable",
@@ -174,13 +174,18 @@ def max_distance(
 ) -> float:
     """Largest distance with a positive (per-event) key rate.
 
-    The positive-rate region can be an interior window of [0, l_hi]
-    (at high intensity the even-parity phase error kills the rate at
-    short distance too), so a coarse scan first locates any positive
-    point, then bisection sharpens the upper edge. The clamped rates
-    are exact zeros beyond the edge, so the predicate is exact
-    positivity. Raises when no positive point exists on the scan grid
-    or the rate is still positive at ``l_hi``.
+    The positive-rate region can be one or more windows of [0, l_hi],
+    some narrower than the scan step (at high intensity the even-parity
+    phase error kills the rate at short distance too). A coarse scan
+    takes the farthest grid point with a positive rate. Without one, the
+    unclamped bracket 1 - I_E - H(e_ph) - f H(e_bit) (of the best event,
+    for the total rate) is scanned instead, and golden-section search in
+    the two cells around its best grid point finds a window between grid
+    points; it stays local because the brackets turn again deep in the
+    negative tail. Bisection then sharpens the upper edge. The clamped
+    rates are exact zeros beyond the edge, so the predicate is exact
+    positivity. Raises when no positive point is found or the rate is
+    still positive at ``l_hi``.
     """
     if event not in (None, 1, 2, 3):
         raise ValueError(f"event must be None, 1, 2, or 3, got {event!r}")
@@ -195,17 +200,21 @@ def max_distance(
     if rate(l_hi) > 0.0:
         raise ValueError(f"rate still positive at l_hi={l_hi!r} km; raise l_hi")
 
+    def bracket(l_km: float) -> float:
+        point = rate_at(l_km)
+        brackets = [_bracket(point.i_e, e.e_bit, e.e_ph, sp.f) for e in point.events]
+        return max(brackets) if event is None else brackets[event - 1]
+
     n_scan = int(math.ceil(l_hi / _SCAN_STEP_KM))
     grid = [k * l_hi / n_scan for k in range(n_scan + 1)]
-    lo = None
-    for g in grid:
-        if rate(g) > 0.0:
-            lo = g
-        elif lo is not None:
-            hi = g
-            break
+    lo = next((g for g in reversed(grid) if rate(g) > 0.0), None)
     if lo is None:
-        raise ValueError(f"key rate is zero everywhere on [0, {l_hi!r}] km")
+        margins = [bracket(g) for g in grid]
+        best = margins.index(max(margins))
+        lo = _golden_section(bracket, grid[max(best - 1, 0)], grid[min(best + 1, n_scan)], tol_km)[0]
+        if rate(lo) <= 0.0:
+            raise ValueError(f"key rate is zero everywhere on [0, {l_hi!r}] km")
+    hi = next((g for g in grid if g > lo), l_hi)
 
     while hi - lo > tol_km:
         mid = 0.5 * (lo + hi)

@@ -25,10 +25,12 @@ which leaves them independent of the overall normalization. The
 Monte-Carlo module cross-checks every one of these quantities.
 
 One path evaluates all of this: ``_event_terms`` (the only copy of each
-closed form) and the kernel ``_rate_point`` take plain, already
-validated floats and compute each intermediate once per point. It stays
-scalar ``math`` code: numpy's transcendentals differ from ``math`` in
-the last bit on a few percent of inputs, which would change the curves.
+closed form), ``_bracket`` (the only copy of the secret fraction, which
+``max_distance`` also reads unclamped) and the kernel ``_rate_point``
+take plain, already validated floats and compute each intermediate once
+per point. It stays scalar ``math`` code: numpy's transcendentals differ
+from ``math`` in the last bit on a few percent of inputs, which would
+change the curves.
 """
 
 from __future__ import annotations
@@ -171,17 +173,16 @@ def event3_rates(sp: SystemParams) -> EventRates:
     return EventRates(*_event_terms(sp.mu_arm, sp.p_d)[2])
 
 
+def _bracket(i_e: float, e_bit: float, e_ph: float, f: float) -> float:
+    """Unclamped secret fraction 1 - I_E - H(e_ph) - f H(e_bit) of one event."""
+    return 1.0 - i_e - binary_entropy(e_ph) - f * binary_entropy(e_bit)
+
+
 def _rate_point(mu: float, l_km: float, eta_t: float, p_d: float, f: float) -> RatePoint:
     """``key_rate`` on plain floats that the caller has already validated."""
     terms = _event_terms(eta_t * mu, p_d)
     i_e = _ie_dual_tapped((1.0 - eta_t) * mu)
-    budget = 1.0 - i_e
-    r_events = tuple(
-        [
-            q * max(0.0, budget - binary_entropy(e_ph) - f * binary_entropy(e_bit))
-            for q, e_bit, e_ph in terms
-        ]
-    )
+    r_events = tuple([q * max(0.0, _bracket(i_e, e_bit, e_ph, f)) for q, e_bit, e_ph in terms])
     events = tuple([EventRates(*t) for t in terms])
     return RatePoint(l_km, mu, sum(r_events), i_e, events, r_events)
 

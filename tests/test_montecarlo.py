@@ -4,6 +4,9 @@ Statistical assertions use generous sigma margins at fixed seeds so
 they stay deterministic.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -211,15 +214,26 @@ def test_config_rejects_non_finite(name, value):
     ("seed", -1),
     ("seed", 1.5),
     ("rounds", 10**400),
+    # twice mu_arm, a Z-basis pulse in one mode, beyond numpy's Poisson limit
+    pytest.param("sp", SystemParams(mu=1e19, l_km=0.0, eta_d=1.0), id="sp-mu1e19"),
 ))
 def test_config_rejects_non_integer_counts(name, value):
     with pytest.raises(ValueError, match=f"{name} must be"):
         config(**{name: value})
 
 
+def test_config_accepts_intensity_below_poisson_limit():
+    sp = SystemParams(mu=4e18, l_km=0.0, eta_d=1.0)
+    assert simulate(SimConfig(sp=sp, rounds=10, seed=1)).rounds == 10
+    with pytest.raises(ValueError, match="mu = 1e"):
+        SimConfig(sp=SystemParams(mu=1e19, l_km=0.0, eta_d=1.0), rounds=10, seed=1)
+
+
 def test_config_accepts_numpy_integers():
     cfg = config(rounds=np.int64(1000), seed=np.uint32(3))
     assert simulate(cfg).rounds == 1000
+    # an unsigned count must not wrap while it is split into blocks
+    assert simulate(config(rounds=np.uint32(1_200_000))).rounds == 1_200_000
 
 
 def test_config_validation():
@@ -261,3 +275,35 @@ def test_report_dict_shape():
     assert set(d["parity"]) == {"plus_plus", "plus_minus"}
     for cells in d["parity"].values():
         assert set(cells) == {"n", "h1", "h2", "h1v1", "h2v2", "h1v2", "h2v1"}
+
+
+PINNED = {
+    "near": (dict(rounds=1_100_000),
+             "21a64dbb8bce0657d9c3ce2cc8f0af473bb59c822aeb4540e9a9b947faa25207"),
+    "bright": (dict(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0), rounds=600_000, seed=17),
+               "525124bef3360e67212b60d61b2fe8caf8d41db5a601df3478946de4ed574d78"),
+    "dark": (dict(sp=SystemParams(mu=0.84, l_km=100.0, p_d=0.02), rounds=600_000, seed=13),
+             "f7b7ea3f8a1e8585ae1e0d19ade542b3f0b5645f6da6d1684fe0ddd9b5b4b8ac"),
+    "checked-none": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05),
+                     "e1ac8fdf02f37c5a67c49a0330673746952a92a1895221170ca432318224cb08"),
+    "checked-beam_split": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05,
+                                attack="beam_split"),
+                           "822ff6ec0d683a1b30b564e6d93d7d5d56f47f3c5fc88f3ead1426fc79479352"),
+    "checked-dishonest_bob": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05,
+                                   attack="dishonest_bob"),
+                              "1ac94c1e14d53bb95f2a22738ccc7509b424243e347ab6bc7db79b7400c5991d"),
+}
+
+
+@pytest.mark.parametrize("case", PINNED)
+def test_tallies_pinned_at_fixed_seeds(case):
+    """Reports are reproducible across versions, not only across calls.
+
+    The SHA-256 of each report's JSON was recorded before the sampler
+    indexed blocks by clicked rounds. Any change of the block size or of
+    how a block consumes its random streams changes these digests; such
+    a change must update them and say so in CHANGES.md.
+    """
+    kw, digest = PINNED[case]
+    report = simulate(config(**kw), threads=2)
+    assert hashlib.sha256(json.dumps(report.to_dict()).encode()).hexdigest() == digest

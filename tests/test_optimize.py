@@ -138,6 +138,20 @@ def test_max_distance_rate_sign_at_edge():
     assert key_rate(at_distance(sp, edge + 0.1)).r == 0.0
 
 
+@pytest.mark.parametrize("mu, sp", (
+    # positive on about [300.4, 304.7] km only, between two scan points
+    (4.472, SP),
+    # positive on about [0, 9.7] and [59.9, 672.6] km
+    (0.8, SystemParams(eta_d=0.9, alpha=0.16)),
+))
+def test_max_distance_is_the_edge_of_the_farthest_window(mu, sp):
+    base = at_intensity(sp, mu)
+    edge = max_distance(mu, sp)
+    assert key_rate(at_distance(base, edge)).r > 0.0
+    beyond = [edge + 0.1 + 0.5 * k for k in range(int((1000.0 - edge) / 0.5))]
+    assert all(key_rate(at_distance(base, l_km)).r == 0.0 for l_km in beyond)
+
+
 def test_max_distance_requires_dead_upper_bound():
     with pytest.raises(ValueError):
         max_distance(0.84, SP, l_hi=300.0)
