@@ -6,10 +6,13 @@ deviation of every tallied statistic from its closed form, in binomial
 standard errors. Exits nonzero if any row exceeds the sigma budget.
 Each configuration also reports how many rows are informative, that
 is, expect at least 10 counts; the others carry little evidence either
-way. Its rarest gain or QBER row is named with the rounds it would need
-for 10 expected counts. A QBER row's expected count is taken from the
-closed forms (X-basis rounds x event gain x QBER), since its trials, the
-events seen, are often none at 400 km.
+way. Its rarest gain or QBER row and its rarest parity row are named
+with the rounds each would need for 10 expected counts. Expected counts
+are taken from the closed forms: a QBER row's is X-basis rounds x event
+gain x QBER, since its trials, the events seen, are often none at
+400 km; a parity row's is the rounds of its representative encoding
+(1/16 of all rounds, every round being X-basis) x its cell probability.
+Parity cells of probability 0 need no rounds; they are counted apart.
 """
 
 import argparse
@@ -20,6 +23,13 @@ import sys
 from dualqss.detectors import SystemParams
 from dualqss.montecarlo import (MIN_EXPECTED, SimConfig, compare_to_analytic, max_abs_sigma,
                                 simulate)
+
+
+def need(rounds: int, expected: float) -> str:
+    """Expected count of a row and the rounds it would need for MIN_EXPECTED."""
+    rounds_needed = math.ceil(rounds * MIN_EXPECTED / expected) if expected > 0 else "unbounded"
+    return (f"expected={expected:.3g}, rounds for {MIN_EXPECTED:g} expected counts: "
+            f"{rounds_needed}")
 
 
 def run(rounds: int, seed: int, threads: int, budget: float, verbose: bool) -> int:
@@ -41,10 +51,14 @@ def run(rounds: int, seed: int, threads: int, budget: float, verbose: bool) -> i
                 if r["name"].startswith("qber_event"):
                     expected[r["name"]] = gain["q_" + r["name"].split("_")[1]] * r["p_analytic"]
             rare = min(expected, key=expected.get)
-            need = (f"{math.ceil(rounds * MIN_EXPECTED / expected[rare])}" if expected[rare] > 0
-                    else "unbounded")
-            print(f"    rarest {rare}: expected={expected[rare]:.3g}, "
-                  f"rounds for {MIN_EXPECTED:g} expected counts: {need}")
+            print(f"    rarest {rare}: {need(rounds, expected[rare])}")
+            parity = {r["name"]: rounds / 16 * r["p_analytic"] for r in rows
+                      if r["name"].startswith("parity_")}
+            possible = {name: e for name, e in parity.items() if e > 0}
+            if possible:
+                rare = min(possible, key=possible.get)
+                print(f"    rarest {rare}: {need(rounds, possible[rare])} "
+                      f"({len(parity) - len(possible)} parity cells have probability 0)")
             shown = rows if verbose else [r for r in rows if abs(r["sigma"]) > 2.0]
             for r in shown:
                 print(f"    {r['name']:34s} count={r['count']:>9d} "

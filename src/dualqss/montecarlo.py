@@ -7,8 +7,11 @@ its mode intensity, plus an independent dark count. The mode
 intensities depend only on a round's class: the two senders' bases
 and their four key bits, 64 classes in all.
 
-Rounds are processed in fixed-size blocks. A block first draws how many
-of its rounds fall in each class, with one multinomial draw. Then, for
+Rounds are processed in blocks sized from the configuration alone. A
+block holds 500k rounds, or more where those would expect fewer than
+about 4k clicked rounds: it then grows until it expects about 4k (at
+400 km, some 10^8 rounds). A block first draws how many of its rounds
+fall in each class, with one multinomial draw. Then, for
 each class of m rounds and each detector of mean lam, it draws the
 photon total as Poisson(m * lam) and scatters it uniformly over the m
 rounds. This is exact, not an approximation: a Poisson total split
@@ -25,8 +28,9 @@ dark count weighs 2, so it clicks without changing the photon parity.
 Sorting their round ids gives the clicked rounds, the only rows of work:
 click classification, the check lottery and the attack draws. No array
 is indexed by round, so a block costs in proportion to its clicks (bar
-the per-round draws of bright cells). Rounds without a click produce no
-event, so the block's basis tallies follow from the class counts alone.
+the per-round draws of bright cells, which click so often that their
+blocks keep 500k rounds). Rounds without a click produce no event, so
+the block's basis tallies follow from the class counts alone.
 One table, ``_PATTERNS``, declares the six tallied click patterns; the
 event masks, the parity cells of the two ``PolPairing`` representatives
 and the comparison rows all derive from it.
@@ -75,7 +79,12 @@ ATTACKS = ("none", "beam_split", "dishonest_bob")
 # no evidence of agreement.
 MIN_EXPECTED = 10.0
 
+# Blocks hold at least _BLOCK rounds and grow until they expect about
+# _BLOCK_CLICKS clicked rounds, so that a block's fixed cost is spread
+# over enough clicks. _MAX_BLOCK bounds blocks that click never.
 _BLOCK = 500_000
+_BLOCK_CLICKS = 4096
+_MAX_BLOCK = 2**40
 _SQRT_HALF = math.sqrt(0.5)
 
 # Cells whose per-round mean reaches this draw per-round counts instead
@@ -260,6 +269,29 @@ def _unit_intensities() -> np.ndarray:
 _UNIT_LAM = _unit_intensities()
 
 
+def _class_weights(basis_policy: float) -> np.ndarray:
+    """Probability of each sampling class: two basis choices, 16 encodings."""
+    bp = basis_policy
+    return np.where(_XA, bp, 1.0 - bp) * np.where(_XB, bp, 1.0 - bp) / 16.0
+
+
+def _block_sizes(cfg: SimConfig) -> list[int]:
+    """Partition ``cfg.rounds`` into blocks sized from the configuration.
+
+    A round clicks unless all four detectors see neither a photon nor a
+    dark count. Blocks stay at ``_BLOCK`` rounds where those hold about
+    ``_BLOCK_CLICKS`` clicked rounds, and grow where clicks are rarer, up
+    to ``_MAX_BLOCK``. The sizes never depend on the worker count.
+    """
+    no_click = np.exp(-cfg.sp.mu_arm * _UNIT_LAM.sum(axis=1)) * (1.0 - cfg.sp.p_d) ** 4
+    p_click = float(_class_weights(cfg.basis_policy) @ (1.0 - no_click))
+    if p_click * _MAX_BLOCK <= _BLOCK_CLICKS:
+        block = _MAX_BLOCK
+    else:
+        block = max(_BLOCK, math.ceil(_BLOCK_CLICKS / p_click))
+    return [min(block, cfg.rounds - lo) for lo in range(0, cfg.rounds, block)]
+
+
 def _block_tallies(cfg: SimConfig, block: int, size: int) -> dict:
     """Simulate one block of rounds and return its integer tallies: the
     ``n_*`` counts of ``SimReport`` and, under "parity", its nested
@@ -275,8 +307,7 @@ def _block_tallies(cfg: SimConfig, block: int, size: int) -> dict:
 
     # Rounds are exchangeable within a class, so class c owns the round
     # ids [start[c], start[c] + m[c]) of the block.
-    bp = cfg.basis_policy
-    m = rng.multinomial(size, np.where(_XA, bp, 1.0 - bp) * np.where(_XB, bp, 1.0 - bp) / 16.0)
+    m = rng.multinomial(size, _class_weights(cfg.basis_policy))
     start = np.cumsum(m) - m
     lam = sp.mu_arm * _UNIT_LAM
 
@@ -412,12 +443,12 @@ def simulate(config: SimConfig, threads: int = 1) -> SimReport:
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads!r}")
-    sizes = [min(_BLOCK, config.rounds - lo) for lo in range(0, config.rounds, _BLOCK)]
-    blocks = list(enumerate(sizes))
-    if threads == 1 or len(blocks) == 1:
+    blocks = list(enumerate(_block_sizes(config)))
+    workers = min(threads, len(blocks))
+    if workers == 1:
         tallies = [_block_tallies(config, b, s) for b, s in blocks]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             tallies = list(pool.map(lambda bs: _block_tallies(config, bs[0], bs[1]), blocks))
     echo = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "sp"}
     return SimReport(**echo, **asdict(config.sp), **_merge(tallies))

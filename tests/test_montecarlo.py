@@ -10,9 +10,11 @@ import json
 import numpy as np
 import pytest
 
+from dualqss import montecarlo
 from dualqss.detectors import SystemParams
 from dualqss.montecarlo import (
     SimConfig,
+    _block_sizes,
     compare_to_analytic,
     max_abs_sigma,
     simulate,
@@ -42,6 +44,57 @@ def test_reproducible_across_calls():
 def test_worker_count_does_not_change_tallies():
     cfg = config(rounds=1_200_000)
     assert simulate(cfg, threads=1) == simulate(cfg, threads=3)
+
+
+FAR = SystemParams(mu=0.84, l_km=400.0)
+
+
+def test_worker_count_does_not_change_far_tallies():
+    # at 400 km a block holds about 1.7e8 rounds, so this run has several
+    cfg = config(sp=FAR, rounds=10**9)
+    assert len(_block_sizes(cfg)) > 2
+    assert simulate(cfg, threads=1).to_dict() == simulate(cfg, threads=3).to_dict()
+
+
+@pytest.mark.parametrize("cfg", (
+    config(sp=FAR, rounds=10**9),
+    config(sp=FAR, rounds=10**9 + 7, basis_policy=1.0),
+    config(sp=SystemParams(mu=0.4, l_km=300.0), rounds=123_456_789),
+    config(rounds=1_100_000),
+    config(rounds=1),
+), ids=("far", "far-odd", "300km", "near", "one"))
+def test_block_sizes_partition_rounds_whatever_the_threads(cfg, monkeypatch):
+    sizes = _block_sizes(cfg)
+    assert sum(sizes) == cfg.rounds and all(s > 0 for s in sizes)
+    real = montecarlo._block_tallies
+    seen = []
+    monkeypatch.setattr(montecarlo, "_block_tallies",
+                        lambda c, block, size: seen.append((block, size)) or real(c, block, size))
+    for threads in (1, 2, 3):
+        seen.clear()
+        simulate(cfg, threads=threads)
+        assert sorted(seen) == list(enumerate(sizes))
+
+
+@pytest.mark.parametrize("kw", (
+    dict(sp=SystemParams(mu=0.4, l_km=100.0), basis_policy=1.0),
+    dict(sp=SystemParams(mu=0.84, l_km=100.0)),
+    dict(sp=SystemParams(mu=1.5, l_km=100.0), basis_policy=0.0),
+    dict(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0)),
+    dict(sp=SystemParams(mu=0.84, l_km=100.0, p_d=0.02)),
+    dict(sp=SystemParams(p_d=1.0)),
+), ids=("100km-mu0.4", "100km", "100km-z", "bright", "pd0.02", "pd1"))
+def test_blocks_that_click_often_keep_500k_rounds(kw):
+    rounds = 1_100_000
+    assert _block_sizes(config(rounds=rounds, **kw)) == [500_000, 500_000, 100_000]
+
+
+def test_dark_source_is_one_block_of_any_size():
+    cfg = SimConfig(sp=SystemParams(mu=0.0, p_d=0.0), rounds=10**12, seed=2)
+    assert _block_sizes(cfg) == [10**12]
+    rep = simulate(cfg, threads=2)
+    assert rep.n_xx + rep.n_zz + rep.n_mixed == 10**12
+    assert rep.n_event1 == rep.n_event2 == rep.n_event3 == rep.n_check_z_bits == 0
 
 
 def test_round_partition():
@@ -189,6 +242,22 @@ def test_heavy_dark_counts_match_closed_forms():
     assert max_abs_sigma(informative(rows)) < 5.0
 
 
+def test_far_gains_match_closed_forms():
+    """The 400 km evidence check: every gain row and the Event1 QBER row
+    expect at least 10 counts at mu = 1.5, and each is within 5 sigma.
+
+    At 5e10 rounds Event2 and Event3 expect about 12 counts each. Their
+    QBER rows stay uninformative: they need about 1e13 rounds for 10
+    expected errors. Criterion 8 keeps its 1e7 rounds.
+    """
+    cfg = SimConfig(sp=SystemParams(mu=1.5, l_km=400.0), rounds=5 * 10**10, seed=2026,
+                    basis_policy=1.0)
+    rows = {r["name"]: r for r in compare_to_analytic(simulate(cfg))}
+    for name in ("q_event1", "q_event2", "q_event3", "qber_event1_ph"):
+        assert rows[name]["informative"], name
+        assert abs(rows[name]["sigma"]) < 5.0, name
+
+
 def test_bright_cells_match_closed_forms_for_any_worker_count():
     # mean photon numbers up to ~29 per mode: the per-round Poisson cells
     sp = SystemParams(mu=20.0, l_km=0.0, eta_d=1.0)
@@ -292,6 +361,8 @@ PINNED = {
     "checked-dishonest_bob": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05,
                                    attack="dishonest_bob"),
                               "1ac94c1e14d53bb95f2a22738ccc7509b424243e347ab6bc7db79b7400c5991d"),
+    "far": (dict(sp=FAR, rounds=10**9),
+            "5e283618732ab2625bd2fdbde9a3fad2759b1598fc9f385e328bfaceb263449b"),
 }
 
 
@@ -300,9 +371,11 @@ def test_tallies_pinned_at_fixed_seeds(case):
     """Reports are reproducible across versions, not only across calls.
 
     The SHA-256 of each report's JSON was recorded before the sampler
-    indexed blocks by clicked rounds. Any change of the block size or of
-    how a block consumes its random streams changes these digests; such
-    a change must update them and say so in CHANGES.md.
+    indexed blocks by clicked rounds; that of the 400 km case, whose
+    blocks hold about 1.7e8 rounds, when blocks were first sized by their
+    expected clicks. Any change of the block sizes or of how a block
+    consumes its random streams changes these digests; such a change
+    must update them and say so in CHANGES.md.
     """
     kw, digest = PINNED[case]
     report = simulate(config(**kw), threads=2)
