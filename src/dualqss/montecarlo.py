@@ -60,7 +60,7 @@ import numpy as np
 from .attack import TapParams, ie_dual
 from .detectors import ClickParity, Detector, SystemParams, exclusive_pattern_prob
 from .optics import PolPairing, detector_amplitudes, intensities, require_finite
-from .rates import event1_rates, event2_rates, event3_rates
+from .rates import _event_terms
 
 __all__ = [
     "SimConfig",
@@ -500,7 +500,7 @@ def compare_to_analytic(report: SimReport) -> list[dict]:
             }
         )
 
-    e1, e2, e3 = event1_rates(sp), event2_rates(sp), event3_rates(sp)
+    e1, e2, e3 = _event_terms(sp.mu_arm, sp.p_d)
     add("q_event1", report.n_event1, report.n_xx, e1.q)
     add("q_event2", report.n_event2, report.n_xx, e2.q)
     add("q_event3", report.n_event3, report.n_xx, e3.q)

@@ -108,7 +108,8 @@ def _golden_section(rate, lo: float, hi: float, tol: float) -> tuple[float, floa
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = rate(x1), rate(x2)
     evaluations += 2
-    while b - a > tol:
+    # each pass moves a up or b down until that meets float resolution
+    while b - a > tol and a < x1 < x2 < b:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
@@ -191,6 +192,8 @@ def max_distance(
         raise ValueError(f"event must be None, 1, 2, or 3, got {event!r}")
     if l_hi <= 0:
         raise ValueError(f"l_hi must be positive, got {l_hi!r}")
+    if not 0.0 < tol_km < math.inf:
+        raise ValueError(f"tol_km must be finite and positive, got {tol_km!r}")
     rate_at = _curve(at_intensity(sp, mu), SweepVariable.DISTANCE, 0.0, l_hi)
 
     def rate(l_km: float) -> float:
@@ -216,8 +219,7 @@ def max_distance(
             raise ValueError(f"key rate is zero everywhere on [0, {l_hi!r}] km")
     hi = next((g for g in grid if g > lo), l_hi)
 
-    while hi - lo > tol_km:
-        mid = 0.5 * (lo + hi)
+    while hi - lo > tol_km and lo < (mid := 0.5 * (lo + hi)) < hi:
         if rate(mid) > 0.0:
             lo = mid
         else:

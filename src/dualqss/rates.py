@@ -27,17 +27,19 @@ Monte-Carlo module cross-checks every one of these quantities.
 One path evaluates all of this: ``_event_terms`` (the only copy of each
 closed form), ``_bracket`` (the only copy of the secret fraction, which
 ``max_distance`` also reads unclamped) and the kernel ``_rate_point``
-take plain, already validated floats and compute each intermediate once
-per point. It stays scalar ``math`` code: numpy's transcendentals differ
-from ``math`` in the last bit on a few percent of inputs, which would
-change the curves.
+take plain, already validated floats, compute each intermediate once per
+point and build each NamedTuple result once: the ``EventRates`` triple
+of ``_event_terms`` is ``RatePoint.events`` itself. It stays scalar
+``math`` code: numpy's transcendentals differ from ``math`` in the last
+bit on a few percent of inputs, which would change the curves.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 from .attack import TapParams, _ie_dual_tapped, ie_dual
 from .detectors import SystemParams
@@ -70,9 +72,8 @@ _BISECT_ITERS = 100
 _SCALED_FROM_I = 0.5 * math.log(0.5 * sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class EventRates:
-    """Gain and error rates of one event class.
+class EventRates(NamedTuple):
+    """Gain and error rates of one event class; a NamedTuple built once per point.
 
     q       probability of the event per emitted pulse pair
     e_bit   bit error rate of the announced key bits
@@ -84,9 +85,8 @@ class EventRates:
     e_ph: float
 
 
-@dataclass(frozen=True)
-class RatePoint:
-    """One evaluated point of the rate curve."""
+class RatePoint(NamedTuple):
+    """One evaluated point of the rate curve; a NamedTuple built once per point."""
 
     l_km: float
     mu: float
@@ -96,8 +96,8 @@ class RatePoint:
     r_events: tuple[float, float, float]
 
 
-def _event_terms(i: float, p_d: float) -> tuple[tuple[float, float, float], ...]:
-    """(q, e_bit, e_ph) of Event1, Event2 and Event3 at arm intensity ``i``."""
+def _event_terms(i: float, p_d: float) -> tuple[EventRates, EventRates, EventRates]:
+    """``EventRates`` of Event1, Event2 and Event3 at arm intensity ``i``."""
     if i >= _SCALED_FROM_I:
         # 2 s ** 2 and then e^I would overflow. Take the masses times e^-I:
         # every error rate is a ratio of forms of equal degree in them, so
@@ -118,11 +118,11 @@ def _event_terms(i: float, p_d: float) -> tuple[tuple[float, float, float], ...]
         go = math.sinh(i)
         s = u + v
         if s == 0.0:
-            return ((0.0, 0.0, 0.0),) * 3
+            return (EventRates(0.0, 0.0, 0.0),) * 3
         no_click = math.exp(-2.0 * i)
         q1 = (1.0 - p_d) ** 3 * no_click * s
         q = 0.5 * ((1.0 - p_d) ** 2 * no_click) * s ** 2
-    event1 = (q1, v / s, ge / s)
+    event1 = EventRates(q1, v / s, ge / s)
     denom = 2.0 * s ** 2
     if denom < sys.float_info.min:
         # s ** 2 is subnormal or zero (I and p_d both below ~1e-154).
@@ -134,8 +134,8 @@ def _event_terms(i: float, p_d: float) -> tuple[tuple[float, float, float], ...]
     n_ph3 = (go * v) + (ge * go + 2.0 * go * ge + ge * ge) + (v * v)
     return (
         event1,
-        (q, (v * u + v * v + 2.0 * v * u) / denom, n_ph2 / denom),
-        (q, (u * v + 2.0 * u * v + v * v) / denom, n_ph3 / denom),
+        EventRates(q, (v * u + v * v + 2.0 * v * u) / denom, n_ph2 / denom),
+        EventRates(q, (u * v + 2.0 * u * v + v * v) / denom, n_ph3 / denom),
     )
 
 
@@ -146,7 +146,7 @@ def event1_rates(sp: SystemParams) -> EventRates:
     bit error collects the dark-driven wrong-detector terms and the
     phase error the even-parity terms of the lit detector.
     """
-    return EventRates(*_event_terms(sp.mu_arm, sp.p_d)[0])
+    return _event_terms(sp.mu_arm, sp.p_d)[0]
 
 
 def event2_rates(sp: SystemParams) -> EventRates:
@@ -159,7 +159,7 @@ def event2_rates(sp: SystemParams) -> EventRates:
     2(o,e) + (e,o) + (e,e) on the lit pattern, (e,o) + (o,e) on the
     half-lit pattern, and (e,e) + (o,e) on the unlit pattern.
     """
-    return EventRates(*_event_terms(sp.mu_arm, sp.p_d)[1])
+    return _event_terms(sp.mu_arm, sp.p_d)[1]
 
 
 def event3_rates(sp: SystemParams) -> EventRates:
@@ -170,7 +170,7 @@ def event3_rates(sp: SystemParams) -> EventRates:
     fully lit. The both-dark pattern is conditioned on the pairing that
     leaves both of its detectors unlit, mirroring the same-index event.
     """
-    return EventRates(*_event_terms(sp.mu_arm, sp.p_d)[2])
+    return _event_terms(sp.mu_arm, sp.p_d)[2]
 
 
 def _bracket(i_e: float, e_bit: float, e_ph: float, f: float) -> float:
@@ -180,10 +180,9 @@ def _bracket(i_e: float, e_bit: float, e_ph: float, f: float) -> float:
 
 def _rate_point(mu: float, l_km: float, eta_t: float, p_d: float, f: float) -> RatePoint:
     """``key_rate`` on plain floats that the caller has already validated."""
-    terms = _event_terms(eta_t * mu, p_d)
+    events = _event_terms(eta_t * mu, p_d)
     i_e = _ie_dual_tapped((1.0 - eta_t) * mu)
-    r_events = tuple([q * max(0.0, _bracket(i_e, e_bit, e_ph, f)) for q, e_bit, e_ph in terms])
-    events = tuple([EventRates(*t) for t in terms])
+    r_events = tuple([q * max(0.0, _bracket(i_e, e_bit, e_ph, f)) for q, e_bit, e_ph in events])
     return RatePoint(l_km, mu, sum(r_events), i_e, events, r_events)
 
 
@@ -203,8 +202,10 @@ def plob_bound(l_km: float, alpha: float = 0.2) -> float:
     eta_ch = 10^(-alpha l / 10) is the end-to-end power transmittance.
     Returns +inf at zero distance.
     """
-    if l_km < 0:
-        raise ValueError(f"l_km must be non-negative, got {l_km!r}")
+    if not 0.0 <= l_km < math.inf:
+        raise ValueError(f"l_km must be finite and non-negative, got {l_km!r}")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and non-negative, got {alpha!r}")
     eta_ch = 10.0 ** (-alpha * l_km / 10.0)
     if eta_ch >= 1.0:
         return math.inf

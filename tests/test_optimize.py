@@ -1,5 +1,8 @@
 """Sweeps, intensity optimization, and the reach search."""
 
+import hashlib
+import math
+
 import pytest
 
 from dualqss.detectors import SystemParams
@@ -167,3 +170,66 @@ def test_max_distance_no_positive_window():
 def test_max_distance_event_validation():
     with pytest.raises(ValueError):
         max_distance(0.84, SP, event=4)
+
+
+@pytest.mark.parametrize("tol_km", (0.0, -1.0, float("nan"), float("inf")))
+def test_max_distance_rejects_bad_tolerance(tol_km):
+    # 0 and -1 would never end the bisection, NaN would skip it
+    with pytest.raises(ValueError, match="tol_km must be finite and positive"):
+        max_distance(0.84, SP, tol_km=tol_km)
+
+
+@pytest.mark.parametrize("mu", (0.84, 4.472))
+def test_max_distance_tolerance_below_float_resolution(mu):
+    # bisection (0.84) and golden section (4.472, a window between scan
+    # points) stop once their ends are adjacent floats
+    base = at_intensity(SP, mu)
+    edge = max_distance(mu, SP, tol_km=1e-300)
+    assert key_rate(at_distance(base, edge)).r > 0.0
+    assert key_rate(at_distance(base, math.nextafter(edge, math.inf))).r == 0.0
+
+
+# --- the analytic chain at full precision ---
+
+ANALYTIC_CHAIN_SHA256 = "07838554bfe5d385895ce638d25672098411025b4122e9cb603db21210b40219"
+
+
+def _float_digest(values) -> str:
+    h = hashlib.sha256()
+    for value in values:
+        h.update(repr(value).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def _point_floats(point):
+    yield from (point.l_km, point.mu, point.r, point.i_e)
+    for e in point.events:
+        yield from (e.q, e.e_bit, e.e_ph)
+    yield from point.r_events
+
+
+def _analytic_chain_floats():
+    sp = SystemParams()
+    for spec in (
+        SweepSpec(variable=SweepVariable.DISTANCE, lo=0.0, hi=460.0, step=0.05, fixed=sp),
+        SweepSpec(variable=SweepVariable.MU, lo=0.3, hi=1.5, step=0.001,
+                  fixed=at_distance(sp, 400.0)),
+    ):
+        for point in sweep(spec):
+            yield from _point_floats(point)
+    for l_km in range(0, 500, 50):
+        res = optimize_mu(float(l_km), sp)
+        yield from (res.best_mu, res.best_rate, res.evaluations)
+    for k in range(1, 21):
+        yield max_distance(k / 10, sp)
+
+
+def test_analytic_chain_digest():
+    """SHA-256 of the repr of every number of the distance sweep (0-460 km,
+    step 0.05), the mu sweep (0.3-1.5, step 0.001, at 400 km), optimize_mu
+    at 0, 50, ..., 450 km and max_distance at mu = 0.1, ..., 2.0, all at
+    the default SystemParams. The figure CSVs are written with %.10g and
+    cannot see a last-bit drift; this can. The digest was recorded before
+    the result types became NamedTuples, so it also pins that change."""
+    assert _float_digest(_analytic_chain_floats()) == ANALYTIC_CHAIN_SHA256

@@ -11,10 +11,13 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dualqss
 from dualqss.detectors import SystemParams
 from dualqss.optics import binary_entropy
 from dualqss.rates import (
     QBER_THRESHOLD_EVENT23_REPORTED,
+    EventRates,
+    RatePoint,
     at_distance,
     at_intensity,
     event1_rates,
@@ -63,6 +66,23 @@ def test_key_rate_frozen():
 def test_key_rate_second_point_frozen():
     point = key_rate(SystemParams(mu=1.5, l_km=400.0))
     assert point.r == pytest.approx(1.980506672580578e-06, rel=1e-12)
+
+
+@pytest.mark.parametrize("sp", (SP_084_400, SystemParams(), SystemParams(mu=1.5, l_km=0.0, p_d=0.0),
+                                SystemParams(mu=0.0, p_d=0.0)))
+def test_result_type_contract(sp):
+    point = key_rate(sp)
+    assert RatePoint._fields == ("l_km", "mu", "r", "i_e", "events", "r_events")
+    assert EventRates._fields == ("q", "e_bit", "e_ph")
+    for obj, name in ((point, "r"), (point.events[0], "q")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0.0)
+    singles = (event1_rates(sp), event2_rates(sp), event3_rates(sp))
+    for k in range(3):
+        assert type(point.events[k]) is EventRates
+        assert point.events[k] == singles[k]
+    assert point.r == sum(point.r_events)
+    assert dualqss.RatePoint is RatePoint and dualqss.EventRates is EventRates
 
 
 def test_event1_phase_error_without_darks():
@@ -122,6 +142,19 @@ def test_plob_bound_frozen():
     assert plob_bound(400.0) == pytest.approx(1.4426950481024389e-08, rel=1e-12)
     assert plob_bound(0.0) == math.inf
     assert plob_bound(100.0) > plob_bound(200.0)
+
+
+@pytest.mark.parametrize("l_km, alpha, name", (
+    (float("nan"), 0.2, "l_km"),
+    (float("inf"), 0.2, "l_km"),
+    (-1.0, 0.2, "l_km"),
+    (100.0, float("nan"), "alpha"),
+    (100.0, float("inf"), "alpha"),
+    (100.0, -0.2, "alpha"),
+))
+def test_plob_bound_rejects_bad_input(l_km, alpha, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
+        plob_bound(l_km, alpha=alpha)
 
 
 def test_qber_threshold_event1_frozen():
