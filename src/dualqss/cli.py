@@ -22,7 +22,7 @@ from dataclasses import asdict
 
 from .attack import TapParams, ie_dps_tf, ie_dual, ie_wcp_ph, ie_wcp_pol
 from .detectors import SystemParams, arm_efficiency
-from .montecarlo import SimConfig, compare_to_analytic, max_abs_sigma, simulate
+from .montecarlo import ATTACKS, SimConfig, compare_to_analytic, max_abs_sigma, simulate
 from .optimize import SweepSpec, SweepVariable, max_distance, optimize_mu, sweep
 from .rates import (
     QBER_THRESHOLD_EVENT23_REPORTED,
@@ -36,6 +36,17 @@ _FLOAT_FMT = "%.10g"
 
 _CSV_HEADER = "L_km,mu,R,R_event1,R_event2,R_event3,I_E,PLOB"
 _CSV_IE_EXTRA = ",IE_dual,IE_ph,IE_pol,IE_dps"
+
+# The physics flags: (argparse name, SystemParams field, help). Their
+# defaults are SystemParams' own; the echo line follows this order.
+_PHYSICS = (
+    ("mu", "mu", "source mean photon number"),
+    ("L", "l_km", "total distance in km"),
+    ("alpha", "alpha", "fiber attenuation dB/km"),
+    ("eta_d", "eta_d", "detector efficiency"),
+    ("p_d", "p_d", "dark count probability"),
+    ("f", "f", "error-correction inefficiency"),
+)
 
 
 def _fmt(x: float) -> str:
@@ -106,24 +117,14 @@ def _emit_json(args: argparse.Namespace, payload: dict) -> None:
     _write_text(args.output, json.dumps(_json_safe(payload), indent=2) + "\n")
 
 
-def _system_params(args: argparse.Namespace, l_km: float | None = None) -> SystemParams:
-    return SystemParams(
-        mu=args.mu,
-        alpha=args.alpha,
-        l_km=args.L if l_km is None else l_km,
-        eta_d=args.eta_d,
-        p_d=args.p_d,
-        f=args.f,
-    )
+def _system_params(args: argparse.Namespace) -> SystemParams:
+    return SystemParams(**{field: getattr(args, name) for name, field, _ in _PHYSICS})
 
 
-def _add_physics_args(parser: argparse.ArgumentParser, l_default: float = 100.0) -> None:
-    parser.add_argument("--mu", type=float, default=0.84, help="source mean photon number")
-    parser.add_argument("--L", type=float, default=l_default, help="total distance in km")
-    parser.add_argument("--alpha", type=float, default=0.2, help="fiber attenuation dB/km")
-    parser.add_argument("--eta-d", type=float, default=0.145, help="detector efficiency")
-    parser.add_argument("--p-d", type=float, default=8e-8, help="dark count probability")
-    parser.add_argument("--f", type=float, default=1.15, help="error-correction inefficiency")
+def _add_physics_args(parser: argparse.ArgumentParser, defaults: SystemParams = SystemParams()) -> None:
+    for name, field, help_text in _PHYSICS:
+        parser.add_argument("--" + name.replace("_", "-"), type=float,
+                            default=getattr(defaults, field), help=help_text)
     parser.add_argument("--config", type=str, default=None, help="key=value config file")
     parser.add_argument("--output", "-o", type=str, default=None, help="output file (default stdout)")
 
@@ -152,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep_args(p_ie)
 
     p_opt = sub.add_parser("optimize", help="best source intensity at a distance")
-    _add_physics_args(p_opt, l_default=400.0)
+    _add_physics_args(p_opt, SystemParams(l_km=400.0))
     p_opt.add_argument("--lo", type=float, default=0.1, help="intensity lower bound")
     p_opt.add_argument("--hi", type=float, default=2.0, help="intensity upper bound")
 
@@ -166,13 +167,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_physics_args(p_sim)
     p_sim.add_argument("--rounds", type=int, default=1_000_000)
     p_sim.add_argument("--seed", type=int, default=1)
-    p_sim.add_argument("--basis-policy", type=float, default=0.5,
+    p_sim.add_argument("--basis-policy", type=float, default=SimConfig.basis_policy,
                        help="probability of choosing the X basis per sender")
-    p_sim.add_argument("--check-fraction", type=float, default=0.0,
+    p_sim.add_argument("--check-fraction", type=float, default=SimConfig.check_fraction,
                        help="fraction of X key events sacrificed for checking")
-    p_sim.add_argument("--attack", choices=("none", "beam-split", "dishonest-bob"),
-                       default="none")
-    p_sim.add_argument("--flip", type=float, default=0.0,
+    p_sim.add_argument("--attack", choices=[a.replace("_", "-") for a in ATTACKS],
+                       default=SimConfig.attack)
+    p_sim.add_argument("--flip", type=float, default=SimConfig.flip_fraction,
                        help="dishonest receiver's announcement flip probability")
 
     p_thr = sub.add_parser("thresholds", help="tolerable QBER thresholds")
@@ -181,14 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _echo_params(args: argparse.Namespace, extra: dict) -> str:
-    items = {
-        "mu": _fmt(args.mu),
-        "L": _fmt(args.L),
-        "alpha": _fmt(args.alpha),
-        "eta_d": _fmt(args.eta_d),
-        "p_d": _fmt(args.p_d),
-        "f": _fmt(args.f),
-    }
+    items = {name: _fmt(getattr(args, name)) for name, _, _ in _PHYSICS}
     items.update(extra)
     joined = " ".join(f"{k}={v}" for k, v in items.items())
     return f"# params: {joined}\n"

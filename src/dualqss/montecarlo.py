@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -59,7 +58,7 @@ import numpy as np
 
 from .attack import TapParams, ie_dual
 from .detectors import ClickParity, Detector, SystemParams, exclusive_pattern_prob
-from .optics import PolPairing, detector_amplitudes, intensities, require_finite
+from .optics import PolPairing, detector_amplitudes, intensities, is_integer, require_finite
 from .rates import _event_terms
 
 __all__ = [
@@ -142,7 +141,7 @@ class SimConfig:
         # numpy's samplers and seed sequences take integers only, not bools
         for name, least in (("rounds", 1), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            if not is_integer(value) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         for name in ("basis_policy", "check_fraction", "flip_fraction"):
             value = getattr(self, name)
@@ -441,8 +440,8 @@ def simulate(config: SimConfig, threads: int = 1) -> SimReport:
     for any value because blocks are seeded by index and merged with
     integer sums.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads!r}")
+    if not is_integer(threads) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     blocks = list(enumerate(_block_sizes(config)))
     workers = min(threads, len(blocks))
     if workers == 1:

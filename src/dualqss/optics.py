@@ -11,6 +11,7 @@ every mode is fully described by one real amplitude.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -45,6 +46,11 @@ def require_finite(obj: object, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got an integer beyond the float range") from None
         if not finite:
             raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def is_integer(value: object) -> bool:
+    """True for ints and numpy integers; bools and integral floats are not counts."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .detectors import SystemParams, arm_efficiency
-from .optics import require_finite
+from .optics import is_integer, require_finite
 from .rates import RatePoint, _bracket, _rate_point, at_distance, at_intensity
 
 __all__ = [
@@ -188,7 +188,7 @@ def max_distance(
     positivity. Raises when no positive point is found or the rate is
     still positive at ``l_hi``.
     """
-    if event not in (None, 1, 2, 3):
+    if event is not None and not (is_integer(event) and 1 <= event <= 3):
         raise ValueError(f"event must be None, 1, 2, or 3, got {event!r}")
     if l_hi <= 0:
         raise ValueError(f"l_hi must be positive, got {l_hi!r}")

@@ -202,9 +202,10 @@ def plob_bound(l_km: float, alpha: float = 0.2) -> float:
     eta_ch = 10^(-alpha l / 10) is the end-to-end power transmittance.
     Returns +inf at zero distance.
     """
-    if not 0.0 <= l_km < math.inf:
+    # float_info.max, not inf: an int beyond the float range would overflow below
+    if not 0.0 <= l_km <= sys.float_info.max:
         raise ValueError(f"l_km must be finite and non-negative, got {l_km!r}")
-    if not 0.0 <= alpha < math.inf:
+    if not 0.0 <= alpha <= sys.float_info.max:
         raise ValueError(f"alpha must be finite and non-negative, got {alpha!r}")
     eta_ch = 10.0 ** (-alpha * l_km / 10.0)
     if eta_ch >= 1.0:

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from dualqss.cli import build_parser, main
+from dualqss.detectors import SystemParams
+from dualqss.montecarlo import SimConfig
 
 HEADER = "L_km,mu,R,R_event1,R_event2,R_event3,I_E,PLOB"
 
@@ -68,6 +70,18 @@ def test_removed_flags_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ("sweep", "ie-compare", "optimize", "max-distance",
+                                     "simulate", "thresholds"))
+def test_defaults_come_from_the_library(command):
+    args = build_parser().parse_args([command])
+    sp = SystemParams(l_km=400.0) if command == "optimize" else SystemParams()
+    assert (args.mu, args.L, args.alpha, args.eta_d, args.p_d, args.f) == (
+        sp.mu, sp.l_km, sp.alpha, sp.eta_d, sp.p_d, sp.f)
+    if command == "simulate":
+        assert (args.basis_policy, args.check_fraction, args.flip, args.attack) == (
+            SimConfig.basis_policy, SimConfig.check_fraction, SimConfig.flip_fraction, "none")
 
 
 def test_second_main_call_carries_no_state(capsys):

@@ -312,8 +312,13 @@ def test_config_validation():
         SimConfig(sp=SP, rounds=10, seed=1, basis_policy=1.5)
     with pytest.raises(ValueError):
         SimConfig(sp=SP, rounds=10, seed=1, attack="siphon")
-    with pytest.raises(ValueError):
-        simulate(config(), threads=0)
+
+
+@pytest.mark.parametrize("threads", (0, -1, 2.5, float("nan"), True, "2", None))
+def test_simulate_rejects_bad_thread_count(threads):
+    # NaN once started no worker and never returned; 2.5 started three
+    with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+        simulate(config(rounds=1000), threads=threads)
 
 
 def test_report_dict_key_order():

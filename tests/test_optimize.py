@@ -3,6 +3,7 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from dualqss.detectors import SystemParams
@@ -167,9 +168,15 @@ def test_max_distance_no_positive_window():
         max_distance(0.84, dead)
 
 
-def test_max_distance_event_validation():
-    with pytest.raises(ValueError):
-        max_distance(0.84, SP, event=4)
+@pytest.mark.parametrize("event", (4, 0, 1.0, True, "1"))
+def test_max_distance_event_validation(event):
+    # 1.0 once failed deep in the rate closure; True gave Event1's reach
+    with pytest.raises(ValueError, match="event must be None, 1, 2, or 3"):
+        max_distance(0.84, SP, event=event)
+
+
+def test_max_distance_accepts_numpy_event():
+    assert max_distance(0.84, SP, event=np.int64(2)) == max_distance(0.84, SP, event=2)
 
 
 @pytest.mark.parametrize("tol_km", (0.0, -1.0, float("nan"), float("inf")))

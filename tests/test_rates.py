@@ -5,6 +5,7 @@ mpmath-style expanded expressions before the module existed; agreement
 is required to 1e-12 relative.
 """
 
+import importlib
 import math
 import sys
 
@@ -85,6 +86,16 @@ def test_result_type_contract(sp):
     assert dualqss.RatePoint is RatePoint and dualqss.EventRates is EventRates
 
 
+def test_package_exports_every_module_all():
+    modules = [importlib.import_module(f"dualqss.{name}") for name in
+               ("attack", "detectors", "montecarlo", "optics", "optimize", "rates")]
+    assert len(dualqss.__all__) == len(set(dualqss.__all__))
+    assert set(dualqss.__all__) == {n for m in modules for n in m.__all__}
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(dualqss, name) is getattr(module, name)
+
+
 def test_event1_phase_error_without_darks():
     # with p_d=0 the phase error is the even-photon fraction of clicks
     sp = SystemParams(mu=0.84, l_km=100.0, p_d=0.0)
@@ -151,6 +162,8 @@ def test_plob_bound_frozen():
     (100.0, float("nan"), "alpha"),
     (100.0, float("inf"), "alpha"),
     (100.0, -0.2, "alpha"),
+    pytest.param(10**400, 0.2, "l_km", id="10**400-0.2-l_km"),
+    pytest.param(100.0, 10**400, "alpha", id="100.0-10**400-alpha"),
 ))
 def test_plob_bound_rejects_bad_input(l_km, alpha, name):
     with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
