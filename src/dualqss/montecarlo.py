@@ -18,10 +18,10 @@ rounds. This is exact, not an approximation: a Poisson total split
 uniformly over m bins gives independent Poisson(lam) counts per bin.
 Cells with lam >= 1 draw per-round Poisson counts directly instead,
 which is the same distribution without one array entry per photon.
-Dark counts stay Bernoulli(p_d) per detector and round: a
-Binomial(m, p_d) count per class and detector, placed on rounds drawn
-without replacement. The sampler uses none of the closed forms that it
-checks.
+A Bernoulli(p_d) dark click is a Poisson dark count of mean
+delta = -ln(1 - p_d) that is at least 1, so darks are four more columns
+of mean delta, drawn the same way; p_d = 1 puts one in every round.
+The sampler uses none of the closed forms that it checks.
 
 Photons and darks arrive as (round id, detector, weight) entries; a
 dark count weighs 2, so it clicks without changing the photon parity.
@@ -87,7 +87,7 @@ _MAX_BLOCK = 2**40
 _SQRT_HALF = math.sqrt(0.5)
 
 # Cells whose per-round mean reaches this draw per-round counts instead
-# of scattering a Poisson total, which would hold one entry per photon.
+# of scattering a Poisson total, which would hold one entry per count.
 _SCATTER_MAX_LAM = 1.0
 
 # numpy's largest Poisson mean, as numpy computes it; beyond it a draw raises.
@@ -296,9 +296,9 @@ def _block_tallies(cfg: SimConfig, block: int, size: int) -> dict:
     ``n_*`` counts of ``SimReport`` and, under "parity", its nested
     parity cells.
 
-    The draw order from the protocol stream is fixed (class counts,
-    photons, darks, check lottery) so that tallies depend only on
-    (seed, block, size), never on the attack setting.
+    The draw order from the protocol stream is fixed (class counts, dim
+    totals, their round ids, bright counts, check lottery) so that tallies
+    depend only on (seed, block, size), never on the attack setting.
     """
     sp = cfg.sp
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, block)))
@@ -308,28 +308,23 @@ def _block_tallies(cfg: SimConfig, block: int, size: int) -> dict:
     # ids [start[c], start[c] + m[c]) of the block.
     m = rng.multinomial(size, _class_weights(cfg.basis_policy))
     start = np.cumsum(m) - m
-    lam = sp.mu_arm * _UNIT_LAM
+    # Means by class, photon or dark count, and detector.
+    delta = -math.log1p(-sp.p_d) if sp.p_d < 1.0 else math.inf
+    lam = np.stack([sp.mu_arm * _UNIT_LAM, np.full((64, 4), delta)], axis=1)
 
-    # Clicks as (round id, detector, weight) entries. Dim cells scatter a
-    # Poisson(m * lam) total uniformly over their m rounds, one entry per
-    # photon. Bright cells, where that would mean more photons than
-    # rounds, draw per round and keep one entry per round lit.
+    # Clicks as (round id, detector, weight) entries, a dark count weighing
+    # 2. Dim cells scatter a Poisson(m * lam) total uniformly over their m
+    # rounds, one entry per count. Bright cells, where that would mean more
+    # counts than rounds, draw per round and keep one entry per round lit.
     dim = lam < _SCATTER_MAX_LAM
-    totals = rng.poisson(m[:, None] * np.where(dim, lam, 0.0)).ravel()
-    dim_cls, dim_det = np.divmod(np.repeat(np.arange(totals.size), totals), 4)
-    entries = [(start[dim_cls] + rng.integers(0, m[dim_cls]), dim_det, np.ones_like(dim_det))]
-    for c, d in zip(*np.nonzero(~dim & (m[:, None] > 0))):
-        k = rng.poisson(lam[c, d], m[c])
+    totals = rng.poisson(m[:, None, None] * np.where(dim, lam, 0.0)).ravel()
+    dim_cls, dim_dark, dim_det = np.unravel_index(np.repeat(np.arange(totals.size), totals), lam.shape)
+    entries = [(start[dim_cls] + rng.integers(0, m[dim_cls]), dim_det, 1 + dim_dark)]
+    for c, dark, d in zip(*np.nonzero(~dim & (m[:, None, None] > 0))):
+        mean = lam[c, dark, d]
+        k = rng.poisson(mean, m[c]) if mean < math.inf else np.ones(m[c], np.int64)
         lit = np.flatnonzero(k)
-        entries.append((start[c] + lit, np.full(lit.size, d), k[lit]))
-
-    # Dark counts stay Bernoulli per detector and round: a binomial count
-    # per cell, placed on distinct rounds. A dark count weighs 2: its
-    # detector clicks, and the photon parity stays as it was.
-    n_dark = rng.binomial(np.broadcast_to(m[:, None], lam.shape), sp.p_d)
-    for c, d in zip(*np.nonzero(n_dark)):
-        k = n_dark[c, d]
-        entries.append((start[c] + rng.choice(m[c], k, replace=False), np.full(k, d), np.full(k, 2)))
+        entries.append((start[c] + lit, np.full(lit.size, d), (1 + dark) * k[lit]))
     round_id, det, weight = map(np.concatenate, zip(*entries))
 
     # The clicked rounds, sorted, are the rows; each entry learns its row.
@@ -480,8 +475,10 @@ def compare_to_analytic(report: SimReport) -> list[dict]:
     errors, and ``informative``: whether the row expects at least
     ``MIN_EXPECTED`` counts. Gains
     and QBERs test the rate formulas; parity cells test the exclusive
-    click probabilities at the two representative encodings; the Eve
-    row (beam-split runs only) tests the leakage bound.
+    click probabilities at the two representative encodings. The Eve
+    row (beam-split runs only) compares against ``ie_dual``, the very
+    value Eve's successes are drawn from, so it checks which events
+    count as key events, not the leakage bound.
     """
     sp = report.system_params()
     rows: list[dict] = []

@@ -233,10 +233,13 @@ def test_rows_flag_their_evidence():
     assert 0 < len(informative(rows)) < len(rows)
 
 
-def test_heavy_dark_counts_match_closed_forms():
-    # p_d = 0.02 makes darks a large share of every click pattern
-    sp = SystemParams(mu=0.84, l_km=100.0, p_d=0.02)
-    rows = compare_to_analytic(simulate(SimConfig(sp=sp, rounds=1_000_000, seed=13,
+@pytest.mark.parametrize("p_d, rounds", ((0.02, 1_000_000), (0.7, 300_000)),
+                         ids=("pd0.02", "pd0.7"))
+def test_heavy_dark_counts_match_closed_forms(p_d, rounds):
+    # p_d = 0.02 makes darks a large share of every click pattern; at
+    # p_d = 0.7 the dark mean -ln(0.3) = 1.2 is drawn per round
+    sp = SystemParams(mu=0.84, l_km=100.0, p_d=p_d)
+    rows = compare_to_analytic(simulate(SimConfig(sp=sp, rounds=rounds, seed=13,
                                                   basis_policy=1.0)))
     assert len(informative(rows)) > 20
     assert max_abs_sigma(informative(rows)) < 5.0
@@ -353,21 +356,21 @@ def test_report_dict_shape():
 
 PINNED = {
     "near": (dict(rounds=1_100_000),
-             "21a64dbb8bce0657d9c3ce2cc8f0af473bb59c822aeb4540e9a9b947faa25207"),
+             "f6076d4b8bce4263bf5746693d084c8f33d8aa0ac8525c95a741530b51720599"),
     "bright": (dict(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0), rounds=600_000, seed=17),
-               "525124bef3360e67212b60d61b2fe8caf8d41db5a601df3478946de4ed574d78"),
+               "f27a7be943f67d840ffda556ab8be06220cbd79b14682976e10e891554807f02"),
     "dark": (dict(sp=SystemParams(mu=0.84, l_km=100.0, p_d=0.02), rounds=600_000, seed=13),
-             "f7b7ea3f8a1e8585ae1e0d19ade542b3f0b5645f6da6d1684fe0ddd9b5b4b8ac"),
+             "5d226e93236f7d937bbdbb98b340fcbe87d5b1efff8e0849439aa4750a28f0b6"),
     "checked-none": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05),
-                     "e1ac8fdf02f37c5a67c49a0330673746952a92a1895221170ca432318224cb08"),
+                     "f172b1795e8174cef242c7b11af0c4d35e2f20d76799367b3982446f82122d95"),
     "checked-beam_split": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05,
                                 attack="beam_split"),
-                           "822ff6ec0d683a1b30b564e6d93d7d5d56f47f3c5fc88f3ead1426fc79479352"),
+                           "dd10d7d07ff11d60949123f59e16197e2cc9b142927bdcdaa3cc2746f74594c0"),
     "checked-dishonest_bob": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05,
                                    attack="dishonest_bob"),
-                              "1ac94c1e14d53bb95f2a22738ccc7509b424243e347ab6bc7db79b7400c5991d"),
+                              "f624a5caac1852b4b2b187d55f20a91ce89f825421c7990e60936a2ca60a942b"),
     "far": (dict(sp=FAR, rounds=10**9),
-            "5e283618732ab2625bd2fdbde9a3fad2759b1598fc9f385e328bfaceb263449b"),
+            "192c7d913bf2e6513253d5c18cf3385798d73aef3b167741773b7c7205a2b42c"),
 }
 
 
@@ -375,12 +378,11 @@ PINNED = {
 def test_tallies_pinned_at_fixed_seeds(case):
     """Reports are reproducible across versions, not only across calls.
 
-    The SHA-256 of each report's JSON was recorded before the sampler
-    indexed blocks by clicked rounds; that of the 400 km case, whose
-    blocks hold about 1.7e8 rounds, when blocks were first sized by their
-    expected clicks. Any change of the block sizes or of how a block
-    consumes its random streams changes these digests; such a change
-    must update them and say so in CHANGES.md.
+    The SHA-256 of each report's JSON was recorded when dark counts
+    became Poisson entries drawn beside the photons. The 400 km case's
+    blocks hold about 1.7e8 rounds. Any change of the block sizes or of
+    how a block consumes its random streams changes these digests; such
+    a change must update them and say so in CHANGES.md.
     """
     kw, digest = PINNED[case]
     report = simulate(config(**kw), threads=2)
