@@ -10,30 +10,35 @@ and their four key bits, 64 classes in all.
 Rounds are processed in blocks sized from the configuration alone. A
 block holds 500k rounds, or more where those would expect fewer than
 about 4k clicked rounds: it then grows until it expects about 4k (at
-400 km, some 10^8 rounds). A block first draws how many of its rounds
-fall in each class, with one multinomial draw. Then, for
-each class of m rounds and each detector of mean lam, it draws the
-photon total as Poisson(m * lam) and scatters it uniformly over the m
-rounds. This is exact, not an approximation: a Poisson total split
-uniformly over m bins gives independent Poisson(lam) counts per bin.
-Cells with lam >= 1 draw per-round Poisson counts directly instead,
-which is the same distribution without one array entry per photon.
-A Bernoulli(p_d) dark click is a Poisson dark count of mean
-delta = -ln(1 - p_d) that is at least 1, so darks are four more columns
-of mean delta, drawn the same way; p_d = 1 puts one in every round.
-The sampler uses none of the closed forms that it checks.
+400 km, some 10^8 rounds). A block is drawn, then tallied. The draw
+step first draws how many of its rounds fall in each class, with one
+multinomial draw. Then, for each class of m rounds and each detector
+of mean lam, it draws the photon total as Poisson(m * lam) and
+scatters it uniformly over the m rounds. This is exact: a Poisson
+total split uniformly over m bins gives independent Poisson(lam)
+counts per bin. Cells with lam >= 1 draw per round instead, the same
+distribution without one array entry per photon. A Bernoulli(p_d)
+dark click is a Poisson dark count of mean delta = -ln(1 - p_d) that
+is at least 1, so darks are four more columns of mean delta, drawn
+the same way; where delta >= 1 (p_d = 1 too), a dark cell draws only
+whether a round has one. Each entry is an int64 key, round id << 3 |
+detector << 1 | odd. A dark count is never odd: it clicks without
+changing the photon parity. The sampler uses none of the closed forms
+that it checks.
 
-Photons and darks arrive as (round id, detector, weight) entries; a
-dark count weighs 2, so it clicks without changing the photon parity.
-Sorting their round ids gives the clicked rounds, the only rows of work:
-click classification, the check lottery and the attack draws. No array
-is indexed by round, so a block costs in proportion to its clicks (bar
-the per-round draws of bright cells, which click so often that their
-blocks keep 500k rounds). Rounds without a click produce no event, so
-the block's basis tallies follow from the class counts alone.
-One table, ``_PATTERNS``, declares the six tallied click patterns; the
-event masks, the parity cells of the two ``PolPairing`` representatives
-and the comparison rows all derive from it.
+The tally step sorts the keys once. Runs of one round id are the
+clicked rounds, the only rows of work, and each reduces to a 4-bit
+click mask and a 4-bit photon-parity mask. One histogram of the rows'
+classes, masks and lottery draws (check, and an attack's flips or
+Eve's success) gives every tally through truth tables over (class,
+click mask). No array is indexed by round, so a block costs in
+proportion to its clicks (bar the per-round draws of bright cells,
+which click so often that their blocks keep 500k rounds). Rounds
+without a click produce no event, so the block's basis tallies follow
+from the class counts alone. One table, ``_PATTERNS``, declares the
+six tallied click patterns; the truth tables, the parity cells of the
+two ``PolPairing`` representatives and the comparison rows all derive
+from it.
 
 Each block draws from a stream seeded by (seed, block index), so
 reports are bit-identical for any worker count. Attack randomness lives
@@ -79,11 +84,12 @@ ATTACKS = ("none", "beam_split", "dishonest_bob")
 MIN_EXPECTED = 10.0
 
 # Blocks hold at least _BLOCK rounds and grow until they expect about
-# _BLOCK_CLICKS clicked rounds, so that a block's fixed cost is spread
-# over enough clicks. _MAX_BLOCK bounds blocks that click never.
+# _BLOCK_CLICKS clicked rounds, spreading their fixed cost over enough
+# clicks. _MAX_BLOCK, in _ID_BITS bits, bounds blocks that never click.
 _BLOCK = 500_000
 _BLOCK_CLICKS = 4096
-_MAX_BLOCK = 2**40
+_ID_BITS = 40
+_MAX_BLOCK = 2**_ID_BITS
 _SQRT_HALF = math.sqrt(0.5)
 
 # Cells whose per-round mean reaches this draw per-round counts instead
@@ -99,7 +105,6 @@ _CLASSES = np.arange(64)
 _XA = (_CLASSES >> 5 & 1).astype(bool)
 _XB = (_CLASSES >> 4 & 1).astype(bool)
 _KA_PH, _KA_POL, _KB_PH, _KB_POL = ((_CLASSES >> s & 1).astype(bool) for s in (3, 2, 1, 0))
-_XX_CLASS = 0b110000
 
 # Tallied click patterns as (name, clicked detectors, event class). A
 # round shows a pattern when exactly its detectors click.
@@ -266,6 +271,37 @@ def _unit_intensities() -> np.ndarray:
 
 
 _UNIT_LAM = _unit_intensities()
+# Per (class, photon or dark, detector) cell, its dim entries' key bar the round index.
+_CELL_KEYS = np.array([c << _ID_BITS + 3 | d << 1 | 1 - dark
+                       for c in range(64) for dark in (0, 1) for d in range(4)])
+# Per pattern, its click mask and its cells' parity masks (bit d: detector d).
+_PATTERN_MASKS = [sum(1 << d for d in dets) for _, dets, _ in _PATTERNS]
+_CELL_ODD = [[sum(1 << d for i, d in enumerate(dets) if not j >> (len(dets) - 1 - i) & 1)
+              for j in range(len(_CELLS[len(dets)]))] for _, dets, _ in _PATTERNS]
+_REP_CLASSES = [0b110000 | e.ka_ph << 3 | e.ka_pol << 2 | e.kb_ph << 1 | e.kb_pol
+                for e in (pairing.representative() for pairing in PolPairing)]
+
+
+def _truth_tables() -> np.ndarray:
+    """Truth tables over rows ``class << 4 | click mask``: X-basis events,
+    their phase errors (announced from the H-detector index) and
+    polarization errors (from the pattern class), Z-basis checks (both
+    senders in the H mode, then a lone H click) and their phase errors."""
+    events = np.zeros((3, 16), bool)
+    for mask, (_, _, event) in zip(_PATTERN_MASKS, _PATTERNS):
+        events[event - 1, mask] = True
+    xx, zz, t_pol = (_XA & _XB)[:, None], (~_XA & ~_XB)[:, None], (_KA_POL ^ _KB_POL)[:, None]
+    err_ph = (_KA_PH ^ _KB_PH)[:, None] ^ (np.arange(16) >> Detector.D2H & 1).astype(bool)
+    x1, x2, x3 = xx & events[:, None]
+    zc = zz & (~_KA_POL & ~_KB_POL)[:, None] & events[0]
+    return np.stack((x1, x2, x3, x1 & err_ph, x2 & err_ph, x2 & t_pol, x3 & err_ph, x3 & ~t_pol,
+                     zc, zc & err_ph), axis=-1).reshape(64 * 16, -1)
+
+
+_TABLES = _truth_tables()
+# The report counts that are a column's sum, in column order.
+_TABLE_COUNTS = ("n_event1", "n_event2", "n_event3", "n_err1_ph", "n_err2_ph", "n_err2_pol",
+                 "n_err3_ph", "n_err3_pol", "n_check_z_bits")
 
 
 def _class_weights(basis_policy: float) -> np.ndarray:
@@ -291,134 +327,101 @@ def _block_sizes(cfg: SimConfig) -> list[int]:
     return [min(block, cfg.rounds - lo) for lo in range(0, cfg.rounds, block)]
 
 
-def _block_tallies(cfg: SimConfig, block: int, size: int) -> dict:
-    """Simulate one block of rounds and return its integer tallies: the
-    ``n_*`` counts of ``SimReport`` and, under "parity", its nested
-    parity cells.
-
-    The draw order from the protocol stream is fixed (class counts, dim
-    totals, their round ids, bright counts, check lottery) so that tallies
-    depend only on (seed, block, size), never on the attack setting.
-    """
+def _draw_block(cfg: SimConfig, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw step: a block's class counts ``m`` and unsorted entry keys
+    ``round_id << 3 | detector << 1 | odd``, a round id being its class
+    above ``_ID_BITS`` bits of its index within the class. The draw order
+    (class counts, dim totals, their round ids, bright cells) is fixed."""
     sp = cfg.sp
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, block)))
-    attack_rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, block)))
-
-    # Rounds are exchangeable within a class, so class c owns the round
-    # ids [start[c], start[c] + m[c]) of the block.
+    # Rounds are exchangeable within a class, so class c owns indices [0, m[c]).
     m = rng.multinomial(size, _class_weights(cfg.basis_policy))
-    start = np.cumsum(m) - m
     # Means by class, photon or dark count, and detector.
     delta = -math.log1p(-sp.p_d) if sp.p_d < 1.0 else math.inf
     lam = np.stack([sp.mu_arm * _UNIT_LAM, np.full((64, 4), delta)], axis=1)
 
-    # Clicks as (round id, detector, weight) entries, a dark count weighing
-    # 2. Dim cells scatter a Poisson(m * lam) total uniformly over their m
+    # Dim cells scatter a Poisson(m * lam) total uniformly over their m
     # rounds, one entry per count. Bright cells, where that would mean more
-    # counts than rounds, draw per round and keep one entry per round lit.
+    # counts than rounds, draw per round and keep one entry per round lit;
+    # a dark cell draws only whether a round has one: a dark count only clicks.
     dim = lam < _SCATTER_MAX_LAM
     totals = rng.poisson(m[:, None, None] * np.where(dim, lam, 0.0)).ravel()
-    dim_cls, dim_dark, dim_det = np.unravel_index(np.repeat(np.arange(totals.size), totals), lam.shape)
-    entries = [(start[dim_cls] + rng.integers(0, m[dim_cls]), dim_det, 1 + dim_dark)]
+    keys = [np.repeat(_CELL_KEYS, totals) | rng.integers(0, np.repeat(np.repeat(m, 8), totals)) << 3]
     for c, dark, d in zip(*np.nonzero(~dim & (m[:, None, None] > 0))):
-        mean = lam[c, dark, d]
-        k = rng.poisson(mean, m[c]) if mean < math.inf else np.ones(m[c], np.int64)
+        k = rng.random(m[c]) < sp.p_d if dark else rng.poisson(lam[c, 0, d], m[c])
         lit = np.flatnonzero(k)
-        entries.append((start[c] + lit, np.full(lit.size, d), (1 + dark) * k[lit]))
-    round_id, det, weight = map(np.concatenate, zip(*entries))
+        keys.append((c << _ID_BITS | lit) << 3 | d << 1 | (0 if dark else k[lit] & 1))
+    return m, np.concatenate(keys)
 
-    # The clicked rounds, sorted, are the rows; each entry learns its row.
-    rows, row = np.unique(round_id, return_inverse=True)
-    n = rows.size
-    counts = np.zeros(4 * n, np.int64)
-    np.add.at(counts, 4 * row + det, weight)  # a flat index takes numpy's fast path
-    counts = counts.reshape(n, 4)
-    cls = np.searchsorted(start + m, rows, side="right")
-    check_draw = rng.random(n)
 
-    # Without an attack nothing is flipped and Eve learns nothing.
-    flip_ph = flip_pol = eve_draw = False
-    if cfg.attack == "dishonest_bob":
-        flip_ph = attack_rng.random(n) < cfg.flip_fraction
-        flip_pol = attack_rng.random(n) < cfg.flip_fraction
-    elif cfg.attack == "beam_split":
-        leak = ie_dual(TapParams(mu=sp.mu, eta_t=sp.eta_t))
-        eve_draw = attack_rng.random(n) < leak
+def _rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The clicked rounds of a block's entry keys: their sorted round ids,
+    click masks and photon-parity masks (bit d set for an odd count at d)."""
+    keys = np.sort(keys)
+    round_id = keys >> 3
+    first = np.flatnonzero(np.diff(round_id, prepend=-1))
+    det = keys >> 1 & 3
+    clicks = np.bitwise_or.reduceat(1 << det, first)
+    odd = np.bitwise_xor.reduceat((keys & 1) << det, first)
+    return round_id[first], clicks, odd
 
-    clicks = counts > 0
-    n_click = clicks.sum(axis=1)
-    shows = [(n_click == len(dets)) & clicks[:, dets].all(axis=1) for _, dets, _ in _PATTERNS]
-    ev = np.zeros((3, n), bool)
-    for pattern, (_, _, event) in zip(shows, _PATTERNS):
-        ev[event - 1] |= pattern
-    ev1, ev2, ev3 = ev
-    any_event = ev1 | ev2 | ev3
 
-    xx = _XA[cls] & _XB[cls]
-    zz = ~_XA[cls] & ~_XB[cls]
-    ka_pol, kb_pol = _KA_POL[cls], _KB_POL[cls]
+def _tally(cfg: SimConfig, m: np.ndarray, cls: np.ndarray, clicks: np.ndarray, odd: np.ndarray,
+           checked: np.ndarray, flip_ph=False, flip_pol=False, eve=False) -> dict:
+    """Tally step: a block's report counts and parity cells from its class
+    counts and its rows' classes, masks and lottery draws; the receiver's
+    flips and Eve's successes come only with their attack."""
+    # One histogram over (parity mask, lottery, class, click mask); the
+    # lottery holds checked in bit 0, flip_ph or eve in bit 1 (the attacks
+    # never run together) and flip_pol in bit 2.
+    lots = {"none": 2, "beam_split": 4, "dishonest_bob": 8}[cfg.attack]
+    lottery = checked | (flip_ph | eve) << 1 | flip_pol << 2
+    hist = np.bincount(((odd * lots + lottery) << 6 | cls) << 4 | clicks,
+                       minlength=lots << 14).reshape(16, lots, 64, 16)
+    per_lot = (hist.sum(axis=0).reshape(lots, 1024) @ _TABLES).tolist()
 
-    # Charlie announces the phase relation from the H-detector index and
-    # the polarization relation from the pattern class.
-    kc_ph = clicks[:, Detector.D2H]
-    t_ph = _KA_PH[cls] ^ _KB_PH[cls]
-    t_pol = ka_pol ^ kb_pol
-    err_ph = kc_ph ^ t_ph
-    err_pol2 = t_pol
-    err_pol3 = ~t_pol
-
-    x1, x2, x3 = xx & ev1, xx & ev2, xx & ev3
-    t: dict[str, int] = {}
-    t["n_xx"] = int(m[_XA & _XB].sum())
-    t["n_zz"] = int(m[~_XA & ~_XB].sum())
-    t["n_mixed"] = size - t["n_xx"] - t["n_zz"]
-    t["n_event1"] = int(x1.sum())
-    t["n_event2"] = int(x2.sum())
-    t["n_event3"] = int(x3.sum())
+    t = dict.fromkeys(_COUNT_FIELDS, 0)
+    t.update(zip(_TABLE_COUNTS, map(sum, zip(*per_lot))))
+    t["n_xx"], t["n_zz"] = int(m[_XA & _XB].sum()), int(m[~_XA & ~_XB].sum())
+    t["n_mixed"] = int(m.sum()) - t["n_xx"] - t["n_zz"]
     t["n_fail_xx"] = t["n_xx"] - t["n_event1"] - t["n_event2"] - t["n_event3"]
-    t["n_err1_ph"] = int((x1 & err_ph).sum())
-    t["n_err2_ph"] = int((x2 & err_ph).sum())
-    t["n_err2_pol"] = int((x2 & err_pol2).sum())
-    t["n_err3_ph"] = int((x3 & err_ph).sum())
-    t["n_err3_pol"] = int((x3 & err_pol3).sum())
+    for lot, (x1, x2, x3, e1_ph, e2_ph, e2_pol, e3_ph, e3_pol, zc, z_ph) in enumerate(per_lot):
+        f_ph, won = (lot >> 1 & 1, 0) if cfg.attack == "dishonest_bob" else (0, lot >> 1 & 1)
+        f_pol, events = lot >> 2 & 1, x1 + x2 + x3
+        # Flipping the announced bit of n rows with e errors makes n - e
+        # errors. A checked event yields its phase bit, a double click also
+        # its polarization bit.
+        t["n_check_z_err"] += zc - z_ph if f_ph else z_ph
+        if lot & 1:
+            t["n_check_x_bits"] += events + x2 + x3
+            t["n_check_x_err"] += events - e1_ph - e2_ph - e3_ph if f_ph else e1_ph + e2_ph + e3_ph
+            t["n_check_x_err"] += x2 + x3 - e2_pol - e3_pol if f_pol else e2_pol + e3_pol
+        else:
+            t["n_key_events"] += events
+            t["n_eve_success"] += events * won
 
-    # Announced-bit comparisons: a dishonest receiver flips the bits he
-    # announces, which shows up only in the checking tallies.
-    obs_ph = err_ph ^ flip_ph
-    obs_pol2 = err_pol2 ^ flip_pol
-    obs_pol3 = err_pol3 ^ flip_pol
-
-    # Every checked event yields the phase bit, a double click also the
-    # polarization bit.
-    checked = xx & any_event & (check_draw < cfg.check_fraction)
-    chk2, chk3 = checked & ev2, checked & ev3
-    t["n_check_x_bits"] = int(checked.sum() + chk2.sum() + chk3.sum())
-    t["n_check_x_err"] = int((checked & obs_ph).sum() + (chk2 & obs_pol2).sum()
-                             + (chk3 & obs_pol3).sum())
-
-    # Z-basis checking where the inference is well defined: both senders
-    # sent the H polarization mode, so a lone H click carries the phase
-    # relation exactly as in the X basis.
-    zc = zz & ev1 & ~ka_pol & ~kb_pol
-    t["n_check_z_bits"] = int(zc.sum())
-    t["n_check_z_err"] = int((zc & obs_ph).sum())
-
-    key = xx & any_event & ~checked
-    t["n_key_events"] = int(key.sum())
-    t["n_eve_success"] = int((key & eve_draw).sum())
-
-    even = (counts & 1) == 0
+    by_parity = hist[:, :, _REP_CLASSES].sum(axis=1).tolist()
     t["parity"] = {}
-    for pairing in PolPairing:
-        enc = pairing.representative()
-        rep_class = _XX_CLASS | enc.ka_ph << 3 | enc.ka_pol << 2 | enc.kb_ph << 1 | enc.kb_pol
-        sel = cls == rep_class
+    for i, (pairing, rep_class) in enumerate(zip(PolPairing, _REP_CLASSES)):
         rep = t["parity"][pairing.name.lower()] = {"n": int(m[rep_class])}
-        for (name, dets, _), pattern in zip(_PATTERNS, shows):
-            cells = _CELLS[len(dets)]
-            index = even[sel & pattern][:, dets] @ (1 << np.arange(len(dets)))[::-1]
-            rep[name] = dict(zip(cells, np.bincount(index, minlength=len(cells)).tolist()))
+        for (name, dets, _), mask, cell_odd in zip(_PATTERNS, _PATTERN_MASKS, _CELL_ODD):
+            rep[name] = dict(zip(_CELLS[len(dets)], (by_parity[o][i][mask] for o in cell_odd)))
     return t
+
+
+def _block_tallies(cfg: SimConfig, block: int, size: int) -> dict:
+    """Simulate one block: the draw step, the check lottery on the same
+    stream, attack draws on a stream of their own, and the tally step."""
+    rng, attack_rng = (np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(k, block)))
+                       for k in (0, 1))
+    m, keys = _draw_block(cfg, rng, size)
+    rows, clicks, odd = _rows(keys)
+    draws = {"checked": rng.random(rows.size) < cfg.check_fraction}
+    if cfg.attack == "dishonest_bob":
+        draws["flip_ph"], draws["flip_pol"] = attack_rng.random((2, rows.size)) < cfg.flip_fraction
+    elif cfg.attack == "beam_split":
+        leak = ie_dual(TapParams(mu=cfg.sp.mu, eta_t=cfg.sp.eta_t))
+        draws["eve"] = attack_rng.random(rows.size) < leak
+    return _tally(cfg, m, rows >> _ID_BITS, clicks, odd, **draws)
 
 
 def _merge(tallies: list):
@@ -439,11 +442,8 @@ def simulate(config: SimConfig, threads: int = 1) -> SimReport:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     blocks = list(enumerate(_block_sizes(config)))
     workers = min(threads, len(blocks))
-    if workers == 1:
-        tallies = [_block_tallies(config, b, s) for b, s in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            tallies = list(pool.map(lambda bs: _block_tallies(config, bs[0], bs[1]), blocks))
+    with ThreadPoolExecutor(max_workers=workers) as pool:  # starts no thread for one worker
+        tallies = list((map if workers == 1 else pool.map)(lambda bs: _block_tallies(config, *bs), blocks))
     echo = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "sp"}
     return SimReport(**echo, **asdict(config.sp), **_merge(tallies))
 

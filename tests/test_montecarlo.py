@@ -237,7 +237,7 @@ def test_rows_flag_their_evidence():
                          ids=("pd0.02", "pd0.7"))
 def test_heavy_dark_counts_match_closed_forms(p_d, rounds):
     # p_d = 0.02 makes darks a large share of every click pattern; at
-    # p_d = 0.7 the dark mean -ln(0.3) = 1.2 is drawn per round
+    # p_d = 0.7 (dark mean -ln(0.3) = 1.2) each round draws whether it has one
     sp = SystemParams(mu=0.84, l_km=100.0, p_d=p_d)
     rows = compare_to_analytic(simulate(SimConfig(sp=sp, rounds=rounds, seed=13,
                                                   basis_policy=1.0)))
@@ -387,3 +387,137 @@ def test_tallies_pinned_at_fixed_seeds(case):
     kw, digest = PINNED[case]
     report = simulate(config(**kw), threads=2)
     assert hashlib.sha256(json.dumps(report.to_dict()).encode()).hexdigest() == digest
+
+
+def reference_rows(round_id, det, weight):
+    """Clicked rounds, click masks and photon-parity masks by np.unique and
+    np.add.at over an n x 4 array of counts per (round, detector)."""
+    rows, row = np.unique(round_id, return_inverse=True)
+    per_det = np.zeros((rows.size, 4), np.int64)
+    np.add.at(per_det, (row, det), weight)
+    bits = 1 << np.arange(4)
+    return rows, (per_det > 0) @ bits, (per_det & 1) @ bits
+
+
+def pack(round_id, det, weight):
+    return round_id << 3 | det << 1 | weight & 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_reduction_matches_unique_reference(seed):
+    # Few round ids, so that rounds and (round, detector) pairs repeat.
+    # Weights: lone photons (1), bright counts odd and even (1..6) and dark
+    # counts (2), which click without changing the parity.
+    rng = np.random.default_rng(seed)
+    size = 3_000
+    cls, index = rng.integers(0, 64, size), rng.integers(0, 200, size)
+    round_id = cls << montecarlo._ID_BITS | index
+    det = rng.integers(0, 4, size)
+    weight = rng.choice([1, 2, 2, 3, 4, 5, 6], size)
+    got = montecarlo._rows(pack(round_id, det, weight))
+    want = reference_rows(round_id, det, weight)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert np.unique(round_id << 2 | det, return_counts=True)[1].max() > 1
+
+
+@pytest.mark.parametrize("sp", (
+    SP,
+    SystemParams(mu=20.0, l_km=0.0, eta_d=1.0),
+    SystemParams(mu=0.84, l_km=100.0, p_d=0.02),
+    SystemParams(mu=0.84, l_km=100.0, p_d=0.7),
+    SystemParams(mu=0.0, p_d=0.0),
+), ids=("near", "bright", "pd0.02", "pd0.7", "empty"))
+def test_drawn_entries_reduce_like_unique_reference(sp):
+    # the keys carry odd, not the weight: an odd key adds one, else two
+    cfg = config(sp=sp)
+    _, keys = montecarlo._draw_block(cfg, np.random.default_rng(3), 50_000)
+    got = montecarlo._rows(keys)
+    want = reference_rows(keys >> 3, keys >> 1 & 3, 2 - (keys & 1))
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert (got[0].size == 0) == (sp.mu == sp.p_d == 0.0)
+
+
+# Patterns by click mask (bit d for detector d): D1H = 1, D2H = 2, D1V = 4,
+# D2V = 8. Event1 is a lone H click, Event2 an H+V pair at one port,
+# Event3 at crossed ports.
+EVENT_OF_MASK = {0b0001: 1, 0b0010: 1, 0b0101: 2, 0b1010: 2, 0b1001: 3, 0b0110: 3}
+PATTERN_OF_MASK = {0b0001: ("h1", (0,)), 0b0010: ("h2", (1,)), 0b0101: ("h1v1", (0, 2)),
+                   0b1010: ("h2v2", (1, 3)), 0b1001: ("h1v2", (0, 3)), 0b0110: ("h2v1", (1, 2))}
+MASKS = (*EVENT_OF_MASK, 0b0000, 0b0111, 0b1111)
+
+
+def expected_tallies(m, rows):
+    """Per-row semantics of the protocol's tallies, written out row by row."""
+    def bit(c, s):
+        return c >> s & 1
+
+    xx = [c for c in range(64) if bit(c, 5) and bit(c, 4)]
+    zz = [c for c in range(64) if not bit(c, 5) and not bit(c, 4)]
+    t = {name: 0 for name in montecarlo._COUNT_FIELDS}
+    t["n_xx"], t["n_zz"] = int(m[xx].sum()), int(m[zz].sum())
+    t["n_mixed"] = int(m.sum()) - t["n_xx"] - t["n_zz"]
+    parity = {"plus_plus": {}, "plus_minus": {}}
+    for rep, c in (("plus_plus", 0b110000), ("plus_minus", 0b110001)):
+        parity[rep]["n"] = int(m[c])
+        for name, dets in PATTERN_OF_MASK.values():
+            cells = ("odd", "even") if len(dets) == 1 else ("oo", "oe", "eo", "ee")
+            parity[rep][name] = dict.fromkeys(cells, 0)
+    for c, clicks, odd, checked, flip_ph, flip_pol, eve in rows:
+        event = EVENT_OF_MASK.get(clicks, 0)
+        ka_ph, ka_pol, kb_ph, kb_pol = (bit(c, s) for s in (3, 2, 1, 0))
+        wrong_ph = bit(clicks, 1) != (ka_ph ^ kb_ph)  # D2H announces odd phase
+        wrong_pol = (ka_pol != kb_pol) if event == 2 else (ka_pol == kb_pol)
+        if c in xx and event:
+            t[f"n_event{event}"] += 1
+            t[f"n_err{event}_ph"] += wrong_ph
+            if event > 1:
+                t[f"n_err{event}_pol"] += wrong_pol
+            if checked:
+                t["n_check_x_bits"] += 1 if event == 1 else 2
+                t["n_check_x_err"] += wrong_ph != flip_ph
+                t["n_check_x_err"] += event > 1 and wrong_pol != flip_pol
+            else:
+                t["n_key_events"] += 1
+                t["n_eve_success"] += eve
+        if c in zz and event == 1 and not ka_pol and not kb_pol:
+            t["n_check_z_bits"] += 1
+            t["n_check_z_err"] += wrong_ph != flip_ph
+        if c in (0b110000, 0b110001) and clicks in PATTERN_OF_MASK:
+            name, dets = PATTERN_OF_MASK[clicks]
+            cell = "".join("o" if bit(odd, d) else "e" for d in dets)
+            cell = {"o": "odd", "e": "even"}.get(cell, cell)
+            parity["plus_plus" if c == 0b110000 else "plus_minus"][name][cell] += 1
+    t["n_fail_xx"] = t["n_xx"] - t["n_event1"] - t["n_event2"] - t["n_event3"]
+    t["parity"] = parity
+    return t
+
+
+@pytest.mark.parametrize("attack", ("none", "beam_split", "dishonest_bob"))
+def test_tally_step_matches_row_semantics(attack):
+    # Every class, every pattern plus 0-, 3- and 4-click masks, every parity
+    # mask within the click mask, and every lottery draw the attack makes,
+    # each row repeated a seeded 1 to 3 times.
+    draws = {"none": [(0, 0, 0)], "beam_split": [(0, 0, 0), (0, 0, 1)],
+             "dishonest_bob": [(a, b, 0) for a in (0, 1) for b in (0, 1)]}[attack]
+    rows = [(c, clicks, odd, checked, *drawn)
+            for c in range(64) for clicks in MASKS for odd in range(16) if odd & ~clicks == 0
+            for checked in (0, 1) for drawn in draws]
+    rng = np.random.default_rng(5)
+    rows = [row for row in rows for _ in range(rng.integers(1, 4))]
+    m = 10_000 + rng.integers(0, 1_000, 64)
+    c, clicks, odd, checked, flip_ph, flip_pol, eve = (np.array(col) for col in zip(*rows))
+    bits = {"dishonest_bob": dict(flip_ph=flip_ph == 1, flip_pol=flip_pol == 1),
+            "beam_split": dict(eve=eve == 1), "none": {}}[attack]
+    got = montecarlo._tally(config(attack=attack), m, c, clicks, odd, checked == 1, **bits)
+    want = expected_tallies(m, rows)
+    assert got == want
+    assert min(got[k] for k in montecarlo._COUNT_FIELDS if k != "n_eve_success") > 0
+    assert (got["n_eve_success"] > 0) == (attack == "beam_split")
+
+
+def test_module_arrays_stay_small():
+    # module-level tables live in every process that imports the package
+    sizes = {name: value.nbytes for name, value in vars(montecarlo).items()
+             if isinstance(value, np.ndarray)}
+    assert "_TABLES" in sizes
+    assert max(sizes.values()) <= 16 * 1024, sizes
