@@ -3,42 +3,30 @@
 This is the oracle for the analytic gains and error rates. Coherent
 states remain coherent through the beam splitter network, so each
 detector sees an independent Poisson photon count with mean equal to
-its mode intensity, plus an independent dark count. The mode
-intensities depend only on a round's class: the two senders' bases
-and their four key bits, 64 classes in all.
+its mode intensity, plus a dark click: a Poisson dark count of mean
+delta = -ln(1 - p_d) that is at least 1. The means depend only on a
+round's class (the senders' bases and four key bits; 64 classes). So a
+round holds Poisson entries in eight cells (detector; photon or dark),
+its entry total N is Poisson(Lambda), Lambda the sum of the cell means,
+and given N the entries split multinomially over the cells in
+proportion to their means. The sampler rests on this Poisson
+splitting, never on the closed forms it checks.
 
-Rounds are processed in blocks sized from the configuration alone. A
-block holds 500k rounds, or more where those would expect fewer than
-about 4k clicked rounds: it then grows until it expects about 4k (at
-400 km, some 10^8 rounds). A block is drawn, then tallied. The draw
-step first draws how many of its rounds fall in each class, with one
-multinomial draw. Then, for each class of m rounds and each detector
-of mean lam, it draws the photon total as Poisson(m * lam) and
-scatters it uniformly over the m rounds. This is exact: a Poisson
-total split uniformly over m bins gives independent Poisson(lam)
-counts per bin. Cells with lam >= 1 draw per round instead, the same
-distribution without one array entry per photon. A Bernoulli(p_d)
-dark click is a Poisson dark count of mean delta = -ln(1 - p_d) that
-is at least 1, so darks are four more columns of mean delta, drawn
-the same way; where delta >= 1 (p_d = 1 too), a dark cell draws only
-whether a round has one. Each entry is an int64 key, round id << 3 |
-detector << 1 | odd. A dark count is never odd: it clicks without
-changing the photon parity. The sampler uses none of the closed forms
-that it checks.
-
-The tally step sorts the keys once. Runs of one round id are the
-clicked rounds, the only rows of work, and each reduces to a 4-bit
-click mask and a 4-bit photon-parity mask. One histogram of the rows'
-classes, masks and lottery draws (check, and an attack's flips or
-Eve's success) gives every tally through truth tables over (class,
-click mask). No array is indexed by round, so a block costs in
-proportion to its clicks (bar the per-round draws of bright cells,
-which click so often that their blocks keep 500k rounds). Rounds
-without a click produce no event, so the block's basis tallies follow
-from the class counts alone. One table, ``_PATTERNS``, declares the
-six tallied click patterns; the truth tables, the parity cells of the
-two ``PolPairing`` representatives and the comparison rows all derive
-from it.
+Blocks are sized from the configuration alone, to expect about
+``_BLOCK_ROWS`` multi-entry rounds. The draw step draws a block's class
+counts, then per class how many rounds hold N = 0, 1 and >= 2 entries.
+Rounds without an entry never click. One-entry rounds stay counts: a
+multinomial over the cells gives how many click each detector, with an
+odd photon count or with a dark count, which never changes the photon
+parity. Only multi-entry rounds, which alone can click twice, become
+rows: each draws N from the Poisson conditioned on N >= 2 and splits it
+over the cells into a 4-bit click mask and a 4-bit photon-parity mask.
+At p_d = 1 every round clicks four times. All rounds end in one
+histogram over (parity mask, class, click mask), whose cells the
+lottery (checks, an attack's flips or Eve's success) splits with
+binomials; the tally step reads every count through truth tables. The
+table ``_PATTERNS`` of the six tallied click patterns drives the truth
+tables, the parity cells and the comparison rows.
 
 Each block draws from a stream seeded by (seed, block index), so
 reports are bit-identical for any worker count. Attack randomness lives
@@ -83,18 +71,11 @@ ATTACKS = ("none", "beam_split", "dishonest_bob")
 # no evidence of agreement.
 MIN_EXPECTED = 10.0
 
-# Blocks hold at least _BLOCK rounds and grow until they expect about
-# _BLOCK_CLICKS clicked rounds, spreading their fixed cost over enough
-# clicks. _MAX_BLOCK, in _ID_BITS bits, bounds blocks that never click.
-_BLOCK = 500_000
-_BLOCK_CLICKS = 4096
-_ID_BITS = 40
-_MAX_BLOCK = 2**_ID_BITS
+# Blocks expect about _BLOCK_ROWS multi-entry rounds, the only rows of
+# work; _MAX_BLOCK bounds blocks where those are rare or absent.
+_BLOCK_ROWS = 8192
+_MAX_BLOCK = 2**53
 _SQRT_HALF = math.sqrt(0.5)
-
-# Cells whose per-round mean reaches this draw per-round counts instead
-# of scattering a Poisson total, which would hold one entry per count.
-_SCATTER_MAX_LAM = 1.0
 
 # numpy's largest Poisson mean, as numpy computes it; beyond it a draw raises.
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
@@ -154,11 +135,10 @@ class SimConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
         if self.attack not in ATTACKS:
             raise ValueError(f"attack must be one of {ATTACKS}, got {self.attack!r}")
-        # A Z-basis pulse lands wholly in one mode, at twice the arm intensity.
-        lam_max = _UNIT_LAM.max() * self.sp.mu_arm
+        lam_max = _cell_means(self.sp).sum(axis=1).max() if self.sp.p_d < 1.0 else 0.0
         if lam_max > _POISSON_LAM_MAX:
             raise ValueError(f"sp must be within numpy's Poisson limit of {_POISSON_LAM_MAX:.4g} "
-                             f"photons per detector; mu = {self.sp.mu!r} gives {lam_max:.4g}")
+                             f"entries per round; mu = {self.sp.mu!r} gives {lam_max:.4g}")
 
 
 @dataclass(frozen=True)
@@ -271,9 +251,7 @@ def _unit_intensities() -> np.ndarray:
 
 
 _UNIT_LAM = _unit_intensities()
-# Per (class, photon or dark, detector) cell, its dim entries' key bar the round index.
-_CELL_KEYS = np.array([c << _ID_BITS + 3 | d << 1 | 1 - dark
-                       for c in range(64) for dark in (0, 1) for d in range(4)])
+_TAIL = np.array([1.0 / math.factorial(k) for k in range(2, 20)])  # series of P(N >= 2) / e^-lam
 # Per pattern, its click mask and its cells' parity masks (bit d: detector d).
 _PATTERN_MASKS = [sum(1 << d for d in dets) for _, dets, _ in _PATTERNS]
 _CELL_ODD = [[sum(1 << d for i, d in enumerate(dets) if not j >> (len(dets) - 1 - i) & 1)
@@ -310,75 +288,95 @@ def _class_weights(basis_policy: float) -> np.ndarray:
     return np.where(_XA, bp, 1.0 - bp) * np.where(_XB, bp, 1.0 - bp) / 16.0
 
 
-def _block_sizes(cfg: SimConfig) -> list[int]:
-    """Partition ``cfg.rounds`` into blocks sized from the configuration.
+def _cell_means(sp: SystemParams) -> np.ndarray:
+    """Mean entries per round of every class's eight cells, j = dark << 2
+    | detector: photons, then dark counts of mean delta (inf at p_d = 1)."""
+    delta = -math.log1p(-sp.p_d) if sp.p_d < 1.0 else math.inf
+    return np.concatenate((sp.mu_arm * _UNIT_LAM, np.full((64, 4), delta)), axis=1)
 
-    A round clicks unless all four detectors see neither a photon nor a
-    dark count. Blocks stay at ``_BLOCK`` rounds where those hold about
-    ``_BLOCK_CLICKS`` clicked rounds, and grow where clicks are rarer, up
-    to ``_MAX_BLOCK``. The sizes never depend on the worker count.
-    """
-    no_click = np.exp(-cfg.sp.mu_arm * _UNIT_LAM.sum(axis=1)) * (1.0 - cfg.sp.p_d) ** 4
-    p_click = float(_class_weights(cfg.basis_policy) @ (1.0 - no_click))
-    if p_click * _MAX_BLOCK <= _BLOCK_CLICKS:
-        block = _MAX_BLOCK
-    else:
-        block = max(_BLOCK, math.ceil(_BLOCK_CLICKS / p_click))
+
+def _strata(lam: np.ndarray) -> np.ndarray:
+    """P(N = 0), P(N = 1) and P(N >= 2) of N ~ Poisson(lam), along the last
+    axis, each to full relative precision: below lam = 1, P(N >= 2) sums
+    its series, where 1 - e^-lam (1 + lam) would cancel."""
+    p0 = np.exp(-lam)
+    p1 = lam * p0
+    series = np.power.outer(np.minimum(lam, 1.0), np.arange(_TAIL.size)) @ _TAIL
+    return np.stack((p0, p1, np.where(lam < 1.0, p1 * lam * series, 1.0 - (p0 + p1))), axis=-1)
+
+
+def _block_sizes(cfg: SimConfig) -> list[int]:
+    """Partition ``cfg.rounds`` into blocks that expect about ``_BLOCK_ROWS``
+    multi-entry rounds (at p_d = 1 there are none), up to ``_MAX_BLOCK``
+    rounds. The sizes depend on the configuration only."""
+    p_multi = 0.0 if cfg.sp.p_d == 1.0 else float(
+        _class_weights(cfg.basis_policy) @ _strata(_cell_means(cfg.sp).sum(axis=1))[:, 2])
+    block = _MAX_BLOCK if p_multi * _MAX_BLOCK <= _BLOCK_ROWS else math.ceil(_BLOCK_ROWS / p_multi)
     return [min(block, cfg.rounds - lo) for lo in range(0, cfg.rounds, block)]
 
 
-def _draw_block(cfg: SimConfig, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw step: a block's class counts ``m`` and unsorted entry keys
-    ``round_id << 3 | detector << 1 | odd``, a round id being its class
-    above ``_ID_BITS`` bits of its index within the class. The draw order
-    (class counts, dim totals, their round ids, bright cells) is fixed."""
-    sp = cfg.sp
-    # Rounds are exchangeable within a class, so class c owns indices [0, m[c]).
+def _multi_entry_totals(rng: np.random.Generator, lam: np.ndarray) -> np.ndarray:
+    """Poisson(lam) conditioned on N >= 2, by exact rejection: where lam <= 1,
+    2 + Poisson(lam) is kept with probability 2 / (N (N - 1)), else
+    Poisson(lam) is redrawn until it reaches 2."""
+    n = np.empty(lam.size, np.int64)
+    todo = np.arange(lam.size)
+    while todo.size:
+        small = lam[todo] <= 1.0
+        x = rng.poisson(lam[todo]) + 2 * small
+        keep = np.where(small, rng.random(todo.size) * x * (x - 1.0) < 2.0, x >= 2)
+        n[todo[keep]] = x[keep]
+        todo = todo[~keep]
+    return n
+
+
+def _rows(counts: np.ndarray, bits: np.ndarray, odd_bits: np.ndarray) -> tuple:
+    """Click masks and photon-parity masks of rows of entry counts per cell,
+    given each cell's detector bit and its parity bit (0 for a dark count)."""
+    clicks = np.bitwise_or.reduce(np.where(counts > 0, bits, 0), axis=1)
+    return clicks, np.bitwise_or.reduce(odd_bits & -(counts & 1), axis=1)
+
+
+def _draw(cfg: SimConfig, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw step: a block's class counts ``m`` and its histogram of rounds
+    over (parity mask, class, click mask). The draw order (class counts,
+    strata, one-entry rounds, multi-entry rounds) is fixed."""
     m = rng.multinomial(size, _class_weights(cfg.basis_policy))
-    # Means by class, photon or dark count, and detector.
-    delta = -math.log1p(-sp.p_d) if sp.p_d < 1.0 else math.inf
-    lam = np.stack([sp.mu_arm * _UNIT_LAM, np.full((64, 4), delta)], axis=1)
-
-    # Dim cells scatter a Poisson(m * lam) total uniformly over their m
-    # rounds, one entry per count. Bright cells, where that would mean more
-    # counts than rounds, draw per round and keep one entry per round lit;
-    # a dark cell draws only whether a round has one: a dark count only clicks.
-    dim = lam < _SCATTER_MAX_LAM
-    totals = rng.poisson(m[:, None, None] * np.where(dim, lam, 0.0)).ravel()
-    keys = [np.repeat(_CELL_KEYS, totals) | rng.integers(0, np.repeat(np.repeat(m, 8), totals)) << 3]
-    for c, dark, d in zip(*np.nonzero(~dim & (m[:, None, None] > 0))):
-        k = rng.random(m[c]) < sp.p_d if dark else rng.poisson(lam[c, 0, d], m[c])
-        lit = np.flatnonzero(k)
-        keys.append((c << _ID_BITS | lit) << 3 | d << 1 | (0 if dark else k[lit] & 1))
-    return m, np.concatenate(keys)
-
-
-def _rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The clicked rounds of a block's entry keys: their sorted round ids,
-    click masks and photon-parity masks (bit d set for an odd count at d)."""
-    keys = np.sort(keys)
-    round_id = keys >> 3
-    first = np.flatnonzero(np.diff(round_id, prepend=-1))
-    det = keys >> 1 & 3
-    clicks = np.bitwise_or.reduceat(1 << det, first)
-    odd = np.bitwise_xor.reduceat((keys & 1) << det, first)
-    return round_id[first], clicks, odd
+    hist = np.zeros((16, 64, 16), np.int64)
+    if cfg.sp.p_d == 1.0:  # delta = inf; the photon parity shows in no pattern
+        hist[0, :, 15] = m
+        return m, hist
+    means = _cell_means(cfg.sp)
+    lam = means.sum(axis=1)
+    # Per class, strata and cells are multinomials over outcomes in
+    # ascending order of probability: numpy draws them rarest first and
+    # gives the likeliest the remainder, and probability 0 stays empty.
+    strata = _strata(lam)
+    rank = np.argsort(strata, axis=1, kind="stable")
+    n = np.empty((64, 3), np.int64)
+    n[_CLASSES[:, None], rank] = rng.multinomial(m, strata[_CLASSES[:, None], rank])
+    order = np.argsort(means, axis=1, kind="stable")
+    q = means[_CLASSES[:, None], order] / np.where(lam > 0.0, lam, 1.0)[:, None]
+    bits = 1 << (order & 3)  # each sorted cell's detector bit,
+    odd_bits = np.where(order < 4, bits, 0)  # and its parity bit (0 for a dark count)
+    hist[odd_bits, _CLASSES[:, None], bits] = rng.multinomial(n[:, 1], q)
+    cls = np.repeat(_CLASSES, n[:, 2])  # the multi-entry rounds, the only rows
+    counts = rng.multinomial(_multi_entry_totals(rng, lam[cls]), q[cls])
+    clicks, odd = _rows(counts, bits[cls], odd_bits[cls])
+    hist += np.bincount((odd << 6 | cls) << 4 | clicks, minlength=hist.size).reshape(hist.shape)
+    return m, hist
 
 
-def _tally(cfg: SimConfig, m: np.ndarray, cls: np.ndarray, clicks: np.ndarray, odd: np.ndarray,
-           checked: np.ndarray, flip_ph=False, flip_pol=False, eve=False) -> dict:
+def _stream(cfg: SimConfig, kind: int, block: int) -> np.random.Generator:
+    """The protocol (kind 0) or attack (kind 1) stream of one block."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(kind, block)))
+
+
+def _tally(cfg: SimConfig, m: np.ndarray, hist: np.ndarray, split: np.ndarray) -> dict:
     """Tally step: a block's report counts and parity cells from its class
-    counts and its rows' classes, masks and lottery draws; the receiver's
-    flips and Eve's successes come only with their attack."""
-    # One histogram over (parity mask, lottery, class, click mask); the
-    # lottery holds checked in bit 0, flip_ph or eve in bit 1 (the attacks
-    # never run together) and flip_pol in bit 2.
-    lots = {"none": 2, "beam_split": 4, "dishonest_bob": 8}[cfg.attack]
-    lottery = checked | (flip_ph | eve) << 1 | flip_pol << 2
-    hist = np.bincount(((odd * lots + lottery) << 6 | cls) << 4 | clicks,
-                       minlength=lots << 14).reshape(16, lots, 64, 16)
-    per_lot = (hist.sum(axis=0).reshape(lots, 1024) @ _TABLES).tolist()
-
+    counts, its histogram over (parity mask, class, click mask) and its
+    lottery split; flips and Eve's successes come only with their attack."""
+    per_lot = (split.reshape(len(split), 1024) @ _TABLES).tolist()
     t = dict.fromkeys(_COUNT_FIELDS, 0)
     t.update(zip(_TABLE_COUNTS, map(sum, zip(*per_lot))))
     t["n_xx"], t["n_zz"] = int(m[_XA & _XB].sum()), int(m[~_XA & ~_XB].sum())
@@ -399,7 +397,7 @@ def _tally(cfg: SimConfig, m: np.ndarray, cls: np.ndarray, clicks: np.ndarray, o
             t["n_key_events"] += events
             t["n_eve_success"] += events * won
 
-    by_parity = hist[:, :, _REP_CLASSES].sum(axis=1).tolist()
+    by_parity = hist[:, _REP_CLASSES].tolist()
     t["parity"] = {}
     for i, (pairing, rep_class) in enumerate(zip(PolPairing, _REP_CLASSES)):
         rep = t["parity"][pairing.name.lower()] = {"n": int(m[rep_class])}
@@ -409,23 +407,29 @@ def _tally(cfg: SimConfig, m: np.ndarray, cls: np.ndarray, clicks: np.ndarray, o
 
 
 def _block_tallies(cfg: SimConfig, block: int, size: int) -> dict:
-    """Simulate one block: the draw step, the check lottery on the same
-    stream, attack draws on a stream of their own, and the tally step."""
-    rng, attack_rng = (np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(k, block)))
-                       for k in (0, 1))
-    m, keys = _draw_block(cfg, rng, size)
-    rows, clicks, odd = _rows(keys)
-    draws = {"checked": rng.random(rows.size) < cfg.check_fraction}
-    if cfg.attack == "dishonest_bob":
-        draws["flip_ph"], draws["flip_pol"] = attack_rng.random((2, rows.size)) < cfg.flip_fraction
-    elif cfg.attack == "beam_split":
-        leak = ie_dual(TapParams(mu=cfg.sp.mu, eta_t=cfg.sp.eta_t))
-        draws["eve"] = attack_rng.random(rows.size) < leak
-    return _tally(cfg, m, rows >> _ID_BITS, clicks, odd, **draws)
+    """Simulate one block: the draw step, the lottery and the tally step.
+    The lottery splits each (class, click mask) cell's rounds with
+    binomials into counts over (lottery, class, click mask): checked in
+    bit 0, on the protocol stream, then flip_ph or eve in bit 1 and
+    flip_pol in bit 2, on the attack stream, seeded only for an attack."""
+    rng = _stream(cfg, 0, block)
+    m, hist = _draw(cfg, rng, size)
+    draws = [(rng, cfg.check_fraction)]
+    if cfg.attack == "beam_split":
+        draws.append((_stream(cfg, 1, block), ie_dual(TapParams(mu=cfg.sp.mu, eta_t=cfg.sp.eta_t))))
+    elif cfg.attack == "dishonest_bob":
+        draws += [(_stream(cfg, 1, block), cfg.flip_fraction)] * 2
+    split = hist.sum(axis=0).reshape(1, 64, 16)
+    for gen, p in draws:  # a split of probability 0 draws nothing
+        won = gen.binomial(split, p) if p else np.zeros_like(split)
+        split = np.concatenate((split - won, won))
+    return _tally(cfg, m, hist, split)
 
 
 def _merge(tallies: list):
     """Sum block tallies key by key, recursing into nested dicts."""
+    if len(tallies) == 1:
+        return tallies[0]
     if isinstance(tallies[0], dict):
         return {k: _merge([t[k] for t in tallies]) for k in tallies[0]}
     return sum(tallies)
@@ -473,28 +477,19 @@ def compare_to_analytic(report: SimReport) -> list[dict]:
     Each row holds the observed count, the trial count, the analytic
     probability, the expected count, the deviation in binomial standard
     errors, and ``informative``: whether the row expects at least
-    ``MIN_EXPECTED`` counts. Gains
-    and QBERs test the rate formulas; parity cells test the exclusive
-    click probabilities at the two representative encodings. The Eve
-    row (beam-split runs only) compares against ``ie_dual``, the very
-    value Eve's successes are drawn from, so it checks which events
-    count as key events, not the leakage bound.
+    ``MIN_EXPECTED`` counts. Gains and QBERs test the rate formulas;
+    parity cells test the exclusive click probabilities at the two
+    representative encodings. The Eve row (beam-split runs only)
+    compares against ``ie_dual``, the very value Eve's successes are
+    drawn from, so it checks which events count as key events, not the
+    leakage bound.
     """
     sp = report.system_params()
     rows: list[dict] = []
 
     def add(name: str, count: int, n: int, p: float) -> None:
-        rows.append(
-            {
-                "name": name,
-                "count": count,
-                "n": n,
-                "p_analytic": p,
-                "expected": n * p,
-                "sigma": _sigma(count, n, p),
-                "informative": n * p >= MIN_EXPECTED,
-            }
-        )
+        rows.append({"name": name, "count": count, "n": n, "p_analytic": p, "expected": n * p,
+                     "sigma": _sigma(count, n, p), "informative": n * p >= MIN_EXPECTED})
 
     e1, e2, e3 = _event_terms(sp.mu_arm, sp.p_d)
     add("q_event1", report.n_event1, report.n_xx, e1.q)

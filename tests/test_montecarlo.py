@@ -6,6 +6,9 @@ they stay deterministic.
 
 import hashlib
 import json
+import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -50,9 +53,9 @@ FAR = SystemParams(mu=0.84, l_km=400.0)
 
 
 def test_worker_count_does_not_change_far_tallies():
-    # at 400 km a block holds about 1.7e8 rounds, so this run has several
-    cfg = config(sp=FAR, rounds=10**9)
-    assert len(_block_sizes(cfg)) > 2
+    # at 400 km a block holds about 2.7e13 rounds, so this run has eight
+    cfg = config(sp=FAR, rounds=2 * 10**14)
+    assert _block_sizes(cfg) == [26_899_039_564_381] * 7 + [11_706_723_049_333]
     assert simulate(cfg, threads=1).to_dict() == simulate(cfg, threads=3).to_dict()
 
 
@@ -62,7 +65,9 @@ def test_worker_count_does_not_change_far_tallies():
     config(sp=SystemParams(mu=0.4, l_km=300.0), rounds=123_456_789),
     config(rounds=1_100_000),
     config(rounds=1),
-), ids=("far", "far-odd", "300km", "near", "one"))
+    config(sp=FAR, rounds=2 * 10**14),
+    config(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0), rounds=30_000),
+), ids=("far", "far-odd", "300km", "near", "one", "far-blocks", "bright"))
 def test_block_sizes_partition_rounds_whatever_the_threads(cfg, monkeypatch):
     sizes = _block_sizes(cfg)
     assert sum(sizes) == cfg.rounds and all(s > 0 for s in sizes)
@@ -76,17 +81,27 @@ def test_block_sizes_partition_rounds_whatever_the_threads(cfg, monkeypatch):
         assert sorted(seen) == list(enumerate(sizes))
 
 
-@pytest.mark.parametrize("kw", (
-    dict(sp=SystemParams(mu=0.4, l_km=100.0), basis_policy=1.0),
-    dict(sp=SystemParams(mu=0.84, l_km=100.0)),
-    dict(sp=SystemParams(mu=1.5, l_km=100.0), basis_policy=0.0),
-    dict(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0)),
-    dict(sp=SystemParams(mu=0.84, l_km=100.0, p_d=0.02)),
-    dict(sp=SystemParams(p_d=1.0)),
-), ids=("100km-mu0.4", "100km", "100km-z", "bright", "pd0.02", "pd1"))
-def test_blocks_that_click_often_keep_500k_rounds(kw):
-    rounds = 1_100_000
-    assert _block_sizes(config(rounds=rounds, **kw)) == [500_000, 500_000, 100_000]
+@pytest.mark.parametrize("kw, rounds, block", (
+    (dict(sp=SystemParams(mu=0.4, l_km=100.0), basis_policy=1.0), 10**9, 122_697_867),
+    (dict(sp=SystemParams(mu=0.84, l_km=100.0)), 10**8, 28_060_786),
+    (dict(sp=SystemParams(mu=1.5, l_km=100.0), basis_policy=0.0), 10**8, 8_912_649),
+    (dict(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0)), 1_100_000, 8193),
+    (dict(sp=SystemParams(mu=0.84, l_km=100.0, p_d=0.02)), 10**8, 1_588_347),
+    (dict(sp=SystemParams(mu=0.84, l_km=100.0, p_d=0.7)), 1_100_000, 8589),
+    (dict(sp=SystemParams(p_d=1.0)), 10**15, 10**15),
+    (dict(sp=FAR, basis_policy=1.0), 10**15, 26_899_039_564_381),
+), ids=("100km-mu0.4", "100km", "100km-z", "bright", "pd0.02", "pd0.7", "pd1", "400km"))
+def test_blocks_expect_a_fixed_number_of_multi_entry_rounds(kw, rounds, block):
+    # A block expects about _BLOCK_ROWS rounds of two or more entries:
+    # nearly every round when bright or dark-heavy, one in 3e9 at 400 km.
+    # At p_d = 1 every round is a count, so one block holds them all.
+    cfg = config(rounds=rounds, **kw)
+    sizes = _block_sizes(cfg)
+    assert sizes == [block] * (rounds // block) + [rounds % block] * (rounds % block > 0)
+    if cfg.sp.p_d < 1.0:
+        lam = montecarlo._cell_means(cfg.sp).sum(axis=1)
+        p_multi = montecarlo._class_weights(cfg.basis_policy) @ montecarlo._strata(lam)[:, 2]
+        assert block == math.ceil(montecarlo._BLOCK_ROWS / p_multi)
 
 
 def test_dark_source_is_one_block_of_any_size():
@@ -250,8 +265,8 @@ def test_far_gains_match_closed_forms():
     expect at least 10 counts at mu = 1.5, and each is within 5 sigma.
 
     At 5e10 rounds Event2 and Event3 expect about 12 counts each. Their
-    QBER rows stay uninformative: they need about 1e13 rounds for 10
-    expected errors. Criterion 8 keeps its 1e7 rounds.
+    QBER rows stay uninformative here; see the 1e15-round test below.
+    Criterion 8 keeps its 1e7 rounds.
     """
     cfg = SimConfig(sp=SystemParams(mu=1.5, l_km=400.0), rounds=5 * 10**10, seed=2026,
                     basis_policy=1.0)
@@ -261,8 +276,25 @@ def test_far_gains_match_closed_forms():
         assert abs(rows[name]["sigma"]) < 5.0, name
 
 
+@pytest.mark.parametrize("mu", (0.84, 1.5))
+def test_far_double_clicks_match_closed_forms(mu):
+    """The headline evidence at 400 km: at 1e15 rounds every Event2/3 gain
+    and QBER row expects at least 10 counts, and each is within 5 sigma.
+
+    Their errors need a dark count besides the photons, so the QBER rows
+    need 1e13 to 4e13 rounds for 10 expected errors. Only multi-entry
+    rounds are rows, about 3e5 (mu = 0.84) and 1e6 (mu = 1.5) here.
+    """
+    cfg = SimConfig(sp=SystemParams(mu=mu, l_km=400.0), rounds=10**15, seed=2026, basis_policy=1.0)
+    rows = {r["name"]: r for r in compare_to_analytic(simulate(cfg))}
+    for name in ("q_event2", "q_event3", "qber_event2_ph", "qber_event2_pol", "qber_event3_ph",
+                 "qber_event3_pol"):
+        assert rows[name]["informative"], name
+        assert abs(rows[name]["sigma"]) < 5.0, name
+
+
 def test_bright_cells_match_closed_forms_for_any_worker_count():
-    # mean photon numbers up to ~29 per mode: the per-round Poisson cells
+    # mean photon numbers up to ~29 per mode: nearly every round is a multi-entry row
     sp = SystemParams(mu=20.0, l_km=0.0, eta_d=1.0)
     cfg = SimConfig(sp=sp, rounds=700_000, seed=17, basis_policy=0.5)
     rep = simulate(cfg, threads=1)
@@ -356,21 +388,21 @@ def test_report_dict_shape():
 
 PINNED = {
     "near": (dict(rounds=1_100_000),
-             "f6076d4b8bce4263bf5746693d084c8f33d8aa0ac8525c95a741530b51720599"),
+             "390f397615a603ef88c7e971732be853005f418d31901cf7fdbe5d17830bc391"),
     "bright": (dict(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0), rounds=600_000, seed=17),
-               "f27a7be943f67d840ffda556ab8be06220cbd79b14682976e10e891554807f02"),
+               "d02a9e995f7ebeeb6f82a33300ee9fc6afbf8d810e08f70500366c3b62142e35"),
     "dark": (dict(sp=SystemParams(mu=0.84, l_km=100.0, p_d=0.02), rounds=600_000, seed=13),
-             "5d226e93236f7d937bbdbb98b340fcbe87d5b1efff8e0849439aa4750a28f0b6"),
+             "9321e4844415768d67007cf3d94c38af42e2913232d95ac080b2c0190644cb50"),
     "checked-none": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05),
-                     "f172b1795e8174cef242c7b11af0c4d35e2f20d76799367b3982446f82122d95"),
+                     "f3e6be0c4fab247b6d05567fad376fb0f600a225542ed5e9ff547a7c33edb98b"),
     "checked-beam_split": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05,
                                 attack="beam_split"),
-                           "dd10d7d07ff11d60949123f59e16197e2cc9b142927bdcdaa3cc2746f74594c0"),
+                           "1d9f1f6c4892cc1fc49392adeac427da0c7e5a791eb88a6fd2073a8012c0ca4b"),
     "checked-dishonest_bob": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05,
                                    attack="dishonest_bob"),
-                              "f624a5caac1852b4b2b187d55f20a91ce89f825421c7990e60936a2ca60a942b"),
+                              "994e869f91178a257428f52335f88a36159ed8c4d0039a6d09beedbc7ed67393"),
     "far": (dict(sp=FAR, rounds=10**9),
-            "192c7d913bf2e6513253d5c18cf3385798d73aef3b167741773b7c7205a2b42c"),
+            "d0f084fdbf415cbec28d2d578c03088cd0a858e4604a0edcff1e85da78e36b8c"),
 }
 
 
@@ -378,11 +410,12 @@ PINNED = {
 def test_tallies_pinned_at_fixed_seeds(case):
     """Reports are reproducible across versions, not only across calls.
 
-    The SHA-256 of each report's JSON was recorded when dark counts
-    became Poisson entries drawn beside the photons. The 400 km case's
-    blocks hold about 1.7e8 rounds. Any change of the block sizes or of
-    how a block consumes its random streams changes these digests; such
-    a change must update them and say so in CHANGES.md.
+    The SHA-256 of each report's JSON was recorded when blocks began to
+    be drawn by entries per round (only multi-entry rounds as rows); each
+    is the same for 1 and 2 threads. The bright case spans 74 blocks, the
+    others one each. Any change of the block sizes or of how a block
+    consumes its random streams changes these digests; such a change must
+    update them and say so in CHANGES.md.
     """
     kw, digest = PINNED[case]
     report = simulate(config(**kw), threads=2)
@@ -399,24 +432,34 @@ def reference_rows(round_id, det, weight):
     return rows, (per_det > 0) @ bits, (per_det & 1) @ bits
 
 
-def pack(round_id, det, weight):
-    return round_id << 3 | det << 1 | weight & 1
+def entries(counts, bits, odd_bits):
+    """Rows of entry counts per cell as (round, detector, weight) entries,
+    from each cell's detector bit and parity bit (0 for a dark count). A
+    dark cell weighs twice its count: it clicks without changing the
+    photon parity."""
+    round_id, cell = np.nonzero(counts)
+    det = np.log2(bits[round_id, cell]).astype(np.int64)
+    return round_id, det, counts[round_id, cell] * (1 + (odd_bits[round_id, cell] == 0))
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_row_reduction_matches_unique_reference(seed):
-    # Few round ids, so that rounds and (round, detector) pairs repeat.
-    # Weights: lone photons (1), bright counts odd and even (1..6) and dark
-    # counts (2), which click without changing the parity.
+    # Eight cells per row (j = dark << 2 | detector) in a seeded order per
+    # row, as the draw step orders them by mean; counts 0 to 5, many cells
+    # and some rows empty, so that detectors see photons and dark counts
+    # together.
     rng = np.random.default_rng(seed)
     size = 3_000
-    cls, index = rng.integers(0, 64, size), rng.integers(0, 200, size)
-    round_id = cls << montecarlo._ID_BITS | index
-    det = rng.integers(0, 4, size)
-    weight = rng.choice([1, 2, 2, 3, 4, 5, 6], size)
-    got = montecarlo._rows(pack(round_id, det, weight))
-    want = reference_rows(round_id, det, weight)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    order = rng.permuted(np.tile(np.arange(8), (size, 1)), axis=1)
+    counts = rng.integers(0, 6, (size, 8)) * (rng.random((size, 8)) < 0.3)
+    bits = 1 << (order & 3)
+    odd_bits = np.where(order < 4, bits, 0)
+    clicks, odd = montecarlo._rows(counts, bits, odd_bits)
+    clicked = np.flatnonzero(clicks)
+    want = reference_rows(*entries(counts, bits, odd_bits))
+    assert all(np.array_equal(g, w) for g, w in zip((clicked, clicks[clicked], odd[clicked]), want))
+    assert 0 < clicked.size < size
+    round_id, det, _ = entries(counts, bits, odd_bits)
     assert np.unique(round_id << 2 | det, return_counts=True)[1].max() > 1
 
 
@@ -427,14 +470,24 @@ def test_row_reduction_matches_unique_reference(seed):
     SystemParams(mu=0.84, l_km=100.0, p_d=0.7),
     SystemParams(mu=0.0, p_d=0.0),
 ), ids=("near", "bright", "pd0.02", "pd0.7", "empty"))
-def test_drawn_entries_reduce_like_unique_reference(sp):
-    # the keys carry odd, not the weight: an odd key adds one, else two
-    cfg = config(sp=sp)
-    _, keys = montecarlo._draw_block(cfg, np.random.default_rng(3), 50_000)
-    got = montecarlo._rows(keys)
-    want = reference_rows(keys >> 3, keys >> 1 & 3, 2 - (keys & 1))
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    assert (got[0].size == 0) == (sp.mu == sp.p_d == 0.0)
+def test_drawn_entries_reduce_like_unique_reference(sp, monkeypatch):
+    # The draw step's multi-entry rounds, as it reduces them, against the
+    # reference over the same entries; each round holds two or more, and
+    # each lands in the histogram.
+    seen = []
+
+    def rows(counts, bits, odd_bits, real=montecarlo._rows):
+        seen.append((counts, bits, odd_bits, real(counts, bits, odd_bits)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(montecarlo, "_rows", rows)
+    _, hist = montecarlo._draw(config(sp=sp), np.random.default_rng(3), 50_000)
+    [(counts, bits, odd_bits, (clicks, odd))] = seen
+    want = reference_rows(*entries(counts, bits, odd_bits))
+    assert all(np.array_equal(g, w) for g, w in zip((np.arange(clicks.size), clicks, odd), want))
+    assert (counts.sum(axis=1) >= 2).all()
+    assert (hist.sum(axis=1).ravel() >= np.bincount(odd << 4 | clicks, minlength=256)).all()
+    assert (clicks.size == 0) == (sp.mu == sp.p_d == 0.0)
 
 
 # Patterns by click mask (bit d for detector d): D1H = 1, D2H = 2, D1V = 4,
@@ -496,7 +549,10 @@ def expected_tallies(m, rows):
 def test_tally_step_matches_row_semantics(attack):
     # Every class, every pattern plus 0-, 3- and 4-click masks, every parity
     # mask within the click mask, and every lottery draw the attack makes,
-    # each row repeated a seeded 1 to 3 times.
+    # each row repeated a seeded 1 to 3 times; the tally step sees them as
+    # the histogram over (parity mask, class, click mask) and the lottery
+    # split over (lottery, class, click mask) that the draw step and the
+    # lottery produce.
     draws = {"none": [(0, 0, 0)], "beam_split": [(0, 0, 0), (0, 0, 1)],
              "dishonest_bob": [(a, b, 0) for a in (0, 1) for b in (0, 1)]}[attack]
     rows = [(c, clicks, odd, checked, *drawn)
@@ -506,13 +562,141 @@ def test_tally_step_matches_row_semantics(attack):
     rows = [row for row in rows for _ in range(rng.integers(1, 4))]
     m = 10_000 + rng.integers(0, 1_000, 64)
     c, clicks, odd, checked, flip_ph, flip_pol, eve = (np.array(col) for col in zip(*rows))
-    bits = {"dishonest_bob": dict(flip_ph=flip_ph == 1, flip_pol=flip_pol == 1),
-            "beam_split": dict(eve=eve == 1), "none": {}}[attack]
-    got = montecarlo._tally(config(attack=attack), m, c, clicks, odd, checked == 1, **bits)
+    lots = {"none": 2, "beam_split": 4, "dishonest_bob": 8}[attack]
+    lottery = checked | (flip_ph | eve) << 1 | flip_pol << 2
+    hist = np.bincount((odd << 6 | c) << 4 | clicks, minlength=1 << 14).reshape(16, 64, 16)
+    split = np.bincount((lottery << 6 | c) << 4 | clicks, minlength=lots << 10).reshape(lots, 64, 16)
+    got = montecarlo._tally(config(attack=attack), m, hist, split)
     want = expected_tallies(m, rows)
     assert got == want
     assert min(got[k] for k in montecarlo._COUNT_FIELDS if k != "n_eve_success") > 0
     assert (got["n_eve_success"] > 0) == (attack == "beam_split")
+
+
+def lottery_split(monkeypatch, cfg, hist):
+    """The block's draw step replaced by ``hist``: the split that the
+    lottery hands to the tally step, and whether the protocol stream was
+    left as the draw step left it."""
+    seen = {}
+
+    def draw(c, rng, size):
+        seen["rng"], seen["state"] = rng, rng.bit_generator.state
+        return np.zeros(64, np.int64), hist
+
+    monkeypatch.setattr(montecarlo, "_draw", draw)
+    monkeypatch.setattr(montecarlo, "_tally", lambda c, m, h, split: seen.setdefault("split", split))
+    montecarlo._block_tallies(cfg, 0, 1)
+    return seen["split"], seen["rng"].bit_generator.state == seen["state"]
+
+
+@pytest.mark.parametrize("attack, lots", (("none", 2), ("beam_split", 4), ("dishonest_bob", 8)))
+def test_lottery_splits_every_cell(attack, lots, monkeypatch):
+    hist = np.random.default_rng(1).poisson(200.0, (16, 64, 16))
+    cfg = config(attack=attack, check_fraction=0.3, flip_fraction=0.25)
+    split, _ = lottery_split(monkeypatch, cfg, hist)
+    assert split.shape == (lots, 64, 16)
+    assert np.array_equal(split.sum(axis=0), hist.sum(axis=0))
+    # bit 0: checked; bit 1: flip_ph or Eve's success; bit 2: flip_pol
+    leak = montecarlo.ie_dual(montecarlo.TapParams(mu=cfg.sp.mu, eta_t=cfg.sp.eta_t))
+    probs = {"none": [0.3], "beam_split": [0.3, leak], "dishonest_bob": [0.3, 0.25, 0.25]}[attack]
+    rounds = hist.sum()
+    for bit, p in enumerate(probs):
+        drawn = split[[lot for lot in range(lots) if lot >> bit & 1]].sum()
+        assert abs(drawn - rounds * p) < 5 * math.sqrt(rounds * p * (1 - p)), bit
+
+
+def test_lottery_draws_nothing_it_does_not_need(monkeypatch):
+    # no check split when nothing is checked, and no attack stream without
+    # an attack: the protocol stream is left as the draw step left it
+    hist = np.random.default_rng(4).poisson(5.0, (16, 64, 16))
+    split, untouched = lottery_split(monkeypatch, config(), hist)
+    assert untouched and not split[1].any() and np.array_equal(split[0], hist.sum(axis=0))
+    kinds = []
+    real = montecarlo._stream
+    monkeypatch.setattr(montecarlo, "_stream", lambda c, kind, block: kinds.append(kind) or real(c, kind, block))
+    for attack in montecarlo.ATTACKS:
+        montecarlo._block_tallies(config(attack=attack), 0, 1000)
+    assert kinds == [0, 0, 1, 0, 1]
+
+
+def test_lone_block_tally_is_returned_as_it_is():
+    tally = {"n_xx": 3, "parity": {"plus_plus": {"n": 1}}}
+    assert montecarlo._merge([tally]) is tally
+    assert montecarlo._merge([tally, tally]) == {"n_xx": 6, "parity": {"plus_plus": {"n": 2}}}
+
+
+def poisson_pmf(lam, k):
+    # exact rational series term, rounded once, times a correctly rounded exponential
+    return math.exp(-lam) * float(Fraction(lam) ** k / math.factorial(k))
+
+
+@pytest.mark.parametrize("lam", (1e-12, 1e-6, 0.05, 1.0, 30.0))
+def test_strata_to_full_relative_precision(lam):
+    # at 400 km lam is about 2.5e-5, where 1 - e^-lam (1 + lam) keeps only
+    # about 6 of its digits
+    top = int(lam + 40 * math.sqrt(lam) + 40)
+    want = (poisson_pmf(lam, 0), poisson_pmf(lam, 1),
+            math.fsum(poisson_pmf(lam, k) for k in range(2, top)))
+    got = montecarlo._strata(np.array([lam, lam]))
+    for stratum, value in enumerate(want):
+        assert got[0, stratum] == got[1, stratum]
+        assert abs(got[0, stratum] - value) <= 1e-14 * value, stratum
+
+
+@pytest.mark.parametrize("lam", (0.02, 0.5, 1.0, 1.4, 6.0))
+def test_multi_entry_totals_follow_the_conditioned_poisson(lam):
+    # Chi-square of 200k draws against Poisson(lam) given N >= 2, on both
+    # sides of lam = 1 (the two rejection rules), in one call with a second
+    # mean so that the rules run side by side; the bound is the chi-square
+    # quantile at z = 5 (Wilson-Hilferty).
+    other = 3.0 if lam <= 1.0 else 0.3
+    n = montecarlo._multi_entry_totals(np.random.default_rng(21), np.repeat([lam, other], 200_000))
+    assert n.min() >= 2
+    n = n[:200_000]
+    p_multi = montecarlo._strata(np.array([lam]))[0, 2]
+    expected, observed, k = [], [], 2
+    while (e := 200_000 * poisson_pmf(lam, k) / p_multi) >= 20:
+        expected.append(e)
+        observed.append(np.count_nonzero(n == k))
+        k += 1
+    expected.append(200_000 - sum(expected))
+    observed.append(np.count_nonzero(n >= k))
+    df = len(expected) - 1
+    chi2 = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+    assert chi2 < df * (1 - 2 / (9 * df) + 5 * math.sqrt(2 / (9 * df))) ** 3, (chi2, df)
+
+
+@pytest.mark.parametrize("basis_policy", (0.0, 1.0), ids=("z", "x"))
+def test_cells_of_mean_zero_never_receive_an_entry(basis_policy):
+    # At p_d = 0 every dark cell has mean 0, and cancelled modes leave
+    # photon cells of mean 0 (two in each X class, three in a Z class whose
+    # senders share a polarization): such a detector never clicks. Bright
+    # pulses make multi-entry rounds the rule.
+    sp = SystemParams(mu=20.0, l_km=0.0, eta_d=1.0, p_d=0.0)
+    cfg = config(sp=sp, basis_policy=basis_policy)
+    m, hist = montecarlo._draw(cfg, np.random.default_rng(7), 100_000)
+    silent = (montecarlo._cell_means(sp)[:, :4] == 0) @ (1 << np.arange(4))
+    assert np.count_nonzero(silent[m > 0]) == (16 if basis_policy else 8)
+    impossible = (np.arange(16) & silent[:, None]) != 0
+    assert hist.sum() == m.sum() > 0
+    assert hist[:, impossible].sum() == 0
+    # an odd photon count is only ever seen at a detector that clicked
+    odd_unclicked = (np.arange(16)[:, None] & ~np.arange(16)) != 0
+    assert hist.transpose(0, 2, 1)[odd_unclicked].sum() == 0
+
+
+def test_memory_does_not_grow_with_rounds():
+    # No array is sized by rounds or by one-entry rounds: 1e13 rounds at
+    # 400 km hold about 2.5e8 one-entry rounds, 2e6 at 100 km about 48k.
+    for cfg in (config(sp=FAR, rounds=10**13, basis_policy=1.0), config(rounds=2_000_000)):
+        simulate(cfg)
+        tracemalloc.start()
+        try:
+            simulate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, (cfg.sp.l_km, peak)
 
 
 def test_module_arrays_stay_small():
