@@ -5,8 +5,10 @@ mpmath-style expanded expressions before the module existed; agreement
 is required to 1e-12 relative.
 """
 
+import hashlib
 import importlib
 import math
+import pickle
 import sys
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import dualqss
 from dualqss.detectors import SystemParams
 from dualqss.optics import binary_entropy
+from dualqss.optimize import SweepSpec, SweepVariable, max_distance, sweep
 from dualqss.rates import (
     QBER_THRESHOLD_EVENT23_REPORTED,
     EventRates,
@@ -30,6 +33,11 @@ from dualqss.rates import (
 )
 
 SP_084_400 = SystemParams(mu=0.84, l_km=400.0)
+# Each reaches one branch of rates._event_terms: the overflow-free form
+# (arm intensity 1e4 >= _SCALED_FROM_I) and, with s ** 2 below the
+# smallest normal float, the masses scaled by 1 / s.
+SP_SCALED = SystemParams(mu=1e4, l_km=0.0, eta_d=1.0)
+SP_SUBNORMAL_S = SystemParams(mu=1e-170, p_d=0.0)
 
 
 def test_event1_chain_frozen():
@@ -70,9 +78,18 @@ def test_key_rate_second_point_frozen():
 
 
 @pytest.mark.parametrize("sp", (SP_084_400, SystemParams(), SystemParams(mu=1.5, l_km=0.0, p_d=0.0),
-                                SystemParams(mu=0.0, p_d=0.0)))
+                                SystemParams(mu=0.0, p_d=0.0), SP_SCALED, SP_SUBNORMAL_S))
 def test_result_type_contract(sp):
     point = key_rate(sp)
+    assert type(point) is RatePoint
+    assert type(point.events) is tuple and type(point.r_events) is tuple
+    replaced = point._replace(r=0.0)
+    assert type(replaced) is RatePoint and replaced == (point.l_km, point.mu, 0.0, *point[3:])
+    assert point._asdict() == dict(zip(RatePoint._fields, point))
+    assert point.events[0]._asdict() == dict(zip(EventRates._fields, point.events[0]))
+    restored = pickle.loads(pickle.dumps(point))
+    assert restored == point and type(restored) is RatePoint
+    assert type(restored.events[0]) is EventRates
     assert RatePoint._fields == ("l_km", "mu", "r", "i_e", "events", "r_events")
     assert EventRates._fields == ("q", "e_bit", "e_ph")
     for obj, name in ((point, "r"), (point.events[0], "q")):
@@ -82,8 +99,61 @@ def test_result_type_contract(sp):
     for k in range(3):
         assert type(point.events[k]) is EventRates
         assert point.events[k] == singles[k]
-    assert point.r == sum(point.r_events)
+    r1, r2, r3 = point.r_events
+    assert point.r == r1 + r2 + r3
     assert dualqss.RatePoint is RatePoint and dualqss.EventRates is EventRates
+
+
+@pytest.mark.parametrize("variable, lo, hi, step", ((SweepVariable.DISTANCE, 0.0, 500.0, 25.0),
+                                                  (SweepVariable.MU, 0.0, 20.0, 0.5)))
+def test_sweep_points_are_rate_points(variable, lo, hi, step):
+    points = sweep(SweepSpec(variable=variable, lo=lo, hi=hi, step=step, fixed=SP_084_400))
+    for point in points:
+        assert type(point) is RatePoint
+        assert all(type(ev) is EventRates for ev in point.events)
+
+
+def _point_floats(point):
+    yield from point[:4]
+    for ev in point.events:
+        yield from ev
+    yield from point.r_events
+
+
+def _off_default_floats():
+    scaled = [SystemParams(mu=mu, l_km=0.0, eta_d=1.0, p_d=p_d)
+              for mu in (354.6, 400.0, 1e4, 1e300) for p_d in (0.0, 1e-9, 8e-8, 1e-3, 0.5, 1.0)]
+    subnormal_s = [SystemParams(mu=mu, p_d=p_d)
+                   for mu in (1e-300, 1e-250, 1e-200, 1e-170, 3e-160, 1e-155)
+                   for p_d in (0.0, 1e-300, 1e-170, 5e-160)]
+    for sp in (*scaled, *subnormal_s, SystemParams(mu=0.0, p_d=0.0),
+               SystemParams(p_d=1.0), SystemParams(eta_d=1.0), SystemParams(mu=20.0)):
+        yield from _point_floats(key_rate(sp))
+    for mu in (0.4, 0.84, 1.5):
+        for event in (1, 2, 3):
+            yield max_distance(mu, SystemParams(), event=event)
+    spec = SweepSpec(variable=SweepVariable.MU, lo=0.0, hi=20.0, step=0.01,
+                     fixed=SystemParams(l_km=0.0))
+    for point in sweep(spec):
+        yield from _point_floats(point)
+
+
+OFF_DEFAULT_SHA256 = "8bf4125dd90ab13a7767b4f3e6ce961be278b957036c02cb543ae022feb8cbc3"
+
+
+def test_off_default_digest():
+    """SHA-256 of the repr of every float of key_rate at 24 overflow-free
+    (scaled) points, 24 subnormal-s points, mu = p_d = 0 (no clicks),
+    p_d = 1, eta_d = 1 and mu = 20; of max_distance per event (1, 2, 3)
+    at mu = 0.4, 0.84, 1.5; and of a mu sweep over [0, 20] at 0 km. The
+    analytic chain digest of test_optimize sees the default parameters
+    only, which never leave the ordinary branch of _event_terms. Recorded
+    before the rate results were built through tuple.__new__, so it pins
+    that change to the last bit on every branch."""
+    h = hashlib.sha256()
+    for value in _off_default_floats():
+        h.update(repr(value).encode() + b"\n")
+    assert h.hexdigest() == OFF_DEFAULT_SHA256
 
 
 def test_package_exports_every_module_all():
