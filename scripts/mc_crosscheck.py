@@ -7,29 +7,29 @@ standard errors. Exits nonzero if any row exceeds the sigma budget.
 Each configuration also reports how many rows are informative, that
 is, expect at least 10 counts; the others carry little evidence either
 way. Its rarest gain or QBER row and its rarest parity row are named
-with the rounds each would need for 10 expected counts. Expected counts
-are taken from the closed forms: a QBER row's is X-basis rounds x event
-gain x QBER, since its trials, the events seen, are often none at
-400 km; a parity row's is the rounds of its representative encoding
-(1/16 of all rounds, every round being X-basis) x its cell probability.
-Parity cells of probability 0 need no rounds; they are counted apart.
+with the rounds each would need for 10 expected counts, the rows'
+``rounds_needed``, which the library takes from the closed forms. Rows
+of probability 0 need no rounds; they are counted apart.
 """
 
 import argparse
-import math
-import os
 import sys
 
+from dualqss.cli import usable_cpus
 from dualqss.detectors import SystemParams
 from dualqss.montecarlo import (MIN_EXPECTED, SimConfig, compare_to_analytic, max_abs_sigma,
                                 simulate)
 
 
-def need(rounds: int, expected: float) -> str:
-    """Expected count of a row and the rounds it would need for MIN_EXPECTED."""
-    rounds_needed = math.ceil(rounds * MIN_EXPECTED / expected) if expected > 0 else "unbounded"
-    return (f"expected={expected:.3g}, rounds for {MIN_EXPECTED:g} expected counts: "
-            f"{rounds_needed}")
+def print_rarest(rows: list[dict], prefixes: tuple[str, ...], kind: str) -> None:
+    """Name the row among those of ``prefixes`` that needs the most rounds."""
+    rows = [r for r in rows if r["name"].startswith(prefixes)]
+    possible = [r for r in rows if r["rounds_needed"] is not None]
+    if possible:
+        rare = max(possible, key=lambda r: r["rounds_needed"])
+        zero = len(rows) - len(possible)
+        print(f"    rarest {rare['name']}: rounds for {MIN_EXPECTED:g} expected counts: "
+              f"{rare['rounds_needed']}" + (f" ({zero} {kind} have probability 0)" if zero else ""))
 
 
 def run(rounds: int, seed: int, threads: int, budget: float, verbose: bool) -> int:
@@ -45,20 +45,8 @@ def run(rounds: int, seed: int, threads: int, budget: float, verbose: bool) -> i
             informative = sum(r["informative"] for r in rows)
             print(f"mu={mu:<5} L={l_km:>5.0f} km  rows={len(rows):3d}  "
                   f"informative={informative:3d}  max|sigma|={worst:5.2f}  {flag}")
-            gain = {r["name"]: r["expected"] for r in rows if r["name"].startswith("q_event")}
-            expected = dict(gain)
-            for r in rows:
-                if r["name"].startswith("qber_event"):
-                    expected[r["name"]] = gain["q_" + r["name"].split("_")[1]] * r["p_analytic"]
-            rare = min(expected, key=expected.get)
-            print(f"    rarest {rare}: {need(rounds, expected[rare])}")
-            parity = {r["name"]: rounds / 16 * r["p_analytic"] for r in rows
-                      if r["name"].startswith("parity_")}
-            possible = {name: e for name, e in parity.items() if e > 0}
-            if possible:
-                rare = min(possible, key=possible.get)
-                print(f"    rarest {rare}: {need(rounds, possible[rare])} "
-                      f"({len(parity) - len(possible)} parity cells have probability 0)")
+            print_rarest(rows, ("q_event", "qber_event"), "gain or QBER rows")
+            print_rarest(rows, ("parity_",), "parity cells")
             shown = rows if verbose else [r for r in rows if abs(r["sigma"]) > 2.0]
             for r in shown:
                 print(f"    {r['name']:34s} count={r['count']:>9d} "
@@ -72,8 +60,8 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rounds", type=int, default=10_000_000)
     parser.add_argument("--seed", type=int, default=2026)
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker threads (default: one per core); "
+    parser.add_argument("--threads", type=int, default=usable_cpus(),
+                        help="worker threads (default: one per usable CPU); "
                              "tallies are the same for any count")
     parser.add_argument("--budget", type=float, default=5.0)
     parser.add_argument("--verbose", action="store_true",

@@ -5,8 +5,8 @@ the four leakage columns added), optimize (best intensity by grid search
 and golden-section refinement), max-distance, thresholds, and simulate
 (Monte-Carlo run with analytic comparison). A flat key=value config file
 can preload any flag; explicit flags win. Output files are written
-atomically. A simulation runs one worker thread per core; its tallies are
-the same for any worker count.
+atomically. A simulation runs one worker thread per CPU the process may
+run on (``usable_cpus``); its tallies are the same for any worker count.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .rates import (
     qber_threshold_event1,
 )
 
-__all__ = ["main"]
+__all__ = ["main", "usable_cpus"]
 
 _FLOAT_FMT = "%.10g"
 
@@ -47,6 +47,14 @@ _PHYSICS = (
     ("p_d", "p_d", "dark count probability"),
     ("f", "f", "error-correction inefficiency"),
 )
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one (``os.cpu_count`` also counts CPUs outside it), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _fmt(x: float) -> str:
@@ -274,7 +282,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         attack=args.attack.replace("-", "_"),
         flip_fraction=args.flip,
     )
-    report = simulate(config, threads=os.cpu_count() or 1)
+    report = simulate(config, threads=usable_cpus())
     comparison = compare_to_analytic(report)
     _emit_json(
         args,

@@ -10,8 +10,9 @@ interference-based inference.
 One function, ``exclusive_pattern_prob``, gives the probability that
 exactly a given set of detectors clicks, optionally with a parity class
 per clicked detector; the detectors are independent, so it is a product
-of per-detector terms. ``exclusive_single_click`` is its one-detector
-case.
+of per-detector terms, which a caller of many patterns computes once
+(``_click_terms``, ``_pattern_product``). ``exclusive_single_click`` is
+its one-detector case.
 """
 
 from __future__ import annotations
@@ -109,21 +110,27 @@ def click_prob(i: float, p_d: float) -> float:
     return -math.expm1(-i) + p_d * math.exp(-i)
 
 
-def _no_click_prob(i: float, p_d: float) -> float:
-    return (1.0 - p_d) * math.exp(-i)
+# Column of a detector's click terms (see ``_click_terms``) by parity class.
+_PARITY_COLUMN = {None: 1, ClickParity.ODD: 2, ClickParity.EVEN: 3}
 
 
-def _classified_click_mass(i: float, parity: ClickParity | None, p_d: float) -> float:
-    """Click probability of one detector restricted to a parity class.
+def _click_terms(ints: ModeIntensities, p_d: float) -> list[tuple[float, float, float, float]]:
+    """Per detector: its no-click probability and its click mass in any class, the Odd class
+    (odd photon numbers) and the Even class (even ones >= 2, plus the vacuum-with-dark term)."""
+    return [((1.0 - p_d) * math.exp(-i), click_prob(i, p_d), poisson_odd_mass(i),
+             poisson_even_mass(i) + p_d * math.exp(-i)) for i in ints.as_tuple()]
 
-    Even collects even photon numbers >= 2 plus the vacuum-with-dark
-    term; Odd collects odd photon numbers; None means any click.
-    """
-    if parity is ClickParity.EVEN:
-        return poisson_even_mass(i) + p_d * math.exp(-i)
-    if parity is ClickParity.ODD:
-        return poisson_odd_mass(i)
-    return click_prob(i, p_d)
+
+def _pattern_product(terms: list[tuple[float, ...]], columns: dict[int, int]) -> float:
+    """Probability that exactly the detectors in ``columns`` click, each in the class its column
+    names: the others' no-click terms in detector order, then the click terms in column order."""
+    prob = 1.0
+    for d in range(4):
+        if d not in columns:
+            prob *= terms[d][0]
+    for d, col in columns.items():
+        prob *= terms[d][col]
+    return prob
 
 
 def exclusive_single_click(
@@ -160,17 +167,12 @@ def exclusive_pattern_prob(
     if len(parities) != len(clicked):
         raise ValueError(f"need one parity per clicked detector, got {len(parities)} "
                          f"for {len(clicked)}")
-    classes: dict[int, ClickParity | None] = {}
+    columns: dict[int, int] = {}
     for d, parity in zip(clicked, parities):
         if isinstance(d, bool) or not 0 <= int(d) <= 3:
             raise ValueError(f"clicked must contain detector indices, got {d!r}")
-        if classes.setdefault(int(d), parity) != parity:
+        if parity not in _PARITY_COLUMN:
+            raise ValueError(f"parities must be ClickParity members or None, got {parity!r}")
+        if columns.setdefault(int(d), _PARITY_COLUMN[parity]) != _PARITY_COLUMN[parity]:
             raise ValueError(f"detector {d!r} listed with conflicting parities")
-    vec = ints.as_tuple()
-    prob = 1.0
-    for d in range(4):
-        if d not in classes:
-            prob *= _no_click_prob(vec[d], p_d)
-    for d, parity in classes.items():
-        prob *= _classified_click_mass(vec[d], parity, p_d)
-    return prob
+    return _pattern_product(_click_terms(ints, p_d), columns)

@@ -20,8 +20,11 @@ multinomial over the cells gives how many click each detector, with an
 odd photon count or with a dark count, which never changes the photon
 parity. Only multi-entry rounds, which alone can click twice, become
 rows: each draws N from the Poisson conditioned on N >= 2 and splits it
-over the cells into a 4-bit click mask and a 4-bit photon-parity mask.
-At p_d = 1 every round clicks four times. All rounds end in one
+over the cells into a 4-bit click mask and a 4-bit photon-parity mask;
+a block without a multi-entry round skips this row stage. At p_d = 1
+every round clicks four times. A ``simulate`` call builds the draw
+tables of its configuration once (``_draw_tables``), and the block
+sizing and every block's draw step read them. All rounds end in one
 histogram over (parity mask, class, click mask), whose cells the
 lottery (checks, an attack's flips or Eve's success) splits with
 binomials; the tally step reads every count through truth tables. The
@@ -42,15 +45,16 @@ sacrificed for checking.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .attack import TapParams, ie_dual
-from .detectors import ClickParity, Detector, SystemParams, exclusive_pattern_prob
+from .detectors import _PARITY_COLUMN, ClickParity, Detector, SystemParams, _click_terms, _pattern_product
 from .optics import PolPairing, detector_amplitudes, intensities, is_integer, require_finite
 from .rates import _event_terms
 
@@ -258,6 +262,9 @@ _CELL_ODD = [[sum(1 << d for i, d in enumerate(dets) if not j >> (len(dets) - 1 
               for j in range(len(_CELLS[len(dets)]))] for _, dets, _ in _PATTERNS]
 _REP_CLASSES = [0b110000 | e.ka_ph << 3 | e.ka_pol << 2 | e.kb_ph << 1 | e.kb_pol
                 for e in (pairing.representative() for pairing in PolPairing)]
+# Per pattern, its parity cells' click-term columns by detector, in the cell order.
+_CELL_COLUMNS = [[dict(zip(map(int, dets), cols)) for cols in itertools.product(map(
+    _PARITY_COLUMN.get, (ClickParity.ODD, ClickParity.EVEN)), repeat=len(dets))] for _, dets, _ in _PATTERNS]
 
 
 def _truth_tables() -> np.ndarray:
@@ -305,12 +312,34 @@ def _strata(lam: np.ndarray) -> np.ndarray:
     return np.stack((p0, p1, np.where(lam < 1.0, p1 * lam * series, 1.0 - (p0 + p1))), axis=-1)
 
 
-def _block_sizes(cfg: SimConfig) -> list[int]:
+_DrawTables = collections.namedtuple("_DrawTables", "weights p_multi lam strata rank q bits odd_bits", defaults=[None] * 6)
+
+
+def _draw_tables(cfg: SimConfig) -> _DrawTables:
+    """Tables built once per ``simulate`` call and read by every block: class weights, P(N >= 2)
+    of a round and, except at p_d = 1, per class: entry total mean, strata P(N = 0, 1, >= 2) and
+    cell probabilities, both in ascending order (numpy draws multinomial outcomes rarest first and
+    gives the likeliest the remainder; probability 0 stays empty), the strata's ranks, and each
+    sorted cell's detector and parity bit (0 for a dark count)."""
+    weights = _class_weights(cfg.basis_policy)
+    if cfg.sp.p_d == 1.0:  # delta = inf: every round clicks four times
+        return _DrawTables(weights, 0.0)
+    means = _cell_means(cfg.sp)
+    lam = means.sum(axis=1)
+    strata = _strata(lam)
+    rank = np.argsort(strata, axis=1, kind="stable")
+    order = np.argsort(means, axis=1, kind="stable")
+    bits = 1 << (order & 3)
+    return _DrawTables(weights, float(weights @ strata[:, 2]), lam, strata[_CLASSES[:, None], rank],
+                       rank, means[_CLASSES[:, None], order] / np.where(lam > 0.0, lam, 1.0)[:, None],
+                       bits, np.where(order < 4, bits, 0))
+
+
+def _block_sizes(cfg: SimConfig, tables: _DrawTables) -> list[int]:
     """Partition ``cfg.rounds`` into blocks that expect about ``_BLOCK_ROWS``
     multi-entry rounds (at p_d = 1 there are none), up to ``_MAX_BLOCK``
     rounds. The sizes depend on the configuration only."""
-    p_multi = 0.0 if cfg.sp.p_d == 1.0 else float(
-        _class_weights(cfg.basis_policy) @ _strata(_cell_means(cfg.sp).sum(axis=1))[:, 2])
+    p_multi = tables.p_multi
     block = _MAX_BLOCK if p_multi * _MAX_BLOCK <= _BLOCK_ROWS else math.ceil(_BLOCK_ROWS / p_multi)
     return [min(block, cfg.rounds - lo) for lo in range(0, cfg.rounds, block)]
 
@@ -337,33 +366,23 @@ def _rows(counts: np.ndarray, bits: np.ndarray, odd_bits: np.ndarray) -> tuple:
     return clicks, np.bitwise_or.reduce(odd_bits & -(counts & 1), axis=1)
 
 
-def _draw(cfg: SimConfig, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+def _draw(t: _DrawTables, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw step: a block's class counts ``m`` and its histogram of rounds
     over (parity mask, class, click mask). The draw order (class counts,
-    strata, one-entry rounds, multi-entry rounds) is fixed."""
-    m = rng.multinomial(size, _class_weights(cfg.basis_policy))
+    strata, one-entry rounds, multi-entry rounds if any) is fixed."""
+    m = rng.multinomial(size, t.weights)
     hist = np.zeros((16, 64, 16), np.int64)
-    if cfg.sp.p_d == 1.0:  # delta = inf; the photon parity shows in no pattern
+    if t.lam is None:  # p_d = 1; the photon parity shows in no pattern
         hist[0, :, 15] = m
         return m, hist
-    means = _cell_means(cfg.sp)
-    lam = means.sum(axis=1)
-    # Per class, strata and cells are multinomials over outcomes in
-    # ascending order of probability: numpy draws them rarest first and
-    # gives the likeliest the remainder, and probability 0 stays empty.
-    strata = _strata(lam)
-    rank = np.argsort(strata, axis=1, kind="stable")
     n = np.empty((64, 3), np.int64)
-    n[_CLASSES[:, None], rank] = rng.multinomial(m, strata[_CLASSES[:, None], rank])
-    order = np.argsort(means, axis=1, kind="stable")
-    q = means[_CLASSES[:, None], order] / np.where(lam > 0.0, lam, 1.0)[:, None]
-    bits = 1 << (order & 3)  # each sorted cell's detector bit,
-    odd_bits = np.where(order < 4, bits, 0)  # and its parity bit (0 for a dark count)
-    hist[odd_bits, _CLASSES[:, None], bits] = rng.multinomial(n[:, 1], q)
-    cls = np.repeat(_CLASSES, n[:, 2])  # the multi-entry rounds, the only rows
-    counts = rng.multinomial(_multi_entry_totals(rng, lam[cls]), q[cls])
-    clicks, odd = _rows(counts, bits[cls], odd_bits[cls])
-    hist += np.bincount((odd << 6 | cls) << 4 | clicks, minlength=hist.size).reshape(hist.shape)
+    n[_CLASSES[:, None], t.rank] = rng.multinomial(m, t.strata)
+    hist[t.odd_bits, _CLASSES[:, None], t.bits] = rng.multinomial(n[:, 1], t.q)
+    if n[:, 2].any():
+        cls = np.repeat(_CLASSES, n[:, 2])  # the multi-entry rounds, the only rows
+        counts = rng.multinomial(_multi_entry_totals(rng, t.lam[cls]), t.q[cls])
+        clicks, odd = _rows(counts, t.bits[cls], t.odd_bits[cls])
+        hist += np.bincount((odd << 6 | cls) << 4 | clicks, minlength=hist.size).reshape(hist.shape)
     return m, hist
 
 
@@ -406,14 +425,14 @@ def _tally(cfg: SimConfig, m: np.ndarray, hist: np.ndarray, split: np.ndarray) -
     return t
 
 
-def _block_tallies(cfg: SimConfig, block: int, size: int) -> dict:
+def _block_tallies(cfg: SimConfig, tables: _DrawTables, block: int, size: int) -> dict:
     """Simulate one block: the draw step, the lottery and the tally step.
     The lottery splits each (class, click mask) cell's rounds with
     binomials into counts over (lottery, class, click mask): checked in
     bit 0, on the protocol stream, then flip_ph or eve in bit 1 and
     flip_pol in bit 2, on the attack stream, seeded only for an attack."""
     rng = _stream(cfg, 0, block)
-    m, hist = _draw(cfg, rng, size)
+    m, hist = _draw(tables, rng, size)
     draws = [(rng, cfg.check_fraction)]
     if cfg.attack == "beam_split":
         draws.append((_stream(cfg, 1, block), ie_dual(TapParams(mu=cfg.sp.mu, eta_t=cfg.sp.eta_t))))
@@ -444,12 +463,13 @@ def simulate(config: SimConfig, threads: int = 1) -> SimReport:
     """
     if not is_integer(threads) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
-    blocks = list(enumerate(_block_sizes(config)))
+    tables = _draw_tables(config)
+    blocks = [(config, tables, *block) for block in enumerate(_block_sizes(config, tables))]
     workers = min(threads, len(blocks))
     with ThreadPoolExecutor(max_workers=workers) as pool:  # starts no thread for one worker
-        tallies = list((map if workers == 1 else pool.map)(lambda bs: _block_tallies(config, *bs), blocks))
+        tallies = list((map if workers == 1 else pool.map)(lambda args: _block_tallies(*args), blocks))
     echo = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "sp"}
-    return SimReport(**echo, **asdict(config.sp), **_merge(tallies))
+    return SimReport(**echo, **vars(config.sp), **_merge(tallies))
 
 
 def simulate_beam_split(config: SimConfig, threads: int = 1) -> SimReport:
@@ -471,13 +491,24 @@ def _sigma(count: int, n: int, p: float) -> float:
     return (count - expected) / math.sqrt(variance)
 
 
+def _rounds_needed(rounds: int, expected: float) -> int | None:
+    """Rounds that would expect ``MIN_EXPECTED`` counts of an outcome that
+    ``rounds`` rounds expect ``expected`` times; None where ``expected``
+    is 0, or so small that the rounds needed overflow a float."""
+    need = rounds * MIN_EXPECTED / expected if expected > 0.0 else math.inf
+    return math.ceil(need) if need < math.inf else None
+
+
 def compare_to_analytic(report: SimReport) -> list[dict]:
     """Count-space comparison rows between the report and the closed forms.
 
     Each row holds the observed count, the trial count, the analytic
     probability, the expected count, the deviation in binomial standard
-    errors, and ``informative``: whether the row expects at least
-    ``MIN_EXPECTED`` counts. Gains and QBERs test the rate formulas;
+    errors, ``informative``: whether the row expects at least
+    ``MIN_EXPECTED`` counts, and ``rounds_needed``: the rounds that would
+    expect ``MIN_EXPECTED`` counts at the report's ``basis_policy`` and
+    ``check_fraction``, from the closed forms alone (None where a round
+    cannot show the outcome). Gains and QBERs test the rate formulas;
     parity cells test the exclusive click probabilities at the two
     representative encodings. The Eve row (beam-split runs only)
     compares against ``ie_dual``, the very value Eve's successes are
@@ -487,40 +518,42 @@ def compare_to_analytic(report: SimReport) -> list[dict]:
     sp = report.system_params()
     rows: list[dict] = []
 
-    def add(name: str, count: int, n: int, p: float) -> None:
+    def add(name: str, count: int, n: int, p: float, p_trial: float) -> None:
+        # p_trial: the closed-form probability that a round is one of the row's trials
         rows.append({"name": name, "count": count, "n": n, "p_analytic": p, "expected": n * p,
-                     "sigma": _sigma(count, n, p), "informative": n * p >= MIN_EXPECTED})
+                     "sigma": _sigma(count, n, p), "informative": n * p >= MIN_EXPECTED,
+                     "rounds_needed": _rounds_needed(report.rounds, report.rounds * p_trial * p)})
 
+    p_xx = report.basis_policy * report.basis_policy
     e1, e2, e3 = _event_terms(sp.mu_arm, sp.p_d)
-    add("q_event1", report.n_event1, report.n_xx, e1.q)
-    add("q_event2", report.n_event2, report.n_xx, e2.q)
-    add("q_event3", report.n_event3, report.n_xx, e3.q)
+    add("q_event1", report.n_event1, report.n_xx, e1.q, p_xx)
+    add("q_event2", report.n_event2, report.n_xx, e2.q, p_xx)
+    add("q_event3", report.n_event3, report.n_xx, e3.q, p_xx)
 
     # Per-DOF QBERs: a wrong H index is dark-driven and is the Event1 bit
     # error; a wrong pattern class is the rest of the double-click bit
     # error, which averages the two per-DOF rates.
     p_wrong_h = e1.e_bit
     p_wrong_pat = 2.0 * e2.e_bit - e1.e_bit
-    add("qber_event1_ph", report.n_err1_ph, report.n_event1, p_wrong_h)
-    add("qber_event2_ph", report.n_err2_ph, report.n_event2, p_wrong_h)
-    add("qber_event2_pol", report.n_err2_pol, report.n_event2, p_wrong_pat)
-    add("qber_event3_ph", report.n_err3_ph, report.n_event3, p_wrong_h)
-    add("qber_event3_pol", report.n_err3_pol, report.n_event3, p_wrong_pat)
+    add("qber_event1_ph", report.n_err1_ph, report.n_event1, p_wrong_h, p_xx * e1.q)
+    add("qber_event2_ph", report.n_err2_ph, report.n_event2, p_wrong_h, p_xx * e2.q)
+    add("qber_event2_pol", report.n_err2_pol, report.n_event2, p_wrong_pat, p_xx * e2.q)
+    add("qber_event3_ph", report.n_err3_ph, report.n_event3, p_wrong_h, p_xx * e3.q)
+    add("qber_event3_pol", report.n_err3_pol, report.n_event3, p_wrong_pat, p_xx * e3.q)
 
     for pairing in PolPairing:
         rep_name = pairing.name.lower()
         ints = intensities(detector_amplitudes(pairing.representative(), sp.mu_arm))
-        cells = report.parity[rep_name]
-        for name, dets, _ in _PATTERNS:
-            # product() runs through the parity classes in the cell order
-            classes = itertools.product((ClickParity.ODD, ClickParity.EVEN), repeat=len(dets))
-            for (cell, count), pars in zip(cells[name].items(), classes):
-                p = exclusive_pattern_prob(dets, ints, sp.p_d, pars)
-                add(f"parity_{rep_name}_{name}_{cell}", count, cells["n"], p)
+        terms, cells = _click_terms(ints, sp.p_d), report.parity[rep_name]
+        for (name, _, _), columns in zip(_PATTERNS, _CELL_COLUMNS):
+            for (cell, count), cols in zip(cells[name].items(), columns):
+                add(f"parity_{rep_name}_{name}_{cell}", count, cells["n"],
+                    _pattern_product(terms, cols), p_xx / 16.0)
 
     if report.attack == "beam_split":
         leak = ie_dual(TapParams(mu=sp.mu, eta_t=sp.eta_t))
-        add("eve_leak", report.n_eve_success, report.n_key_events, leak)
+        p_key = p_xx * (e1.q + e2.q + e3.q) * (1.0 - report.check_fraction)
+        add("eve_leak", report.n_eve_success, report.n_key_events, leak, p_key)
     return rows
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from dualqss import cli
 from dualqss.cli import build_parser, main
 from dualqss.detectors import SystemParams
 from dualqss.montecarlo import SimConfig
@@ -184,6 +185,23 @@ def test_simulate_single_round(capsys):
     assert code == 0
     counts = json.loads(out)["report"]["counts"]
     assert counts["n_xx"] + counts["n_zz"] + counts["n_mixed"] == 1
+
+
+@pytest.mark.parametrize("affinity", (True, False), ids=("affinity", "no-affinity"))
+def test_simulate_workers_follow_the_affinity_set(affinity, capsys, monkeypatch):
+    # os.cpu_count also counts CPUs outside the process's affinity set; the
+    # worker count is the size of that set where the platform has one
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    seen = []
+    real = cli.simulate
+    monkeypatch.setattr(cli, "simulate",
+                        lambda cfg, threads: seen.append(threads) or real(cfg, threads=threads))
+    code, _, _ = run(capsys, "simulate", "--rounds", "1000", "--seed", "1")
+    assert code == 0 and seen == [1 if affinity else 64]
 
 
 def test_sweep_501_rows(capsys):

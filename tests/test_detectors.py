@@ -77,6 +77,9 @@ def test_pattern_duplicate_detectors():
 def test_pattern_needs_one_parity_per_detector():
     with pytest.raises(ValueError, match="one parity per clicked detector"):
         exclusive_pattern_prob((Detector.D1H, Detector.D2V), INTS, PD, (ClickParity.ODD,))
+    # a parity class is a ClickParity member or None, not its value
+    with pytest.raises(ValueError, match="ClickParity members or None"):
+        exclusive_pattern_prob((Detector.D1H,), INTS, PD, ("odd",))
 
 
 ints_st = st.builds(

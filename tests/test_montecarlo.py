@@ -5,6 +5,7 @@ they stay deterministic.
 """
 
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -14,16 +15,18 @@ import numpy as np
 import pytest
 
 from dualqss import montecarlo
-from dualqss.detectors import SystemParams
+from dualqss.detectors import ClickParity, SystemParams, exclusive_pattern_prob
 from dualqss.montecarlo import (
     SimConfig,
     _block_sizes,
+    _draw_tables,
     compare_to_analytic,
     max_abs_sigma,
     simulate,
     simulate_beam_split,
     simulate_dishonest_bob,
 )
+from dualqss.optics import PolPairing, detector_amplitudes, intensities
 
 SP = SystemParams(mu=0.84, l_km=100.0)
 
@@ -55,7 +58,7 @@ FAR = SystemParams(mu=0.84, l_km=400.0)
 def test_worker_count_does_not_change_far_tallies():
     # at 400 km a block holds about 2.7e13 rounds, so this run has eight
     cfg = config(sp=FAR, rounds=2 * 10**14)
-    assert _block_sizes(cfg) == [26_899_039_564_381] * 7 + [11_706_723_049_333]
+    assert _block_sizes(cfg, _draw_tables(cfg)) == [26_899_039_564_381] * 7 + [11_706_723_049_333]
     assert simulate(cfg, threads=1).to_dict() == simulate(cfg, threads=3).to_dict()
 
 
@@ -69,16 +72,39 @@ def test_worker_count_does_not_change_far_tallies():
     config(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0), rounds=30_000),
 ), ids=("far", "far-odd", "300km", "near", "one", "far-blocks", "bright"))
 def test_block_sizes_partition_rounds_whatever_the_threads(cfg, monkeypatch):
-    sizes = _block_sizes(cfg)
+    sizes = _block_sizes(cfg, _draw_tables(cfg))
     assert sum(sizes) == cfg.rounds and all(s > 0 for s in sizes)
     real = montecarlo._block_tallies
     seen = []
     monkeypatch.setattr(montecarlo, "_block_tallies",
-                        lambda c, block, size: seen.append((block, size)) or real(c, block, size))
+                        lambda c, t, block, size: seen.append((block, size)) or real(c, t, block, size))
     for threads in (1, 2, 3):
         seen.clear()
         simulate(cfg, threads=threads)
         assert sorted(seen) == list(enumerate(sizes))
+
+
+def test_draw_tables_are_built_once_per_call(monkeypatch):
+    # Every block of a multi-block far run reads the one set of tables that
+    # its call built, whatever the worker count; a second call builds them
+    # again, since nothing is kept between calls.
+    cfg = config(sp=FAR, rounds=2 * 10**14)
+    built, strata, read = [], [], []
+    real_tables, real_strata, real_block = (montecarlo._draw_tables, montecarlo._strata,
+                                            montecarlo._block_tallies)
+    monkeypatch.setattr(montecarlo, "_draw_tables", lambda c: built.append(real_tables(c)) or built[-1])
+    monkeypatch.setattr(montecarlo, "_strata", lambda lam: strata.append(lam) or real_strata(lam))
+    monkeypatch.setattr(montecarlo, "_block_tallies",
+                        lambda c, t, block, size: read.append(t) or real_block(c, t, block, size))
+    calls = 0
+    for threads in (1, 2, 3):
+        for _ in range(2):
+            read.clear()
+            simulate(cfg, threads=threads)
+            calls += 1
+            assert len(built) == len(strata) == calls
+            assert len(read) == 8 and all(t is built[-1] for t in read)
+    assert len({id(t) for t in built}) == len(built)
 
 
 @pytest.mark.parametrize("kw, rounds, block", (
@@ -96,7 +122,7 @@ def test_blocks_expect_a_fixed_number_of_multi_entry_rounds(kw, rounds, block):
     # nearly every round when bright or dark-heavy, one in 3e9 at 400 km.
     # At p_d = 1 every round is a count, so one block holds them all.
     cfg = config(rounds=rounds, **kw)
-    sizes = _block_sizes(cfg)
+    sizes = _block_sizes(cfg, _draw_tables(cfg))
     assert sizes == [block] * (rounds // block) + [rounds % block] * (rounds % block > 0)
     if cfg.sp.p_d < 1.0:
         lam = montecarlo._cell_means(cfg.sp).sum(axis=1)
@@ -106,7 +132,7 @@ def test_blocks_expect_a_fixed_number_of_multi_entry_rounds(kw, rounds, block):
 
 def test_dark_source_is_one_block_of_any_size():
     cfg = SimConfig(sp=SystemParams(mu=0.0, p_d=0.0), rounds=10**12, seed=2)
-    assert _block_sizes(cfg) == [10**12]
+    assert _block_sizes(cfg, _draw_tables(cfg)) == [10**12]
     rep = simulate(cfg, threads=2)
     assert rep.n_xx + rep.n_zz + rep.n_mixed == 10**12
     assert rep.n_event1 == rep.n_event2 == rep.n_event3 == rep.n_check_z_bits == 0
@@ -236,6 +262,56 @@ def test_compare_rows_within_five_sigma_smoke():
     assert max_abs_sigma(rows) < 5.0
     names = {r["name"] for r in rows}
     assert {"q_event1", "q_event2", "q_event3", "qber_event1_ph"} <= names
+
+
+CRITERION_8 = [SystemParams(mu=mu, l_km=l_km) for mu in (0.4, 0.84, 1.5) for l_km in (100.0, 400.0)]
+
+
+@pytest.mark.parametrize("sp", CRITERION_8 + [
+    SystemParams(mu=0.84, l_km=100.0, p_d=0.02),
+    SystemParams(p_d=1.0),
+    SystemParams(mu=20.0, l_km=0.0, eta_d=1.0),
+], ids=[f"mu{sp.mu}-{sp.l_km:.0f}km" for sp in CRITERION_8] + ["pd0.02", "pd1", "mu20"])
+def test_parity_rows_are_exclusive_pattern_probabilities(sp):
+    # The comparison computes each detector's terms once per encoding; every
+    # parity row must still be exactly what the one-pattern function gives.
+    rows = {r["name"]: r for r in compare_to_analytic(simulate(config(sp=sp, rounds=1000)))}
+    parity = {"o": ClickParity.ODD, "e": ClickParity.EVEN}
+    checked = 0
+    for pairing in PolPairing:
+        ints = intensities(detector_amplitudes(pairing.representative(), sp.mu_arm))
+        for name, dets in PATTERN_OF_MASK.values():
+            for cell in (("odd", "even") if len(dets) == 1 else ("oo", "oe", "eo", "ee")):
+                pars = [parity[c] for c in (cell[0] if len(dets) == 1 else cell)]
+                row = rows[f"parity_{pairing.name.lower()}_{name}_{cell}"]
+                assert row["p_analytic"] == exclusive_pattern_prob(dets, ints, sp.p_d, pars), row
+                checked += 1
+    assert checked == sum(name.startswith("parity_") for name in rows) == 40
+
+
+def test_rounds_needed_follow_the_closed_forms():
+    # At basis_policy 0.5 a round is an X-basis trial with probability 1/4
+    # and a representative encoding with 1/64; an X-basis event is a key
+    # event (one of Eve's trials) unless checked, with probability 0.7.
+    rows = compare_to_analytic(simulate_beam_split(config(check_fraction=0.3)))
+    p = {r["name"]: r["p_analytic"] for r in rows}
+    gain = p["q_event1"] + p["q_event2"] + p["q_event3"]
+    for row in rows:
+        name = row["name"]
+        p_round = row["p_analytic"] * (
+            0.25 if name.startswith("q_event") else
+            0.25 * p["q_" + name.split("_")[1]] if name.startswith("qber_") else
+            1 / 64 if name.startswith("parity_") else 0.25 * gain * 0.7)
+        if p_round == 0.0:
+            assert row["rounds_needed"] is None, name
+        else:
+            need = 10.0 / p_round
+            assert need * (1 - 1e-12) <= row["rounds_needed"] < need * (1 + 1e-12) + 1, name
+    assert sum(row["rounds_needed"] is None for row in rows) == 16
+    assert "eve_leak" in p
+    # no expected count, or one so small that the rounds overflow a float
+    assert montecarlo._rounds_needed(10**7, 0.0) is montecarlo._rounds_needed(1, 5e-324) is None
+    assert montecarlo._rounds_needed(10**7, 10.0) == 10**7
 
 
 def informative(rows):
@@ -481,13 +557,16 @@ def test_drawn_entries_reduce_like_unique_reference(sp, monkeypatch):
         return seen[-1][-1]
 
     monkeypatch.setattr(montecarlo, "_rows", rows)
-    _, hist = montecarlo._draw(config(sp=sp), np.random.default_rng(3), 50_000)
+    _, hist = montecarlo._draw(_draw_tables(config(sp=sp)), np.random.default_rng(3), 50_000)
+    if sp.mu == sp.p_d == 0.0:  # no round holds an entry, so the row stage is skipped
+        assert seen == [] and not hist.any()
+        return
     [(counts, bits, odd_bits, (clicks, odd))] = seen
     want = reference_rows(*entries(counts, bits, odd_bits))
     assert all(np.array_equal(g, w) for g, w in zip((np.arange(clicks.size), clicks, odd), want))
     assert (counts.sum(axis=1) >= 2).all()
     assert (hist.sum(axis=1).ravel() >= np.bincount(odd << 4 | clicks, minlength=256)).all()
-    assert (clicks.size == 0) == (sp.mu == sp.p_d == 0.0)
+    assert clicks.size > 0
 
 
 # Patterns by click mask (bit d for detector d): D1H = 1, D2H = 2, D1V = 4,
@@ -579,13 +658,13 @@ def lottery_split(monkeypatch, cfg, hist):
     left as the draw step left it."""
     seen = {}
 
-    def draw(c, rng, size):
+    def draw(t, rng, size):
         seen["rng"], seen["state"] = rng, rng.bit_generator.state
         return np.zeros(64, np.int64), hist
 
     monkeypatch.setattr(montecarlo, "_draw", draw)
     monkeypatch.setattr(montecarlo, "_tally", lambda c, m, h, split: seen.setdefault("split", split))
-    montecarlo._block_tallies(cfg, 0, 1)
+    montecarlo._block_tallies(cfg, _draw_tables(cfg), 0, 1)
     return seen["split"], seen["rng"].bit_generator.state == seen["state"]
 
 
@@ -615,7 +694,8 @@ def test_lottery_draws_nothing_it_does_not_need(monkeypatch):
     real = montecarlo._stream
     monkeypatch.setattr(montecarlo, "_stream", lambda c, kind, block: kinds.append(kind) or real(c, kind, block))
     for attack in montecarlo.ATTACKS:
-        montecarlo._block_tallies(config(attack=attack), 0, 1000)
+        cfg = config(attack=attack)
+        montecarlo._block_tallies(cfg, _draw_tables(cfg), 0, 1000)
     assert kinds == [0, 0, 1, 0, 1]
 
 
@@ -674,7 +754,7 @@ def test_cells_of_mean_zero_never_receive_an_entry(basis_policy):
     # pulses make multi-entry rounds the rule.
     sp = SystemParams(mu=20.0, l_km=0.0, eta_d=1.0, p_d=0.0)
     cfg = config(sp=sp, basis_policy=basis_policy)
-    m, hist = montecarlo._draw(cfg, np.random.default_rng(7), 100_000)
+    m, hist = montecarlo._draw(_draw_tables(cfg), np.random.default_rng(7), 100_000)
     silent = (montecarlo._cell_means(sp)[:, :4] == 0) @ (1 << np.arange(4))
     assert np.count_nonzero(silent[m > 0]) == (16 if basis_policy else 8)
     impossible = (np.arange(16) & silent[:, None]) != 0
