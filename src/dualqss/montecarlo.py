@@ -24,12 +24,14 @@ over the cells into a 4-bit click mask and a 4-bit photon-parity mask;
 a block without a multi-entry round skips this row stage. At p_d = 1
 every round clicks four times. A ``simulate`` call builds the draw
 tables of its configuration once (``_draw_tables``), and the block
-sizing and every block's draw step read them. All rounds end in one
-histogram over (parity mask, class, click mask), whose cells the
+sizing and every block's draw step read them. A block's rounds end in
+one histogram over (parity mask, class, click mask), whose cells the
 lottery (checks, an attack's flips or Eve's success) splits with
-binomials; the tally step reads every count through truth tables. The
-table ``_PATTERNS`` of the six tallied click patterns drives the truth
-tables, the parity cells and the comparison rows.
+binomials. ``simulate`` sums the blocks' integer arrays as they arrive,
+and the tally step reads every count of the sums through truth tables,
+once per call. The table ``_PATTERNS`` of the six tallied click
+patterns drives the truth tables, the parity cells and the comparison
+rows.
 
 Each block draws from a stream seeded by (seed, block index), so
 reports are bit-identical for any worker count. Attack randomness lives
@@ -133,6 +135,8 @@ class SimConfig:
             value = getattr(self, name)
             if not is_integer(value) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if self.rounds >= 2**63:  # the tallies are summed as int64
+            raise ValueError(f"rounds must be below 2**63, got {self.rounds!r}")
         for name in ("basis_policy", "check_fraction", "flip_fraction"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -150,7 +154,7 @@ class SimReport:
     """Tally counts of one simulation, plus the configuration echo.
 
     All fields are integer counts except the echoed configuration;
-    derived frequencies live in ``to_dict()`` so that merging and
+    derived frequencies live in ``to_dict()`` so that sums and
     comparisons stay exact.
     """
 
@@ -391,10 +395,11 @@ def _stream(cfg: SimConfig, kind: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(kind, block)))
 
 
-def _tally(cfg: SimConfig, m: np.ndarray, hist: np.ndarray, split: np.ndarray) -> dict:
-    """Tally step: a block's report counts and parity cells from its class
-    counts, its histogram over (parity mask, class, click mask) and its
-    lottery split; flips and Eve's successes come only with their attack."""
+def _tally(cfg: SimConfig, m: np.ndarray, rep_hist: np.ndarray, split: np.ndarray) -> dict:
+    """Tally step, once per ``simulate`` call: the report counts and parity
+    cells from the block sums of the class counts, the representative
+    classes' histogram and the lottery split; flips and Eve's successes
+    come only with their attack."""
     per_lot = (split.reshape(len(split), 1024) @ _TABLES).tolist()
     t = dict.fromkeys(_COUNT_FIELDS, 0)
     t.update(zip(_TABLE_COUNTS, map(sum, zip(*per_lot))))
@@ -416,7 +421,7 @@ def _tally(cfg: SimConfig, m: np.ndarray, hist: np.ndarray, split: np.ndarray) -
             t["n_key_events"] += events
             t["n_eve_success"] += events * won
 
-    by_parity = hist[:, _REP_CLASSES].tolist()
+    by_parity = rep_hist.tolist()
     t["parity"] = {}
     for i, (pairing, rep_class) in enumerate(zip(PolPairing, _REP_CLASSES)):
         rep = t["parity"][pairing.name.lower()] = {"n": int(m[rep_class])}
@@ -425,12 +430,14 @@ def _tally(cfg: SimConfig, m: np.ndarray, hist: np.ndarray, split: np.ndarray) -
     return t
 
 
-def _block_tallies(cfg: SimConfig, tables: _DrawTables, block: int, size: int) -> dict:
-    """Simulate one block: the draw step, the lottery and the tally step.
-    The lottery splits each (class, click mask) cell's rounds with
-    binomials into counts over (lottery, class, click mask): checked in
-    bit 0, on the protocol stream, then flip_ph or eve in bit 1 and
-    flip_pol in bit 2, on the attack stream, seeded only for an attack."""
+def _block_tallies(cfg: SimConfig, tables: _DrawTables, block: int, size: int) -> tuple:
+    """Simulate one block: the draw step and the lottery. Returns the int64
+    arrays that ``simulate`` sums: the class counts, the representative
+    classes' histogram over (parity mask, representative, click mask) and
+    the lottery split over (lottery, class, click mask). The lottery splits
+    each (class, click mask) cell's rounds with binomials: checked in bit 0,
+    on the protocol stream, then flip_ph or eve in bit 1 and flip_pol in
+    bit 2, on the attack stream, seeded only for an attack."""
     rng = _stream(cfg, 0, block)
     m, hist = _draw(tables, rng, size)
     draws = [(rng, cfg.check_fraction)]
@@ -442,24 +449,15 @@ def _block_tallies(cfg: SimConfig, tables: _DrawTables, block: int, size: int) -
     for gen, p in draws:  # a split of probability 0 draws nothing
         won = gen.binomial(split, p) if p else np.zeros_like(split)
         split = np.concatenate((split - won, won))
-    return _tally(cfg, m, hist, split)
-
-
-def _merge(tallies: list):
-    """Sum block tallies key by key, recursing into nested dicts."""
-    if len(tallies) == 1:
-        return tallies[0]
-    if isinstance(tallies[0], dict):
-        return {k: _merge([t[k] for t in tallies]) for k in tallies[0]}
-    return sum(tallies)
+    return m, hist[:, _REP_CLASSES], split
 
 
 def simulate(config: SimConfig, threads: int = 1) -> SimReport:
     """Run the simulation and return aggregated tallies.
 
     ``threads`` only controls execution; the report is bit-identical
-    for any value because blocks are seeded by index and merged with
-    integer sums.
+    for any value because blocks are seeded by index and their arrays
+    are summed as integers, then tallied once.
     """
     if not is_integer(threads) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
@@ -467,9 +465,13 @@ def simulate(config: SimConfig, threads: int = 1) -> SimReport:
     blocks = [(config, tables, *block) for block in enumerate(_block_sizes(config, tables))]
     workers = min(threads, len(blocks))
     with ThreadPoolExecutor(max_workers=workers) as pool:  # starts no thread for one worker
-        tallies = list((map if workers == 1 else pool.map)(lambda args: _block_tallies(*args), blocks))
+        results = (map if workers == 1 else pool.map)(lambda args: _block_tallies(*args), blocks)
+        totals = next(results)
+        for arrays in results:  # summed as they arrive, never held as a list
+            for total, array in zip(totals, arrays):
+                total += array
     echo = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "sp"}
-    return SimReport(**echo, **vars(config.sp), **_merge(tallies))
+    return SimReport(**echo, **vars(config.sp), **_tally(config, *totals))
 
 
 def simulate_beam_split(config: SimConfig, threads: int = 1) -> SimReport:

@@ -20,7 +20,6 @@ __all__ = [
     "ModeAmplitudes",
     "ModeIntensities",
     "PolPairing",
-    "all_encoding_pairs",
     "detector_amplitudes",
     "intensities",
     "poisson_even_mass",
@@ -71,14 +70,6 @@ class EncodingPair:
             bit = getattr(self, name)
             if bit not in (0, 1):
                 raise ValueError(f"{name} must be 0 or 1, got {bit!r}")
-
-
-def all_encoding_pairs() -> tuple[EncodingPair, ...]:
-    """All 16 bit combinations, ordered by (ka_ph, ka_pol, kb_ph, kb_pol)."""
-    return tuple(
-        EncodingPair((n >> 3) & 1, (n >> 2) & 1, (n >> 1) & 1, n & 1)
-        for n in range(16)
-    )
 
 
 class PolPairing(Enum):

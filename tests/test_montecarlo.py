@@ -87,22 +87,24 @@ def test_block_sizes_partition_rounds_whatever_the_threads(cfg, monkeypatch):
 def test_draw_tables_are_built_once_per_call(monkeypatch):
     # Every block of a multi-block far run reads the one set of tables that
     # its call built, whatever the worker count; a second call builds them
-    # again, since nothing is kept between calls.
+    # again, since nothing is kept between calls. The blocks' arrays are
+    # summed, so the report is tallied once per call, not once per block.
     cfg = config(sp=FAR, rounds=2 * 10**14)
-    built, strata, read = [], [], []
-    real_tables, real_strata, real_block = (montecarlo._draw_tables, montecarlo._strata,
-                                            montecarlo._block_tallies)
+    built, strata, read, tallied = [], [], [], []
+    real_tables, real_strata, real_block, real_tally = (montecarlo._draw_tables, montecarlo._strata,
+                                                        montecarlo._block_tallies, montecarlo._tally)
     monkeypatch.setattr(montecarlo, "_draw_tables", lambda c: built.append(real_tables(c)) or built[-1])
     monkeypatch.setattr(montecarlo, "_strata", lambda lam: strata.append(lam) or real_strata(lam))
     monkeypatch.setattr(montecarlo, "_block_tallies",
                         lambda c, t, block, size: read.append(t) or real_block(c, t, block, size))
+    monkeypatch.setattr(montecarlo, "_tally", lambda *args: tallied.append(args) or real_tally(*args))
     calls = 0
     for threads in (1, 2, 3):
         for _ in range(2):
             read.clear()
             simulate(cfg, threads=threads)
             calls += 1
-            assert len(built) == len(strata) == calls
+            assert len(built) == len(strata) == len(tallied) == calls
             assert len(read) == 8 and all(t is built[-1] for t in read)
     assert len({id(t) for t in built}) == len(built)
 
@@ -409,6 +411,15 @@ def test_config_accepts_intensity_below_poisson_limit():
         SimConfig(sp=SystemParams(mu=1e19, l_km=0.0, eta_d=1.0), rounds=10, seed=1)
 
 
+def test_rounds_stay_within_the_int64_tallies():
+    # the blocks' arrays are summed as int64: 2^63 rounds would wrap
+    with pytest.raises(ValueError, match=r"rounds must be below 2\*\*63"):
+        config(rounds=2**63)
+    # 1,024 blocks of 2^53 rounds, every round a four-click count
+    rep = simulate(config(sp=SystemParams(p_d=1.0), rounds=2**63 - 1))
+    assert rep.n_xx + rep.n_zz + rep.n_mixed == 2**63 - 1
+
+
 def test_config_accepts_numpy_integers():
     cfg = config(rounds=np.int64(1000), seed=np.uint32(3))
     assert simulate(cfg).rounds == 1000
@@ -645,7 +656,7 @@ def test_tally_step_matches_row_semantics(attack):
     lottery = checked | (flip_ph | eve) << 1 | flip_pol << 2
     hist = np.bincount((odd << 6 | c) << 4 | clicks, minlength=1 << 14).reshape(16, 64, 16)
     split = np.bincount((lottery << 6 | c) << 4 | clicks, minlength=lots << 10).reshape(lots, 64, 16)
-    got = montecarlo._tally(config(attack=attack), m, hist, split)
+    got = montecarlo._tally(config(attack=attack), m, hist[:, montecarlo._REP_CLASSES], split)
     want = expected_tallies(m, rows)
     assert got == want
     assert min(got[k] for k in montecarlo._COUNT_FIELDS if k != "n_eve_success") > 0
@@ -653,9 +664,9 @@ def test_tally_step_matches_row_semantics(attack):
 
 
 def lottery_split(monkeypatch, cfg, hist):
-    """The block's draw step replaced by ``hist``: the split that the
-    lottery hands to the tally step, and whether the protocol stream was
-    left as the draw step left it."""
+    """The block's draw step replaced by ``hist``: the lottery split that
+    the block returns, and whether the protocol stream was left as the
+    draw step left it."""
     seen = {}
 
     def draw(t, rng, size):
@@ -663,9 +674,8 @@ def lottery_split(monkeypatch, cfg, hist):
         return np.zeros(64, np.int64), hist
 
     monkeypatch.setattr(montecarlo, "_draw", draw)
-    monkeypatch.setattr(montecarlo, "_tally", lambda c, m, h, split: seen.setdefault("split", split))
-    montecarlo._block_tallies(cfg, _draw_tables(cfg), 0, 1)
-    return seen["split"], seen["rng"].bit_generator.state == seen["state"]
+    _, _, split = montecarlo._block_tallies(cfg, _draw_tables(cfg), 0, 1)
+    return split, seen["rng"].bit_generator.state == seen["state"]
 
 
 @pytest.mark.parametrize("attack, lots", (("none", 2), ("beam_split", 4), ("dishonest_bob", 8)))
@@ -697,12 +707,6 @@ def test_lottery_draws_nothing_it_does_not_need(monkeypatch):
         cfg = config(attack=attack)
         montecarlo._block_tallies(cfg, _draw_tables(cfg), 0, 1000)
     assert kinds == [0, 0, 1, 0, 1]
-
-
-def test_lone_block_tally_is_returned_as_it_is():
-    tally = {"n_xx": 3, "parity": {"plus_plus": {"n": 1}}}
-    assert montecarlo._merge([tally]) is tally
-    assert montecarlo._merge([tally, tally]) == {"n_xx": 6, "parity": {"plus_plus": {"n": 2}}}
 
 
 def poisson_pmf(lam, k):
@@ -768,7 +772,10 @@ def test_cells_of_mean_zero_never_receive_an_entry(basis_policy):
 def test_memory_does_not_grow_with_rounds():
     # No array is sized by rounds or by one-entry rounds: 1e13 rounds at
     # 400 km hold about 2.5e8 one-entry rounds, 2e6 at 100 km about 48k.
-    for cfg in (config(sp=FAR, rounds=10**13, basis_policy=1.0), config(rounds=2_000_000)):
+    # Nor by blocks: 2^60 rounds at p_d = 1 are 128 blocks, each with an
+    # 8-lot split of 64 kB, summed as they arrive rather than held as a list.
+    for cfg in (config(sp=FAR, rounds=10**13, basis_policy=1.0), config(rounds=2_000_000),
+                config(sp=SystemParams(p_d=1.0), rounds=2**60, attack="dishonest_bob", flip_fraction=0.1)):
         simulate(cfg)
         tracemalloc.start()
         try:
