@@ -64,8 +64,8 @@ class StateEnsemble:
         n = len(self.probs)
         if len(self.overlaps) != n or any(len(row) != n for row in self.overlaps):
             raise ValueError("overlap matrix shape must match the probability vector")
-        if any(p < 0 for p in self.probs):
-            raise ValueError("probabilities must be non-negative")
+        if not all(0.0 <= p < math.inf for p in self.probs):
+            raise ValueError(f"probabilities must be finite and non-negative, got {self.probs!r}")
         if abs(sum(self.probs) - 1.0) > _PROB_TOL:
             raise ValueError(f"probabilities must sum to 1, got {sum(self.probs)!r}")
         for i in range(n):

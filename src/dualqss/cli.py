@@ -4,9 +4,12 @@ Commands: sweep (rate curves as CSV), ie-compare (the same sweep with
 the four leakage columns added), optimize (best intensity by grid search
 and golden-section refinement), max-distance, thresholds, and simulate
 (Monte-Carlo run with analytic comparison). A flat key=value config file
-can preload any flag; explicit flags win. Output files are written
-atomically. A simulation runs one worker thread per CPU the process may
-run on (``usable_cpus``); its tallies are the same for any worker count.
+can preload any flag; explicit flags win. Each command handler takes the
+parsed flags and the ``SystemParams`` they give, and returns CSV text or
+a JSON payload; ``main`` builds the parameters, serialises a payload and
+writes the output once, atomically when it goes to a file. A simulation
+runs one worker thread per CPU the process may run on (``usable_cpus``);
+its tallies are the same for any worker count.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import sys
 import tempfile
 from dataclasses import asdict
 
-from .attack import TapParams, ie_dps_tf, ie_dual, ie_wcp_ph, ie_wcp_pol
+from .attack import TapParams, ie_dps_tf, ie_wcp_ph, ie_wcp_pol
 from .detectors import SystemParams, arm_efficiency
 from .montecarlo import ATTACKS, SimConfig, compare_to_analytic, max_abs_sigma, simulate
 from .optimize import SweepSpec, SweepVariable, max_distance, optimize_mu, sweep
@@ -61,32 +64,25 @@ def _fmt(x: float) -> str:
     return _FLOAT_FMT % x
 
 
-def _load_config(path: str) -> dict[str, str]:
-    """Parse a flat key=value config file; # starts a comment."""
-    values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+def _config_args(args: argparse.Namespace) -> list[str]:
+    """The config file of ``args`` as flags for the same command.
+
+    The file is flat key=value lines; # starts a comment. Parsed ahead of
+    the command line, so that explicit flags win and argparse does all
+    the typing.
+    """
+    flags = []
+    with open(args.config, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
-    return values
-
-
-def _config_args(args: argparse.Namespace) -> list[str]:
-    """The config file of ``args`` as flags for the same command.
-
-    Parsed ahead of the command line, so that explicit flags win and
-    argparse does all the typing.
-    """
-    flags = []
-    for key, raw in _load_config(args.config).items():
-        if key not in vars(args) or key in ("command", "config"):
-            raise ValueError(f"unknown config key {key!r}")
-        flags += ["--" + key.replace("_", "-"), raw]
+                raise ValueError(f"{args.config}:{lineno}: expected key=value, got {raw.strip()!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in vars(args) or key in ("command", "config"):
+                raise ValueError(f"unknown config key {key!r}")
+            flags += ["--" + key.replace("_", "-"), value]
     return flags
 
 
@@ -119,14 +115,6 @@ def _json_safe(obj):
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
     return obj
-
-
-def _emit_json(args: argparse.Namespace, payload: dict) -> None:
-    _write_text(args.output, json.dumps(_json_safe(payload), indent=2) + "\n")
-
-
-def _system_params(args: argparse.Namespace) -> SystemParams:
-    return SystemParams(**{field: getattr(args, name) for name, field, _ in _PHYSICS})
 
 
 def _add_physics_args(parser: argparse.ArgumentParser, defaults: SystemParams = SystemParams()) -> None:
@@ -196,13 +184,10 @@ def _echo_params(args: argparse.Namespace, extra: dict) -> str:
     return f"# params: {joined}\n"
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace, sp: SystemParams) -> str:
     ie_compare = args.command == "ie-compare"
-    fixed = _system_params(args)
-    variable = SweepVariable.MU if args.var == "mu" else SweepVariable.DISTANCE
-    spec = SweepSpec(variable=variable, lo=args.lo, hi=args.hi, step=args.step, fixed=fixed)
-    points = sweep(spec)
-
+    spec = SweepSpec(variable=SweepVariable(args.var), lo=args.lo, hi=args.hi, step=args.step,
+                     fixed=sp)
     lines = [
         _echo_params(
             args,
@@ -216,63 +201,32 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ),
         _CSV_HEADER + (_CSV_IE_EXTRA if ie_compare else "") + "\n",
     ]
-    for point in points:
-        fields = [
-            _fmt(point.l_km),
-            _fmt(point.mu),
-            _fmt(point.r),
-            _fmt(point.r_events[0]),
-            _fmt(point.r_events[1]),
-            _fmt(point.r_events[2]),
-            _fmt(point.i_e),
-            _fmt(plob_bound(point.l_km, args.alpha)),
-        ]
+    for point in sweep(spec):
+        values = [point.l_km, point.mu, point.r, *point.r_events, point.i_e,
+                  plob_bound(point.l_km, args.alpha)]
         if ie_compare:
+            # IE_dual is the I_E column: the rate kernel's leakage is ie_dual of this tap
             tap = TapParams(mu=point.mu, eta_t=arm_efficiency(args.eta_d, args.alpha, point.l_km))
-            fields += [
-                _fmt(ie_dual(tap)),
-                _fmt(ie_wcp_ph(tap)),
-                _fmt(ie_wcp_pol(tap)),
-                _fmt(ie_dps_tf(tap)),
-            ]
-        lines.append(",".join(fields) + "\n")
-    _write_text(args.output, "".join(lines))
-    return 0
+            values += [point.i_e, ie_wcp_ph(tap), ie_wcp_pol(tap), ie_dps_tf(tap)]
+        lines.append(",".join(map(_fmt, values)) + "\n")
+    return "".join(lines)
 
 
-def cmd_optimize(args: argparse.Namespace) -> int:
-    sp = _system_params(args)
+def cmd_optimize(args: argparse.Namespace, sp: SystemParams) -> dict:
     result = optimize_mu(args.L, sp, bounds=(args.lo, args.hi))
-    _emit_json(
-        args,
-        {
-            "best_mu": result.best_mu,
-            "best_rate": result.best_rate,
-            "evaluations": result.evaluations,
-            "method": result.method,
-            "l_km": args.L,
-            "params": asdict(sp),
-        },
-    )
-    return 0
+    return {**asdict(result), "l_km": args.L, "params": asdict(sp)}
 
 
-def cmd_max_distance(args: argparse.Namespace) -> int:
-    sp = _system_params(args)
+def cmd_max_distance(args: argparse.Namespace, sp: SystemParams) -> dict:
     value = max_distance(args.mu, sp, l_hi=args.l_hi, event=args.event)
-    _emit_json(
-        args,
-        {
-            "max_distance_km": value,
-            "event": args.event,
-            "params": asdict(sp),
-        },
-    )
-    return 0
+    return {
+        "max_distance_km": value,
+        "event": args.event,
+        "params": asdict(sp),
+    }
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    sp = _system_params(args)
+def cmd_simulate(args: argparse.Namespace, sp: SystemParams) -> dict:
     config = SimConfig(
         sp=sp,
         rounds=args.rounds,
@@ -284,29 +238,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     report = simulate(config, threads=usable_cpus())
     comparison = compare_to_analytic(report)
-    _emit_json(
-        args,
-        {
-            "report": report.to_dict(),
-            "comparison": comparison,
-            "max_abs_sigma": max_abs_sigma(comparison),
-        },
-    )
-    return 0
+    return {
+        "report": report.to_dict(),
+        "comparison": comparison,
+        "max_abs_sigma": max_abs_sigma(comparison),
+    }
 
 
-def cmd_thresholds(args: argparse.Namespace) -> int:
-    sp = _system_params(args)
-    _emit_json(
-        args,
-        {
-            "event1": qber_threshold_event1(sp),
-            "event23_reported": QBER_THRESHOLD_EVENT23_REPORTED,
-            "event23_status": "unverified",
-            "params": asdict(sp),
-        },
-    )
-    return 0
+def cmd_thresholds(args: argparse.Namespace, sp: SystemParams) -> dict:
+    return {
+        "event1": qber_threshold_event1(sp),
+        "event23_reported": QBER_THRESHOLD_EVENT23_REPORTED,
+        "event23_status": "unverified",
+        "params": asdict(sp),
+    }
 
 
 _COMMANDS = {
@@ -326,7 +271,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.config:
             args = parser.parse_args(argv[:1] + _config_args(args) + argv[1:])
-        return _COMMANDS[args.command](args)
+        sp = SystemParams(**{field: getattr(args, name) for name, field, _ in _PHYSICS})
+        out = _COMMANDS[args.command](args, sp)
+        if isinstance(out, dict):
+            out = json.dumps(_json_safe(out), indent=2) + "\n"
+        _write_text(args.output, out)
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -104,9 +104,15 @@ def arm_efficiency(eta_d: float, alpha: float, l_km: float) -> float:
 
 
 def click_prob(i: float, p_d: float) -> float:
-    """Probability that a threshold detector clicks: 1 - (1 - p_d) e^-i."""
+    """Probability that a threshold detector clicks: 1 - (1 - p_d) e^-i.
+
+    Rejects p_d outside [0, 1]; ``exclusive_pattern_prob`` calls this for
+    every detector and so rejects it too.
+    """
     if i < 0:
         raise ValueError(f"intensity must be non-negative, got {i!r}")
+    if not 0.0 <= p_d <= 1.0:
+        raise ValueError(f"p_d must be in [0, 1], got {p_d!r}")
     return -math.expm1(-i) + p_d * math.exp(-i)
 
 

@@ -112,6 +112,7 @@ class ModeIntensities:
     i_v2: float
 
     def __post_init__(self) -> None:
+        require_finite(self, "i_h1", "i_h2", "i_v1", "i_v2")
         for value in self.as_tuple():
             if value < 0:
                 raise ValueError(f"intensity must be non-negative, got {value!r}")
@@ -133,8 +134,8 @@ def detector_amplitudes(pair: EncodingPair, mu_arm: float) -> ModeAmplitudes:
     a_h = s*sqrt(mu_arm/2) and a_v = s*p*sqrt(mu_arm/2). The 50:50 BS
     maps each polarization to (a+b)/sqrt(2) and (a-b)/sqrt(2).
     """
-    if mu_arm < 0:
-        raise ValueError(f"mu_arm must be non-negative, got {mu_arm!r}")
+    if not 0.0 <= mu_arm < math.inf:
+        raise ValueError(f"mu_arm must be finite and non-negative, got {mu_arm!r}")
     root = math.sqrt(mu_arm / 2.0)
     s_a = 1.0 - 2.0 * pair.ka_ph
     p_a = 1.0 - 2.0 * pair.ka_pol

@@ -190,8 +190,8 @@ def max_distance(
     """
     if event is not None and not (is_integer(event) and 1 <= event <= 3):
         raise ValueError(f"event must be None, 1, 2, or 3, got {event!r}")
-    if l_hi <= 0:
-        raise ValueError(f"l_hi must be positive, got {l_hi!r}")
+    if not 0.0 < l_hi < math.inf:
+        raise ValueError(f"l_hi must be finite and positive, got {l_hi!r}")
     if not 0.0 < tol_km < math.inf:
         raise ValueError(f"tol_km must be finite and positive, got {tol_km!r}")
     rate_at = _curve(at_intensity(sp, mu), SweepVariable.DISTANCE, 0.0, l_hi)

@@ -117,6 +117,13 @@ def test_state_ensemble_validation():
         StateEnsemble(probs=(0.5, 0.5), overlaps=((1.0, 0.2), (0.3, 1.0)))
 
 
+@pytest.mark.parametrize("probs", ((math.nan, math.nan), (0.5, math.nan), (math.nan, 1.0)))
+def test_state_ensemble_rejects_non_finite_probabilities(probs):
+    # a NaN sum passes the sum-to-one check, and usd_bound then returns 0
+    with pytest.raises(ValueError, match="probabilities must be finite"):
+        StateEnsemble(probs=probs, overlaps=((1.0, 0.5), (0.5, 1.0)))
+
+
 def test_phase_only_identity():
     # losing both pulses of a pair wipes the phase bit; losing one of two
     # polarization modes wipes that bit, hence the square-root relation

@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: formats, precedence, atomicity, errors."""
 
+import ast
 import hashlib
+import importlib
 import importlib.util
 import json
 import os
@@ -126,6 +128,41 @@ def test_figure_data_bytes_unchanged(tmp_path, capsys):
     capsys.readouterr()
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert written == FIGURE_DIGESTS
+
+
+# SHA-256 of the JSON each command prints, recorded before the handlers
+# returned payloads for main to serialise; key order, float repr and
+# indentation must all hold.
+JSON_DIGESTS = {
+    ("optimize", "--L", "400"):
+        "a9aa213a4b1469bae7bd115cf81c24ddff610c57a21f62b3aa4251d65b56a112",
+    ("max-distance", "--mu", "0.84"):
+        "0f52953e03664222ff094081206d894f61880da501ba108faece246e8268a3fc",
+    ("thresholds",):
+        "9abe3c7ab13b98212f367df33588c787c39dbb8f5e01cd1ca91ea7cf60a5f3ba",
+    ("simulate", "--rounds", "100000", "--seed", "3", "--attack", "beam-split"):
+        "bbe14875c35a90902e13af300f15421391fc5fa7a7e589be0cf2f5f7c6c1fe3a",
+}
+
+
+@pytest.mark.parametrize("argv", JSON_DIGESTS, ids=lambda argv: argv[0])
+def test_json_bytes_unchanged(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == JSON_DIGESTS[argv]
+
+
+def test_benchmark_imports_still_exist():
+    # the benchmark imports these names; a library change that drops one
+    # breaks it, and this fails long before the benchmark's own tests do
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    imports = [node for node in ast.walk(ast.parse(source.read_text()))
+               if isinstance(node, ast.ImportFrom) and node.module
+               and node.module.split(".")[0] == "dualqss"]
+    assert {node.module for node in imports} >= {"dualqss", "dualqss.cli"}
+    missing = [f"{node.module}.{alias.name}" for node in imports for alias in node.names
+               if not hasattr(importlib.import_module(node.module), alias.name)]
+    assert missing == []
 
 
 def test_output_file_atomic(tmp_path, capsys):

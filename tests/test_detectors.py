@@ -108,6 +108,15 @@ def test_single_click_consistent_with_pattern(ints, p_d):
         assert via_single == pytest.approx(via_pattern, rel=1e-12)
 
 
+@pytest.mark.parametrize("p_d", (-1.0, -1e-9, 1.5, 2.0, float("nan"), float("inf")))
+def test_click_model_rejects_p_d_outside_unit_interval(p_d):
+    # out of range, the click terms turn into negative "probabilities"
+    with pytest.raises(ValueError, match="p_d must be in"):
+        click_prob(0.1, p_d)
+    with pytest.raises(ValueError, match="p_d must be in"):
+        exclusive_pattern_prob([Detector.D1H], ModeIntensities(0.1, 0.0, 0.0, 0.0), p_d)
+
+
 def test_pattern_rejects_boolean_masks():
     with pytest.raises(ValueError):
         exclusive_pattern_prob((True, False, False, False), INTS, PD)

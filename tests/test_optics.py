@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 
 from dualqss.optics import (
     EncodingPair,
+    ModeIntensities,
     PolPairing,
     binary_entropy,
     coherent_overlap,
@@ -119,6 +120,22 @@ def test_exactly_two_modes_lit(pair_id, mu_arm):
 def test_detector_amplitudes_rejects_negative_intensity():
     with pytest.raises(ValueError):
         detector_amplitudes(EncodingPair(0, 0, 0, 0), -0.2)
+
+
+@pytest.mark.parametrize("mu_arm", (math.nan, math.inf))
+def test_detector_amplitudes_rejects_non_finite_intensity(mu_arm):
+    # inf would give NaN intensities through inf - inf
+    with pytest.raises(ValueError, match="mu_arm must be finite"):
+        detector_amplitudes(EncodingPair(0, 1, 1, 0), mu_arm)
+
+
+@pytest.mark.parametrize("value", (math.nan, math.inf))
+@pytest.mark.parametrize("position", range(4))
+def test_mode_intensities_reject_non_finite(position, value):
+    values = [0.1] * 4
+    values[position] = value
+    with pytest.raises(ValueError, match="must be finite"):
+        ModeIntensities(*values)
 
 
 def test_matched_encoding_amplitudes():

@@ -179,11 +179,15 @@ def test_max_distance_accepts_numpy_event():
     assert max_distance(0.84, SP, event=np.int64(2)) == max_distance(0.84, SP, event=2)
 
 
-@pytest.mark.parametrize("tol_km", (0.0, -1.0, float("nan"), float("inf")))
-def test_max_distance_rejects_bad_tolerance(tol_km):
+@pytest.mark.parametrize("bad", (0.0, -1.0, float("nan"), float("inf")))
+def test_max_distance_rejects_bad_tolerance(bad):
     # 0 and -1 would never end the bisection, NaN would skip it
     with pytest.raises(ValueError, match="tol_km must be finite and positive"):
-        max_distance(0.84, SP, tol_km=tol_km)
+        max_distance(0.84, SP, tol_km=bad)
+    # the same values as the scan's upper bound are named as l_hi, not as
+    # the l_km of the rate evaluated there
+    with pytest.raises(ValueError, match="l_hi must be finite and positive"):
+        max_distance(0.84, SP, l_hi=bad)
 
 
 @pytest.mark.parametrize("mu", (0.84, 4.472))
