@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .optics import coherent_overlap, require_finite
+from .optics import check_range, coherent_overlap
 
 __all__ = [
     "TapParams",
@@ -41,11 +41,8 @@ class TapParams:
     eta_t: float
 
     def __post_init__(self) -> None:
-        require_finite(self, "mu", "eta_t")
-        if self.mu < 0:
-            raise ValueError(f"mu must be non-negative, got {self.mu!r}")
-        if not 0.0 <= self.eta_t <= 1.0:
-            raise ValueError(f"eta_t must be in [0, 1], got {self.eta_t!r}")
+        check_range("mu", self.mu, 0.0, rule="non-negative")
+        check_range("eta_t", self.eta_t, 0.0, 1.0, "in [0, 1]")
 
     @property
     def tapped_mu(self) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Iterable
 
-from .optics import ModeIntensities, poisson_even_mass, poisson_odd_mass, require_finite
+from .optics import ModeIntensities, check_range, poisson_even_mass, poisson_odd_mass
 
 __all__ = [
     "Detector",
@@ -69,19 +69,11 @@ class SystemParams:
     f: float = 1.15
 
     def __post_init__(self) -> None:
-        require_finite(self, "mu", "alpha", "l_km", "eta_d", "p_d", "f")
-        if self.mu < 0:
-            raise ValueError(f"mu must be non-negative, got {self.mu!r}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha!r}")
-        if self.l_km < 0:
-            raise ValueError(f"l_km must be non-negative, got {self.l_km!r}")
-        if not 0.0 <= self.eta_d <= 1.0:
-            raise ValueError(f"eta_d must be in [0, 1], got {self.eta_d!r}")
-        if not 0.0 <= self.p_d <= 1.0:
-            raise ValueError(f"p_d must be in [0, 1], got {self.p_d!r}")
-        if self.f < 1.0:
-            raise ValueError(f"f must be >= 1, got {self.f!r}")
+        for name in ("mu", "alpha", "l_km"):
+            check_range(name, getattr(self, name), 0.0, rule="non-negative")
+        check_range("eta_d", self.eta_d, 0.0, 1.0, "in [0, 1]")
+        check_range("p_d", self.p_d, 0.0, 1.0, "in [0, 1]")
+        check_range("f", self.f, 1.0, rule=">= 1")
 
     @property
     def eta_t(self) -> float:
@@ -109,10 +101,8 @@ def click_prob(i: float, p_d: float) -> float:
     Rejects p_d outside [0, 1]; ``exclusive_pattern_prob`` calls this for
     every detector and so rejects it too.
     """
-    if i < 0:
-        raise ValueError(f"intensity must be non-negative, got {i!r}")
-    if not 0.0 <= p_d <= 1.0:
-        raise ValueError(f"p_d must be in [0, 1], got {p_d!r}")
+    check_range("i", i, 0.0, rule="non-negative")
+    check_range("p_d", p_d, 0.0, 1.0, "in [0, 1]")
     return -math.expm1(-i) + p_d * math.exp(-i)
 
 

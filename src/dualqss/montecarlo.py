@@ -57,7 +57,7 @@ import numpy as np
 
 from .attack import TapParams, ie_dual
 from .detectors import _PARITY_COLUMN, ClickParity, Detector, SystemParams, _click_terms, _pattern_product
-from .optics import PolPairing, detector_amplitudes, intensities, is_integer, require_finite
+from .optics import PolPairing, check_range, detector_amplitudes, intensities, is_integer
 from .rates import _event_terms
 
 __all__ = [
@@ -129,7 +129,7 @@ class SimConfig:
     flip_fraction: float = 0.0
 
     def __post_init__(self) -> None:
-        require_finite(self, "rounds", "basis_policy", "check_fraction", "flip_fraction")
+        check_range("rounds", self.rounds)
         # numpy's samplers and seed sequences take integers only, not bools
         for name, least in (("rounds", 1), ("seed", 0)):
             value = getattr(self, name)
@@ -138,9 +138,7 @@ class SimConfig:
         if self.rounds >= 2**63:  # the tallies are summed as int64
             raise ValueError(f"rounds must be below 2**63, got {self.rounds!r}")
         for name in ("basis_policy", "check_fraction", "flip_fraction"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+            check_range(name, getattr(self, name), 0.0, 1.0, "in [0, 1]")
         if self.attack not in ATTACKS:
             raise ValueError(f"attack must be one of {ATTACKS}, got {self.attack!r}")
         lam_max = _cell_means(self.sp).sum(axis=1).max() if self.sp.p_d < 1.0 else 0.0

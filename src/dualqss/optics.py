@@ -6,6 +6,10 @@ beam splitter, each output port passes a polarizing beam splitter, and
 the four resulting modes feed threshold detectors D1H, D2H, D1V, D2V.
 Because beam splitters map coherent inputs to product coherent outputs,
 every mode is fully described by one real amplitude.
+
+``check_range`` is the library's one boundary rule: a parameter is
+finite and inside its physical range, or a ValueError names it. NaN,
+infinities and integers beyond the float range fail it too.
 """
 
 from __future__ import annotations
@@ -31,20 +35,25 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-def require_finite(obj: object, *names: str) -> None:
-    """Raise ValueError unless each named attribute of ``obj`` is finite.
+# Lower bound of the "positive" rule: for floats and ints, x >= it exactly when x > 0.
+SMALLEST_POSITIVE = math.ulp(0.0)
 
-    Parameter classes call this first, so that NaN and infinities are
-    rejected at construction instead of failing deep inside a formula.
+
+def check_range(name: str, value: float, lo: float = -math.inf, hi: float = math.inf,
+                rule: str = "") -> None:
+    """Raise ValueError unless ``value`` is finite and lo <= value <= hi.
+
+    ``rule`` words the range in the message: "non-negative", "positive",
+    "in [0, 1]" or ">= 1"; without one the check is finiteness alone.
     """
-    for name in names:
-        value = getattr(obj, name)
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:
-            raise ValueError(f"{name} must be finite, got an integer beyond the float range") from None
-        if not finite:
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    try:
+        if math.isfinite(value) and lo <= value <= hi:
+            return
+        got = repr(value)
+    except OverflowError:
+        got = "an integer beyond the float range"
+    must = f"finite and {rule}" if rule else "finite"
+    raise ValueError(f"{name} must be {must}, got {got}")
 
 
 def is_integer(value: object) -> bool:
@@ -98,9 +107,6 @@ class ModeAmplitudes:
     a_v1: float
     a_v2: float
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.a_h1, self.a_h2, self.a_v1, self.a_v2)
-
 
 @dataclass(frozen=True)
 class ModeIntensities:
@@ -112,16 +118,11 @@ class ModeIntensities:
     i_v2: float
 
     def __post_init__(self) -> None:
-        require_finite(self, "i_h1", "i_h2", "i_v1", "i_v2")
-        for value in self.as_tuple():
-            if value < 0:
-                raise ValueError(f"intensity must be non-negative, got {value!r}")
+        for name in ("i_h1", "i_h2", "i_v1", "i_v2"):
+            check_range(name, getattr(self, name), 0.0, rule="non-negative")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.i_h1, self.i_h2, self.i_v1, self.i_v2)
-
-    def total(self) -> float:
-        return sum(self.as_tuple())
 
 
 def detector_amplitudes(pair: EncodingPair, mu_arm: float) -> ModeAmplitudes:
@@ -134,8 +135,7 @@ def detector_amplitudes(pair: EncodingPair, mu_arm: float) -> ModeAmplitudes:
     a_h = s*sqrt(mu_arm/2) and a_v = s*p*sqrt(mu_arm/2). The 50:50 BS
     maps each polarization to (a+b)/sqrt(2) and (a-b)/sqrt(2).
     """
-    if not 0.0 <= mu_arm < math.inf:
-        raise ValueError(f"mu_arm must be finite and non-negative, got {mu_arm!r}")
+    check_range("mu_arm", mu_arm, 0.0, rule="non-negative")
     root = math.sqrt(mu_arm / 2.0)
     s_a = 1.0 - 2.0 * pair.ka_ph
     p_a = 1.0 - 2.0 * pair.ka_pol
@@ -167,20 +167,20 @@ def poisson_even_mass(i: float) -> float:
     Equals e^-i (cosh i - 1); written as expm1(-i)^2 / 2, which is exact
     for small i where the cosh form cancels catastrophically.
     """
-    if i < 0:
-        raise ValueError(f"intensity must be non-negative, got {i!r}")
+    check_range("i", i, 0.0, rule="non-negative")
     return 0.5 * math.expm1(-i) ** 2
 
 
 def poisson_odd_mass(i: float) -> float:
     """Probability of an odd photon number under Poisson(i): e^-i sinh i."""
-    if i < 0:
-        raise ValueError(f"intensity must be non-negative, got {i!r}")
+    check_range("i", i, 0.0, rule="non-negative")
     return -0.5 * math.expm1(-2.0 * i)
 
 
 def coherent_overlap(alpha: float, beta: float) -> float:
     """Overlap <alpha|beta> of two real-amplitude coherent states."""
+    check_range("alpha", alpha)
+    check_range("beta", beta)
     return math.exp(-0.5 * (alpha - beta) ** 2)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .detectors import SystemParams, arm_efficiency
-from .optics import is_integer, require_finite
+from .optics import SMALLEST_POSITIVE, check_range, is_integer
 from .rates import RatePoint, _bracket, _rate_point, at_distance, at_intensity
 
 __all__ = [
@@ -55,9 +55,9 @@ class SweepSpec:
     fixed: SystemParams
 
     def __post_init__(self) -> None:
-        require_finite(self, "lo", "hi", "step")
-        if self.step <= 0:
-            raise ValueError(f"step must be positive, got {self.step!r}")
+        check_range("lo", self.lo)
+        check_range("hi", self.hi)
+        check_range("step", self.step, SMALLEST_POSITIVE, rule="positive")
         if self.hi < self.lo:
             raise ValueError(f"hi must be >= lo, got [{self.lo!r}, {self.hi!r}]")
         if (self.hi - self.lo) / self.step + 1 > _MAX_SWEEP_POINTS:
@@ -138,6 +138,7 @@ def optimize_mu(
     when it is strictly better).
     """
     mu_lo, mu_hi = bounds
+    check_range("bounds", mu_hi)
     if not 0.0 < mu_lo < mu_hi:
         raise ValueError(f"bounds must satisfy 0 < lo < hi, got {bounds!r}")
     if method != "grid":
@@ -190,10 +191,8 @@ def max_distance(
     """
     if event is not None and not (is_integer(event) and 1 <= event <= 3):
         raise ValueError(f"event must be None, 1, 2, or 3, got {event!r}")
-    if not 0.0 < l_hi < math.inf:
-        raise ValueError(f"l_hi must be finite and positive, got {l_hi!r}")
-    if not 0.0 < tol_km < math.inf:
-        raise ValueError(f"tol_km must be finite and positive, got {tol_km!r}")
+    check_range("l_hi", l_hi, SMALLEST_POSITIVE, rule="positive")
+    check_range("tol_km", tol_km, SMALLEST_POSITIVE, rule="positive")
     rate_at = _curve(at_intensity(sp, mu), SweepVariable.DISTANCE, 0.0, l_hi)
 
     def rate(l_km: float) -> float:

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 from .attack import TapParams, _ie_dual_tapped, ie_dual
 from .detectors import SystemParams
-from .optics import binary_entropy
+from .optics import binary_entropy, check_range
 
 __all__ = [
     "EventRates",
@@ -211,11 +211,8 @@ def plob_bound(l_km: float, alpha: float = 0.2) -> float:
     eta_ch = 10^(-alpha l / 10) is the end-to-end power transmittance.
     Returns +inf at zero distance.
     """
-    # float_info.max, not inf: an int beyond the float range would overflow below
-    if not 0.0 <= l_km <= sys.float_info.max:
-        raise ValueError(f"l_km must be finite and non-negative, got {l_km!r}")
-    if not 0.0 <= alpha <= sys.float_info.max:
-        raise ValueError(f"alpha must be finite and non-negative, got {alpha!r}")
+    check_range("l_km", l_km, 0.0, rule="non-negative")
+    check_range("alpha", alpha, 0.0, rule="non-negative")
     eta_ch = 10.0 ** (-alpha * l_km / 10.0)
     if eta_ch >= 1.0:
         return math.inf

@@ -111,9 +111,9 @@ def test_single_click_consistent_with_pattern(ints, p_d):
 @pytest.mark.parametrize("p_d", (-1.0, -1e-9, 1.5, 2.0, float("nan"), float("inf")))
 def test_click_model_rejects_p_d_outside_unit_interval(p_d):
     # out of range, the click terms turn into negative "probabilities"
-    with pytest.raises(ValueError, match="p_d must be in"):
+    with pytest.raises(ValueError, match="p_d must be finite and in"):
         click_prob(0.1, p_d)
-    with pytest.raises(ValueError, match="p_d must be in"):
+    with pytest.raises(ValueError, match="p_d must be finite and in"):
         exclusive_pattern_prob([Detector.D1H], ModeIntensities(0.1, 0.0, 0.0, 0.0), p_d)
 
 

@@ -11,6 +11,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from dualqss.detectors import click_prob
 from dualqss.optics import (
     EncodingPair,
     ModeIntensities,
@@ -61,6 +62,11 @@ def test_parity_masses_reject_negative():
         poisson_even_mass(-0.1)
     with pytest.raises(ValueError):
         poisson_odd_mass(-0.1)
+    # NaN once passed through to a NaN result, 10**400 to an OverflowError
+    for i in (math.nan, math.inf, 10**400):
+        for prob in (poisson_even_mass, poisson_odd_mass, lambda i: click_prob(i, 0.1)):
+            with pytest.raises(ValueError, match="i must be finite and non-negative"):
+                prob(i)
 
 
 # --- encoding pairs and the beam splitter ---
@@ -81,7 +87,7 @@ def test_energy_conservation_all_pairs():
     mu_arm = 0.37
     for pair in ALL_PAIRS:
         ints = intensities(detector_amplitudes(pair, mu_arm))
-        assert ints.total() == pytest.approx(2.0 * mu_arm, rel=1e-12)
+        assert sum(ints.as_tuple()) == pytest.approx(2.0 * mu_arm, rel=1e-12)
 
 
 LIGHT_PLACEMENT = [
@@ -122,7 +128,7 @@ def test_detector_amplitudes_rejects_negative_intensity():
         detector_amplitudes(EncodingPair(0, 0, 0, 0), -0.2)
 
 
-@pytest.mark.parametrize("mu_arm", (math.nan, math.inf))
+@pytest.mark.parametrize("mu_arm", (math.nan, math.inf, pytest.param(10**400, id="10**400")))
 def test_detector_amplitudes_rejects_non_finite_intensity(mu_arm):
     # inf would give NaN intensities through inf - inf
     with pytest.raises(ValueError, match="mu_arm must be finite"):
@@ -150,7 +156,7 @@ def test_matched_encoding_amplitudes():
 
 def test_vacuum_in_vacuum_out():
     amps = detector_amplitudes(EncodingPair(0, 0, 0, 0), 0.0)
-    assert amps.as_tuple() == (0.0, 0.0, 0.0, 0.0)
+    assert (amps.a_h1, amps.a_h2, amps.a_v1, amps.a_v2) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_pol_pairing_representatives():
@@ -174,6 +180,14 @@ def test_coherent_overlap_value():
     # |<alpha|beta>| = exp(-(alpha-beta)^2 / 2) for real amplitudes
     assert coherent_overlap(0.7, -0.7) == pytest.approx(math.exp(-0.98), rel=1e-12)
     assert coherent_overlap(0.0, 0.9) == pytest.approx(math.exp(-0.405), rel=1e-12)
+
+
+@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400")))
+@pytest.mark.parametrize("name", ("alpha", "beta"))
+def test_coherent_overlap_rejects_non_finite(name, value):
+    # NaN once gave a NaN overlap
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        coherent_overlap(**{"alpha": 0.3, "beta": 0.3, name: value})
 
 
 def test_binary_entropy_oracles():

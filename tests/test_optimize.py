@@ -59,7 +59,7 @@ def test_sweep_points_equal_key_rate(fixed, variable, lo, hi, step, at):
                                             (SweepVariable.MU, "mu")))
 def test_sweep_rejects_negative_lo(variable, name):
     spec = SweepSpec(variable=variable, lo=-1.0, hi=1.0, step=0.5, fixed=SP)
-    with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+    with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
         sweep(spec)
 
 
@@ -110,6 +110,10 @@ def test_optimize_dead_zone_returns_lower_bound():
 def test_optimize_rejects_bad_bounds():
     with pytest.raises(ValueError):
         optimize_mu(400.0, SP, bounds=(1.0, 0.5))
+    # an infinite or out-of-float-range upper bound is named as bounds, not as the mu evaluated there
+    for hi in (math.inf, 10**400):
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            optimize_mu(400.0, SP, bounds=(0.1, hi))
     for method in ("golden", "genetic", "annealing"):
         with pytest.raises(ValueError, match="method must be 'grid'"):
             optimize_mu(400.0, SP, method=method)
@@ -179,7 +183,8 @@ def test_max_distance_accepts_numpy_event():
     assert max_distance(0.84, SP, event=np.int64(2)) == max_distance(0.84, SP, event=2)
 
 
-@pytest.mark.parametrize("bad", (0.0, -1.0, float("nan"), float("inf")))
+@pytest.mark.parametrize("bad", (0.0, -1.0, float("nan"), float("inf"),
+                                 pytest.param(10**400, id="10**400")))
 def test_max_distance_rejects_bad_tolerance(bad):
     # 0 and -1 would never end the bisection, NaN would skip it
     with pytest.raises(ValueError, match="tol_km must be finite and positive"):
