@@ -3,7 +3,9 @@
 
 Runs the simulation at each (mu, L) operating point and prints the
 deviation of every tallied statistic from its closed form, in binomial
-standard errors. Exits nonzero if any row exceeds the sigma budget.
+standard errors, and the smallest exact two-sided binomial tail
+(``min_p_tail``) beside the largest deviation. Exits nonzero if any row
+exceeds the sigma budget; the tail is evidence, not a gate.
 Each configuration also reports how many rows are informative, that
 is, expect at least 10 counts; the others carry little evidence either
 way. Its rarest gain or QBER row and its rarest parity row are named
@@ -18,7 +20,7 @@ import sys
 from dualqss.cli import usable_cpus
 from dualqss.detectors import SystemParams
 from dualqss.montecarlo import (MIN_EXPECTED, SimConfig, compare_to_analytic, max_abs_sigma,
-                                simulate)
+                                min_p_tail, p_tail, simulate)
 
 
 def print_rarest(rows: list[dict], prefixes: tuple[str, ...], kind: str) -> None:
@@ -33,26 +35,29 @@ def print_rarest(rows: list[dict], prefixes: tuple[str, ...], kind: str) -> None
 
 
 def run(rounds: int, seed: int, threads: int, budget: float, verbose: bool) -> int:
-    worst_overall = 0.0
+    worst_overall, tail_overall = 0.0, 1.0
     for mu in (0.4, 0.84, 1.5):
         for l_km in (100.0, 400.0):
             cfg = SimConfig(sp=SystemParams(mu=mu, l_km=l_km), rounds=rounds,
                             seed=seed, basis_policy=1.0)
             rows = compare_to_analytic(simulate(cfg, threads=threads))
             worst = max_abs_sigma(rows)
-            worst_overall = max(worst_overall, worst)
+            tail = min_p_tail(rows)
+            worst_overall, tail_overall = max(worst_overall, worst), min(tail_overall, tail)
             flag = "ok" if worst <= budget else "EXCEEDED"
             informative = sum(r["informative"] for r in rows)
             print(f"mu={mu:<5} L={l_km:>5.0f} km  rows={len(rows):3d}  "
-                  f"informative={informative:3d}  max|sigma|={worst:5.2f}  {flag}")
+                  f"informative={informative:3d}  max|sigma|={worst:5.2f}  "
+                  f"min p_tail={tail:.3g}  {flag}")
             print_rarest(rows, ("q_event", "qber_event"), "gain or QBER rows")
             print_rarest(rows, ("parity_",), "parity cells")
             shown = rows if verbose else [r for r in rows if abs(r["sigma"]) > 2.0]
             for r in shown:
                 print(f"    {r['name']:34s} count={r['count']:>9d} "
-                      f"expected={r['expected']:>12.2f} sigma={r['sigma']:+6.2f}")
+                      f"expected={r['expected']:>12.2f} sigma={r['sigma']:+6.2f} "
+                      f"p_tail={p_tail(r['count'], r['n'], r['p_analytic']):.3g}")
     print(f"worst over all configurations: {worst_overall:.2f} "
-          f"(budget {budget})")
+          f"(budget {budget}), min p_tail {tail_overall:.3g}")
     return 0 if worst_overall <= budget else 1
 
 

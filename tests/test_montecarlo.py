@@ -22,6 +22,8 @@ from dualqss.montecarlo import (
     _draw_tables,
     compare_to_analytic,
     max_abs_sigma,
+    min_p_tail,
+    p_tail,
     simulate,
     simulate_beam_split,
     simulate_dishonest_bob,
@@ -324,6 +326,63 @@ def test_rows_flag_their_evidence():
     rows = compare_to_analytic(simulate(config(basis_policy=1.0)))
     assert all(r["informative"] == (r["expected"] >= 10.0) for r in rows)
     assert 0 < len(informative(rows)) < len(rows)
+
+
+def fraction_tails(n, p):
+    """The two-sided tails of p_tail for every count, from exact integer sums
+    over every outcome: pmf(k) den^n = C(n, k) num^k (den - num)^(n - k)."""
+    num, den = Fraction(p).as_integer_ratio()
+    pmf = [math.comb(n, k) * num**k * (den - num) ** (n - k) for k in range(n + 1)]
+    total, lower = den**n, list(itertools.accumulate(pmf))
+    return [Fraction(min(total, 2 * min(low, total - low + mass)), total)
+            for low, mass in zip(lower, pmf)]
+
+
+@pytest.mark.parametrize("n", (1, 2, 7, 30, 64))
+@pytest.mark.parametrize("p", (0.5, 0.3, 0.02, 3.6e-9, 1e-300, 0.97, 1 - 2**-40))
+def test_p_tail_matches_exact_fraction_sums(n, p):
+    for count, want in enumerate(fraction_tails(n, p)):
+        got = p_tail(count, n, p)
+        if want > Fraction(1, 10**300):
+            assert abs(Fraction(got) - want) <= 1e-12 * want, (count, got, float(want))
+        else:  # beyond the float range the tail is 0 or subnormal
+            assert 0.0 <= got < 1e-290, (count, got)
+    assert p_tail(0, 0, 0.3) == p_tail(0, 5, 0.0) == p_tail(5, 5, 1.0) == 1.0
+    assert p_tail(1, 5, 0.0) == p_tail(4, 5, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("n, p", ((10**18, 0.5), (10**16, 1e-5), (10**12, 0.3)))
+@pytest.mark.parametrize("z", (-6.0, -1.0, 1.0, 3.0, 6.0))
+def test_p_tail_meets_the_normal_tail(n, p, z):
+    # At large n p (1 - p) the tail is the normal one with continuity
+    # correction, up to a skewness term of order z^3 (1 - 2p) / sigma: at
+    # p = 0.5 that vanishes and n = 1e18 leaves only rounding.
+    mean, sd = Fraction(p) * n, math.sqrt(n * p * (1.0 - p))
+    count = math.floor(mean + Fraction(z * sd))
+    normal = math.erfc(float(abs(count - mean) - Fraction(1, 2)) / sd / math.sqrt(2.0))
+    tol = 1e-12 if p == 0.5 else 2.0 * abs(z) ** 3 * abs(1.0 - 2.0 * p) / sd
+    assert abs(p_tail(count, n, p) - normal) <= tol * normal
+
+
+def test_p_tail_stays_finite_at_the_extremes():
+    # n up to 1e18 and p down to the smallest float: one count against
+    # n p = 1e-282 expected has a tail of 2 n p
+    for p in (1e-300, 5e-324):
+        assert p_tail(0, 10**18, p) == 1.0
+        assert p_tail(1, 10**18, p) == pytest.approx(2e18 * p, rel=1e-12)
+        assert p_tail(3, 10**18, p) == 0.0  # (n p)^3 / 3 underflows
+    for count in (0, 10**18 - 1, 10**18):
+        assert 0.0 <= p_tail(count, 10**18, 1.0 - 2**-53) <= 1.0
+
+
+def test_p_tail_weighs_rare_rows_that_sigma_overstates():
+    # one count against 0.036 expected reads 5.1 sigma, yet its tail is 7%
+    n, p = 10**7, 3.6e-9
+    assert montecarlo._sigma(1, n, p) > 5.0
+    assert p_tail(1, n, p) == pytest.approx(2.0 * -math.expm1(-n * p), rel=1e-6)
+    rows = compare_to_analytic(simulate(config(basis_policy=1.0)))
+    assert min_p_tail(rows) == min(p_tail(r["count"], r["n"], r["p_analytic"]) for r in rows)
+    assert 0.0 < min_p_tail(rows) < 1.0
 
 
 @pytest.mark.parametrize("p_d, rounds", ((0.02, 1_000_000), (0.7, 300_000)),
