@@ -181,7 +181,9 @@ def coherent_overlap(alpha: float, beta: float) -> float:
     """Overlap <alpha|beta> of two real-amplitude coherent states."""
     check_range("alpha", alpha)
     check_range("beta", beta)
-    return math.exp(-0.5 * (alpha - beta) ** 2)
+    d = alpha - beta
+    # beyond 40 the exponential is already 0.0, and the square would overflow near 1.3e154
+    return math.exp(-0.5 * d ** 2) if abs(d) <= 40.0 else 0.0
 
 
 def binary_entropy(x: float) -> float:

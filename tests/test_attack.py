@@ -15,6 +15,7 @@ from dualqss.attack import (
     ie_wcp_pol,
     usd_bound,
 )
+from dualqss.optics import coherent_overlap
 
 tap_st = st.builds(
     TapParams,
@@ -141,6 +142,18 @@ def test_leakage_vanishes_without_tapped_light():
     for fn in (ie_dual, ie_wcp_ph, ie_wcp_pol, ie_dps_tf):
         assert fn(TapParams(mu=0.0, eta_t=0.3)) == 0.0
         assert fn(TapParams(mu=0.84, eta_t=1.0)) == 0.0
+
+
+def test_brightest_tap_gives_orthogonal_states():
+    # Amplitudes far apart once raised a bare OverflowError from the squared
+    # difference; their overlap is 0, so Eve distinguishes every state. Just
+    # below the clamp the overlap is the same exponential, bit for bit.
+    tap = TapParams(mu=1e308, eta_t=0.0)
+    overlaps = dual_dof_ensemble(tap).overlaps
+    assert all(x == (i == j) for i, row in enumerate(overlaps) for j, x in enumerate(row))
+    assert ie_dual(tap) == 1.0
+    assert coherent_overlap(20.0, -20.0) == math.exp(-0.5 * 40.0 ** 2) == 0.0
+    assert coherent_overlap(19.0, -19.0) == math.exp(-0.5 * 38.0 ** 2) > 0.0
 
 
 def test_vacuum_ensemble_overlaps_are_one():
