@@ -260,7 +260,7 @@ def _unit_intensities() -> np.ndarray:
 
 
 _UNIT_LAM = _unit_intensities()
-_TAIL = np.array([1.0 / math.factorial(k) for k in range(2, 20)])  # series of P(N >= 2) / e^-lam
+_TAIL = np.array([1.0 / math.factorial(k) for k in range(3, 21)])  # series of P(N >= 3) / e^-lam
 # Per pattern, its click mask and its cells' parity masks (bit d: detector d).
 _PATTERN_MASKS = [sum(1 << d for d in dets) for _, dets, _ in _PATTERNS]
 _CELL_ODD = [[sum(1 << d for i, d in enumerate(dets) if not j >> (len(dets) - 1 - i) & 1)
@@ -308,21 +308,22 @@ def _cell_means(sp: SystemParams) -> np.ndarray:
 
 
 def _strata(lam: np.ndarray) -> np.ndarray:
-    """P(N = 0), P(N = 1) and P(N >= 2) of N ~ Poisson(lam), along the last
-    axis, each to full relative precision: below lam = 1, P(N >= 2) sums
-    its series, where 1 - e^-lam (1 + lam) would cancel."""
+    """P(N = 0), P(N = 1), P(N = 2) and P(N >= 3) of N ~ Poisson(lam), along
+    the last axis, each to full relative precision: below lam = 1, P(N >= 3)
+    sums its series, where 1 - e^-lam (1 + lam + lam^2 / 2) would cancel."""
     p0 = np.exp(-lam)
     p1 = lam * p0
+    p2 = 0.5 * lam * p1
     series = np.power.outer(np.minimum(lam, 1.0), np.arange(_TAIL.size)) @ _TAIL
-    return np.stack((p0, p1, np.where(lam < 1.0, p1 * lam * series, 1.0 - (p0 + p1))), axis=-1)
+    return np.stack((p0, p1, p2, np.where(lam < 1.0, p1 * lam * lam * series, 1.0 - (p0 + p1 + p2))), axis=-1)
 
 
 _DrawTables = collections.namedtuple("_DrawTables", "weights p_multi lam strata rank q bits odd_bits", defaults=[None] * 6)
 
 
 def _draw_tables(cfg: SimConfig) -> _DrawTables:
-    """Tables built once per ``simulate`` call and read by every block: class weights, P(N >= 2)
-    of a round and, except at p_d = 1, per class: entry total mean, strata P(N = 0, 1, >= 2) and
+    """Tables built once per ``simulate`` call and read by every block: class weights, P(N >= 3)
+    of a round and, except at p_d = 1, per class: entry total mean, strata P(N = 0, 1, 2, >= 3) and
     cell probabilities, both in ascending order (numpy draws multinomial outcomes rarest first and
     gives the likeliest the remainder; probability 0 stays empty), the strata's ranks, and each
     sorted cell's detector and parity bit (0 for a dark count)."""
@@ -335,14 +336,14 @@ def _draw_tables(cfg: SimConfig) -> _DrawTables:
     rank = np.argsort(strata, axis=1, kind="stable")
     order = np.argsort(means, axis=1, kind="stable")
     bits = 1 << (order & 3)
-    return _DrawTables(weights, float(weights @ strata[:, 2]), lam, strata[_CLASSES[:, None], rank],
+    return _DrawTables(weights, float(weights @ strata[:, 3]), lam, strata[_CLASSES[:, None], rank],
                        rank, means[_CLASSES[:, None], order] / np.where(lam > 0.0, lam, 1.0)[:, None],
                        bits, np.where(order < 4, bits, 0))
 
 
 def _block_sizes(cfg: SimConfig, tables: _DrawTables) -> list[int]:
     """Partition ``cfg.rounds`` into blocks that expect about ``_BLOCK_ROWS``
-    multi-entry rounds (at p_d = 1 there are none), up to ``_MAX_BLOCK``
+    rounds of three or more entries (at p_d = 1 there are none), up to ``_MAX_BLOCK``
     rounds. The sizes depend on the configuration only."""
     p_multi = tables.p_multi
     block = _MAX_BLOCK if p_multi * _MAX_BLOCK <= _BLOCK_ROWS else math.ceil(_BLOCK_ROWS / p_multi)
@@ -350,15 +351,15 @@ def _block_sizes(cfg: SimConfig, tables: _DrawTables) -> list[int]:
 
 
 def _multi_entry_totals(rng: np.random.Generator, lam: np.ndarray) -> np.ndarray:
-    """Poisson(lam) conditioned on N >= 2, by exact rejection: where lam <= 1,
-    2 + Poisson(lam) is kept with probability 2 / (N (N - 1)), else
-    Poisson(lam) is redrawn until it reaches 2."""
+    """Poisson(lam) conditioned on N >= 3, by exact rejection: where lam <= 1,
+    3 + Poisson(lam) is kept with probability 6 / (N (N - 1) (N - 2)), else
+    Poisson(lam) is redrawn until it reaches 3."""
     n = np.empty(lam.size, np.int64)
     todo = np.arange(lam.size)
     while todo.size:
         small = lam[todo] <= 1.0
-        x = rng.poisson(lam[todo]) + 2 * small
-        keep = np.where(small, rng.random(todo.size) * x * (x - 1.0) < 2.0, x >= 2)
+        x = rng.poisson(lam[todo]) + 3 * small
+        keep = np.where(small, rng.random(todo.size) * x * (x - 1.0) * (x - 2.0) < 6.0, x >= 3)
         n[todo[keep]] = x[keep]
         todo = todo[~keep]
     return n
@@ -374,20 +375,26 @@ def _rows(counts: np.ndarray, bits: np.ndarray, odd_bits: np.ndarray) -> tuple:
 def _draw(t: _DrawTables, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw step: a block's class counts ``m`` and its histogram of rounds
     over (parity mask, class, click mask). The draw order (class counts,
-    strata, one-entry rounds, multi-entry rounds if any) is fixed."""
+    strata, one-entry rounds, two-entry rounds if any, rows if any) is fixed."""
     m = rng.multinomial(size, t.weights)
     hist = np.zeros((16, 64, 16), np.int64)
     if t.lam is None:  # p_d = 1; the photon parity shows in no pattern
         hist[0, :, 15] = m
         return m, hist
-    n = np.empty((64, 3), np.int64)
+    n = np.empty((64, 4), np.int64)
     n[_CLASSES[:, None], t.rank] = rng.multinomial(m, t.strata)
     hist[t.odd_bits, _CLASSES[:, None], t.bits] = rng.multinomial(n[:, 1], t.q)
-    if n[:, 2].any():
-        cls = np.repeat(_CLASSES, n[:, 2])  # the multi-entry rounds, the only rows
+    if n[:, 2].any():  # two-entry rounds: counts over the ordered cell pairs (i, j), row-major
+        cls = np.flatnonzero(n[:, 2])
+        q, bits, odd = t.q[cls, :, None], t.bits[cls, :, None], t.odd_bits[cls, :, None]
+        pairs = rng.multinomial(n[cls, 2], (q * q.transpose(0, 2, 1)).reshape(-1, 64))
+        np.add.at(hist, ((odd ^ odd.transpose(0, 2, 1)).reshape(-1, 64), cls[:, None],
+                         (bits | bits.transpose(0, 2, 1)).reshape(-1, 64)), pairs)
+    if n[:, 3].any():
+        cls = np.repeat(_CLASSES, n[:, 3])  # the rounds of three or more entries, the only rows
         counts = rng.multinomial(_multi_entry_totals(rng, t.lam[cls]), t.q[cls])
         clicks, odd = _rows(counts, t.bits[cls], t.odd_bits[cls])
-        hist += np.bincount((odd << 6 | cls) << 4 | clicks, minlength=hist.size).reshape(hist.shape)
+        np.add.at(hist.reshape(-1), (odd << 6 | cls) << 4 | clicks, 1)
     return m, hist
 
 

@@ -141,7 +141,7 @@ JSON_DIGESTS = {
     ("thresholds",):
         "9abe3c7ab13b98212f367df33588c787c39dbb8f5e01cd1ca91ea7cf60a5f3ba",
     ("simulate", "--rounds", "100000", "--seed", "3", "--attack", "beam-split"):
-        "bbe14875c35a90902e13af300f15421391fc5fa7a7e589be0cf2f5f7c6c1fe3a",
+        "8db97370f49ecb509be7f748d2cec612359dfef1f91724d7743376771c1947a1",
 }
 
 

@@ -58,9 +58,9 @@ FAR = SystemParams(mu=0.84, l_km=400.0)
 
 
 def test_worker_count_does_not_change_far_tallies():
-    # at 400 km a block holds about 2.7e13 rounds, so this run has eight
-    cfg = config(sp=FAR, rounds=2 * 10**14)
-    assert _block_sizes(cfg, _draw_tables(cfg)) == [26_899_039_564_381] * 7 + [11_706_723_049_333]
+    # at 400 km a block holds the most rounds, 2^53, so this run has eight
+    cfg = config(sp=FAR, rounds=7 * 10**16)
+    assert _block_sizes(cfg, _draw_tables(cfg)) == [2**53] * 7 + [7 * 10**16 - 7 * 2**53]
     assert simulate(cfg, threads=1).to_dict() == simulate(cfg, threads=3).to_dict()
 
 
@@ -70,7 +70,7 @@ def test_worker_count_does_not_change_far_tallies():
     config(sp=SystemParams(mu=0.4, l_km=300.0), rounds=123_456_789),
     config(rounds=1_100_000),
     config(rounds=1),
-    config(sp=FAR, rounds=2 * 10**14),
+    config(sp=FAR, rounds=7 * 10**16),
     config(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0), rounds=30_000),
 ), ids=("far", "far-odd", "300km", "near", "one", "far-blocks", "bright"))
 def test_block_sizes_partition_rounds_whatever_the_threads(cfg, monkeypatch):
@@ -91,7 +91,7 @@ def test_draw_tables_are_built_once_per_call(monkeypatch):
     # its call built, whatever the worker count; a second call builds them
     # again, since nothing is kept between calls. The blocks' arrays are
     # summed, so the report is tallied once per call, not once per block.
-    cfg = config(sp=FAR, rounds=2 * 10**14)
+    cfg = config(sp=FAR, rounds=7 * 10**16)
     built, strata, read, tallied = [], [], [], []
     real_tables, real_strata, real_block, real_tally = (montecarlo._draw_tables, montecarlo._strata,
                                                         montecarlo._block_tallies, montecarlo._tally)
@@ -112,26 +112,27 @@ def test_draw_tables_are_built_once_per_call(monkeypatch):
 
 
 @pytest.mark.parametrize("kw, rounds, block", (
-    (dict(sp=SystemParams(mu=0.4, l_km=100.0), basis_policy=1.0), 10**9, 122_697_867),
-    (dict(sp=SystemParams(mu=0.84, l_km=100.0)), 10**8, 28_060_786),
-    (dict(sp=SystemParams(mu=1.5, l_km=100.0), basis_policy=0.0), 10**8, 8_912_649),
+    (dict(sp=SystemParams(mu=0.4, l_km=100.0), basis_policy=1.0), 10**11, 31_762_059_498),
+    (dict(sp=SystemParams(mu=0.84, l_km=100.0)), 10**10, 3_462_757_295),
+    (dict(sp=SystemParams(mu=1.5, l_km=100.0), basis_policy=0.0), 10**9, 616_903_671),
     (dict(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0)), 1_100_000, 8193),
-    (dict(sp=SystemParams(mu=0.84, l_km=100.0, p_d=0.02)), 10**8, 1_588_347),
-    (dict(sp=SystemParams(mu=0.84, l_km=100.0, p_d=0.7)), 1_100_000, 8589),
+    (dict(sp=SystemParams(mu=0.84, l_km=100.0, p_d=0.02)), 10**8, 45_711_034),
+    (dict(sp=SystemParams(mu=0.84, l_km=100.0, p_d=0.7)), 1_100_000, 9512),
     (dict(sp=SystemParams(p_d=1.0)), 10**15, 10**15),
-    (dict(sp=FAR, basis_policy=1.0), 10**15, 26_899_039_564_381),
+    (dict(sp=FAR, basis_policy=1.0), 10**17, 2**53),
 ), ids=("100km-mu0.4", "100km", "100km-z", "bright", "pd0.02", "pd0.7", "pd1", "400km"))
 def test_blocks_expect_a_fixed_number_of_multi_entry_rounds(kw, rounds, block):
-    # A block expects about _BLOCK_ROWS rounds of two or more entries:
-    # nearly every round when bright or dark-heavy, one in 3e9 at 400 km.
+    # A block expects about _BLOCK_ROWS rounds of three or more entries, up
+    # to 2^53 rounds: nearly every round when bright or dark-heavy, one in
+    # 4e5 at 100 km, one in 4e14 at 400 km, where a block holds 22 of them.
     # At p_d = 1 every round is a count, so one block holds them all.
     cfg = config(rounds=rounds, **kw)
     sizes = _block_sizes(cfg, _draw_tables(cfg))
     assert sizes == [block] * (rounds // block) + [rounds % block] * (rounds % block > 0)
     if cfg.sp.p_d < 1.0:
         lam = montecarlo._cell_means(cfg.sp).sum(axis=1)
-        p_multi = montecarlo._class_weights(cfg.basis_policy) @ montecarlo._strata(lam)[:, 2]
-        assert block == math.ceil(montecarlo._BLOCK_ROWS / p_multi)
+        p_multi = montecarlo._class_weights(cfg.basis_policy) @ montecarlo._strata(lam)[:, 3]
+        assert block == min(montecarlo._MAX_BLOCK, math.ceil(montecarlo._BLOCK_ROWS / p_multi))
 
 
 def test_dark_source_is_one_block_of_any_size():
@@ -419,8 +420,8 @@ def test_far_double_clicks_match_closed_forms(mu):
     and QBER row expects at least 10 counts, and each is within 5 sigma.
 
     Their errors need a dark count besides the photons, so the QBER rows
-    need 1e13 to 4e13 rounds for 10 expected errors. Only multi-entry
-    rounds are rows, about 3e5 (mu = 0.84) and 1e6 (mu = 1.5) here.
+    need 1e13 to 4e13 rounds for 10 expected errors. Only rounds of three
+    or more entries are rows, about 3 (mu = 0.84) and 14 (mu = 1.5) here.
     """
     cfg = SimConfig(sp=SystemParams(mu=mu, l_km=400.0), rounds=10**15, seed=2026, basis_policy=1.0)
     rows = {r["name"]: r for r in compare_to_analytic(simulate(cfg))}
@@ -428,6 +429,27 @@ def test_far_double_clicks_match_closed_forms(mu):
                  "qber_event3_pol"):
         assert rows[name]["informative"], name
         assert abs(rows[name]["sigma"]) < 5.0, name
+
+
+@pytest.mark.parametrize("mu", (0.84, 1.5))
+def test_far_parity_cells_match_closed_forms(mu):
+    """The double clicks behind the headline claim at 400 km, cell by cell:
+    at 5e16 rounds every Event2/3 gain, QBER and parity row that the closed
+    forms allow (p > 0) expects at least 10 counts and is within 5 sigma.
+
+    The rarest, the ee cells, need about 2.5e16 rounds. Two-entry rounds are
+    counts, so these rounds are six blocks of about 20 rows each.
+    """
+    cfg = SimConfig(sp=SystemParams(mu=mu, l_km=400.0), rounds=5 * 10**16, seed=2026,
+                    basis_policy=1.0)
+    rows = compare_to_analytic(simulate(cfg))
+    double = [r for r in rows if r["name"].startswith(("q_event2", "q_event3", "qber_event2",
+                                                       "qber_event3"))
+              or r["name"].split("_")[-2] in ("h1v1", "h2v2", "h1v2", "h2v1")]
+    assert len(double) == 38 and sum(r["p_analytic"] == 0.0 for r in rows) == 16
+    for row in double:
+        if row["p_analytic"] > 0.0:
+            assert row["informative"] and abs(row["sigma"]) < 5.0, row
 
 
 def test_bright_cells_match_closed_forms_for_any_worker_count():
@@ -534,21 +556,21 @@ def test_report_dict_shape():
 
 PINNED = {
     "near": (dict(rounds=1_100_000),
-             "390f397615a603ef88c7e971732be853005f418d31901cf7fdbe5d17830bc391"),
+             "cb47c2d4f12a7e93c1a2fd93cb05d185b609417d4cc58f85b2db6e802e59beb6"),
     "bright": (dict(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0), rounds=600_000, seed=17),
-               "d02a9e995f7ebeeb6f82a33300ee9fc6afbf8d810e08f70500366c3b62142e35"),
+               "8798c94d169d157cf74b17a2684e78c30974f2addbfda5ee8ae90fe8f312483a"),
     "dark": (dict(sp=SystemParams(mu=0.84, l_km=100.0, p_d=0.02), rounds=600_000, seed=13),
-             "9321e4844415768d67007cf3d94c38af42e2913232d95ac080b2c0190644cb50"),
+             "9e34069fd41f43b1baf066b64fc9d5016ed0106db2b26adeba056307e3623c80"),
     "checked-none": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05),
-                     "f3e6be0c4fab247b6d05567fad376fb0f600a225542ed5e9ff547a7c33edb98b"),
+                     "d322a032559338cb0f1ab5ff36643d9ca780a5f150d0024e2c6f4baf5a9a60fd"),
     "checked-beam_split": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05,
                                 attack="beam_split"),
-                           "1d9f1f6c4892cc1fc49392adeac427da0c7e5a791eb88a6fd2073a8012c0ca4b"),
+                           "062da63885e52f0f10de18fadb1e53598b98ee64a28775cc8b775f94cb11c0f7"),
     "checked-dishonest_bob": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05,
                                    attack="dishonest_bob"),
-                              "994e869f91178a257428f52335f88a36159ed8c4d0039a6d09beedbc7ed67393"),
+                              "2459eb3b921d9bfd424ff287b6e482ac27d5594033c32e9d7427e5813fb8b49c"),
     "far": (dict(sp=FAR, rounds=10**9),
-            "d0f084fdbf415cbec28d2d578c03088cd0a858e4604a0edcff1e85da78e36b8c"),
+            "9bcdf4a30419528d8a72ab6a33f46a0498ad88ce3160df9f07f11fefe01c100e"),
 }
 
 
@@ -556,8 +578,9 @@ PINNED = {
 def test_tallies_pinned_at_fixed_seeds(case):
     """Reports are reproducible across versions, not only across calls.
 
-    The SHA-256 of each report's JSON was recorded when blocks began to
-    be drawn by entries per round (only multi-entry rounds as rows); each
+    The SHA-256 of each report's JSON was recorded when two-entry rounds
+    became counts over cell pairs (only rounds of three or more entries as
+    rows); each
     is the same for 1 and 2 threads. The bright case spans 74 blocks, the
     others one each. Any change of the block sizes or of how a block
     consumes its random streams changes these digests; such a change must
@@ -609,17 +632,21 @@ def test_row_reduction_matches_unique_reference(seed):
     assert np.unique(round_id << 2 | det, return_counts=True)[1].max() > 1
 
 
-@pytest.mark.parametrize("sp", (
-    SP,
-    SystemParams(mu=20.0, l_km=0.0, eta_d=1.0),
-    SystemParams(mu=0.84, l_km=100.0, p_d=0.02),
-    SystemParams(mu=0.84, l_km=100.0, p_d=0.7),
-    SystemParams(mu=0.0, p_d=0.0),
-), ids=("near", "bright", "pd0.02", "pd0.7", "empty"))
-def test_drawn_entries_reduce_like_unique_reference(sp, monkeypatch):
-    # The draw step's multi-entry rounds, as it reduces them, against the
-    # reference over the same entries; each round holds two or more, and
-    # each lands in the histogram.
+DRAWN = (
+    (SP, 10**7),
+    (SystemParams(mu=20.0, l_km=0.0, eta_d=1.0), 50_000),
+    (SystemParams(mu=0.84, l_km=100.0, p_d=0.02), 10**6),
+    (SystemParams(mu=0.84, l_km=100.0, p_d=0.7), 50_000),
+    (SystemParams(mu=0.0, p_d=0.0), 50_000),
+)
+DRAWN_IDS = ("near", "bright", "pd0.02", "pd0.7", "empty")
+
+
+@pytest.mark.parametrize("sp, size", DRAWN, ids=DRAWN_IDS)
+def test_drawn_entries_reduce_like_unique_reference(sp, size, monkeypatch):
+    # The draw step's rows, as it reduces them, against the reference over
+    # the same entries; each round holds three or more, and each lands in
+    # the histogram.
     seen = []
 
     def rows(counts, bits, odd_bits, real=montecarlo._rows):
@@ -627,16 +654,64 @@ def test_drawn_entries_reduce_like_unique_reference(sp, monkeypatch):
         return seen[-1][-1]
 
     monkeypatch.setattr(montecarlo, "_rows", rows)
-    _, hist = montecarlo._draw(_draw_tables(config(sp=sp)), np.random.default_rng(3), 50_000)
+    _, hist = montecarlo._draw(_draw_tables(config(sp=sp)), np.random.default_rng(3), size)
     if sp.mu == sp.p_d == 0.0:  # no round holds an entry, so the row stage is skipped
         assert seen == [] and not hist.any()
         return
     [(counts, bits, odd_bits, (clicks, odd))] = seen
     want = reference_rows(*entries(counts, bits, odd_bits))
     assert all(np.array_equal(g, w) for g, w in zip((np.arange(clicks.size), clicks, odd), want))
-    assert (counts.sum(axis=1) >= 2).all()
+    assert (counts.sum(axis=1) >= 3).all()
     assert (hist.sum(axis=1).ravel() >= np.bincount(odd << 4 | clicks, minlength=256)).all()
     assert clicks.size > 0
+
+
+class Recorder:
+    """A generator that keeps every multinomial draw: (n, pvals, drawn)."""
+
+    def __init__(self, seed):
+        self.rng, self.drawn = np.random.default_rng(seed), []
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def multinomial(self, n, pvals):
+        self.drawn.append((n, pvals, self.rng.multinomial(n, pvals)))
+        return self.drawn[-1][-1]
+
+
+@pytest.mark.parametrize("sp, size", DRAWN + ((FAR, 10**13),), ids=DRAWN_IDS + ("far",))
+def test_drawn_pairs_reduce_like_unique_reference(sp, size):
+    # Two-entry rounds are counts over each class's 64 ordered pairs of
+    # cells (i, j), row-major, of probability q_i q_j. Expanded into entries,
+    # one round per drawn pair, they reduce as the reference does; with the
+    # one-entry counts they leave in the histogram exactly the rows, class
+    # by class. Pairs in one photon cell (an even count) are among them.
+    t = _draw_tables(config(sp=sp))
+    rng = Recorder(3)
+    m, hist = montecarlo._draw(t, rng, size)
+    (_, _, drawn_m), (_, _, ranked), (_, _, singles), *later = rng.drawn
+    n = np.empty((64, 4), np.int64)
+    n[np.arange(64)[:, None], t.rank] = ranked
+    rest = hist.copy()
+    rest[t.odd_bits, np.arange(64)[:, None], t.bits] -= singles
+    if sp.mu == sp.p_d == 0.0:
+        assert later == [] and not n[:, 2:].any() and not rest.any()
+        return
+    for n2, pvals, pairs in later[:int(n[:, 2].any())]:  # then the rows' cells, if any
+        cls = np.flatnonzero(n[:, 2])
+        assert np.array_equal(n2, n[cls, 2]) and np.array_equal(pairs.sum(axis=1), n2)
+        assert np.array_equal(pvals, np.einsum("ci,cj->cij", t.q[cls], t.q[cls]).reshape(-1, 64))
+        r, s = np.nonzero(pairs)
+        counts = np.eye(8, dtype=np.int64)[s // 8] + np.eye(8, dtype=np.int64)[s % 8]
+        rounds, clicks, odd = reference_rows(*entries(counts, t.bits[cls[r]], t.odd_bits[cls[r]]))
+        assert np.array_equal(rounds, np.arange(r.size))
+        np.subtract.at(rest, (odd, cls[r], clicks), pairs[r, s])
+        # bright pulses leave almost no two-entry round, heavy darks few photon pairs
+        photon_pair = (s // 8 == s % 8) & (t.odd_bits[cls[r], s % 8] > 0)
+        assert photon_pair.any() or sp.p_d > 0.01
+    assert rest.min() >= 0 and np.array_equal(rest.sum(axis=(0, 2)), n[:, 3])
+    assert np.array_equal(drawn_m, m) and (n[:, 2].any() or sp.mu > 1.0)
 
 
 # Patterns by click mask (bit d for detector d): D1H = 1, D2H = 2, D1V = 4,
@@ -775,11 +850,11 @@ def poisson_pmf(lam, k):
 
 @pytest.mark.parametrize("lam", (1e-12, 1e-6, 0.05, 1.0, 30.0))
 def test_strata_to_full_relative_precision(lam):
-    # at 400 km lam is about 2.5e-5, where 1 - e^-lam (1 + lam) keeps only
-    # about 6 of its digits
+    # at 400 km lam is about 2.5e-5, where 1 - e^-lam (1 + lam + lam^2 / 2)
+    # would keep none of its digits
     top = int(lam + 40 * math.sqrt(lam) + 40)
-    want = (poisson_pmf(lam, 0), poisson_pmf(lam, 1),
-            math.fsum(poisson_pmf(lam, k) for k in range(2, top)))
+    want = (poisson_pmf(lam, 0), poisson_pmf(lam, 1), poisson_pmf(lam, 2),
+            math.fsum(poisson_pmf(lam, k) for k in range(3, top)))
     got = montecarlo._strata(np.array([lam, lam]))
     for stratum, value in enumerate(want):
         assert got[0, stratum] == got[1, stratum]
@@ -788,16 +863,16 @@ def test_strata_to_full_relative_precision(lam):
 
 @pytest.mark.parametrize("lam", (0.02, 0.5, 1.0, 1.4, 6.0))
 def test_multi_entry_totals_follow_the_conditioned_poisson(lam):
-    # Chi-square of 200k draws against Poisson(lam) given N >= 2, on both
+    # Chi-square of 200k draws against Poisson(lam) given N >= 3, on both
     # sides of lam = 1 (the two rejection rules), in one call with a second
     # mean so that the rules run side by side; the bound is the chi-square
     # quantile at z = 5 (Wilson-Hilferty).
     other = 3.0 if lam <= 1.0 else 0.3
     n = montecarlo._multi_entry_totals(np.random.default_rng(21), np.repeat([lam, other], 200_000))
-    assert n.min() >= 2
+    assert n.min() >= 3
     n = n[:200_000]
-    p_multi = montecarlo._strata(np.array([lam]))[0, 2]
-    expected, observed, k = [], [], 2
+    p_multi = montecarlo._strata(np.array([lam]))[0, 3]
+    expected, observed, k = [], [], 3
     while (e := 200_000 * poisson_pmf(lam, k) / p_multi) >= 20:
         expected.append(e)
         observed.append(np.count_nonzero(n == k))
