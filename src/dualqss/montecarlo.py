@@ -13,23 +13,26 @@ proportion to their means. The sampler rests on this Poisson
 splitting, never on the closed forms it checks.
 
 Blocks are sized from the configuration alone, to expect about
-``_BLOCK_ROWS`` multi-entry rounds. The draw step draws a block's class
-counts, then per class how many rounds hold N = 0, 1 and >= 2 entries.
-Rounds without an entry never click. One-entry rounds stay counts: a
+``_BLOCK_ROWS`` rows. The draw step draws a block's class counts, then
+per class how many rounds hold N = 0, 1, 2 and >= 3 entries. Rounds
+without an entry never click. One-entry rounds stay counts: a
 multinomial over the cells gives how many click each detector, with an
 odd photon count or with a dark count, which never changes the photon
-parity. Only multi-entry rounds, which alone can click twice, become
-rows: each draws N from the Poisson conditioned on N >= 2 and splits it
-over the cells into a 4-bit click mask and a 4-bit photon-parity mask;
-a block without a multi-entry round skips this row stage. At p_d = 1
-every round clicks four times. A ``simulate`` call builds the draw
-tables of its configuration once (``_draw_tables``), and the block
-sizing and every block's draw step read them. A block's rounds end in
-one histogram over (parity mask, class, click mask), whose cells the
-lottery (checks, an attack's flips or Eve's success) splits with
-binomials. ``simulate`` sums the blocks' integer arrays as they arrive,
-and the tally step reads every count of the sums through truth tables,
-once per call. The table ``_PATTERNS`` of the six tallied click
+parity. Two-entry rounds stay counts too: per class that holds any, one
+multinomial over the 64 ordered pairs of cells (i, j), of probability
+q_i q_j, gives how many click bits_i | bits_j with photon parity
+odd_i ^ odd_j (two photons in one cell are an even count). Only rounds of
+three or more entries become rows: each draws N from the Poisson
+conditioned on N >= 3 and splits it over the cells into a 4-bit click
+mask and a 4-bit photon-parity mask; a block without such a round skips
+this row stage. At p_d = 1 every round clicks four times. A
+``simulate`` call builds the draw tables of its configuration once
+(``_draw_tables``), and the block sizing and every block's draw step
+read them. A block's rounds end in one histogram over (parity mask,
+class, click mask), whose cells the lottery (checks, an attack's flips
+or Eve's success) splits with binomials. ``simulate`` sums the blocks'
+integer arrays as they arrive, and the tally step reads every count of
+the sums through truth tables, once per call. The table ``_PATTERNS`` of the six tallied click
 patterns drives the truth tables, the parity cells and the comparison
 rows.
 
@@ -52,7 +55,6 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -80,8 +82,8 @@ ATTACKS = ("none", "beam_split", "dishonest_bob")
 # no evidence of agreement.
 MIN_EXPECTED = 10.0
 
-# Blocks expect about _BLOCK_ROWS multi-entry rounds, the only rows of
-# work; _MAX_BLOCK bounds blocks where those are rare or absent.
+# Blocks expect about _BLOCK_ROWS rounds of three or more entries, the only
+# rows of work; _MAX_BLOCK bounds blocks where those are rare or absent.
 _BLOCK_ROWS = 8192
 _MAX_BLOCK = 2**53
 _SQRT_HALF = math.sqrt(0.5)
@@ -632,9 +634,13 @@ def p_tail(count: int, n: int, p: float) -> float:
     three sigma from the mean the fraction converges in a few dozen steps;
     at the mean it takes up to O(sqrt(n p (1 - p))).
     """
+    check_range("p", p, 0.0, 1.0, "in [0, 1]")
+    if not (is_integer(count) and is_integer(n) and 0 <= count <= n):
+        raise ValueError(f"count and n must be integers with 0 <= count <= n, got {count!r}, {n!r}")
     if n == 0 or p in (0.0, 1.0):
         return float(count == (n if p else 0))
-    d = float(count - Fraction(p) * n)
+    num, den = float(p).as_integer_ratio()
+    d = (count * den - n * num) / den  # count - n p, rounded once
     k, rest, m = float(count), float(n - count), n * p
     if count == 0:
         pmf = math.exp(n * math.log1p(-p))

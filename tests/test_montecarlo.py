@@ -376,6 +376,13 @@ def test_p_tail_stays_finite_at_the_extremes():
         assert 0.0 <= p_tail(count, 10**18, 1.0 - 2**-53) <= 1.0
 
 
+@pytest.mark.parametrize("count, n, p", ((-1, 5, 0.5), (6, 5, 0.5), (1.5, 5, 0.5), (1, 5.0, 0.5),
+                                         (1, 5, -0.1), (1, 5, 1.5), (1, 5, float("nan"))))
+def test_p_tail_rejects_impossible_rows(count, n, p):
+    with pytest.raises(ValueError, match="must be"):
+        p_tail(count, n, p)
+
+
 def test_p_tail_weighs_rare_rows_that_sigma_overstates():
     # one count against 0.036 expected reads 5.1 sigma, yet its tail is 7%
     n, p = 10**7, 3.6e-9
