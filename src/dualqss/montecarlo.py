@@ -637,6 +637,7 @@ def p_tail(count: int, n: int, p: float) -> float:
     check_range("p", p, 0.0, 1.0, "in [0, 1]")
     if not (is_integer(count) and is_integer(n) and 0 <= count <= n):
         raise ValueError(f"count and n must be integers with 0 <= count <= n, got {count!r}, {n!r}")
+    count, n = int(count), int(n)  # numpy integers would overflow against p's ratio
     if n == 0 or p in (0.0, 1.0):
         return float(count == (n if p else 0))
     num, den = float(p).as_integer_ratio()

@@ -374,6 +374,7 @@ def test_p_tail_stays_finite_at_the_extremes():
         assert p_tail(3, 10**18, p) == 0.0  # (n p)^3 / 3 underflows
     for count in (0, 10**18 - 1, 10**18):
         assert 0.0 <= p_tail(count, 10**18, 1.0 - 2**-53) <= 1.0
+    assert p_tail(np.int64(1), np.int64(10**18), 1e-300) == p_tail(1, 10**18, 1e-300)
 
 
 @pytest.mark.parametrize("count, n, p", ((-1, 5, 0.5), (6, 5, 0.5), (1.5, 5, 0.5), (1, 5.0, 0.5),
