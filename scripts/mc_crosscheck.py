@@ -61,7 +61,7 @@ def run(rounds: int, seed: int, threads: int, budget: float, verbose: bool) -> i
     return 0 if worst_overall <= budget else 1
 
 
-if __name__ == "__main__":
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rounds", type=int, default=10_000_000)
     parser.add_argument("--seed", type=int, default=2026)
@@ -71,5 +71,9 @@ if __name__ == "__main__":
     parser.add_argument("--budget", type=float, default=5.0)
     parser.add_argument("--verbose", action="store_true",
                         help="print every row, not only |sigma| > 2")
-    args = parser.parse_args()
+    return parser.parse_args(argv)
+
+
+if __name__ == "__main__":
+    args = parse_args()
     sys.exit(run(args.rounds, args.seed, args.threads, args.budget, args.verbose))

@@ -25,16 +25,20 @@ odd_i ^ odd_j (two photons in one cell are an even count). Only rounds of
 three or more entries become rows: each draws N from the Poisson
 conditioned on N >= 3 and splits it over the cells into a 4-bit click
 mask and a 4-bit photon-parity mask; a block without such a round skips
-this row stage. At p_d = 1 every round clicks four times. A
-``simulate`` call builds the draw tables of its configuration once
-(``_draw_tables``), and the block sizing and every block's draw step
-read them. A block's rounds end in one histogram over (parity mask,
-class, click mask), whose cells the lottery (checks, an attack's flips
-or Eve's success) splits with binomials. ``simulate`` sums the blocks'
-integer arrays as they arrive, and the tally step reads every count of
-the sums through truth tables, once per call. The table ``_PATTERNS`` of the six tallied click
-patterns drives the truth tables, the parity cells and the comparison
-rows.
+this row stage. At p_d = 1 every round clicks four times. The draw
+tables, the cell-pair probabilities and histogram indices included, are
+built once per configuration (mu_arm, p_d, basis_policy) and kept in a
+small bounded cache (``_tables``); the block sizing and every block's
+draw step of every call with that configuration read them, so a block
+makes one multinomial and one flat ``np.add.at`` for its pairs. The
+closed forms that ``compare_to_analytic`` checks against are kept the
+same way (``_closed_forms``). A block's rounds end in one histogram
+over (parity mask, class, click mask), whose cells the lottery (checks,
+an attack's flips or Eve's success) splits with binomials. ``simulate``
+sums the blocks' integer arrays as they arrive, and the tally step reads
+every count of the sums through truth tables, once per call. The table
+``_PATTERNS`` of the six tallied click patterns drives the truth tables,
+the parity cells and the comparison rows.
 
 Each block draws from a stream seeded by (seed, block index), so
 reports are bit-identical for any worker count. Attack randomness lives
@@ -51,6 +55,7 @@ sacrificed for checking.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -86,6 +91,9 @@ MIN_EXPECTED = 10.0
 # rows of work; _MAX_BLOCK bounds blocks where those are rare or absent.
 _BLOCK_ROWS = 8192
 _MAX_BLOCK = 2**53
+# Configurations whose draw tables and closed-form rows are kept, the least
+# recently used dropped first; the oracle grid needs three, the attack triple one.
+_CACHE_SIZE = 16
 _SQRT_HALF = math.sqrt(0.5)
 
 # numpy's largest Poisson mean, as numpy computes it; beyond it a draw raises.
@@ -146,7 +154,7 @@ class SimConfig:
             check_range(name, getattr(self, name), 0.0, 1.0, "in [0, 1]")
         if self.attack not in ATTACKS:
             raise ValueError(f"attack must be one of {ATTACKS}, got {self.attack!r}")
-        lam_max = _cell_means(self.sp).sum(axis=1).max() if self.sp.p_d < 1.0 else 0.0
+        lam_max = _cell_means(self.sp.mu_arm, self.sp.p_d).sum(axis=1).max() if self.sp.p_d < 1.0 else 0.0
         if lam_max > _POISSON_LAM_MAX:
             raise ValueError(f"sp must be within numpy's Poisson limit of {_POISSON_LAM_MAX:.4g} "
                              f"entries per round; mu = {self.sp.mu!r} gives {lam_max:.4g}")
@@ -269,9 +277,11 @@ _CELL_ODD = [[sum(1 << d for i, d in enumerate(dets) if not j >> (len(dets) - 1 
               for j in range(len(_CELLS[len(dets)]))] for _, dets, _ in _PATTERNS]
 _REP_CLASSES = [0b110000 | e.ka_ph << 3 | e.ka_pol << 2 | e.kb_ph << 1 | e.kb_pol
                 for e in (pairing.representative() for pairing in PolPairing)]
-# Per pattern, its parity cells' click-term columns by detector, in the cell order.
-_CELL_COLUMNS = [[dict(zip(map(int, dets), cols)) for cols in itertools.product(map(
-    _PARITY_COLUMN.get, (ClickParity.ODD, ClickParity.EVEN)), repeat=len(dets))] for _, dets, _ in _PATTERNS]
+# The parity cells of one encoding's comparison rows, in row order: pattern,
+# cell and the cell's click-term columns by detector.
+_PARITY_CELLS = [(name, cell, dict(zip(map(int, dets), cols))) for name, dets, _ in _PATTERNS
+                 for cell, cols in zip(_CELLS[len(dets)], itertools.product(map(
+                     _PARITY_COLUMN.get, (ClickParity.ODD, ClickParity.EVEN)), repeat=len(dets)))]
 
 
 def _truth_tables() -> np.ndarray:
@@ -302,11 +312,11 @@ def _class_weights(basis_policy: float) -> np.ndarray:
     return np.where(_XA, bp, 1.0 - bp) * np.where(_XB, bp, 1.0 - bp) / 16.0
 
 
-def _cell_means(sp: SystemParams) -> np.ndarray:
+def _cell_means(mu_arm: float, p_d: float) -> np.ndarray:
     """Mean entries per round of every class's eight cells, j = dark << 2
     | detector: photons, then dark counts of mean delta (inf at p_d = 1)."""
-    delta = -math.log1p(-sp.p_d) if sp.p_d < 1.0 else math.inf
-    return np.concatenate((sp.mu_arm * _UNIT_LAM, np.full((64, 4), delta)), axis=1)
+    delta = -math.log1p(-p_d) if p_d < 1.0 else math.inf
+    return np.concatenate((mu_arm * _UNIT_LAM, np.full((64, 4), delta)), axis=1)
 
 
 def _strata(lam: np.ndarray) -> np.ndarray:
@@ -320,27 +330,60 @@ def _strata(lam: np.ndarray) -> np.ndarray:
     return np.stack((p0, p1, p2, np.where(lam < 1.0, p1 * lam * lam * series, 1.0 - (p0 + p1 + p2))), axis=-1)
 
 
-_DrawTables = collections.namedtuple("_DrawTables", "weights p_multi lam strata rank q bits odd_bits", defaults=[None] * 6)
+def _cached(build):
+    """``build`` memoised on its arguments, for at most ``_CACHE_SIZE`` of them. Arguments that
+    compare equal but differ in type or in the sign of a zero are other keys: p_d = -0.0 gives
+    -0.0 probabilities where p_d = 0.0 gives 0.0. Callers share a result, so it must be immutable."""
+    memo = functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)(lambda signs, *args: build(*args))
+
+    @functools.wraps(build)
+    def call(*args):
+        return memo(tuple(math.copysign(1.0, a) for a in args), *args)
+
+    call.cache_clear, call.cache_info = memo.cache_clear, memo.cache_info
+    return call
+
+
+_DrawTables = collections.namedtuple("_DrawTables", "weights p_multi lam strata rank q bits odd_bits cell_at "
+                                     "pair_q pair_at", defaults=[None] * 9)
+
+
+@_cached
+def _tables(mu_arm: float, p_d: float, basis_policy: float) -> _DrawTables:
+    """Tables built once per configuration and read by every block: class weights, P(N >= 3) of a
+    round and, except at p_d = 1, per class: entry total mean, strata P(N = 0, 1, 2, >= 3) and cell
+    probabilities, both in ascending order (numpy draws multinomial outcomes rarest first and gives
+    the likeliest the remainder; probability 0 stays empty), the strata's ranks, each sorted cell's
+    detector and parity bit (0 for a dark count) and its flat histogram index, and per ordered pair
+    of sorted cells (i, j), row-major, its probability q_i q_j and flat histogram index (click
+    bits_i | bits_j, photon parity odd_i ^ odd_j: two photons in one cell are an even count). The
+    arrays are read-only."""
+    weights = _class_weights(basis_policy)
+    if p_d == 1.0:  # delta = inf: every round clicks four times
+        tables = _DrawTables(weights, 0.0)
+    else:
+        means = _cell_means(mu_arm, p_d)
+        lam = means.sum(axis=1)
+        strata = _strata(lam)
+        rank = np.argsort(strata, axis=1, kind="stable")
+        order = np.argsort(means, axis=1, kind="stable")
+        q = means[_CLASSES[:, None], order] / np.where(lam > 0.0, lam, 1.0)[:, None]
+        bits = 1 << (order & 3)
+        odd = np.where(order < 4, bits, 0)
+        tables = _DrawTables(weights, float(weights @ strata[:, 3]), lam, strata[_CLASSES[:, None], rank],
+                             rank, q, bits, odd, (odd << 6 | _CLASSES[:, None]) << 4 | bits,
+                             (q[:, :, None] * q[:, None, :]).reshape(64, 64),
+                             (((odd[:, :, None] ^ odd[:, None, :]) << 6 | _CLASSES[:, None, None]) << 4
+                              | bits[:, :, None] | bits[:, None, :]).reshape(64, 64))
+    for array in tables:
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    return tables
 
 
 def _draw_tables(cfg: SimConfig) -> _DrawTables:
-    """Tables built once per ``simulate`` call and read by every block: class weights, P(N >= 3)
-    of a round and, except at p_d = 1, per class: entry total mean, strata P(N = 0, 1, 2, >= 3) and
-    cell probabilities, both in ascending order (numpy draws multinomial outcomes rarest first and
-    gives the likeliest the remainder; probability 0 stays empty), the strata's ranks, and each
-    sorted cell's detector and parity bit (0 for a dark count)."""
-    weights = _class_weights(cfg.basis_policy)
-    if cfg.sp.p_d == 1.0:  # delta = inf: every round clicks four times
-        return _DrawTables(weights, 0.0)
-    means = _cell_means(cfg.sp)
-    lam = means.sum(axis=1)
-    strata = _strata(lam)
-    rank = np.argsort(strata, axis=1, kind="stable")
-    order = np.argsort(means, axis=1, kind="stable")
-    bits = 1 << (order & 3)
-    return _DrawTables(weights, float(weights @ strata[:, 3]), lam, strata[_CLASSES[:, None], rank],
-                       rank, means[_CLASSES[:, None], order] / np.where(lam > 0.0, lam, 1.0)[:, None],
-                       bits, np.where(order < 4, bits, 0))
+    """The draw tables of ``cfg`` (``_tables``), which depend on mu_arm, p_d and basis_policy."""
+    return _tables(cfg.sp.mu_arm, cfg.sp.p_d, cfg.basis_policy)
 
 
 def _block_sizes(cfg: SimConfig, tables: _DrawTables) -> list[int]:
@@ -383,20 +426,18 @@ def _draw(t: _DrawTables, rng: np.random.Generator, size: int) -> tuple[np.ndarr
     if t.lam is None:  # p_d = 1; the photon parity shows in no pattern
         hist[0, :, 15] = m
         return m, hist
+    flat = hist.reshape(-1)
     n = np.empty((64, 4), np.int64)
     n[_CLASSES[:, None], t.rank] = rng.multinomial(m, t.strata)
-    hist[t.odd_bits, _CLASSES[:, None], t.bits] = rng.multinomial(n[:, 1], t.q)
+    flat[t.cell_at] = rng.multinomial(n[:, 1], t.q)
     if n[:, 2].any():  # two-entry rounds: counts over the ordered cell pairs (i, j), row-major
         cls = np.flatnonzero(n[:, 2])
-        q, bits, odd = t.q[cls, :, None], t.bits[cls, :, None], t.odd_bits[cls, :, None]
-        pairs = rng.multinomial(n[cls, 2], (q * q.transpose(0, 2, 1)).reshape(-1, 64))
-        np.add.at(hist, ((odd ^ odd.transpose(0, 2, 1)).reshape(-1, 64), cls[:, None],
-                         (bits | bits.transpose(0, 2, 1)).reshape(-1, 64)), pairs)
+        np.add.at(flat, t.pair_at[cls], rng.multinomial(n[cls, 2], t.pair_q[cls]))
     if n[:, 3].any():
         cls = np.repeat(_CLASSES, n[:, 3])  # the rounds of three or more entries, the only rows
         counts = rng.multinomial(_multi_entry_totals(rng, t.lam[cls]), t.q[cls])
         clicks, odd = _rows(counts, t.bits[cls], t.odd_bits[cls])
-        np.add.at(hist.reshape(-1), (odd << 6 | cls) << 4 | clicks, 1)
+        np.add.at(flat, (odd << 6 | cls) << 4 | clicks, 1)
     return m, hist
 
 
@@ -511,6 +552,34 @@ def _rounds_needed(rounds: int, expected: float) -> int | None:
     return math.ceil(need) if need < math.inf else None
 
 
+@_cached
+def _closed_forms(mu_arm: float, p_d: float, basis_policy: float, *leak: float) -> tuple:
+    """(name, p_analytic, p_trial) of every comparison row, in row order, built once per
+    configuration; ``leak`` is (mu, eta_t, check_fraction) for the ``eve_leak`` row of a
+    beam-splitting run. p_trial is the closed-form probability that a round is one of the row's
+    trials."""
+    p_xx = basis_policy * basis_policy
+    e1, e2, e3 = _event_terms(mu_arm, p_d)
+    # Per-DOF QBERs: a wrong H index is dark-driven and is the Event1 bit
+    # error; a wrong pattern class is the rest of the double-click bit
+    # error, which averages the two per-DOF rates.
+    p_wrong_h = e1.e_bit
+    p_wrong_pat = 2.0 * e2.e_bit - e1.e_bit
+    forms = [("q_event1", e1.q, p_xx), ("q_event2", e2.q, p_xx), ("q_event3", e3.q, p_xx),
+             ("qber_event1_ph", p_wrong_h, p_xx * e1.q), ("qber_event2_ph", p_wrong_h, p_xx * e2.q),
+             ("qber_event2_pol", p_wrong_pat, p_xx * e2.q), ("qber_event3_ph", p_wrong_h, p_xx * e3.q),
+             ("qber_event3_pol", p_wrong_pat, p_xx * e3.q)]
+    for pairing in PolPairing:
+        terms = _click_terms(intensities(detector_amplitudes(pairing.representative(), mu_arm)), p_d)
+        forms += [(f"parity_{pairing.name.lower()}_{name}_{cell}", _pattern_product(terms, columns), p_xx / 16.0)
+                  for name, cell, columns in _PARITY_CELLS]
+    if leak:
+        mu, eta_t, check_fraction = leak
+        p_key = p_xx * (e1.q + e2.q + e3.q) * (1.0 - check_fraction)
+        forms.append(("eve_leak", ie_dual(TapParams(mu=mu, eta_t=eta_t)), p_key))
+    return tuple(forms)
+
+
 def compare_to_analytic(report: SimReport) -> list[dict]:
     """Count-space comparison rows between the report and the closed forms.
 
@@ -525,48 +594,25 @@ def compare_to_analytic(report: SimReport) -> list[dict]:
     representative encodings. The Eve row (beam-split runs only)
     compares against ``ie_dual``, the very value Eve's successes are
     drawn from, so it checks which events count as key events, not the
-    leakage bound.
+    leakage bound. The closed forms come from ``_closed_forms``, once per
+    configuration.
     """
     sp = report.system_params()
-    rows: list[dict] = []
-
-    def add(name: str, count: int, n: int, p: float, p_trial: float) -> None:
-        # p_trial: the closed-form probability that a round is one of the row's trials
-        rows.append({"name": name, "count": count, "n": n, "p_analytic": p, "expected": n * p,
-                     "sigma": _sigma(count, n, p), "informative": n * p >= MIN_EXPECTED,
-                     "rounds_needed": _rounds_needed(report.rounds, report.rounds * p_trial * p)})
-
-    p_xx = report.basis_policy * report.basis_policy
-    e1, e2, e3 = _event_terms(sp.mu_arm, sp.p_d)
-    add("q_event1", report.n_event1, report.n_xx, e1.q, p_xx)
-    add("q_event2", report.n_event2, report.n_xx, e2.q, p_xx)
-    add("q_event3", report.n_event3, report.n_xx, e3.q, p_xx)
-
-    # Per-DOF QBERs: a wrong H index is dark-driven and is the Event1 bit
-    # error; a wrong pattern class is the rest of the double-click bit
-    # error, which averages the two per-DOF rates.
-    p_wrong_h = e1.e_bit
-    p_wrong_pat = 2.0 * e2.e_bit - e1.e_bit
-    add("qber_event1_ph", report.n_err1_ph, report.n_event1, p_wrong_h, p_xx * e1.q)
-    add("qber_event2_ph", report.n_err2_ph, report.n_event2, p_wrong_h, p_xx * e2.q)
-    add("qber_event2_pol", report.n_err2_pol, report.n_event2, p_wrong_pat, p_xx * e2.q)
-    add("qber_event3_ph", report.n_err3_ph, report.n_event3, p_wrong_h, p_xx * e3.q)
-    add("qber_event3_pol", report.n_err3_pol, report.n_event3, p_wrong_pat, p_xx * e3.q)
-
+    leak = (sp.mu, sp.eta_t, report.check_fraction) if report.attack == "beam_split" else ()
+    counts = [(report.n_event1, report.n_xx), (report.n_event2, report.n_xx), (report.n_event3, report.n_xx),
+              (report.n_err1_ph, report.n_event1), (report.n_err2_ph, report.n_event2),
+              (report.n_err2_pol, report.n_event2), (report.n_err3_ph, report.n_event3),
+              (report.n_err3_pol, report.n_event3)]
     for pairing in PolPairing:
-        rep_name = pairing.name.lower()
-        ints = intensities(detector_amplitudes(pairing.representative(), sp.mu_arm))
-        terms, cells = _click_terms(ints, sp.p_d), report.parity[rep_name]
-        for (name, _, _), columns in zip(_PATTERNS, _CELL_COLUMNS):
-            for (cell, count), cols in zip(cells[name].items(), columns):
-                add(f"parity_{rep_name}_{name}_{cell}", count, cells["n"],
-                    _pattern_product(terms, cols), p_xx / 16.0)
-
-    if report.attack == "beam_split":
-        leak = ie_dual(TapParams(mu=sp.mu, eta_t=sp.eta_t))
-        p_key = p_xx * (e1.q + e2.q + e3.q) * (1.0 - report.check_fraction)
-        add("eve_leak", report.n_eve_success, report.n_key_events, leak, p_key)
-    return rows
+        cells = report.parity[pairing.name.lower()]
+        counts += [(cells[name][cell], cells["n"]) for name, cell, _ in _PARITY_CELLS]
+    if leak:
+        counts.append((report.n_eve_success, report.n_key_events))
+    return [{"name": name, "count": count, "n": n, "p_analytic": p, "expected": n * p,
+             "sigma": _sigma(count, n, p), "informative": n * p >= MIN_EXPECTED,
+             "rounds_needed": _rounds_needed(report.rounds, report.rounds * p_trial * p)}
+            for (name, p, p_trial), (count, n) in zip(
+                _closed_forms(sp.mu_arm, sp.p_d, report.basis_policy, *leak), counts)]
 
 
 def max_abs_sigma(rows: list[dict]) -> float:

@@ -6,11 +6,12 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
 
-from dualqss import cli
+from dualqss import cli, montecarlo
 from dualqss.cli import build_parser, main
 from dualqss.detectors import SystemParams
 from dualqss.montecarlo import SimConfig
@@ -105,6 +106,14 @@ def test_second_main_call_carries_no_state(capsys):
     assert vars(build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
 
 
+def load_script(name):
+    script = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 # SHA-256 of each CSV that scripts/make_figure_data.py writes, as of
 # commit 60f7309. The published curves must not change by a single bit.
 FIGURE_DIGESTS = {
@@ -120,14 +129,36 @@ FIGURE_DIGESTS = {
 
 
 def test_figure_data_bytes_unchanged(tmp_path, capsys):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "make_figure_data.py"
-    spec = importlib.util.spec_from_file_location("make_figure_data", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_script("make_figure_data")
     module.run(str(tmp_path))
     capsys.readouterr()
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert written == FIGURE_DIGESTS
+
+
+def test_mc_crosscheck_prints_the_same_from_cold_and_warm_caches(capsys):
+    # The script at its own seed, threads and budget, at few rounds: the
+    # second run in the process reads the cached draw tables and closed
+    # forms, the first builds them. The exit code follows the budget, pass
+    # or fail.
+    module = load_script("mc_crosscheck")
+    args = module.parse_args(["--rounds", "20000"])
+    montecarlo._tables.cache_clear()
+    montecarlo._closed_forms.cache_clear()
+    codes, texts = [], []
+    for _ in range(2):
+        codes.append(module.run(args.rounds, args.seed, args.threads, args.budget, args.verbose))
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] and codes[0] == codes[1]
+    assert montecarlo._tables.cache_info().hits == montecarlo._closed_forms.cache_info().hits == 6
+    summary = re.fullmatch(r"worst over all configurations: (\S+) \(budget (\S+)\), min p_tail \S+",
+                           texts[0].splitlines()[-1])
+    worst = [float(w) for w in re.findall(r"max\|sigma\|= *(\S+)", texts[0])]
+    assert len(worst) == 6 and float(summary[1]) == max(worst) and float(summary[2]) == args.budget
+    flags = re.findall(r"  (ok|EXCEEDED)$", texts[0], re.MULTILINE)
+    assert len(flags) == 6 and codes[0] == int("EXCEEDED" in flags)
+    # the printed worst has two decimals, so it may round onto the budget
+    assert codes[0] == int(max(worst) > args.budget) or max(worst) == args.budget
 
 
 # SHA-256 of the JSON each command prints, recorded before the handlers

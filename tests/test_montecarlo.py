@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -86,29 +87,82 @@ def test_block_sizes_partition_rounds_whatever_the_threads(cfg, monkeypatch):
         assert sorted(seen) == list(enumerate(sizes))
 
 
-def test_draw_tables_are_built_once_per_call(monkeypatch):
-    # Every block of a multi-block far run reads the one set of tables that
-    # its call built, whatever the worker count; a second call builds them
-    # again, since nothing is kept between calls. The blocks' arrays are
-    # summed, so the report is tallied once per call, not once per block.
-    cfg = config(sp=FAR, rounds=7 * 10**16)
-    built, strata, read, tallied = [], [], [], []
-    real_tables, real_strata, real_block, real_tally = (montecarlo._draw_tables, montecarlo._strata,
-                                                        montecarlo._block_tallies, montecarlo._tally)
-    monkeypatch.setattr(montecarlo, "_draw_tables", lambda c: built.append(real_tables(c)) or built[-1])
+def test_draw_tables_are_built_once_per_configuration(monkeypatch):
+    # Equal configurations share one set of tables: _strata runs once for
+    # them, whatever the worker count, and every block of a multi-block far
+    # run reads that one object. A changed mu_arm, p_d or basis_policy
+    # builds them again; the seed, rounds, lottery and attack do not. The
+    # blocks' arrays are summed, so each call is still tallied once, not
+    # once per block.
+    montecarlo._tables.cache_clear()
+    strata, read, tallied = [], [], []
+    real_strata, real_block, real_tally = montecarlo._strata, montecarlo._block_tallies, montecarlo._tally
     monkeypatch.setattr(montecarlo, "_strata", lambda lam: strata.append(lam) or real_strata(lam))
     monkeypatch.setattr(montecarlo, "_block_tallies",
                         lambda c, t, block, size: read.append(t) or real_block(c, t, block, size))
     monkeypatch.setattr(montecarlo, "_tally", lambda *args: tallied.append(args) or real_tally(*args))
-    calls = 0
+    cfg = config(sp=FAR, rounds=7 * 10**16)
+    calls, tables = 0, set()
     for threads in (1, 2, 3):
         for _ in range(2):
             read.clear()
-            simulate(cfg, threads=threads)
+            simulate(replace(cfg, sp=replace(cfg.sp)), threads=threads)  # equal, not the same objects
             calls += 1
-            assert len(built) == len(strata) == len(tallied) == calls
-            assert len(read) == 8 and all(t is built[-1] for t in read)
-    assert len({id(t) for t in built}) == len(built)
+            assert len(strata) == 1 and len(tallied) == calls
+            assert len(read) == 8 and all(t is read[0] for t in read)
+            tables.add(id(read[0]))
+    assert len(tables) == 1
+    for same in (replace(cfg, seed=9, rounds=10**6, check_fraction=0.3, attack="beam_split"),
+                 replace(cfg, sp=replace(FAR, f=1.3), attack="dishonest_bob", flip_fraction=0.2)):
+        simulate(same)
+        assert len(strata) == 1 and read[-1] is read[0]
+    for changed in (replace(cfg, sp=replace(FAR, mu=0.85)), replace(cfg, sp=replace(FAR, l_km=399.0)),
+                    replace(cfg, sp=replace(FAR, p_d=1e-7)), replace(cfg, basis_policy=1.0)):
+        built = len(strata)
+        simulate(changed)
+        assert len(strata) == built + 1 and id(read[-1]) not in tables
+        tables.add(id(read[-1]))
+    assert len(tallied) == calls + 6
+
+
+def run_and_compare(cfg):
+    """The report and comparison rows of ``cfg`` as JSON, which shows -0.0."""
+    report = simulate(cfg)
+    return json.dumps(report.to_dict()), json.dumps(compare_to_analytic(report))
+
+
+@pytest.mark.parametrize("signs", ((0.0, -0.0), (-0.0, 0.0)), ids=("zero-first", "negative-first"))
+def test_results_do_not_depend_on_the_call_history(signs):
+    # Cached tables and closed forms are keyed on the values they read,
+    # with signed zeros apart: p_d = -0.0 gives -0.0 probabilities in the
+    # rows. Whichever sign runs first, each run equals a run from cleared
+    # caches, the beam-splitting run's eve_leak row included.
+    configs = [config(sp=SystemParams(p_d=p_d), attack=attack, check_fraction=0.3)
+               for p_d in signs for attack in ("none", "beam_split")]
+    warm = [run_and_compare(cfg) for cfg in configs]
+    cold = []
+    for cfg in configs:
+        montecarlo._tables.cache_clear()
+        montecarlo._closed_forms.cache_clear()
+        cold.append(run_and_compare(cfg))
+    assert warm == cold
+    assert warm[0][1] != warm[2][1]  # the rows show the sign of p_d
+    for _, rows in warm:
+        names = [row["name"] for row in json.loads(rows)]
+        assert len(names) == 48 + ("eve_leak" in names) and len(set(names)) == len(names)
+    assert ["eve_leak" in rows for _, rows in warm] == [False, True, False, True]
+
+
+@pytest.mark.parametrize("sp", (SP, SystemParams(p_d=1.0)), ids=("near", "pd1"))
+def test_cached_tables_are_read_only(sp):
+    tables = _draw_tables(config(sp=sp))
+    arrays = [array for array in tables if isinstance(array, np.ndarray)]
+    assert len(arrays) == (10 if sp.p_d < 1.0 else 1)
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    forms = montecarlo._closed_forms(sp.mu_arm, sp.p_d, 0.5)
+    assert isinstance(forms, tuple) and all(isinstance(form, tuple) for form in forms)
 
 
 @pytest.mark.parametrize("kw, rounds, block", (
@@ -130,7 +184,7 @@ def test_blocks_expect_a_fixed_number_of_multi_entry_rounds(kw, rounds, block):
     sizes = _block_sizes(cfg, _draw_tables(cfg))
     assert sizes == [block] * (rounds // block) + [rounds % block] * (rounds % block > 0)
     if cfg.sp.p_d < 1.0:
-        lam = montecarlo._cell_means(cfg.sp).sum(axis=1)
+        lam = montecarlo._cell_means(cfg.sp.mu_arm, cfg.sp.p_d).sum(axis=1)
         p_multi = montecarlo._class_weights(cfg.basis_policy) @ montecarlo._strata(lam)[:, 3]
         assert block == min(montecarlo._MAX_BLOCK, math.ceil(montecarlo._BLOCK_ROWS / p_multi))
 
@@ -901,7 +955,7 @@ def test_cells_of_mean_zero_never_receive_an_entry(basis_policy):
     sp = SystemParams(mu=20.0, l_km=0.0, eta_d=1.0, p_d=0.0)
     cfg = config(sp=sp, basis_policy=basis_policy)
     m, hist = montecarlo._draw(_draw_tables(cfg), np.random.default_rng(7), 100_000)
-    silent = (montecarlo._cell_means(sp)[:, :4] == 0) @ (1 << np.arange(4))
+    silent = (montecarlo._cell_means(sp.mu_arm, sp.p_d)[:, :4] == 0) @ (1 << np.arange(4))
     assert np.count_nonzero(silent[m > 0]) == (16 if basis_policy else 8)
     impossible = (np.arange(16) & silent[:, None]) != 0
     assert hist.sum() == m.sum() > 0
