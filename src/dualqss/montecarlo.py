@@ -382,7 +382,8 @@ def _tables(mu_arm: float, p_d: float, basis_policy: float) -> _DrawTables:
 
 
 def _draw_tables(cfg: SimConfig) -> _DrawTables:
-    """The draw tables of ``cfg`` (``_tables``), which depend on mu_arm, p_d and basis_policy."""
+    """The draw tables of ``cfg``: ``_tables`` of its mu_arm, p_d and basis_policy, pair tables
+    included, built once per configuration and shared by every call with it."""
     return _tables(cfg.sp.mu_arm, cfg.sp.p_d, cfg.basis_policy)
 
 
