@@ -33,12 +33,17 @@ draw step of every call with that configuration read them, so a block
 makes one multinomial and one flat ``np.add.at`` for its pairs. The
 closed forms that ``compare_to_analytic`` checks against are kept the
 same way (``_closed_forms``). A block's rounds end in one histogram
-over (parity mask, class, click mask), whose cells the lottery (checks,
-an attack's flips or Eve's success) splits with binomials. ``simulate``
-sums the blocks' integer arrays as they arrive, and the tally step reads
-every count of the sums through truth tables, once per call. The table
-``_PATTERNS`` of the six tallied click patterns drives the truth tables,
-the parity cells and the comparison rows.
+over (parity mask, class, click mask). The truth tables over (class,
+click mask) tell apart only 12 atoms (Event1 by phase error, Event2 and
+Event3 by phase and polarization error, the Z check by phase error), so
+the block sums the histogram's tallied cells into atom counts, and the
+lottery (checks, an attack's flips or Eve's success) splits those with
+binomials, which keeps the law of every tally. ``simulate`` runs
+the blocks on the calling thread unless they carry enough rows to pay
+for a pool, sums their integer arrays as they arrive, and the tally step
+reads the sums through the atoms' truth-table rows, once per call. The
+table ``_PATTERNS`` of the six tallied click patterns drives the truth
+tables, the parity cells and the comparison rows.
 
 Each block draws from a stream seeded by (seed, block index), so
 reports are bit-identical for any worker count. Attack randomness lives
@@ -154,7 +159,9 @@ class SimConfig:
             check_range(name, getattr(self, name), 0.0, 1.0, "in [0, 1]")
         if self.attack not in ATTACKS:
             raise ValueError(f"attack must be one of {ATTACKS}, got {self.attack!r}")
-        lam_max = _cell_means(self.sp.mu_arm, self.sp.p_d).sum(axis=1).max() if self.sp.p_d < 1.0 else 0.0
+        # a class's entry total is mu_arm times its _UNIT_LAM row sum, plus four dark means
+        sp = self.sp
+        lam_max = sp.mu_arm * _UNIT_SUM_MAX - 4.0 * math.log1p(-sp.p_d) if sp.p_d < 1.0 else 0.0
         if lam_max > _POISSON_LAM_MAX:
             raise ValueError(f"sp must be within numpy's Poisson limit of {_POISSON_LAM_MAX:.4g} "
                              f"entries per round; mu = {self.sp.mu!r} gives {lam_max:.4g}")
@@ -270,6 +277,8 @@ def _unit_intensities() -> np.ndarray:
 
 
 _UNIT_LAM = _unit_intensities()
+# The largest entry total per unit mu_arm, 2 up to rounding, as numpy sums a row of _UNIT_LAM.
+_UNIT_SUM_MAX = float(_UNIT_LAM.sum(axis=1).max())
 _TAIL = np.array([1.0 / math.factorial(k) for k in range(3, 21)])  # series of P(N >= 3) / e^-lam
 # Per pattern, its click mask and its cells' parity masks (bit d: detector d).
 _PATTERN_MASKS = [sum(1 << d for d in dets) for _, dets, _ in _PATTERNS]
@@ -304,6 +313,30 @@ _TABLES = _truth_tables()
 # The report counts that are a column's sum, in column order.
 _TABLE_COUNTS = ("n_event1", "n_event2", "n_event3", "n_err1_ph", "n_err2_ph", "n_err2_pol",
                  "n_err3_ph", "n_err3_pol", "n_check_z_bits")
+
+
+def _atoms() -> tuple:
+    """The tally's atoms: the distinct non-zero rows of ``_TABLES`` (Event1 by
+    phase error, Event2 and Event3 by phase and polarization error, the Z check
+    by phase error), each with the cells ``class << 4 | click mask`` that show it,
+    in order of first cell. No other cell is tallied."""
+    cells = {}  # by the row's bits read as a number
+    for cell, key in enumerate((_TABLES @ (1 << np.arange(_TABLES.shape[1]))).tolist()):
+        if key:
+            cells.setdefault(key, []).append(cell)
+    atoms = tuple(map(tuple, cells.values()))
+    return atoms, _TABLES[[atom[0] for atom in atoms]].astype(np.int64)
+
+
+# Per atom, its cells and its truth-table row; the flat histogram indices of every
+# atom's cells over all parity masks, atom by atom, and where each atom's run starts.
+_ATOM_CELLS, _ATOM_TABLE = _atoms()
+_ATOM_AT = (np.concatenate(_ATOM_CELLS)[:, None] | np.arange(16) << 10).ravel()
+_ATOM_STARTS = 16 * np.cumsum([0, *map(len, _ATOM_CELLS[:-1])])
+# The comparison rows' parity cells as flat indices into the representative classes'
+# histogram over (parity mask, representative, click mask), representative by representative.
+_PARITY_AT = np.array([odd << 5 | rep << 4 | mask for rep in range(len(_REP_CLASSES))
+                       for mask, cell_odd in zip(_PATTERN_MASKS, _CELL_ODD) for odd in cell_odd])
 
 
 def _class_weights(basis_policy: float) -> np.ndarray:
@@ -452,7 +485,7 @@ def _tally(cfg: SimConfig, m: np.ndarray, rep_hist: np.ndarray, split: np.ndarra
     cells from the block sums of the class counts, the representative
     classes' histogram and the lottery split; flips and Eve's successes
     come only with their attack."""
-    per_lot = (split.reshape(len(split), 1024) @ _TABLES).tolist()
+    per_lot = (split @ _ATOM_TABLE).tolist()
     t = dict.fromkeys(_COUNT_FIELDS, 0)
     t.update(zip(_TABLE_COUNTS, map(sum, zip(*per_lot))))
     t["n_xx"], t["n_zz"] = int(m[_XA & _XB].sum()), int(m[~_XA & ~_XB].sum())
@@ -473,12 +506,12 @@ def _tally(cfg: SimConfig, m: np.ndarray, rep_hist: np.ndarray, split: np.ndarra
             t["n_key_events"] += events
             t["n_eve_success"] += events * won
 
-    by_parity = rep_hist.tolist()
+    cells = iter(rep_hist.take(_PARITY_AT).tolist())
     t["parity"] = {}
-    for i, (pairing, rep_class) in enumerate(zip(PolPairing, _REP_CLASSES)):
+    for pairing, rep_class in zip(PolPairing, _REP_CLASSES):
         rep = t["parity"][pairing.name.lower()] = {"n": int(m[rep_class])}
-        for (name, dets, _), mask, cell_odd in zip(_PATTERNS, _PATTERN_MASKS, _CELL_ODD):
-            rep[name] = dict(zip(_CELLS[len(dets)], (by_parity[o][i][mask] for o in cell_odd)))
+        for name, cell, _ in _PARITY_CELLS:
+            rep.setdefault(name, {})[cell] = next(cells)
     return t
 
 
@@ -486,10 +519,13 @@ def _block_tallies(cfg: SimConfig, tables: _DrawTables, block: int, size: int) -
     """Simulate one block: the draw step and the lottery. Returns the int64
     arrays that ``simulate`` sums: the class counts, the representative
     classes' histogram over (parity mask, representative, click mask) and
-    the lottery split over (lottery, class, click mask). The lottery splits
-    each (class, click mask) cell's rounds with binomials: checked in bit 0,
-    on the protocol stream, then flip_ph or eve in bit 1 and flip_pol in
-    bit 2, on the attack stream, seeded only for an attack."""
+    the lottery split over (lottery, atom). The lottery splits each atom's
+    rounds with binomials: checked in bit 0, on the protocol stream, then
+    flip_ph or eve in bit 1 and flip_pol in bit 2, on the attack stream,
+    seeded only for an attack. Every cell of a layer is split with the same
+    probability, and a sum of binomials of one probability is a binomial of
+    their sum, so splitting the atoms' sums gives every (lot, atom) count the
+    law that splitting each cell would give."""
     rng = _stream(cfg, 0, block)
     m, hist = _draw(tables, rng, size)
     draws = [(rng, cfg.check_fraction)]
@@ -497,7 +533,7 @@ def _block_tallies(cfg: SimConfig, tables: _DrawTables, block: int, size: int) -
         draws.append((_stream(cfg, 1, block), ie_dual(TapParams(mu=cfg.sp.mu, eta_t=cfg.sp.eta_t))))
     elif cfg.attack == "dishonest_bob":
         draws += [(_stream(cfg, 1, block), cfg.flip_fraction)] * 2
-    split = hist.sum(axis=0).reshape(1, 64, 16)
+    split = np.add.reduceat(hist.reshape(-1).take(_ATOM_AT), _ATOM_STARTS).reshape(1, -1)
     for gen, p in draws:  # a split of probability 0 draws nothing
         won = gen.binomial(split, p) if p else np.zeros_like(split)
         split = np.concatenate((split - won, won))
@@ -509,13 +545,17 @@ def simulate(config: SimConfig, threads: int = 1) -> SimReport:
 
     ``threads`` only controls execution; the report is bit-identical
     for any value because blocks are seeded by index and their arrays
-    are summed as integers, then tallied once.
+    are summed as integers, then tallied once. Blocks run on the calling
+    thread unless they carry the rows that pay for a pool.
     """
     if not is_integer(threads) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     tables = _draw_tables(config)
     blocks = [(config, tables, *block) for block in enumerate(_block_sizes(config, tables))]
-    workers = min(threads, len(blocks))
+    # A second thread gains only on rows: from two blocks' worth of them, and half a block's
+    # worth per block; on 2 cores, blocks of about 2,750 rows break even and lighter ones lose.
+    rows = tables.p_multi * config.rounds
+    workers = min(threads, len(blocks)) if rows >= _BLOCK_ROWS * max(2, len(blocks) / 2) else 1
     with ThreadPoolExecutor(max_workers=workers) as pool:  # starts no thread for one worker
         results = (map if workers == 1 else pool.map)(lambda args: _block_tallies(*args), blocks)
         totals = next(results)

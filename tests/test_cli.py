@@ -163,7 +163,8 @@ def test_mc_crosscheck_prints_the_same_from_cold_and_warm_caches(capsys):
 
 # SHA-256 of the JSON each command prints, recorded before the handlers
 # returned payloads for main to serialise; key order, float repr and
-# indentation must all hold.
+# indentation must all hold. The beam-splitting run's was recorded again
+# when the lottery came to split the tally's atoms instead of its cells.
 JSON_DIGESTS = {
     ("optimize", "--L", "400"):
         "a9aa213a4b1469bae7bd115cf81c24ddff610c57a21f62b3aa4251d65b56a112",
@@ -172,7 +173,7 @@ JSON_DIGESTS = {
     ("thresholds",):
         "9abe3c7ab13b98212f367df33588c787c39dbb8f5e01cd1ca91ea7cf60a5f3ba",
     ("simulate", "--rounds", "100000", "--seed", "3", "--attack", "beam-split"):
-        "8db97370f49ecb509be7f748d2cec612359dfef1f91724d7743376771c1947a1",
+        "ada6aa0664ba9f3bf2a431cc4a5eea15f275407c48551e3e0710baa51a023b7d",
 }
 
 

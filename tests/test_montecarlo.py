@@ -8,6 +8,7 @@ import hashlib
 import itertools
 import json
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -85,6 +86,26 @@ def test_block_sizes_partition_rounds_whatever_the_threads(cfg, monkeypatch):
         seen.clear()
         simulate(cfg, threads=threads)
         assert sorted(seen) == list(enumerate(sizes))
+
+
+@pytest.mark.parametrize("cfg, pooled", (
+    (config(sp=FAR, rounds=5 * 10**16), False),
+    (config(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0), rounds=50_000), True),
+), ids=("far", "bright"))
+def test_light_blocks_run_on_the_calling_thread(cfg, pooled, monkeypatch):
+    # Six far blocks of about 20 rows each ran 2 to 2.7 times slower on a
+    # pool of two than on the caller, so they stay there; seven bright
+    # blocks of 8k rows each gain from the pool. The report is the same
+    # either way.
+    real, idents = montecarlo._block_tallies, []
+    monkeypatch.setattr(montecarlo, "_block_tallies",
+                        lambda *args: idents.append(threading.get_ident()) or real(*args))
+    serial = simulate(cfg)
+    assert set(idents) == {threading.get_ident()}
+    idents.clear()
+    assert simulate(cfg, threads=2) == serial
+    assert len(idents) == {False: 6, True: 7}[pooled]
+    assert (threading.get_ident() not in idents) == pooled
 
 
 def test_draw_tables_are_built_once_per_configuration(monkeypatch):
@@ -554,6 +575,26 @@ def test_config_accepts_intensity_below_poisson_limit():
         SimConfig(sp=SystemParams(mu=1e19, l_km=0.0, eta_d=1.0), rounds=10, seed=1)
 
 
+def test_poisson_limit_is_exact_at_its_edge():
+    # The check's closed form, mu_arm times the largest _UNIT_LAM row sum
+    # plus four dark means, is the largest entry total of the draw tables
+    # bit for bit, so the last intensity it accepts draws without numpy's
+    # error, and the next float up is refused.
+    unit, lam_max = montecarlo._UNIT_SUM_MAX, montecarlo._POISSON_LAM_MAX
+    mu = lam_max / unit
+    while mu * unit > lam_max:
+        mu = math.nextafter(mu, 0.0)
+    while math.nextafter(mu, math.inf) * unit <= lam_max:
+        mu = math.nextafter(mu, math.inf)
+    edge = SystemParams(mu=mu, l_km=0.0, eta_d=1.0)
+    for sp in (edge, replace(SP, p_d=0.02), SystemParams(mu=20.0, l_km=0.0, eta_d=1.0, p_d=0.7)):
+        cfg = SimConfig(sp=sp, rounds=10, seed=1)
+        assert _draw_tables(cfg).lam.max() == sp.mu_arm * unit - 4.0 * math.log1p(-sp.p_d)
+        assert simulate(cfg).rounds == 10
+    with pytest.raises(ValueError, match="mu = "):
+        SimConfig(sp=replace(edge, mu=math.nextafter(mu, math.inf)), rounds=10, seed=1)
+
+
 def test_rounds_stay_within_the_int64_tallies():
     # the blocks' arrays are summed as int64: 2^63 rounds would wrap
     with pytest.raises(ValueError, match=r"rounds must be below 2\*\*63"):
@@ -624,13 +665,13 @@ PINNED = {
     "dark": (dict(sp=SystemParams(mu=0.84, l_km=100.0, p_d=0.02), rounds=600_000, seed=13),
              "9e34069fd41f43b1baf066b64fc9d5016ed0106db2b26adeba056307e3623c80"),
     "checked-none": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05),
-                     "d322a032559338cb0f1ab5ff36643d9ca780a5f150d0024e2c6f4baf5a9a60fd"),
+                     "c1771a8fc5597642928b8a88705a4f9a965ca03df02d9a92d31436d536a8bbc9"),
     "checked-beam_split": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05,
                                 attack="beam_split"),
-                           "062da63885e52f0f10de18fadb1e53598b98ee64a28775cc8b775f94cb11c0f7"),
+                           "fadca3be1fe704715bdee5a6e1bb38462f079e6c2a737154b1a12cdcf674a596"),
     "checked-dishonest_bob": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05,
                                    attack="dishonest_bob"),
-                              "2459eb3b921d9bfd424ff287b6e482ac27d5594033c32e9d7427e5813fb8b49c"),
+                              "e6044785b8e980d5437ccb92a6f5fbde3a29bdee3c6011c0c96c13db23d10433"),
     "far": (dict(sp=FAR, rounds=10**9),
             "9bcdf4a30419528d8a72ab6a33f46a0498ad88ce3160df9f07f11fefe01c100e"),
 }
@@ -642,8 +683,9 @@ def test_tallies_pinned_at_fixed_seeds(case):
 
     The SHA-256 of each report's JSON was recorded when two-entry rounds
     became counts over cell pairs (only rounds of three or more entries as
-    rows); each
-    is the same for 1 and 2 threads. The bright case spans 74 blocks, the
+    rows), and the checked cases again when the lottery came to split the
+    tally's atoms instead of its cells; each is the same for 1 and 2
+    threads. The bright case spans 74 blocks, the
     others one each. Any change of the block sizes or of how a block
     consumes its random streams changes these digests; such a change must
     update them and say so in CHANGES.md.
@@ -836,9 +878,9 @@ def test_tally_step_matches_row_semantics(attack):
     # Every class, every pattern plus 0-, 3- and 4-click masks, every parity
     # mask within the click mask, and every lottery draw the attack makes,
     # each row repeated a seeded 1 to 3 times; the tally step sees them as
-    # the histogram over (parity mask, class, click mask) and the lottery
-    # split over (lottery, class, click mask) that the draw step and the
-    # lottery produce.
+    # the histogram over (parity mask, class, click mask) that the draw
+    # step produces and the lottery split over (lottery, atom) that the
+    # lottery produces, each tallied cell's rows counted in its atom.
     draws = {"none": [(0, 0, 0)], "beam_split": [(0, 0, 0), (0, 0, 1)],
              "dishonest_bob": [(a, b, 0) for a in (0, 1) for b in (0, 1)]}[attack]
     rows = [(c, clicks, odd, checked, *drawn)
@@ -851,12 +893,40 @@ def test_tally_step_matches_row_semantics(attack):
     lots = {"none": 2, "beam_split": 4, "dishonest_bob": 8}[attack]
     lottery = checked | (flip_ph | eve) << 1 | flip_pol << 2
     hist = np.bincount((odd << 6 | c) << 4 | clicks, minlength=1 << 14).reshape(16, 64, 16)
-    split = np.bincount((lottery << 6 | c) << 4 | clicks, minlength=lots << 10).reshape(lots, 64, 16)
+    atom_of = np.full(1024, -1)
+    for atom, cells in enumerate(montecarlo._ATOM_CELLS):
+        atom_of[list(cells)] = atom
+    atom = atom_of[c << 4 | clicks]
+    atoms = len(montecarlo._ATOM_CELLS)
+    split = np.bincount((lottery * atoms + atom)[atom >= 0], minlength=lots * atoms).reshape(lots, atoms)
     got = montecarlo._tally(config(attack=attack), m, hist[:, montecarlo._REP_CLASSES], split)
     want = expected_tallies(m, rows)
     assert got == want
     assert min(got[k] for k in montecarlo._COUNT_FIELDS if k != "n_eve_success") > 0
     assert (got["n_eve_success"] > 0) == (attack == "beam_split")
+
+
+def test_atoms_partition_the_tallied_cells():
+    # Every cell with a non-zero truth-table row lies in exactly one atom,
+    # whose row equals its own, and no other cell lies in any: Event1 by
+    # phase error, Event2 and Event3 by phase and polarization error, and
+    # the Z check by phase error. The block's flat indices read every
+    # atom's cells over all 16 parity masks, atom by atom.
+    tables, rows = montecarlo._TABLES, montecarlo._ATOM_TABLE
+    cells = [cell for atom in montecarlo._ATOM_CELLS for cell in atom]
+    assert sorted(cells) == np.flatnonzero(tables.any(axis=1)).tolist() and len(cells) == 104
+    for atom, members in enumerate(montecarlo._ATOM_CELLS):
+        assert all(np.array_equal(tables[cell], rows[atom]) for cell in members)
+    assert rows.shape == (12, 10) and len({tuple(row) for row in rows.tolist()}) == 12
+    read = [sorted(at.tolist()) for at in np.split(montecarlo._ATOM_AT, montecarlo._ATOM_STARTS[1:])]
+    assert read == [sorted(odd << 10 | cell for odd in range(16) for cell in members)
+                    for members in montecarlo._ATOM_CELLS]
+
+
+def atom_sums(hist):
+    """Rounds per atom of a histogram over (parity mask, class, click mask)."""
+    cells = hist.sum(axis=0).reshape(-1)
+    return np.array([cells[list(atom)].sum() for atom in montecarlo._ATOM_CELLS])
 
 
 def lottery_split(monkeypatch, cfg, hist):
@@ -875,19 +945,20 @@ def lottery_split(monkeypatch, cfg, hist):
 
 
 @pytest.mark.parametrize("attack, lots", (("none", 2), ("beam_split", 4), ("dishonest_bob", 8)))
-def test_lottery_splits_every_cell(attack, lots, monkeypatch):
+def test_lottery_splits_every_atom(attack, lots, monkeypatch):
     hist = np.random.default_rng(1).poisson(200.0, (16, 64, 16))
     cfg = config(attack=attack, check_fraction=0.3, flip_fraction=0.25)
     split, _ = lottery_split(monkeypatch, cfg, hist)
-    assert split.shape == (lots, 64, 16)
-    assert np.array_equal(split.sum(axis=0), hist.sum(axis=0))
+    assert split.shape == (lots, 12)
+    assert np.array_equal(split.sum(axis=0), atom_sums(hist))
     # bit 0: checked; bit 1: flip_ph or Eve's success; bit 2: flip_pol
     leak = montecarlo.ie_dual(montecarlo.TapParams(mu=cfg.sp.mu, eta_t=cfg.sp.eta_t))
     probs = {"none": [0.3], "beam_split": [0.3, leak], "dishonest_bob": [0.3, 0.25, 0.25]}[attack]
-    rounds = hist.sum()
+    rounds = atom_sums(hist)
     for bit, p in enumerate(probs):
-        drawn = split[[lot for lot in range(lots) if lot >> bit & 1]].sum()
-        assert abs(drawn - rounds * p) < 5 * math.sqrt(rounds * p * (1 - p)), bit
+        drawn = split[[lot for lot in range(lots) if lot >> bit & 1]].sum(axis=0)
+        assert (abs(drawn - rounds * p) < 5 * np.sqrt(rounds * p * (1 - p))).all(), bit
+        assert abs(drawn.sum() - rounds.sum() * p) < 5 * math.sqrt(rounds.sum() * p * (1 - p)), bit
 
 
 def test_lottery_draws_nothing_it_does_not_need(monkeypatch):
@@ -895,7 +966,7 @@ def test_lottery_draws_nothing_it_does_not_need(monkeypatch):
     # an attack: the protocol stream is left as the draw step left it
     hist = np.random.default_rng(4).poisson(5.0, (16, 64, 16))
     split, untouched = lottery_split(monkeypatch, config(), hist)
-    assert untouched and not split[1].any() and np.array_equal(split[0], hist.sum(axis=0))
+    assert untouched and not split[1].any() and np.array_equal(split[0], atom_sums(hist))
     kinds = []
     real = montecarlo._stream
     monkeypatch.setattr(montecarlo, "_stream", lambda c, kind, block: kinds.append(kind) or real(c, kind, block))
@@ -968,8 +1039,9 @@ def test_cells_of_mean_zero_never_receive_an_entry(basis_policy):
 def test_memory_does_not_grow_with_rounds():
     # No array is sized by rounds or by one-entry rounds: 1e13 rounds at
     # 400 km hold about 2.5e8 one-entry rounds, 2e6 at 100 km about 48k.
-    # Nor by blocks: 2^60 rounds at p_d = 1 are 128 blocks, each with an
-    # 8-lot split of 64 kB, summed as they arrive rather than held as a list.
+    # Nor by blocks: 2^60 rounds at p_d = 1 are 128 blocks, each with a 4 kB
+    # representative histogram and an 8-lot split of 768 bytes, summed as
+    # they arrive rather than held as a list.
     for cfg in (config(sp=FAR, rounds=10**13, basis_policy=1.0), config(rounds=2_000_000),
                 config(sp=SystemParams(p_d=1.0), rounds=2**60, attack="dishonest_bob", flip_fraction=0.1)):
         simulate(cfg)
