@@ -21,6 +21,7 @@ from dualqss.cli import usable_cpus
 from dualqss.detectors import SystemParams
 from dualqss.montecarlo import (MIN_EXPECTED, SimConfig, compare_to_analytic, max_abs_sigma,
                                 min_p_tail, p_tail, simulate)
+from dualqss.optics import check_range
 
 
 def print_rarest(rows: list[dict], prefixes: tuple[str, ...], kind: str) -> None:
@@ -71,7 +72,15 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser.add_argument("--budget", type=float, default=5.0)
     parser.add_argument("--verbose", action="store_true",
                         help="print every row, not only |sigma| > 2")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    try:  # the library's limits on rounds and seed, and a budget that a row can meet
+        SimConfig(sp=SystemParams(), rounds=args.rounds, seed=args.seed)
+        check_range("budget", args.budget, 0.0, rule="non-negative")
+    except ValueError as exc:
+        parser.error(str(exc))
+    if args.threads < 1:
+        parser.error(f"threads must be an integer >= 1, got {args.threads}")
+    return args
 
 
 if __name__ == "__main__":

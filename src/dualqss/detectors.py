@@ -10,9 +10,8 @@ interference-based inference.
 One function, ``exclusive_pattern_prob``, gives the probability that
 exactly a given set of detectors clicks, optionally with a parity class
 per clicked detector; the detectors are independent, so it is a product
-of per-detector terms, which a caller of many patterns computes once
-(``_click_terms``, ``_pattern_product``). ``exclusive_single_click`` is
-its one-detector case.
+of per-detector terms. ``exclusive_single_click`` is its one-detector
+case.
 """
 
 from __future__ import annotations
@@ -98,35 +97,11 @@ def arm_efficiency(eta_d: float, alpha: float, l_km: float) -> float:
 def click_prob(i: float, p_d: float) -> float:
     """Probability that a threshold detector clicks: 1 - (1 - p_d) e^-i.
 
-    Rejects p_d outside [0, 1]; ``exclusive_pattern_prob`` calls this for
-    every detector and so rejects it too.
+    Rejects p_d outside [0, 1], as ``exclusive_pattern_prob`` does.
     """
     check_range("i", i, 0.0, rule="non-negative")
     check_range("p_d", p_d, 0.0, 1.0, "in [0, 1]")
     return -math.expm1(-i) + p_d * math.exp(-i)
-
-
-# Column of a detector's click terms (see ``_click_terms``) by parity class.
-_PARITY_COLUMN = {None: 1, ClickParity.ODD: 2, ClickParity.EVEN: 3}
-
-
-def _click_terms(ints: ModeIntensities, p_d: float) -> list[tuple[float, float, float, float]]:
-    """Per detector: its no-click probability and its click mass in any class, the Odd class
-    (odd photon numbers) and the Even class (even ones >= 2, plus the vacuum-with-dark term)."""
-    return [((1.0 - p_d) * math.exp(-i), click_prob(i, p_d), poisson_odd_mass(i),
-             poisson_even_mass(i) + p_d * math.exp(-i)) for i in ints.as_tuple()]
-
-
-def _pattern_product(terms: list[tuple[float, ...]], columns: dict[int, int]) -> float:
-    """Probability that exactly the detectors in ``columns`` click, each in the class its column
-    names: the others' no-click terms in detector order, then the click terms in column order."""
-    prob = 1.0
-    for d in range(4):
-        if d not in columns:
-            prob *= terms[d][0]
-    for d, col in columns.items():
-        prob *= terms[d][col]
-    return prob
 
 
 def exclusive_single_click(
@@ -163,12 +138,21 @@ def exclusive_pattern_prob(
     if len(parities) != len(clicked):
         raise ValueError(f"need one parity per clicked detector, got {len(parities)} "
                          f"for {len(clicked)}")
-    columns: dict[int, int] = {}
+    classes: dict[int, ClickParity | None] = {}
     for d, parity in zip(clicked, parities):
         if isinstance(d, bool) or not 0 <= int(d) <= 3:
             raise ValueError(f"clicked must contain detector indices, got {d!r}")
-        if parity not in _PARITY_COLUMN:
+        if parity is not None and not isinstance(parity, ClickParity):
             raise ValueError(f"parities must be ClickParity members or None, got {parity!r}")
-        if columns.setdefault(int(d), _PARITY_COLUMN[parity]) != _PARITY_COLUMN[parity]:
+        if classes.setdefault(int(d), parity) is not parity:
             raise ValueError(f"detector {d!r} listed with conflicting parities")
-    return _pattern_product(_click_terms(ints, p_d), columns)
+    check_range("p_d", p_d, 0.0, 1.0, "in [0, 1]")
+    i = ints.as_tuple()
+    prob = 1.0  # the others' no-click terms in detector order, then the click terms in listed order
+    for d in range(4):
+        if d not in classes:
+            prob *= (1.0 - p_d) * math.exp(-i[d])
+    for d, parity in classes.items():  # Even: photon numbers >= 2, or the vacuum with a dark count
+        prob *= (click_prob(i[d], p_d) if parity is None else poisson_odd_mass(i[d])
+                 if parity is ClickParity.ODD else poisson_even_mass(i[d]) + p_d * math.exp(-i[d]))
+    return prob

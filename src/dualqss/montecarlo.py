@@ -38,12 +38,14 @@ click mask) tell apart only 12 atoms (Event1 by phase error, Event2 and
 Event3 by phase and polarization error, the Z check by phase error), so
 the block sums the histogram's tallied cells into atom counts, and the
 lottery (checks, an attack's flips or Eve's success) splits those with
-binomials, which keeps the law of every tally. ``simulate`` runs
-the blocks on the calling thread unless they carry enough rows to pay
-for a pool, sums their integer arrays as they arrive, and the tally step
-reads the sums through the atoms' truth-table rows, once per call. The
-table ``_PATTERNS`` of the six tallied click patterns drives the truth
-tables, the parity cells and the comparison rows.
+binomials, which keeps the law of every tally. The block also gathers
+the 40 parity cells of the comparison rows from the same histogram.
+``simulate`` runs the blocks on the calling thread unless they carry
+enough rows to pay for a pool, sums their integer arrays as they arrive,
+and the tally step reads the sums through the atoms' truth-table rows,
+once per call. The table ``_PATTERNS`` of the six tallied click patterns
+drives the truth tables and the parity cells (``_PARITY_CELLS``), and
+those and ``_RATE_ROWS`` drive the comparison rows.
 
 Each block draws from a stream seeded by (seed, block index), so
 reports are bit-identical for any worker count. Attack randomness lives
@@ -69,7 +71,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .attack import TapParams, ie_dual
-from .detectors import _PARITY_COLUMN, ClickParity, Detector, SystemParams, _click_terms, _pattern_product
+from .detectors import ClickParity, Detector, SystemParams, exclusive_pattern_prob
 from .optics import PolPairing, check_range, detector_amplitudes, intensities, is_integer
 from .rates import _event_terms
 
@@ -122,10 +124,11 @@ _PATTERNS = (
     ("h2v1", (Detector.D2H, Detector.D1V), 3),
 )
 
-# Parity-cell names by number of clicked detectors, in the order of the
-# cell index: one bit per clicked detector, the first one highest, set
-# for an even photon count.
-_CELLS = {1: ("odd", "even"), 2: ("oo", "oe", "eo", "ee")}
+# The gain and QBER comparison rows: name, the report's count and its trials.
+_RATE_ROWS = (("q_event1", "n_event1", "n_xx"), ("q_event2", "n_event2", "n_xx"),
+              ("q_event3", "n_event3", "n_xx"), ("qber_event1_ph", "n_err1_ph", "n_event1"),
+              ("qber_event2_ph", "n_err2_ph", "n_event2"), ("qber_event2_pol", "n_err2_pol", "n_event2"),
+              ("qber_event3_ph", "n_err3_ph", "n_event3"), ("qber_event3_pol", "n_err3_pol", "n_event3"))
 
 
 @dataclass(frozen=True)
@@ -280,17 +283,14 @@ _UNIT_LAM = _unit_intensities()
 # The largest entry total per unit mu_arm, 2 up to rounding, as numpy sums a row of _UNIT_LAM.
 _UNIT_SUM_MAX = float(_UNIT_LAM.sum(axis=1).max())
 _TAIL = np.array([1.0 / math.factorial(k) for k in range(3, 21)])  # series of P(N >= 3) / e^-lam
-# Per pattern, its click mask and its cells' parity masks (bit d: detector d).
-_PATTERN_MASKS = [sum(1 << d for d in dets) for _, dets, _ in _PATTERNS]
-_CELL_ODD = [[sum(1 << d for i, d in enumerate(dets) if not j >> (len(dets) - 1 - i) & 1)
-              for j in range(len(_CELLS[len(dets)]))] for _, dets, _ in _PATTERNS]
 _REP_CLASSES = [0b110000 | e.ka_ph << 3 | e.ka_pol << 2 | e.kb_ph << 1 | e.kb_pol
                 for e in (pairing.representative() for pairing in PolPairing)]
-# The parity cells of one encoding's comparison rows, in row order: pattern,
-# cell and the cell's click-term columns by detector.
-_PARITY_CELLS = [(name, cell, dict(zip(map(int, dets), cols))) for name, dets, _ in _PATTERNS
-                 for cell, cols in zip(_CELLS[len(dets)], itertools.product(map(
-                     _PARITY_COLUMN.get, (ClickParity.ODD, ClickParity.EVEN)), repeat=len(dets)))]
+# The parity cells of one encoding's comparison rows, in row order: pattern, cell, clicked
+# detectors and each one's parity class. A lone click's cell is named by its class ("odd",
+# "even"), a pair's by both classes' initials ("oo", "oe", "eo", "ee").
+_PARITY_CELLS = [(name, classes[0].value if len(dets) == 1 else "".join(c.value[0] for c in classes),
+                  dets, classes) for name, dets, _ in _PATTERNS
+                 for classes in itertools.product(ClickParity, repeat=len(dets))]
 
 
 def _truth_tables() -> np.ndarray:
@@ -299,8 +299,8 @@ def _truth_tables() -> np.ndarray:
     polarization errors (from the pattern class), Z-basis checks (both
     senders in the H mode, then a lone H click) and their phase errors."""
     events = np.zeros((3, 16), bool)
-    for mask, (_, _, event) in zip(_PATTERN_MASKS, _PATTERNS):
-        events[event - 1, mask] = True
+    for _, dets, event in _PATTERNS:
+        events[event - 1, sum(1 << d for d in dets)] = True
     xx, zz, t_pol = (_XA & _XB)[:, None], (~_XA & ~_XB)[:, None], (_KA_POL ^ _KB_POL)[:, None]
     err_ph = (_KA_PH ^ _KB_PH)[:, None] ^ (np.arange(16) >> Detector.D2H & 1).astype(bool)
     x1, x2, x3 = xx & events[:, None]
@@ -333,10 +333,11 @@ def _atoms() -> tuple:
 _ATOM_CELLS, _ATOM_TABLE = _atoms()
 _ATOM_AT = (np.concatenate(_ATOM_CELLS)[:, None] | np.arange(16) << 10).ravel()
 _ATOM_STARTS = 16 * np.cumsum([0, *map(len, _ATOM_CELLS[:-1])])
-# The comparison rows' parity cells as flat indices into the representative classes'
-# histogram over (parity mask, representative, click mask), representative by representative.
-_PARITY_AT = np.array([odd << 5 | rep << 4 | mask for rep in range(len(_REP_CLASSES))
-                       for mask, cell_odd in zip(_PATTERN_MASKS, _CELL_ODD) for odd in cell_odd])
+# The comparison rows' parity cells, representative by representative, as flat indices
+# ``parity mask << 10 | class << 4 | click mask`` into a block's histogram.
+_PARITY_AT = np.array([sum(1 << d for d, c in zip(dets, classes) if c is ClickParity.ODD) << 10
+                       | rep << 4 | sum(1 << d for d in dets)
+                       for rep in _REP_CLASSES for _, _, dets, classes in _PARITY_CELLS])
 
 
 def _class_weights(basis_policy: float) -> np.ndarray:
@@ -480,10 +481,10 @@ def _stream(cfg: SimConfig, kind: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(kind, block)))
 
 
-def _tally(cfg: SimConfig, m: np.ndarray, rep_hist: np.ndarray, split: np.ndarray) -> dict:
+def _tally(cfg: SimConfig, m: np.ndarray, parity: np.ndarray, split: np.ndarray) -> dict:
     """Tally step, once per ``simulate`` call: the report counts and parity
-    cells from the block sums of the class counts, the representative
-    classes' histogram and the lottery split; flips and Eve's successes
+    cells from the block sums of the class counts, the 40 parity-cell
+    counts (``_PARITY_AT``) and the lottery split; flips and Eve's successes
     come only with their attack."""
     per_lot = (split @ _ATOM_TABLE).tolist()
     t = dict.fromkeys(_COUNT_FIELDS, 0)
@@ -506,38 +507,38 @@ def _tally(cfg: SimConfig, m: np.ndarray, rep_hist: np.ndarray, split: np.ndarra
             t["n_key_events"] += events
             t["n_eve_success"] += events * won
 
-    cells = iter(rep_hist.take(_PARITY_AT).tolist())
+    cells = iter(parity.tolist())
     t["parity"] = {}
     for pairing, rep_class in zip(PolPairing, _REP_CLASSES):
         rep = t["parity"][pairing.name.lower()] = {"n": int(m[rep_class])}
-        for name, cell, _ in _PARITY_CELLS:
+        for name, cell, *_ in _PARITY_CELLS:
             rep.setdefault(name, {})[cell] = next(cells)
     return t
 
 
 def _block_tallies(cfg: SimConfig, tables: _DrawTables, block: int, size: int) -> tuple:
     """Simulate one block: the draw step and the lottery. Returns the int64
-    arrays that ``simulate`` sums: the class counts, the representative
-    classes' histogram over (parity mask, representative, click mask) and
-    the lottery split over (lottery, atom). The lottery splits each atom's
-    rounds with binomials: checked in bit 0, on the protocol stream, then
-    flip_ph or eve in bit 1 and flip_pol in bit 2, on the attack stream,
-    seeded only for an attack. Every cell of a layer is split with the same
+    arrays that ``simulate`` sums: the class counts, the histogram's 40
+    parity cells (``_PARITY_AT``) and the lottery split over (lottery,
+    atom). The lottery splits each atom's rounds with binomials: checked in
+    bit 0, on the protocol stream, then flip_ph or eve in bit 1 and flip_pol
+    in bit 2, on the attack stream, seeded only for an attack. Every cell of a layer is split with the same
     probability, and a sum of binomials of one probability is a binomial of
     their sum, so splitting the atoms' sums gives every (lot, atom) count the
     law that splitting each cell would give."""
     rng = _stream(cfg, 0, block)
     m, hist = _draw(tables, rng, size)
+    flat = hist.reshape(-1)
     draws = [(rng, cfg.check_fraction)]
     if cfg.attack == "beam_split":
         draws.append((_stream(cfg, 1, block), ie_dual(TapParams(mu=cfg.sp.mu, eta_t=cfg.sp.eta_t))))
     elif cfg.attack == "dishonest_bob":
         draws += [(_stream(cfg, 1, block), cfg.flip_fraction)] * 2
-    split = np.add.reduceat(hist.reshape(-1).take(_ATOM_AT), _ATOM_STARTS).reshape(1, -1)
+    split = np.add.reduceat(flat.take(_ATOM_AT), _ATOM_STARTS).reshape(1, -1)
     for gen, p in draws:  # a split of probability 0 draws nothing
         won = gen.binomial(split, p) if p else np.zeros_like(split)
         split = np.concatenate((split - won, won))
-    return m, hist[:, _REP_CLASSES], split
+    return m, flat.take(_PARITY_AT), split
 
 
 def simulate(config: SimConfig, threads: int = 1) -> SimReport:
@@ -606,14 +607,13 @@ def _closed_forms(mu_arm: float, p_d: float, basis_policy: float, *leak: float) 
     # error, which averages the two per-DOF rates.
     p_wrong_h = e1.e_bit
     p_wrong_pat = 2.0 * e2.e_bit - e1.e_bit
-    forms = [("q_event1", e1.q, p_xx), ("q_event2", e2.q, p_xx), ("q_event3", e3.q, p_xx),
-             ("qber_event1_ph", p_wrong_h, p_xx * e1.q), ("qber_event2_ph", p_wrong_h, p_xx * e2.q),
-             ("qber_event2_pol", p_wrong_pat, p_xx * e2.q), ("qber_event3_ph", p_wrong_h, p_xx * e3.q),
-             ("qber_event3_pol", p_wrong_pat, p_xx * e3.q)]
+    per_xx = {"n_xx": 1.0, "n_event1": e1.q, "n_event2": e2.q, "n_event3": e3.q}  # per X-basis round
+    forms = [(name, per_xx.get(count, p_wrong_h if count.endswith("_ph") else p_wrong_pat), p_xx * per_xx[trials])
+             for name, count, trials in _RATE_ROWS]
     for pairing in PolPairing:
-        terms = _click_terms(intensities(detector_amplitudes(pairing.representative(), mu_arm)), p_d)
-        forms += [(f"parity_{pairing.name.lower()}_{name}_{cell}", _pattern_product(terms, columns), p_xx / 16.0)
-                  for name, cell, columns in _PARITY_CELLS]
+        ints = intensities(detector_amplitudes(pairing.representative(), mu_arm))
+        forms += [(f"parity_{pairing.name.lower()}_{name}_{cell}", exclusive_pattern_prob(dets, ints, p_d, classes),
+                   p_xx / 16.0) for name, cell, dets, classes in _PARITY_CELLS]
     if leak:
         mu, eta_t, check_fraction = leak
         p_key = p_xx * (e1.q + e2.q + e3.q) * (1.0 - check_fraction)
@@ -634,19 +634,19 @@ def compare_to_analytic(report: SimReport) -> list[dict]:
     parity cells test the exclusive click probabilities at the two
     representative encodings. The Eve row (beam-split runs only)
     compares against ``ie_dual``, the very value Eve's successes are
-    drawn from, so it checks which events count as key events, not the
-    leakage bound. The closed forms come from ``_closed_forms``, once per
+    drawn from, so it checks which events count as key events. It tests
+    neither the leakage bound nor Eve's optimum: ``ie_dual`` is a bound
+    with slack, above the optimal USD success (1 - e^-x)^2 on the four
+    tapped states (x the tapped intensity) and above the 1 - e^-x that one
+    mode gives. The closed forms come from ``_closed_forms``, once per
     configuration.
     """
     sp = report.system_params()
     leak = (sp.mu, sp.eta_t, report.check_fraction) if report.attack == "beam_split" else ()
-    counts = [(report.n_event1, report.n_xx), (report.n_event2, report.n_xx), (report.n_event3, report.n_xx),
-              (report.n_err1_ph, report.n_event1), (report.n_err2_ph, report.n_event2),
-              (report.n_err2_pol, report.n_event2), (report.n_err3_ph, report.n_event3),
-              (report.n_err3_pol, report.n_event3)]
+    counts = [(getattr(report, count), getattr(report, trials)) for _, count, trials in _RATE_ROWS]
     for pairing in PolPairing:
         cells = report.parity[pairing.name.lower()]
-        counts += [(cells[name][cell], cells["n"]) for name, cell, _ in _PARITY_CELLS]
+        counts += [(cells[name][cell], cells["n"]) for name, cell, *_ in _PARITY_CELLS]
     if leak:
         counts.append((report.n_eve_success, report.n_key_events))
     return [{"name": name, "count": count, "n": n, "p_analytic": p, "expected": n * p,

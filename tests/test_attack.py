@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +16,7 @@ from dualqss.attack import (
     ie_wcp_pol,
     usd_bound,
 )
+from dualqss.detectors import SystemParams
 from dualqss.optics import coherent_overlap
 
 tap_st = st.builds(
@@ -159,3 +161,37 @@ def test_brightest_tap_gives_orthogonal_states():
 def test_vacuum_ensemble_overlaps_are_one():
     ensemble = dual_dof_ensemble(TapParams(mu=0.0, eta_t=0.5))
     assert all(x == 1.0 for row in ensemble.overlaps for x in row)
+
+
+def test_leakage_bound_covers_the_states_it_bounds():
+    """``ie_dual`` against what discrimination of the tapped light can reach.
+
+    The four tapped states are equiprobable and symmetric, so the optimal
+    unambiguous discrimination succeeds with the smallest eigenvalue of
+    their Gram matrix (Chefles and Barnett, Phys. Lett. A 250, 223, 1998;
+    Eldar, IEEE Trans. Inf. Theory 49, 446, 2003), which is (1 - e^-x)^2
+    at tapped intensity x; one mode alone reveals 1 - e^-x. ``ie_dual``
+    lies above both, equal only at x = 0: it is a bound with slack, not
+    Eve's optimum. At criterion 1's point (mu = 0.4, eta_t = 0.0145) it
+    reads 0.399 against 0.106 and 0.326. Over criterion 9's 20x20 grid
+    and the leakage figure's points (mu = 0.05 to 2 at 100 km) the smallest
+    margins are 3.3e-3 and 8.3e-4, at mu = 0.05, eta_t = 0.95.
+    """
+    figure_eta_t = SystemParams(l_km=100.0).eta_t
+    taps = [TapParams(mu=float(mu), eta_t=float(eta_t))
+            for mu in np.linspace(0.05, 2.0, 20) for eta_t in np.linspace(0.0, 0.95, 20)]
+    taps += [TapParams(mu=0.05 * k, eta_t=figure_eta_t) for k in range(1, 41)]
+    margins = []
+    for tap in taps:
+        one_mode = -math.expm1(-tap.tapped_mu)
+        gram = np.linalg.eigvalsh(np.array(dual_dof_ensemble(tap).overlaps))
+        assert gram.min() == pytest.approx(one_mode ** 2, abs=1e-15)
+        margins.append((ie_dual(tap) - one_mode ** 2, ie_dual(tap) - one_mode, tap.mu, tap.eta_t))
+    assert min(m[0] for m in margins) > 0.0 and min(m[1] for m in margins) > 0.0
+    low_gram, low_mode = min(margins), min(margins, key=lambda m: m[1])
+    assert low_gram[0] == pytest.approx(3.32e-3, rel=1e-2) and low_gram[2:] == (0.05, 0.95)
+    assert low_mode[1] == pytest.approx(8.30e-4, rel=1e-2) and low_mode[2:] == (0.05, 0.95)
+    x = REF.tapped_mu
+    assert (ie_dual(REF), (-math.expm1(-x)) ** 2, -math.expm1(-x)) == pytest.approx((0.399, 0.106, 0.326), abs=1e-3)
+    for tap in (TapParams(mu=0.0, eta_t=0.3), TapParams(mu=0.84, eta_t=1.0)):
+        assert ie_dual(tap) == -math.expm1(-tap.tapped_mu) == 0.0

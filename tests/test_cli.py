@@ -161,6 +161,25 @@ def test_mc_crosscheck_prints_the_same_from_cold_and_warm_caches(capsys):
     assert codes[0] == int(max(worst) > args.budget) or max(worst) == args.budget
 
 
+@pytest.mark.parametrize("argv, message", (
+    (["--threads", "0"], "threads must be an integer >= 1, got 0"),
+    (["--rounds", "0"], "rounds must be an integer >= 1, got 0"),
+    (["--rounds", str(2**63)], "rounds must be below 2**63"),
+    (["--seed", "-1"], "seed must be an integer >= 0, got -1"),
+    (["--budget", "nan"], "budget must be finite and non-negative, got nan"),
+    (["--budget", "-1"], "budget must be finite and non-negative"),
+))
+def test_mc_crosscheck_rejects_out_of_range_flags(argv, message, capsys):
+    # A usage error, not a traceback out of the library or a budget that
+    # marks every configuration EXCEEDED; the defaults still parse.
+    module = load_script("mc_crosscheck")
+    with pytest.raises(SystemExit) as exit_info:
+        module.parse_args(argv)
+    assert exit_info.value.code == 2 and message in capsys.readouterr().err
+    args = module.parse_args([])
+    assert (args.rounds, args.seed, args.budget) == (10_000_000, 2026, 5.0) and args.threads >= 1
+
+
 # SHA-256 of the JSON each command prints, recorded before the handlers
 # returned payloads for main to serialise; key order, float repr and
 # indentation must all hold. The beam-splitting run's was recorded again

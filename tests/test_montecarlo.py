@@ -899,7 +899,7 @@ def test_tally_step_matches_row_semantics(attack):
     atom = atom_of[c << 4 | clicks]
     atoms = len(montecarlo._ATOM_CELLS)
     split = np.bincount((lottery * atoms + atom)[atom >= 0], minlength=lots * atoms).reshape(lots, atoms)
-    got = montecarlo._tally(config(attack=attack), m, hist[:, montecarlo._REP_CLASSES], split)
+    got = montecarlo._tally(config(attack=attack), m, hist.reshape(-1).take(montecarlo._PARITY_AT), split)
     want = expected_tallies(m, rows)
     assert got == want
     assert min(got[k] for k in montecarlo._COUNT_FIELDS if k != "n_eve_success") > 0
@@ -921,6 +921,22 @@ def test_atoms_partition_the_tallied_cells():
     read = [sorted(at.tolist()) for at in np.split(montecarlo._ATOM_AT, montecarlo._ATOM_STARTS[1:])]
     assert read == [sorted(odd << 10 | cell for odd in range(16) for cell in members)
                     for members in montecarlo._ATOM_CELLS]
+
+
+def test_parity_cells_index_the_block_histogram():
+    # Each of the 40 parity-cell indices, in row order, decodes in the
+    # block histogram's flat layout (parity mask << 10 | class << 4 | click
+    # mask) to the row's representative class (plus_plus, then plus_minus),
+    # its pattern's click mask and a parity mask set exactly on the
+    # detectors the cell marks Odd.
+    cells = montecarlo._PARITY_CELLS
+    at = montecarlo._PARITY_AT.tolist()
+    assert len(cells) == 20 and len(at) == 40 and len(set(at)) == 40
+    rows = [(rep, cell) for rep in (0b110000, 0b110001) for cell in cells]
+    for index, (rep, (name, _, dets, classes)) in zip(at, rows):
+        assert index >> 4 & 63 == rep
+        assert PATTERN_OF_MASK[index & 15] == (name, tuple(map(int, dets)))
+        assert index >> 10 == sum(1 << d for d, c in zip(dets, classes) if c is ClickParity.ODD)
 
 
 def atom_sums(hist):
@@ -1039,8 +1055,8 @@ def test_cells_of_mean_zero_never_receive_an_entry(basis_policy):
 def test_memory_does_not_grow_with_rounds():
     # No array is sized by rounds or by one-entry rounds: 1e13 rounds at
     # 400 km hold about 2.5e8 one-entry rounds, 2e6 at 100 km about 48k.
-    # Nor by blocks: 2^60 rounds at p_d = 1 are 128 blocks, each with a 4 kB
-    # representative histogram and an 8-lot split of 768 bytes, summed as
+    # Nor by blocks: 2^60 rounds at p_d = 1 are 128 blocks, each with 40
+    # parity counts (320 bytes) and an 8-lot split of 768 bytes, summed as
     # they arrive rather than held as a list.
     for cfg in (config(sp=FAR, rounds=10**13, basis_policy=1.0), config(rounds=2_000_000),
                 config(sp=SystemParams(p_d=1.0), rounds=2**60, attack="dishonest_bob", flip_fraction=0.1)):
