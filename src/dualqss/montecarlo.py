@@ -41,11 +41,12 @@ lottery (checks, an attack's flips or Eve's success) splits those with
 binomials, which keeps the law of every tally. The block also gathers
 the 40 parity cells of the comparison rows from the same histogram.
 ``simulate`` runs the blocks on the calling thread unless they carry
-enough rows to pay for a pool, sums their integer arrays as they arrive,
-and the tally step reads the sums through the atoms' truth-table rows,
-once per call. The table ``_PATTERNS`` of the six tallied click patterns
-drives the truth tables and the parity cells (``_PARITY_CELLS``), and
-those and ``_RATE_ROWS`` drive the comparison rows.
+enough rows to pay for a pool (only then is one built, and
+``concurrent.futures`` imported), sums their integer arrays as they
+arrive, and the tally step reads the sums through the atoms' truth-table
+rows, once per call. The table ``_PATTERNS`` of the six tallied click
+patterns drives the truth tables and the parity cells
+(``_PARITY_CELLS``), and those and ``_RATE_ROWS`` the comparison rows.
 
 Each block draws from a stream seeded by (seed, block index), so
 reports are bit-identical for any worker count. Attack randomness lives
@@ -65,13 +66,12 @@ import collections
 import functools
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .attack import TapParams, ie_dual
-from .detectors import ClickParity, Detector, SystemParams, exclusive_pattern_prob
+from .detectors import ClickParity, Detector, SystemParams, arm_efficiency, exclusive_pattern_prob
 from .optics import PolPairing, check_range, detector_amplitudes, intensities, is_integer
 from .rates import _event_terms
 
@@ -211,9 +211,6 @@ class SimReport:
     n_eve_success: int
     parity: dict
 
-    def system_params(self) -> SystemParams:
-        return SystemParams(*(getattr(self, f.name) for f in fields(SystemParams)))
-
     def to_dict(self) -> dict:
         """JSON-ready view with stable key order and derived frequencies."""
 
@@ -256,6 +253,8 @@ class SimReport:
 _COUNT_FIELDS = tuple(f.name for f in fields(SimReport) if f.name.startswith("n_"))
 _CONFIG_FIELDS = tuple(f.name for f in fields(SimReport)
                        if f.name not in _COUNT_FIELDS and f.name != "parity")
+# The fields of a configuration that a report echoes, all but its system parameters.
+_ECHO_FIELDS = tuple(f.name for f in fields(SimConfig) if f.name != "sp")
 
 
 def _unit_intensities() -> np.ndarray:
@@ -338,6 +337,14 @@ _ATOM_STARTS = 16 * np.cumsum([0, *map(len, _ATOM_CELLS[:-1])])
 _PARITY_AT = np.array([sum(1 << d for d, c in zip(dets, classes) if c is ClickParity.ODD) << 10
                        | rep << 4 | sum(1 << d for d in dets)
                        for rep in _REP_CLASSES for _, _, dets, classes in _PARITY_CELLS])
+# Per class, whether it is an X-basis round, a Z-basis round and a round: ``m @ _BASIS_SUMS``
+# gives n_xx, n_zz and the rounds of the class counts m.
+_BASIS_SUMS = np.stack((_XA & _XB, ~_XA & ~_XB, np.ones(64, bool)), axis=1).astype(np.int64)
+# Each representative's key in a report's ``parity`` and its class; the comparison rows'
+# (pattern, cell) names in row order, and the cells grouped by pattern.
+_PARITY_KEYS = tuple(zip((pairing.name.lower() for pairing in PolPairing), _REP_CLASSES))
+_PARITY_NAMES = tuple((name, cell) for name, cell, *_ in _PARITY_CELLS)
+_PARITY_GROUPS = tuple((name, tuple(c for n, c in _PARITY_NAMES if n == name)) for name, *_ in _PATTERNS)
 
 
 def _class_weights(basis_policy: float) -> np.ndarray:
@@ -465,10 +472,10 @@ def _draw(t: _DrawTables, rng: np.random.Generator, size: int) -> tuple[np.ndarr
     n = np.empty((64, 4), np.int64)
     n[_CLASSES[:, None], t.rank] = rng.multinomial(m, t.strata)
     flat[t.cell_at] = rng.multinomial(n[:, 1], t.q)
-    if n[:, 2].any():  # two-entry rounds: counts over the ordered cell pairs (i, j), row-major
+    if np.count_nonzero(n[:, 2]):  # two-entry rounds: counts over the ordered cell pairs (i, j), row-major
         cls = np.flatnonzero(n[:, 2])
         np.add.at(flat, t.pair_at[cls], rng.multinomial(n[cls, 2], t.pair_q[cls]))
-    if n[:, 3].any():
+    if np.count_nonzero(n[:, 3]):
         cls = np.repeat(_CLASSES, n[:, 3])  # the rounds of three or more entries, the only rows
         counts = rng.multinomial(_multi_entry_totals(rng, t.lam[cls]), t.q[cls])
         clicks, odd = _rows(counts, t.bits[cls], t.odd_bits[cls])
@@ -477,8 +484,8 @@ def _draw(t: _DrawTables, rng: np.random.Generator, size: int) -> tuple[np.ndarr
 
 
 def _stream(cfg: SimConfig, kind: int, block: int) -> np.random.Generator:
-    """The protocol (kind 0) or attack (kind 1) stream of one block."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(kind, block)))
+    """The protocol (kind 0) or attack (kind 1) stream of one block, as ``np.random.default_rng`` makes it."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(kind, block))))
 
 
 def _tally(cfg: SimConfig, m: np.ndarray, parity: np.ndarray, split: np.ndarray) -> dict:
@@ -489,8 +496,8 @@ def _tally(cfg: SimConfig, m: np.ndarray, parity: np.ndarray, split: np.ndarray)
     per_lot = (split @ _ATOM_TABLE).tolist()
     t = dict.fromkeys(_COUNT_FIELDS, 0)
     t.update(zip(_TABLE_COUNTS, map(sum, zip(*per_lot))))
-    t["n_xx"], t["n_zz"] = int(m[_XA & _XB].sum()), int(m[~_XA & ~_XB].sum())
-    t["n_mixed"] = int(m.sum()) - t["n_xx"] - t["n_zz"]
+    t["n_xx"], t["n_zz"], rounds = (m @ _BASIS_SUMS).tolist()
+    t["n_mixed"] = rounds - t["n_xx"] - t["n_zz"]
     t["n_fail_xx"] = t["n_xx"] - t["n_event1"] - t["n_event2"] - t["n_event3"]
     for lot, (x1, x2, x3, e1_ph, e2_ph, e2_pol, e3_ph, e3_pol, zc, z_ph) in enumerate(per_lot):
         f_ph, won = (lot >> 1 & 1, 0) if cfg.attack == "dishonest_bob" else (0, lot >> 1 & 1)
@@ -508,11 +515,8 @@ def _tally(cfg: SimConfig, m: np.ndarray, parity: np.ndarray, split: np.ndarray)
             t["n_eve_success"] += events * won
 
     cells = iter(parity.tolist())
-    t["parity"] = {}
-    for pairing, rep_class in zip(PolPairing, _REP_CLASSES):
-        rep = t["parity"][pairing.name.lower()] = {"n": int(m[rep_class])}
-        for name, cell, *_ in _PARITY_CELLS:
-            rep.setdefault(name, {})[cell] = next(cells)
+    t["parity"] = {key: {"n": int(m[rep]), **{name: dict(zip(names, cells)) for name, names in _PARITY_GROUPS}}
+                   for key, rep in _PARITY_KEYS}
     return t
 
 
@@ -547,7 +551,8 @@ def simulate(config: SimConfig, threads: int = 1) -> SimReport:
     ``threads`` only controls execution; the report is bit-identical
     for any value because blocks are seeded by index and their arrays
     are summed as integers, then tallied once. Blocks run on the calling
-    thread unless they carry the rows that pay for a pool.
+    thread unless they carry the rows that pay for a pool; only then is a
+    ``ThreadPoolExecutor`` built and ``concurrent.futures`` imported.
     """
     if not is_integer(threads) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
@@ -557,14 +562,21 @@ def simulate(config: SimConfig, threads: int = 1) -> SimReport:
     # worth per block; on 2 cores, blocks of about 2,750 rows break even and lighter ones lose.
     rows = tables.p_multi * config.rounds
     workers = min(threads, len(blocks)) if rows >= _BLOCK_ROWS * max(2, len(blocks) / 2) else 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:  # starts no thread for one worker
-        results = (map if workers == 1 else pool.map)(lambda args: _block_tallies(*args), blocks)
-        totals = next(results)
-        for arrays in results:  # summed as they arrive, never held as a list
-            for total, array in zip(totals, arrays):
-                total += array
-    echo = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "sp"}
+    if workers == 1:
+        totals = functools.reduce(_add_into, (_block_tallies(*block) for block in blocks))
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # loaded only for a pool
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            totals = functools.reduce(_add_into, pool.map(lambda block: _block_tallies(*block), blocks))
+    echo = {name: getattr(config, name) for name in _ECHO_FIELDS}
     return SimReport(**echo, **vars(config.sp), **_tally(config, *totals))
+
+
+def _add_into(totals: tuple, arrays: tuple) -> tuple:
+    """``totals`` with a block's arrays added in place: blocks are summed as they arrive, never listed."""
+    for total, array in zip(totals, arrays):
+        total += array
+    return totals
 
 
 def simulate_beam_split(config: SimConfig, threads: int = 1) -> SimReport:
@@ -641,19 +653,19 @@ def compare_to_analytic(report: SimReport) -> list[dict]:
     mode gives. The closed forms come from ``_closed_forms``, once per
     configuration.
     """
-    sp = report.system_params()
-    leak = (sp.mu, sp.eta_t, report.check_fraction) if report.attack == "beam_split" else ()
+    eta_t = arm_efficiency(report.eta_d, report.alpha, report.l_km)  # SystemParams.eta_t, not checked again
+    leak = (report.mu, eta_t, report.check_fraction) if report.attack == "beam_split" else ()
     counts = [(getattr(report, count), getattr(report, trials)) for _, count, trials in _RATE_ROWS]
-    for pairing in PolPairing:
-        cells = report.parity[pairing.name.lower()]
-        counts += [(cells[name][cell], cells["n"]) for name, cell, *_ in _PARITY_CELLS]
+    for key, _ in _PARITY_KEYS:
+        cells = report.parity[key]
+        counts += [(cells[name][cell], cells["n"]) for name, cell in _PARITY_NAMES]
     if leak:
         counts.append((report.n_eve_success, report.n_key_events))
-    return [{"name": name, "count": count, "n": n, "p_analytic": p, "expected": n * p,
-             "sigma": _sigma(count, n, p), "informative": n * p >= MIN_EXPECTED,
+    return [{"name": name, "count": count, "n": n, "p_analytic": p, "expected": (expected := n * p),
+             "sigma": _sigma(count, n, p), "informative": expected >= MIN_EXPECTED,
              "rounds_needed": _rounds_needed(report.rounds, report.rounds * p_trial * p)}
             for (name, p, p_trial), (count, n) in zip(
-                _closed_forms(sp.mu_arm, sp.p_d, report.basis_policy, *leak), counts)]
+                _closed_forms(eta_t * report.mu, report.p_d, report.basis_policy, *leak), counts)]
 
 
 def max_abs_sigma(rows: list[dict]) -> float:

@@ -203,6 +203,26 @@ def test_json_bytes_unchanged(argv, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == JSON_DIGESTS[argv]
 
 
+# SHA-256 of the JSON of a far run (no pair or row stage) and of a dishonest
+# receiver's run with checks, recorded before the per-call bookkeeping of
+# simulate and compare_to_analytic was cut; neither may move a byte.
+SIMULATE_DIGESTS = {
+    "far": (("simulate", "--L", "400", "--rounds", "2000000", "--seed", "2026", "--basis-policy", "1"),
+            "10fec57f3c1b819ed54d96517d279e4fc9a71c1e961c36945ed73887570fadc5"),
+    "dishonest-bob": (("simulate", "--rounds", "200000", "--seed", "3", "--basis-policy", "0.5",
+                       "--check-fraction", "0.3", "--attack", "dishonest-bob", "--flip", "0.05"),
+                      "53f8e5fe8eb48a5dbc6ec8b76b1cadc204106a843222943c253b59d26b7e9fdf"),
+}
+
+
+@pytest.mark.parametrize("case", SIMULATE_DIGESTS)
+def test_simulate_json_bytes_unchanged(case, capsys):
+    argv, digest = SIMULATE_DIGESTS[case]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_benchmark_imports_still_exist():
     # the benchmark imports these names; a library change that drops one
     # breaks it, and this fails long before the benchmark's own tests do

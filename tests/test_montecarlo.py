@@ -8,10 +8,14 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +110,32 @@ def test_light_blocks_run_on_the_calling_thread(cfg, pooled, monkeypatch):
     assert simulate(cfg, threads=2) == serial
     assert len(idents) == {False: 6, True: 7}[pooled]
     assert (threading.get_ident() not in idents) == pooled
+
+
+def test_light_calls_load_no_pool_module():
+    # A pool is built, and concurrent.futures imported, only for calls whose
+    # blocks carry the rows that pay for it: importing the package and its
+    # CLI, then a light six-block far run at two threads, leave it unloaded.
+    code = ("import sys, dualqss, dualqss.cli\n"
+            "cfg = dualqss.SimConfig(sp=dualqss.SystemParams(l_km=400.0), rounds=5 * 10**16, seed=1)\n"
+            "dualqss.simulate(cfg, threads=2)\n"
+            "print('concurrent.futures' in sys.modules)")
+    paths = (str(Path(montecarlo.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
+
+
+@pytest.mark.parametrize("seed", (0, 2026, 2**64 + 1))
+def test_streams_are_default_rng_streams(seed):
+    # a block's stream is the one np.random.default_rng makes of its seed
+    # sequence, whatever way it is built
+    for kind, block in itertools.product((0, 1), (0, 5)):
+        got = montecarlo._stream(config(seed=seed), kind, block)
+        want = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(kind, block)))
+        assert got.bit_generator.state == want.bit_generator.state
+        assert np.array_equal(got.integers(0, 2**63, 64), want.integers(0, 2**63, 64))
+        assert np.array_equal(got.multinomial(10**9, [0.25] * 4), want.multinomial(10**9, [0.25] * 4))
 
 
 def test_draw_tables_are_built_once_per_configuration(monkeypatch):
