@@ -1,6 +1,6 @@
 """Parameter search over the key-rate surface.
 
-Best source intensity at a fixed distance (deterministic grid plus
+Best source intensity at a fixed distance (a ``SweepSpec`` grid plus
 golden-section refinement), maximum reachable distance at a fixed
 intensity, and grid sweeps for curve generation.
 Each varies one parameter over a range whose two ends are validated
@@ -11,13 +11,14 @@ and gives the same floats as ``key_rate``.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
 from .detectors import SystemParams, arm_efficiency
 from .optics import SMALLEST_POSITIVE, check_range, is_integer
-from .rates import RatePoint, _bracket, _rate_point, at_distance, at_intensity
+from .rates import RatePoint, _bisect, _bracket, _rate_point, at_distance, at_intensity
 
 __all__ = [
     "SweepVariable",
@@ -131,40 +132,27 @@ def optimize_mu(
 ) -> OptResult:
     """Source intensity maximizing the key rate at ``l_km``.
 
-    An ascending coarse grid, then golden-section refinement in the
-    interval that brackets the grid maximum. ``method`` must be "grid",
-    the only method. Ties break toward the lower intensity (the grid
-    keeps the first maximum, and a refinement result is adopted only
-    when it is strictly better).
+    The 61-point ``SweepSpec`` grid over ``bounds`` (its step must be a
+    normal float), then golden-section refinement around the grid maximum.
+    ``method`` must be "grid", the only method. Ties break toward the
+    lower intensity (the grid keeps the first maximum, and a refinement
+    result is adopted only when it is strictly better).
     """
     mu_lo, mu_hi = bounds
     check_range("bounds", mu_hi)
-    if not 0.0 < mu_lo < mu_hi:
-        raise ValueError(f"bounds must satisfy 0 < lo < hi, got {bounds!r}")
+    step = (mu_hi - mu_lo) / (_GRID_POINTS - 1) if 0.0 < mu_lo < mu_hi else 0.0
+    if step < sys.float_info.min:
+        raise ValueError(f"bounds must satisfy 0 < lo < hi with a normal grid step, got {bounds!r}")
     if method != "grid":
         raise ValueError(f"method must be 'grid', got {method!r}")
 
     rate_at = _curve(at_distance(sp, l_km), SweepVariable.MU, mu_lo, mu_hi)
-
-    def rate(mu: float) -> float:
-        return rate_at(mu).r
-
-    step = (mu_hi - mu_lo) / (_GRID_POINTS - 1)
-    best_mu, best_rate = mu_lo, rate(mu_lo)
-    evaluations = 1
-    for k in range(1, _GRID_POINTS):
-        mu = mu_lo + k * step
-        r = rate(mu)
-        evaluations += 1
-        if r > best_rate:
-            best_mu, best_rate = mu, r
-    lo = max(mu_lo, best_mu - step)
-    hi = min(mu_hi, best_mu + step)
-    refined_mu, refined_rate, extra = _golden_section(rate, lo, hi, _GOLDEN_TOL)
-    evaluations += extra
-    if refined_rate > best_rate:
-        best_mu, best_rate = refined_mu, refined_rate
-    return OptResult(best_mu=best_mu, best_rate=best_rate, evaluations=evaluations, method="grid")
+    grid = SweepSpec(variable=SweepVariable.MU, lo=mu_lo, hi=mu_hi, step=step, fixed=sp).values()
+    best = max(map(rate_at, grid), key=lambda point: point.r)
+    lo, hi = max(mu_lo, best.mu - step), min(mu_hi, best.mu + step)
+    refined_mu, refined_rate, extra = _golden_section(lambda mu: rate_at(mu).r, lo, hi, _GOLDEN_TOL)
+    best_mu, best_rate = (refined_mu, refined_rate) if refined_rate > best.r else (best.mu, best.r)
+    return OptResult(best_mu=best_mu, best_rate=best_rate, evaluations=len(grid) + extra, method="grid")
 
 
 def max_distance(
@@ -186,13 +174,16 @@ def max_distance(
     points; it stays local because the brackets turn again deep in the
     negative tail. Bisection then sharpens the upper edge. The clamped
     rates are exact zeros beyond the edge, so the predicate is exact
-    positivity. Raises when no positive point is found or the rate is
-    still positive at ``l_hi``.
+    positivity. Raises when the scan would pass the sweep point limit,
+    no positive point is found or the rate is still positive at ``l_hi``.
     """
     if event is not None and not (is_integer(event) and 1 <= event <= 3):
         raise ValueError(f"event must be None, 1, 2, or 3, got {event!r}")
     check_range("l_hi", l_hi, SMALLEST_POSITIVE, rule="positive")
     check_range("tol_km", tol_km, SMALLEST_POSITIVE, rule="positive")
+    n_scan = int(math.ceil(l_hi / _SCAN_STEP_KM))
+    if n_scan >= _MAX_SWEEP_POINTS:
+        raise ValueError(f"l_hi={l_hi!r} km needs more than {_MAX_SWEEP_POINTS} scan points; lower l_hi")
     rate_at = _curve(at_intensity(sp, mu), SweepVariable.DISTANCE, 0.0, l_hi)
 
     def rate(l_km: float) -> float:
@@ -207,7 +198,6 @@ def max_distance(
         brackets = [_bracket(point.i_e, e.e_bit, e.e_ph, sp.f) for e in point.events]
         return max(brackets) if event is None else brackets[event - 1]
 
-    n_scan = int(math.ceil(l_hi / _SCAN_STEP_KM))
     grid = [k * l_hi / n_scan for k in range(n_scan + 1)]
     lo = next((g for g in reversed(grid) if rate(g) > 0.0), None)
     if lo is None:
@@ -217,11 +207,5 @@ def max_distance(
         if rate(lo) <= 0.0:
             raise ValueError(f"key rate is zero everywhere on [0, {l_hi!r}] km")
     hi = next((g for g in grid if g > lo), l_hi)
-
-    while hi - lo > tol_km and lo < (mid := 0.5 * (lo + hi)) < hi:
-        if rate(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
     # the positive end of the bracket: rate(result) > 0 >= rate(result + tol)
-    return lo
+    return _bisect(lambda l_km: rate(l_km) > 0.0, lo, hi, tol_km)[0]

@@ -68,8 +68,6 @@ __all__ = [
 # here and flagged unverified by the CLI rather than derived.
 QBER_THRESHOLD_EVENT23_REPORTED = 0.0208
 
-_BISECT_ITERS = 100
-
 # From this arm intensity on, 2 s ** 2 ~ 2 e^2I is not a finite float:
 # it raises OverflowError or, as inf, zeroes the double-click error rates.
 _SCALED_FROM_I = 0.5 * math.log(0.5 * sys.float_info.max)
@@ -219,24 +217,29 @@ def plob_bound(l_km: float, alpha: float = 0.2) -> float:
     return -math.log1p(-eta_ch) / math.log(2.0)
 
 
+def _bisect(below, lo: float, hi: float, tol: float = 0.0) -> tuple[float, float]:
+    """Halve [lo, hi], keeping ``below(lo)`` true and ``below(hi)`` false,
+    until it is at most ``tol`` wide or its midpoint is one of its ends."""
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def qber_threshold_event1(sp: SystemParams) -> float:
     """Largest tolerable single-click QBER at the long-distance limit.
 
     Solves (1 + f) H(e) = 1 - I_E(mu, eta_t -> 0) for e in (0, 0.5) by
-    bisection, taking equal bit and phase error rates at threshold.
-    Returns 0 when the leakage alone exhausts the budget.
+    bisection down to adjacent floats, taking equal bit and phase error
+    rates at threshold. Returns 0 wherever 1 - I_E rounds to 0 or below.
     """
     budget = 1.0 - ie_dual(TapParams(mu=sp.mu, eta_t=0.0))
     if budget <= 0.0:
         return 0.0
     scale = 1.0 + sp.f
-    lo, hi = 0.0, 0.5
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if scale * binary_entropy(mid) < budget:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda e: scale * binary_entropy(e) < budget, 0.0, 0.5)
     return 0.5 * (lo + hi)
 
 

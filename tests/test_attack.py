@@ -120,6 +120,17 @@ def test_state_ensemble_validation():
         StateEnsemble(probs=(0.5, 0.5), overlaps=((1.0, 0.2), (0.3, 1.0)))
 
 
+@pytest.mark.parametrize("overlaps, message", (
+    (((1.0, 0.5), (0.5,)), "shape"),
+    (((1.0, 0.5), (0.5, 0.9)), "diagonal must be 1"),
+    (((1.0, 1.5), (1.5, 1.0)), r"must be in \[0, 1\]"),
+))
+def test_state_ensemble_rejects_bad_overlaps(overlaps, message):
+    # a ragged matrix, a diagonal other than 1, an overlap above 1
+    with pytest.raises(ValueError, match=message):
+        StateEnsemble(probs=(0.5, 0.5), overlaps=overlaps)
+
+
 @pytest.mark.parametrize("probs", ((math.nan, math.nan), (0.5, math.nan), (math.nan, 1.0)))
 def test_state_ensemble_rejects_non_finite_probabilities(probs):
     # a NaN sum passes the sum-to-one check, and usd_bound then returns 0

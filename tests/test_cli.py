@@ -374,3 +374,34 @@ def test_max_distance_unreachable_exits_2(capsys):
     code, _, err = run(capsys, "max-distance", "--mu", "0.84", "--l-hi", "100")
     assert code == 2
     assert "error:" in err
+
+
+def test_max_distance_refuses_unbounded_scan_exits_2(capsys):
+    # 5e10 scan points at 20 km: refused before any rate is evaluated
+    code, out, err = run(capsys, "max-distance", "--l-hi", "1e12")
+    assert code == 2 and out == ""
+    assert "l_hi" in err
+
+
+def test_config_skips_blank_and_comment_lines(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n# intensity only\n   \n  # indented comment\nmu = 1.5\n\n")
+    code, out, _ = run(capsys, "thresholds", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["params"]["mu"] == 1.5
+
+
+def test_failed_replace_removes_temp_file_and_exits_2(tmp_path, capsys):
+    # os.replace cannot put a file over a directory
+    target = tmp_path / "out"
+    target.mkdir()
+    code, out, err = run(capsys, "thresholds", "-o", str(target))
+    assert code == 2 and out == "" and "error:" in err
+    assert os.listdir(tmp_path) == ["out"] and os.listdir(target) == []
+
+
+def test_json_safe_maps_non_finite_floats():
+    nan, inf = float("nan"), float("inf")
+    obj = {"a": inf, "b": [-inf, nan, 1.5, (inf,)], "c": {"d": nan, "e": "x"}, "f": None}
+    assert cli._json_safe(obj) == {"a": "inf", "b": ["-inf", None, 1.5, ["inf"]],
+                                   "c": {"d": None, "e": "x"}, "f": None}

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -119,6 +120,25 @@ def test_optimize_rejects_bad_bounds():
             optimize_mu(400.0, SP, method=method)
 
 
+@pytest.mark.parametrize("bounds", ((1e-320, 2e-320), (5e-324, 1e-323), (1e-300, 1e-300 + 1e-306)))
+def test_optimize_refuses_subnormal_grid_step(bounds):
+    # a 60th of these spans is subnormal, where the SweepSpec grid would
+    # not have 61 points
+    with pytest.raises(ValueError, match="bounds must satisfy 0 < lo < hi with a normal grid step"):
+        optimize_mu(400.0, SP, bounds=bounds)
+
+
+def test_optimize_accepts_smallest_normal_grid_step():
+    tiny = sys.float_info.min
+    bounds = (tiny, 61.0 * tiny)
+    step = (bounds[1] - bounds[0]) / 60
+    assert step == tiny
+    assert len(SweepSpec(variable=SweepVariable.MU, lo=bounds[0], hi=bounds[1], step=step,
+                         fixed=SP).values()) == 61
+    res = optimize_mu(400.0, SP, bounds=bounds)
+    assert res.best_rate == 0.0 and res.best_mu == bounds[0]
+
+
 def test_optimize_survives_huge_intensity_bounds():
     res = optimize_mu(400.0, SystemParams(), bounds=(0.1, 1e300))
     assert res.best_rate == pytest.approx(optimize_mu(400.0, SystemParams()).best_rate, rel=1e-9)
@@ -193,6 +213,14 @@ def test_max_distance_rejects_bad_tolerance(bad):
     # the l_km of the rate evaluated there
     with pytest.raises(ValueError, match="l_hi must be finite and positive"):
         max_distance(0.84, SP, l_hi=bad)
+
+
+@pytest.mark.parametrize("l_hi", (1e12, 2e8, sys.float_info.max))
+def test_max_distance_refuses_unbounded_scan(l_hi):
+    # more scan points at 20 km than a SweepSpec may have: 1e12 km alone
+    # would be 5e10 points and days of work
+    with pytest.raises(ValueError, match=r"l_hi=.* needs more than 10000000 scan points"):
+        max_distance(0.84, SP, l_hi=l_hi)
 
 
 @pytest.mark.parametrize("mu", (0.84, 4.472))

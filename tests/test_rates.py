@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dualqss
+from dualqss.attack import TapParams, ie_dual
 from dualqss.detectors import SystemParams
 from dualqss.optics import binary_entropy
 from dualqss.optimize import SweepSpec, SweepVariable, max_distance, sweep
@@ -22,6 +23,7 @@ from dualqss.rates import (
     QBER_THRESHOLD_EVENT23_REPORTED,
     EventRates,
     RatePoint,
+    _bisect,
     at_distance,
     at_intensity,
     event1_rates,
@@ -254,6 +256,50 @@ def test_qber_threshold_limits():
     assert qber_threshold_event1(SystemParams(mu=30.0)) < 1e-6
     # cheaper error correction tolerates more noise
     assert qber_threshold_event1(SystemParams(mu=0.84, f=1.0)) > qber_threshold_event1(SP_084_400)
+
+
+QBER_THRESHOLD_SHA256 = "7d5af61b272e2116e3662816d0ff461d5daf4289b1f305e6d44a9e67c43cc710"
+
+
+def test_qber_threshold_digest():
+    """SHA-256 of the newline-joined reprs of qber_threshold_event1 at
+    mu = 0.01, 0.1, 0.4, 0.84, 1.5, 2, 5, 10, 20 times f = 1, 1.15, 2.
+    Recorded while the solver still ran a fixed 100 halvings, so it pins
+    the move to a bisection that stops at adjacent floats."""
+    values = [repr(qber_threshold_event1(SystemParams(mu=mu, f=f)))
+              for mu in (0.01, 0.1, 0.4, 0.84, 1.5, 2.0, 5.0, 10.0, 20.0) for f in (1.0, 1.15, 2.0)]
+    assert hashlib.sha256("\n".join(values).encode()).hexdigest() == QBER_THRESHOLD_SHA256
+
+
+def _threshold_predicate(sp):
+    budget = 1.0 - ie_dual(TapParams(mu=sp.mu, eta_t=0.0))
+    return lambda e: (1.0 + sp.f) * binary_entropy(e) < budget
+
+
+@pytest.mark.parametrize("mu", (0.84, 30.0, 37.0))
+def test_bisect_ends_on_adjacent_floats(mu):
+    # mu = 30 and 37 put the threshold near 1e-16 and 1e-18, deeper than
+    # 100 fixed halvings of [0, 0.5] reach
+    sp = SystemParams(mu=mu)
+    below = _threshold_predicate(sp)
+    lo, hi = _bisect(below, 0.0, 0.5)
+    assert below(lo) and not below(hi)
+    assert 0.0 < lo and hi == math.nextafter(lo, math.inf)
+    assert qber_threshold_event1(sp) == 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("tol", (0.1, 1e-3, 1e-9))
+def test_bisect_stops_at_tolerance(tol):
+    below = _threshold_predicate(SP_084_400)
+    lo, hi = _bisect(below, 0.0, 0.5, tol)
+    assert below(lo) and not below(hi)
+    assert tol / 2.0 < hi - lo <= tol
+
+
+def test_qber_threshold_zero_where_budget_rounds_to_zero():
+    # 1 - I_E rounds to 0 from mu = 37.1, though the leakage is not complete
+    assert 1.0 - ie_dual(TapParams(mu=40.0, eta_t=0.0)) == 0.0
+    assert qber_threshold_event1(SystemParams(mu=40.0)) == 0.0
 
 
 def test_reported_threshold_constant():
