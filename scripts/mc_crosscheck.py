@@ -75,7 +75,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     args = parser.parse_args(argv)
     try:  # the library's limits on rounds and seed, and a budget that a row can meet
         SimConfig(sp=SystemParams(), rounds=args.rounds, seed=args.seed)
-        check_range("budget", args.budget, 0.0, rule="non-negative")
+        check_range("budget", args.budget, 0.0)
     except ValueError as exc:
         parser.error(str(exc))
     if args.threads < 1:

@@ -41,8 +41,8 @@ class TapParams:
     eta_t: float
 
     def __post_init__(self) -> None:
-        check_range("mu", self.mu, 0.0, rule="non-negative")
-        check_range("eta_t", self.eta_t, 0.0, 1.0, "in [0, 1]")
+        check_range("mu", self.mu, 0.0)
+        check_range("eta_t", self.eta_t, 0.0, 1.0)
 
     @property
     def tapped_mu(self) -> float:

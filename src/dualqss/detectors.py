@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Iterable
 
-from .optics import ModeIntensities, check_range, poisson_even_mass, poisson_odd_mass
+from .optics import ModeIntensities, check_range, is_integer, poisson_even_mass, poisson_odd_mass
 
 __all__ = [
     "Detector",
@@ -69,10 +69,10 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         for name in ("mu", "alpha", "l_km"):
-            check_range(name, getattr(self, name), 0.0, rule="non-negative")
-        check_range("eta_d", self.eta_d, 0.0, 1.0, "in [0, 1]")
-        check_range("p_d", self.p_d, 0.0, 1.0, "in [0, 1]")
-        check_range("f", self.f, 1.0, rule=">= 1")
+            check_range(name, getattr(self, name), 0.0)
+        check_range("eta_d", self.eta_d, 0.0, 1.0)
+        check_range("p_d", self.p_d, 0.0, 1.0)
+        check_range("f", self.f, 1.0)
 
     @property
     def eta_t(self) -> float:
@@ -99,8 +99,8 @@ def click_prob(i: float, p_d: float) -> float:
 
     Rejects p_d outside [0, 1], as ``exclusive_pattern_prob`` does.
     """
-    check_range("i", i, 0.0, rule="non-negative")
-    check_range("p_d", p_d, 0.0, 1.0, "in [0, 1]")
+    check_range("i", i, 0.0)
+    check_range("p_d", p_d, 0.0, 1.0)
     return -math.expm1(-i) + p_d * math.exp(-i)
 
 
@@ -140,13 +140,13 @@ def exclusive_pattern_prob(
                          f"for {len(clicked)}")
     classes: dict[int, ClickParity | None] = {}
     for d, parity in zip(clicked, parities):
-        if isinstance(d, bool) or not 0 <= int(d) <= 3:
+        if not (is_integer(d) and 0 <= d <= 3):
             raise ValueError(f"clicked must contain detector indices, got {d!r}")
         if parity is not None and not isinstance(parity, ClickParity):
             raise ValueError(f"parities must be ClickParity members or None, got {parity!r}")
-        if classes.setdefault(int(d), parity) is not parity:
+        if classes.setdefault(d, parity) is not parity:
             raise ValueError(f"detector {d!r} listed with conflicting parities")
-    check_range("p_d", p_d, 0.0, 1.0, "in [0, 1]")
+    check_range("p_d", p_d, 0.0, 1.0)
     i = ints.as_tuple()
     prob = 1.0  # the others' no-click terms in detector order, then the click terms in listed order
     for d in range(4):

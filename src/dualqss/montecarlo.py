@@ -159,7 +159,7 @@ class SimConfig:
         if self.rounds >= 2**63:  # the tallies are summed as int64
             raise ValueError(f"rounds must be below 2**63, got {self.rounds!r}")
         for name in ("basis_policy", "check_fraction", "flip_fraction"):
-            check_range(name, getattr(self, name), 0.0, 1.0, "in [0, 1]")
+            check_range(name, getattr(self, name), 0.0, 1.0)
         if self.attack not in ATTACKS:
             raise ValueError(f"attack must be one of {ATTACKS}, got {self.attack!r}")
         # a class's entry total is mu_arm times its _UNIT_LAM row sum, plus four dark means
@@ -282,14 +282,16 @@ _UNIT_LAM = _unit_intensities()
 # The largest entry total per unit mu_arm, 2 up to rounding, as numpy sums a row of _UNIT_LAM.
 _UNIT_SUM_MAX = float(_UNIT_LAM.sum(axis=1).max())
 _TAIL = np.array([1.0 / math.factorial(k) for k in range(3, 21)])  # series of P(N >= 3) / e^-lam
-_REP_CLASSES = [0b110000 | e.ka_ph << 3 | e.ka_pol << 2 | e.kb_ph << 1 | e.kb_pol
-                for e in (pairing.representative() for pairing in PolPairing)]
+# Each representative's key in a report's ``parity`` and its class (both senders in the X basis).
+_PARITY_KEYS = tuple((pairing.name.lower(), 0b110000 | e.ka_ph << 3 | e.ka_pol << 2 | e.kb_ph << 1 | e.kb_pol)
+                     for pairing in PolPairing for e in (pairing.representative(),))
 # The parity cells of one encoding's comparison rows, in row order: pattern, cell, clicked
 # detectors and each one's parity class. A lone click's cell is named by its class ("odd",
-# "even"), a pair's by both classes' initials ("oo", "oe", "eo", "ee").
+# "even"), a pair's by both classes' initials ("oo", "oe", "eo", "ee"); then the names by pattern.
 _PARITY_CELLS = [(name, classes[0].value if len(dets) == 1 else "".join(c.value[0] for c in classes),
                   dets, classes) for name, dets, _ in _PATTERNS
                  for classes in itertools.product(ClickParity, repeat=len(dets))]
+_PARITY_GROUPS = tuple((name, tuple(cell for n, cell, *_ in _PARITY_CELLS if n == name)) for name, *_ in _PATTERNS)
 
 
 def _truth_tables() -> np.ndarray:
@@ -336,15 +338,10 @@ _ATOM_STARTS = 16 * np.cumsum([0, *map(len, _ATOM_CELLS[:-1])])
 # ``parity mask << 10 | class << 4 | click mask`` into a block's histogram.
 _PARITY_AT = np.array([sum(1 << d for d, c in zip(dets, classes) if c is ClickParity.ODD) << 10
                        | rep << 4 | sum(1 << d for d in dets)
-                       for rep in _REP_CLASSES for _, _, dets, classes in _PARITY_CELLS])
+                       for _, rep in _PARITY_KEYS for _, _, dets, classes in _PARITY_CELLS])
 # Per class, whether it is an X-basis round, a Z-basis round and a round: ``m @ _BASIS_SUMS``
 # gives n_xx, n_zz and the rounds of the class counts m.
 _BASIS_SUMS = np.stack((_XA & _XB, ~_XA & ~_XB, np.ones(64, bool)), axis=1).astype(np.int64)
-# Each representative's key in a report's ``parity`` and its class; the comparison rows'
-# (pattern, cell) names in row order, and the cells grouped by pattern.
-_PARITY_KEYS = tuple(zip((pairing.name.lower() for pairing in PolPairing), _REP_CLASSES))
-_PARITY_NAMES = tuple((name, cell) for name, cell, *_ in _PARITY_CELLS)
-_PARITY_GROUPS = tuple((name, tuple(c for n, c in _PARITY_NAMES if n == name)) for name, *_ in _PATTERNS)
 
 
 def _class_weights(basis_policy: float) -> np.ndarray:
@@ -658,7 +655,7 @@ def compare_to_analytic(report: SimReport) -> list[dict]:
     counts = [(getattr(report, count), getattr(report, trials)) for _, count, trials in _RATE_ROWS]
     for key, _ in _PARITY_KEYS:
         cells = report.parity[key]
-        counts += [(cells[name][cell], cells["n"]) for name, cell in _PARITY_NAMES]
+        counts += [(cells[name][cell], cells["n"]) for name, names in _PARITY_GROUPS for cell in names]
     if leak:
         counts.append((report.n_eve_success, report.n_key_events))
     return [{"name": name, "count": count, "n": n, "p_analytic": p, "expected": (expected := n * p),
@@ -733,7 +730,7 @@ def p_tail(count: int, n: int, p: float) -> float:
     three sigma from the mean the fraction converges in a few dozen steps;
     at the mean it takes up to O(sqrt(n p (1 - p))).
     """
-    check_range("p", p, 0.0, 1.0, "in [0, 1]")
+    check_range("p", p, 0.0, 1.0)
     if not (is_integer(count) and is_integer(n) and 0 <= count <= n):
         raise ValueError(f"count and n must be integers with 0 <= count <= n, got {count!r}, {n!r}")
     count, n = int(count), int(n)  # numpy integers would overflow against p's ratio

@@ -7,9 +7,9 @@ the four resulting modes feed threshold detectors D1H, D2H, D1V, D2V.
 Because beam splitters map coherent inputs to product coherent outputs,
 every mode is fully described by one real amplitude.
 
-``check_range`` is the library's one boundary rule: a parameter is
-finite and inside its physical range, or a ValueError names it. NaN,
-infinities and integers beyond the float range fail it too.
+``check_range`` is the library's one boundary rule: a parameter is finite
+and inside its physical range, or a ValueError names it and words its range
+from the bounds. NaN, infinities and integers beyond the float range fail.
 """
 
 from __future__ import annotations
@@ -39,12 +39,11 @@ _SQRT2 = math.sqrt(2.0)
 SMALLEST_POSITIVE = math.ulp(0.0)
 
 
-def check_range(name: str, value: float, lo: float = -math.inf, hi: float = math.inf,
-                rule: str = "") -> None:
+def check_range(name: str, value: float, lo: float = -math.inf, hi: float = math.inf) -> None:
     """Raise ValueError unless ``value`` is finite and lo <= value <= hi.
 
-    ``rule`` words the range in the message: "non-negative", "positive",
-    "in [0, 1]" or ">= 1"; without one the check is finiteness alone.
+    The message words the range from the bounds alone: "in [lo, hi]", "non-negative"
+    (lo 0), "positive" (lo ``SMALLEST_POSITIVE``), ">= lo", or without bounds "finite".
     """
     try:
         if math.isfinite(value) and lo <= value <= hi:
@@ -52,8 +51,10 @@ def check_range(name: str, value: float, lo: float = -math.inf, hi: float = math
         got = repr(value)
     except OverflowError:
         got = "an integer beyond the float range"
-    must = f"finite and {rule}" if rule else "finite"
-    raise ValueError(f"{name} must be {must}, got {got}")
+    lo_s, hi_s = (repr(float(bound)).removesuffix(".0") for bound in (lo, hi))
+    rule = (f" and in [{lo_s}, {hi_s}]" if hi < math.inf else " and non-negative" if lo == 0 else
+            " and positive" if lo == SMALLEST_POSITIVE else f" and >= {lo_s}" if lo > -math.inf else "")
+    raise ValueError(f"{name} must be finite{rule}, got {got}")
 
 
 def is_integer(value: object) -> bool:
@@ -75,9 +76,8 @@ class EncodingPair:
     kb_pol: int
 
     def __post_init__(self) -> None:
-        for name in ("ka_ph", "ka_pol", "kb_ph", "kb_pol"):
-            bit = getattr(self, name)
-            if bit not in (0, 1):
+        for name, bit in vars(self).items():
+            if not (is_integer(bit) and bit in (0, 1)):
                 raise ValueError(f"{name} must be 0 or 1, got {bit!r}")
 
 
@@ -119,7 +119,7 @@ class ModeIntensities:
 
     def __post_init__(self) -> None:
         for name in ("i_h1", "i_h2", "i_v1", "i_v2"):
-            check_range(name, getattr(self, name), 0.0, rule="non-negative")
+            check_range(name, getattr(self, name), 0.0)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.i_h1, self.i_h2, self.i_v1, self.i_v2)
@@ -135,7 +135,7 @@ def detector_amplitudes(pair: EncodingPair, mu_arm: float) -> ModeAmplitudes:
     a_h = s*sqrt(mu_arm/2) and a_v = s*p*sqrt(mu_arm/2). The 50:50 BS
     maps each polarization to (a+b)/sqrt(2) and (a-b)/sqrt(2).
     """
-    check_range("mu_arm", mu_arm, 0.0, rule="non-negative")
+    check_range("mu_arm", mu_arm, 0.0)
     root = math.sqrt(mu_arm / 2.0)
     s_a = 1.0 - 2.0 * pair.ka_ph
     p_a = 1.0 - 2.0 * pair.ka_pol
@@ -167,13 +167,13 @@ def poisson_even_mass(i: float) -> float:
     Equals e^-i (cosh i - 1); written as expm1(-i)^2 / 2, which is exact
     for small i where the cosh form cancels catastrophically.
     """
-    check_range("i", i, 0.0, rule="non-negative")
+    check_range("i", i, 0.0)
     return 0.5 * math.expm1(-i) ** 2
 
 
 def poisson_odd_mass(i: float) -> float:
     """Probability of an odd photon number under Poisson(i): e^-i sinh i."""
-    check_range("i", i, 0.0, rule="non-negative")
+    check_range("i", i, 0.0)
     return -0.5 * math.expm1(-2.0 * i)
 
 

@@ -56,9 +56,11 @@ class SweepSpec:
     fixed: SystemParams
 
     def __post_init__(self) -> None:
+        if not isinstance(self.variable, SweepVariable):
+            raise ValueError(f"variable must be a SweepVariable member, got {self.variable!r}")
         check_range("lo", self.lo)
         check_range("hi", self.hi)
-        check_range("step", self.step, SMALLEST_POSITIVE, rule="positive")
+        check_range("step", self.step, SMALLEST_POSITIVE)
         if self.hi < self.lo:
             raise ValueError(f"hi must be >= lo, got [{self.lo!r}, {self.hi!r}]")
         if (self.hi - self.lo) / self.step + 1 > _MAX_SWEEP_POINTS:
@@ -179,8 +181,8 @@ def max_distance(
     """
     if event is not None and not (is_integer(event) and 1 <= event <= 3):
         raise ValueError(f"event must be None, 1, 2, or 3, got {event!r}")
-    check_range("l_hi", l_hi, SMALLEST_POSITIVE, rule="positive")
-    check_range("tol_km", tol_km, SMALLEST_POSITIVE, rule="positive")
+    check_range("l_hi", l_hi, SMALLEST_POSITIVE)
+    check_range("tol_km", tol_km, SMALLEST_POSITIVE)
     n_scan = int(math.ceil(l_hi / _SCAN_STEP_KM))
     if n_scan >= _MAX_SWEEP_POINTS:
         raise ValueError(f"l_hi={l_hi!r} km needs more than {_MAX_SWEEP_POINTS} scan points; lower l_hi")

@@ -7,6 +7,7 @@ at n=80.
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -120,6 +121,16 @@ def test_click_model_rejects_p_d_outside_unit_interval(p_d):
 def test_pattern_rejects_boolean_masks():
     with pytest.raises(ValueError):
         exclusive_pattern_prob((True, False, False, False), INTS, PD)
+    # int() once truncated these: 0.5 and -0.5 read as D1H, 3.9 as D2V, "1" as D2H
+    for d in (0.5, -0.5, 3.9, 2.0, "1"):
+        with pytest.raises(ValueError, match="clicked must contain detector indices"):
+            exclusive_pattern_prob((d,), INTS, PD)
+
+
+def test_pattern_accepts_integer_indices():
+    for d in Detector:
+        probs = {exclusive_pattern_prob((index,), INTS, PD) for index in (d, int(d), np.int64(d), np.uint8(d))}
+        assert len(probs) == 1
 
 
 def test_system_params_defaults_and_derived():

@@ -13,10 +13,12 @@ from hypothesis import given, strategies as st
 
 from dualqss.detectors import click_prob
 from dualqss.optics import (
+    SMALLEST_POSITIVE,
     EncodingPair,
     ModeIntensities,
     PolPairing,
     binary_entropy,
+    check_range,
     coherent_overlap,
     detector_amplitudes,
     intensities,
@@ -26,6 +28,32 @@ from dualqss.optics import (
 
 intensity_st = st.floats(min_value=1e-9, max_value=8.0,
                          allow_nan=False, allow_infinity=False)
+
+
+# --- the boundary rule ---
+
+@pytest.mark.parametrize("name, value, lo, hi, message", (
+    # the bound pairs in use, worded as before the words came from the bounds
+    ("mu", -1.0, 0.0, math.inf, "mu must be finite and non-negative, got -1.0"),
+    ("step", 0.0, SMALLEST_POSITIVE, math.inf, "step must be finite and positive, got 0.0"),
+    ("p_d", 1.5, 0.0, 1.0, "p_d must be finite and in [0, 1], got 1.5"),
+    ("f", 0.5, 1.0, math.inf, "f must be finite and >= 1, got 0.5"),
+    ("lo", math.nan, -math.inf, math.inf, "lo must be finite, got nan"),
+    # ranges no call site uses
+    ("x", 1.0, 2.0, math.inf, "x must be finite and >= 2, got 1.0"),
+    ("x", 0.75, 0.0, 0.5, "x must be finite and in [0, 0.5], got 0.75"),
+    pytest.param("mu", 10**400, 0.0, math.inf,
+                 "mu must be finite and non-negative, got an integer beyond the float range", id="10**400"),
+))
+def test_check_range_words_range_from_bounds(name, value, lo, hi, message):
+    with pytest.raises(ValueError) as excinfo:
+        check_range(name, value, lo, hi)
+    assert str(excinfo.value) == message
+
+
+def test_check_range_takes_no_words():
+    with pytest.raises(TypeError):
+        check_range("mu", -1.0, 0.0, rule="non-negative")
 
 
 # --- parity masses ---
@@ -80,6 +108,11 @@ def test_encoding_pair_rejects_nonbits():
         EncodingPair(2, 0, 0, 0)
     with pytest.raises(ValueError):
         EncodingPair(0, 0, -1, 0)
+    # bits follow the integer rule of counts: no bools, no integral floats
+    with pytest.raises(ValueError, match="ka_pol must be 0 or 1, got True"):
+        EncodingPair(0, True, 0, 0)
+    with pytest.raises(ValueError, match="kb_pol must be 0 or 1, got 1.0"):
+        EncodingPair(0, 0, 0, 1.0)
 
 
 def test_energy_conservation_all_pairs():

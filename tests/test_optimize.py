@@ -69,6 +69,10 @@ def test_sweep_spec_validation():
         SweepSpec(variable=SweepVariable.MU, lo=1.0, hi=0.5, step=0.1, fixed=SP)
     with pytest.raises(ValueError):
         SweepSpec(variable=SweepVariable.MU, lo=0.1, hi=0.5, step=0.0, fixed=SP)
+    # anything but a member was once swept as mu over the given range
+    for variable in ("L", None):
+        with pytest.raises(ValueError, match="variable must be a SweepVariable member"):
+            SweepSpec(variable=variable, lo=0.0, hi=100.0, step=50.0, fixed=SP)
 
 
 @pytest.mark.parametrize("lo, hi, step", ((0.1, 0.2, 1e-300), (0.0, 1e7, 1.0), (-1e308, 1e308, 1.0)))
