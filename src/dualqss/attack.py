@@ -70,7 +70,7 @@ class StateEnsemble:
                 raise ValueError("overlap matrix diagonal must be 1")
             for j in range(n):
                 o = self.overlaps[i][j]
-                if not 0.0 <= o <= 1.0 + _PROB_TOL:
+                if not 0.0 <= o <= 1.0:
                     raise ValueError(f"overlap magnitudes must be in [0, 1], got {o!r}")
                 if abs(o - self.overlaps[j][i]) > _PROB_TOL:
                     raise ValueError("overlap matrix must be symmetric")

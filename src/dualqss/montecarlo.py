@@ -38,15 +38,16 @@ click mask) tell apart only 12 atoms (Event1 by phase error, Event2 and
 Event3 by phase and polarization error, the Z check by phase error), so
 the block sums the histogram's tallied cells into atom counts, and the
 lottery (checks, an attack's flips or Eve's success) splits those with
-binomials, which keeps the law of every tally. The block also gathers
-the 40 parity cells of the comparison rows from the same histogram.
-``simulate`` runs the blocks on the calling thread unless they carry
-enough rows to pay for a pool (only then is one built, and
-``concurrent.futures`` imported), sums their integer arrays as they
-arrive, and the tally step reads the sums through the atoms' truth-table
-rows, once per call. The table ``_PATTERNS`` of the six tallied click
-patterns drives the truth tables and the parity cells
-(``_PARITY_CELLS``), and those and ``_RATE_ROWS`` the comparison rows.
+binomials (last layers of probability 0 add no lots), which keeps the
+law of every tally. The block also gathers the 40 parity cells of the
+comparison rows from the same histogram. ``simulate`` runs the blocks on
+the calling thread unless they carry enough rows to pay for a pool (only
+then is one built, and ``concurrent.futures`` imported), sums their
+integer arrays as they arrive, tallies the sums through the atoms'
+truth-table rows and builds the report (without its frozen ``__init__``)
+once per call. ``_PATTERNS``, the six tallied click patterns, drives the
+truth tables and the parity cells (``_PARITY_CELLS``), and those and
+``_RATE_ROWS`` the comparison rows.
 
 Each block draws from a stream seeded by (seed, block index), so
 reports are bit-identical for any worker count. Attack randomness lives
@@ -66,6 +67,7 @@ import collections
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -292,6 +294,9 @@ _PARITY_CELLS = [(name, classes[0].value if len(dets) == 1 else "".join(c.value[
                   dets, classes) for name, dets, _ in _PATTERNS
                  for classes in itertools.product(ClickParity, repeat=len(dets))]
 _PARITY_GROUPS = tuple((name, tuple(cell for n, cell, *_ in _PARITY_CELLS if n == name)) for name, *_ in _PATTERNS)
+# The rows' report counts: each rate row's count and trials at once, each parity cell's (key, pattern, cell).
+_RATE_COUNTS = operator.attrgetter(*(name for _, *names in _RATE_ROWS for name in names))
+_PARITY_PATHS = tuple((key, name, cell) for key, _ in _PARITY_KEYS for name, names in _PARITY_GROUPS for cell in names)
 
 
 def _truth_tables() -> np.ndarray:
@@ -420,8 +425,7 @@ def _tables(mu_arm: float, p_d: float, basis_policy: float) -> _DrawTables:
 
 
 def _draw_tables(cfg: SimConfig) -> _DrawTables:
-    """The draw tables of ``cfg``: ``_tables`` of its mu_arm, p_d and basis_policy, pair tables
-    included, built once per configuration and shared by every call with it."""
+    """``_tables`` of ``cfg``'s mu_arm, p_d and basis_policy: built once per configuration, shared by every call."""
     return _tables(cfg.sp.mu_arm, cfg.sp.p_d, cfg.basis_policy)
 
 
@@ -510,10 +514,11 @@ def _tally(cfg: SimConfig, m: np.ndarray, parity: np.ndarray, split: np.ndarray)
         else:
             t["n_key_events"] += events
             t["n_eve_success"] += events * won
-
-    cells = iter(parity.tolist())
-    t["parity"] = {key: {"n": int(m[rep]), **{name: dict(zip(names, cells)) for name, names in _PARITY_GROUPS}}
-                   for key, rep in _PARITY_KEYS}
+    cells, t["parity"] = iter(parity.tolist()), {}
+    for key, rep in _PARITY_KEYS:  # loops: a comprehension with a ** merge would build each group twice
+        group = t["parity"][key] = {"n": int(m[rep])}
+        for name, names in _PARITY_GROUPS:
+            group[name] = dict(zip(names, cells))
     return t
 
 
@@ -526,7 +531,7 @@ def _block_tallies(cfg: SimConfig, tables: _DrawTables, block: int, size: int) -
     in bit 2, on the attack stream, seeded only for an attack. Every cell of a layer is split with the same
     probability, and a sum of binomials of one probability is a binomial of
     their sum, so splitting the atoms' sums gives every (lot, atom) count the
-    law that splitting each cell would give."""
+    law that splitting each cell would give. Last layers of probability 0 are left out: a lot bit reads 0."""
     rng = _stream(cfg, 0, block)
     m, hist = _draw(tables, rng, size)
     flat = hist.reshape(-1)
@@ -535,6 +540,8 @@ def _block_tallies(cfg: SimConfig, tables: _DrawTables, block: int, size: int) -
         draws.append((_stream(cfg, 1, block), ie_dual(TapParams(mu=cfg.sp.mu, eta_t=cfg.sp.eta_t))))
     elif cfg.attack == "dishonest_bob":
         draws += [(_stream(cfg, 1, block), cfg.flip_fraction)] * 2
+    while draws and not draws[-1][1]:  # a last layer of probability 0 would add only empty lots
+        draws.pop()
     split = np.add.reduceat(flat.take(_ATOM_AT), _ATOM_STARTS).reshape(1, -1)
     for gen, p in draws:  # a split of probability 0 draws nothing
         won = gen.binomial(split, p) if p else np.zeros_like(split)
@@ -545,11 +552,12 @@ def _block_tallies(cfg: SimConfig, tables: _DrawTables, block: int, size: int) -
 def simulate(config: SimConfig, threads: int = 1) -> SimReport:
     """Run the simulation and return aggregated tallies.
 
-    ``threads`` only controls execution; the report is bit-identical
-    for any value because blocks are seeded by index and their arrays
-    are summed as integers, then tallied once. Blocks run on the calling
-    thread unless they carry the rows that pay for a pool; only then is a
-    ``ThreadPoolExecutor`` built and ``concurrent.futures`` imported.
+    ``threads`` only controls execution; the report is bit-identical for any value because blocks
+    are seeded by index and their arrays are summed as integers, then tallied once. Blocks run on
+    the calling thread unless they carry the rows that pay for a pool; only then is a
+    ``ThreadPoolExecutor`` built and ``concurrent.futures`` imported. Like the NamedTuples that
+    ``rates`` builds through ``tuple.__new__``, the report skips its frozen ``__init__`` (31 fields
+    set one by one).
     """
     if not is_integer(threads) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
@@ -565,8 +573,9 @@ def simulate(config: SimConfig, threads: int = 1) -> SimReport:
         from concurrent.futures import ThreadPoolExecutor  # loaded only for a pool
         with ThreadPoolExecutor(max_workers=workers) as pool:
             totals = functools.reduce(_add_into, pool.map(lambda block: _block_tallies(*block), blocks))
-    echo = {name: getattr(config, name) for name in _ECHO_FIELDS}
-    return SimReport(**echo, **vars(config.sp), **_tally(config, *totals))
+    report = object.__new__(SimReport)  # its fields set at once, in declaration order
+    report.__dict__.update({n: getattr(config, n) for n in _ECHO_FIELDS}, **vars(config.sp), **_tally(config, *totals))
+    return report
 
 
 def _add_into(totals: tuple, arrays: tuple) -> tuple:
@@ -584,23 +593,6 @@ def simulate_beam_split(config: SimConfig, threads: int = 1) -> SimReport:
 def simulate_dishonest_bob(config: SimConfig, threads: int = 1) -> SimReport:
     """Run with the dishonest receiver flipping announced bits."""
     return simulate(replace(config, attack="dishonest_bob"), threads=threads)
-
-
-def _sigma(count: int, n: int, p: float) -> float:
-    """Binomial sigma-delta of an observed count against expectation n*p."""
-    expected = n * p
-    variance = n * p * (1.0 - p)
-    if variance <= 0.0:
-        return 0.0 if count == round(expected) else math.inf
-    return (count - expected) / math.sqrt(variance)
-
-
-def _rounds_needed(rounds: int, expected: float) -> int | None:
-    """Rounds that would expect ``MIN_EXPECTED`` counts of an outcome that
-    ``rounds`` rounds expect ``expected`` times; None where ``expected``
-    is 0, or so small that the rounds needed overflow a float."""
-    need = rounds * MIN_EXPECTED / expected if expected > 0.0 else math.inf
-    return math.ceil(need) if need < math.inf else None
 
 
 @_cached
@@ -639,7 +631,8 @@ def compare_to_analytic(report: SimReport) -> list[dict]:
     ``MIN_EXPECTED`` counts, and ``rounds_needed``: the rounds that would
     expect ``MIN_EXPECTED`` counts at the report's ``basis_policy`` and
     ``check_fraction``, from the closed forms alone (None where a round
-    cannot show the outcome). Gains and QBERs test the rate formulas;
+    cannot show the outcome, or so rarely that they overflow a float). The
+    rows are built in one loop. Gains and QBERs test the rate formulas;
     parity cells test the exclusive click probabilities at the two
     representative encodings. The Eve row (beam-split runs only)
     compares against ``ie_dual``, the very value Eve's successes are
@@ -652,17 +645,24 @@ def compare_to_analytic(report: SimReport) -> list[dict]:
     """
     eta_t = arm_efficiency(report.eta_d, report.alpha, report.l_km)  # SystemParams.eta_t, not checked again
     leak = (report.mu, eta_t, report.check_fraction) if report.attack == "beam_split" else ()
-    counts = [(getattr(report, count), getattr(report, trials)) for _, count, trials in _RATE_ROWS]
-    for key, _ in _PARITY_KEYS:
-        cells = report.parity[key]
-        counts += [(cells[name][cell], cells["n"]) for name, names in _PARITY_GROUPS for cell in names]
+    rate, parity, rounds = _RATE_COUNTS(report), report.parity, report.rounds
+    counts = [*zip(rate[::2], rate[1::2]), *((parity[key][name][cell], parity[key]["n"])
+                                             for key, name, cell in _PARITY_PATHS)]
     if leak:
         counts.append((report.n_eve_success, report.n_key_events))
-    return [{"name": name, "count": count, "n": n, "p_analytic": p, "expected": (expected := n * p),
-             "sigma": _sigma(count, n, p), "informative": expected >= MIN_EXPECTED,
-             "rounds_needed": _rounds_needed(report.rounds, report.rounds * p_trial * p)}
-            for (name, p, p_trial), (count, n) in zip(
-                _closed_forms(eta_t * report.mu, report.p_d, report.basis_policy, *leak), counts)]
+    rows = []
+    for (name, p, p_trial), (count, n) in zip(_closed_forms(eta_t * report.mu, report.p_d, report.basis_policy,
+                                                            *leak), counts):
+        expected = n * p
+        variance = expected * (1.0 - p)  # without it, sigma is 0 on the mean and inf off it
+        per_round = rounds * p_trial * p
+        need = rounds * MIN_EXPECTED / per_round if per_round > 0.0 else math.inf
+        rows.append({"name": name, "count": count, "n": n, "p_analytic": p, "expected": expected,
+                     "sigma": (count - expected) / math.sqrt(variance) if variance > 0.0
+                     else 0.0 if count == round(expected) else math.inf,
+                     "informative": expected >= MIN_EXPECTED,
+                     "rounds_needed": math.ceil(need) if need < math.inf else None})
+    return rows
 
 
 def max_abs_sigma(rows: list[dict]) -> float:
@@ -720,7 +720,7 @@ def p_tail(count: int, n: int, p: float) -> float:
     """Exact two-sided binomial tail of ``count`` successes in ``n`` trials of
     probability ``p``: twice the probability of a count at least as far from
     the mean on the same side, at most 1 (the equal-tailed test of Clopper
-    and Pearson). Unlike ``_sigma`` it is exact for small expected counts:
+    and Pearson). Unlike a row's sigma it is exact for small expected counts:
     one count against 0.036 expected reads 5.1 sigma, yet has a tail of 7%.
 
     The one-sided tail is the incomplete beta function's continued fraction

@@ -58,8 +58,8 @@ def check_range(name: str, value: float, lo: float = -math.inf, hi: float = math
 
 
 def is_integer(value: object) -> bool:
-    """True for ints and numpy integers; bools and integral floats are not counts."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    """True for ints (answered first) and numpy integers; bools and integral floats are not counts."""
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
 @dataclass(frozen=True)

@@ -205,8 +205,21 @@ def test_json_bytes_unchanged(argv, capsys):
 
 # SHA-256 of the JSON of a far run (no pair or row stage) and of a dishonest
 # receiver's run with checks, recorded before the per-call bookkeeping of
-# simulate and compare_to_analytic was cut; neither may move a byte.
+# simulate and compare_to_analytic was cut; neither may move a byte. The
+# beam-splitting run with checks (the eve_leak row), the p_d = 0 run (rows of
+# zero variance, rounds_needed None) and the p_d = 1 run (no cell tables) were
+# recorded before the comparison rows were built in one loop, the report
+# without its __init__ and the lottery without its empty layers.
 SIMULATE_DIGESTS = {
+    "beam-split": (("simulate", "--rounds", "200000", "--seed", "5", "--basis-policy", "0.5",
+                    "--check-fraction", "0.3", "--attack", "beam-split"),
+                   "b5ae4a039e0cb95c4e64258f87fb7de784bfb215c8c25a6cb7ed2100a087386f"),
+    "p_d=0": (("simulate", "--p-d", "0", "--rounds", "200000", "--seed", "7", "--basis-policy", "0.5",
+               "--check-fraction", "0.3"),
+              "b2fc516ae9e3f7ea37d335f5341dba4e9cf7087350faf47ab24dbdf2d658ab48"),
+    "p_d=1": (("simulate", "--p-d", "1", "--rounds", "200000", "--seed", "11", "--basis-policy", "0.5",
+               "--check-fraction", "0.3"),
+              "82ebfe2386111d5ba87f94d71439ccce9623ad2f63995364e12e05bd7138a48a"),
     "far": (("simulate", "--L", "400", "--rounds", "2000000", "--seed", "2026", "--basis-policy", "1"),
             "10fec57f3c1b819ed54d96517d279e4fc9a71c1e961c36945ed73887570fadc5"),
     "dishonest-bob": (("simulate", "--rounds", "200000", "--seed", "3", "--basis-policy", "0.5",

@@ -419,9 +419,28 @@ def test_rounds_needed_follow_the_closed_forms():
             assert need * (1 - 1e-12) <= row["rounds_needed"] < need * (1 + 1e-12) + 1, name
     assert sum(row["rounds_needed"] is None for row in rows) == 16
     assert "eve_leak" in p
-    # no expected count, or one so small that the rounds overflow a float
-    assert montecarlo._rounds_needed(10**7, 0.0) is montecarlo._rounds_needed(1, 5e-324) is None
-    assert montecarlo._rounds_needed(10**7, 10.0) == 10**7
+
+
+def rows_against(report, *forms):
+    """``compare_to_analytic``'s rows of ``report`` against the closed forms
+    ``forms``, (name, p_analytic, p_trial) in row order."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_closed_forms", lambda *args: forms)
+        return compare_to_analytic(report)
+
+
+def test_rounds_needed_at_their_edges():
+    # no expected count, or one so small that the rounds overflow a float;
+    # rounds that expect exactly 10 counts need themselves
+    report = simulate(config(rounds=1000))
+    for rounds, p, need in ((10**7, 0.0, None), (1, 5e-324, None), (10**7, 1e-6, 10**7)):
+        (row,) = rows_against(replace(report, rounds=rounds), ("q_event1", p, 1.0))
+        assert row["rounds_needed"] == need and type(row["rounds_needed"]) is type(need), (rounds, p)
+    # without dark counts, a double click at mu = 1e-160 has a closed form of
+    # about 1e-322 a round: the rounds it needs overflow a float
+    rows = compare_to_analytic(simulate(config(sp=SystemParams(mu=1e-160, l_km=0.0, p_d=0.0), rounds=1)))
+    tiny = [row for row in rows if 0.0 < row["p_analytic"] < 1e-300]
+    assert tiny and all(row["rounds_needed"] is None for row in tiny)
 
 
 def informative(rows):
@@ -492,7 +511,8 @@ def test_p_tail_rejects_impossible_rows(count, n, p):
 def test_p_tail_weighs_rare_rows_that_sigma_overstates():
     # one count against 0.036 expected reads 5.1 sigma, yet its tail is 7%
     n, p = 10**7, 3.6e-9
-    assert montecarlo._sigma(1, n, p) > 5.0
+    (row,) = rows_against(replace(simulate(config(rounds=1000)), n_event1=1, n_xx=n), ("q_event1", p, 1.0))
+    assert row["sigma"] > 5.0
     assert p_tail(1, n, p) == pytest.approx(2.0 * -math.expm1(-n * p), rel=1e-6)
     rows = compare_to_analytic(simulate(config(basis_policy=1.0)))
     assert min_p_tail(rows) == min(p_tail(r["count"], r["n"], r["p_analytic"]) for r in rows)
@@ -1012,7 +1032,11 @@ def test_lottery_draws_nothing_it_does_not_need(monkeypatch):
     # an attack: the protocol stream is left as the draw step left it
     hist = np.random.default_rng(4).poisson(5.0, (16, 64, 16))
     split, untouched = lottery_split(monkeypatch, config(), hist)
-    assert untouched and not split[1].any() and np.array_equal(split[0], atom_sums(hist))
+    assert untouched and split.shape == (1, 12) and np.array_equal(split[0], atom_sums(hist))
+    # a last layer of probability 0 adds no lots; one before a drawn layer keeps its bit
+    for cfg, lots in ((config(attack="dishonest_bob", check_fraction=0.3), 2), (config(attack="beam_split"), 4)):
+        split, _ = lottery_split(monkeypatch, cfg, hist)
+        assert split.shape == (lots, 12) and np.array_equal(split.sum(axis=0), atom_sums(hist)), cfg.attack
     kinds = []
     real = montecarlo._stream
     monkeypatch.setattr(montecarlo, "_stream", lambda c, kind, block: kinds.append(kind) or real(c, kind, block))

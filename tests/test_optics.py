@@ -8,6 +8,7 @@ closed forms under test.
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,6 +23,7 @@ from dualqss.optics import (
     coherent_overlap,
     detector_amplitudes,
     intensities,
+    is_integer,
     poisson_even_mass,
     poisson_odd_mass,
 )
@@ -54,6 +56,19 @@ def test_check_range_words_range_from_bounds(name, value, lo, hi, message):
 def test_check_range_takes_no_words():
     with pytest.raises(TypeError):
         check_range("mu", -1.0, 0.0, rule="non-negative")
+
+
+class Count(int):
+    pass
+
+
+@pytest.mark.parametrize("value, answer", (
+    (0, True), (-3, True), (10**400, True), (np.int64(5), True), (np.uint8(5), True), (Count(5), True),
+    (True, False), (False, False), (np.bool_(True), False), (1.0, False), (np.float64(1.0), False), ("1", False),
+))
+def test_is_integer(value, answer):
+    # ints, numpy integers and int subclasses are counts; bools and integral floats are not
+    assert is_integer(value) is answer
 
 
 # --- parity masses ---
