@@ -66,8 +66,8 @@ class StateEnsemble:
         if abs(sum(self.probs) - 1.0) > _PROB_TOL:
             raise ValueError(f"probabilities must sum to 1, got {sum(self.probs)!r}")
         for i in range(n):
-            if abs(self.overlaps[i][i] - 1.0) > _PROB_TOL:
-                raise ValueError("overlap matrix diagonal must be 1")
+            if self.overlaps[i][i] != 1.0:  # dual_dof_ensemble's diagonal is exactly 1.0
+                raise ValueError(f"overlap matrix diagonal must be 1, got {self.overlaps[i][i]!r}")
             for j in range(n):
                 o = self.overlaps[i][j]
                 if not 0.0 <= o <= 1.0:

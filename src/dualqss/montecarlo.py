@@ -52,7 +52,12 @@ truth tables and the parity cells (``_PARITY_CELLS``), and those and
 Each block draws from a stream seeded by (seed, block index), so
 reports are bit-identical for any worker count. Attack randomness lives
 on a separate per-block stream: paired runs with the same seed see
-identical protocol randomness whether or not an attack is active.
+identical protocol randomness whether or not an attack is active. The
+caches are ``_tables``, ``_closed_forms`` and the seed words
+(``_seed_words``): the four words that numpy's ``SeedSequence`` gives
+``PCG64`` for each (seed, kind, block) stream, so that the paired runs,
+and every configuration of a grid at one seed, seed their repeated
+streams without its set-up. numpy.random is loaded by the first stream.
 
 Basis handling follows the protocol: both senders choose the X basis
 with probability ``basis_policy``; rounds with differing bases are
@@ -103,6 +108,9 @@ _MAX_BLOCK = 2**53
 # Configurations whose draw tables and closed-form rows are kept, the least
 # recently used dropped first; the oracle grid needs three, the attack triple one.
 _CACHE_SIZE = 16
+# Block streams whose seed words are kept: a call of up to 128 blocks, with its attack streams,
+# leaves the next configuration's in place.
+_SEED_CACHE_SIZE = 256
 _SQRT_HALF = math.sqrt(0.5)
 
 # numpy's largest Poisson mean, as numpy computes it; beyond it a draw raises.
@@ -475,7 +483,8 @@ def _draw(t: _DrawTables, rng: np.random.Generator, size: int) -> tuple[np.ndarr
     flat[t.cell_at] = rng.multinomial(n[:, 1], t.q)
     if np.count_nonzero(n[:, 2]):  # two-entry rounds: counts over the ordered cell pairs (i, j), row-major
         cls = np.flatnonzero(n[:, 2])
-        np.add.at(flat, t.pair_at[cls], rng.multinomial(n[cls, 2], t.pair_q[cls]))
+        # a 1-D index keeps np.add.at on its fast path
+        np.add.at(flat, t.pair_at[cls].ravel(), rng.multinomial(n[cls, 2], t.pair_q[cls]).ravel())
     if np.count_nonzero(n[:, 3]):
         cls = np.repeat(_CLASSES, n[:, 3])  # the rounds of three or more entries, the only rows
         counts = rng.multinomial(_multi_entry_totals(rng, t.lam[cls]), t.q[cls])
@@ -484,9 +493,36 @@ def _draw(t: _DrawTables, rng: np.random.Generator, size: int) -> tuple[np.ndarr
     return m, hist
 
 
+@functools.cache
+def _fixed_words() -> type:
+    """A seed sequence that hands out fixed words, the ones ``PCG64`` asks for (4 of
+    ``np.uint64``, once). Defined on first use: naming ``np.random`` loads numpy.random,
+    which neither the package's import nor its analytic calls need."""
+
+    class FixedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    return FixedWords
+
+
+@functools.lru_cache(maxsize=_SEED_CACHE_SIZE)
+def _seed_words(seed: int, kind: int, block: int):
+    """The read-only words that ``SeedSequence(entropy=seed, spawn_key=(kind, block))`` gives
+    ``PCG64``, in a ``_fixed_words`` sequence; kept for the ``_SEED_CACHE_SIZE`` streams last
+    used, since paired runs share a seed and its blocks."""
+    words = np.random.SeedSequence(entropy=seed, spawn_key=(kind, block)).generate_state(4, np.uint64)
+    words.flags.writeable = False
+    return _fixed_words()(words)
+
+
 def _stream(cfg: SimConfig, kind: int, block: int) -> np.random.Generator:
-    """The protocol (kind 0) or attack (kind 1) stream of one block, as ``np.random.default_rng`` makes it."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(kind, block))))
+    """The protocol (kind 0) or attack (kind 1) stream of one block, in the state that
+    ``np.random.default_rng`` gives it, seeded from its cached words (``_seed_words``)."""
+    return np.random.Generator(np.random.PCG64(_seed_words(cfg.seed, kind, block)))
 
 
 def _tally(cfg: SimConfig, m: np.ndarray, parity: np.ndarray, split: np.ndarray) -> dict:

@@ -125,6 +125,8 @@ def test_state_ensemble_validation():
     (((1.0, 0.5), (0.5, 0.9)), "diagonal must be 1"),
     (((1.0, 1.5), (1.5, 1.0)), r"must be in \[0, 1\]"),
     (((1.0, 1.0 + 5e-10), (1.0 + 5e-10, 1.0)), r"must be in \[0, 1\]"),
+    (((1.0 - 5e-10, 0.5), (0.5, 1.0 - 5e-10)), "diagonal must be 1"),
+    (((1.0 + 5e-10, 0.5), (0.5, 1.0 + 5e-10)), "diagonal must be 1"),
 ))
 def test_state_ensemble_rejects_bad_overlaps(overlaps, message):
     # a ragged matrix, a diagonal other than 1, an overlap above 1, even by

@@ -126,16 +126,74 @@ def test_light_calls_load_no_pool_module():
     assert done.stdout == "False\n"
 
 
+def test_analytic_calls_load_no_numpy_random():
+    # Streams seed from cached words through a seed sequence defined on first
+    # use: importing the package and its CLI, then a sweep, leave numpy.random
+    # unloaded (loading it costs 1-2 MB of peak memory), and the first
+    # simulate loads it.
+    code = ("import sys, dualqss, dualqss.cli\n"
+            "spec = dualqss.SweepSpec(variable=dualqss.SweepVariable.DISTANCE, lo=0.0, hi=400.0,\n"
+            "                         step=50.0, fixed=dualqss.SystemParams())\n"
+            "dualqss.sweep(spec)\n"
+            "print('numpy.random' in sys.modules)\n"
+            "dualqss.simulate(dualqss.SimConfig(sp=dualqss.SystemParams(), rounds=1000, seed=1))\n"
+            "print('numpy.random' in sys.modules)")
+    paths = (str(Path(montecarlo.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "False\nTrue\n"
+
+
 @pytest.mark.parametrize("seed", (0, 2026, 2**64 + 1))
 def test_streams_are_default_rng_streams(seed):
     # a block's stream is the one np.random.default_rng makes of its seed
-    # sequence, whatever way it is built
+    # sequence, whatever way it is built: built twice, the second time from
+    # the cached seed words, after the first stream has drawn; the words are
+    # kept once per (seed, kind, block), read-only, in a bounded cache
+    montecarlo._seed_words.cache_clear()
     for kind, block in itertools.product((0, 1), (0, 5)):
-        got = montecarlo._stream(config(seed=seed), kind, block)
-        want = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(kind, block)))
-        assert got.bit_generator.state == want.bit_generator.state
-        assert np.array_equal(got.integers(0, 2**63, 64), want.integers(0, 2**63, 64))
-        assert np.array_equal(got.multinomial(10**9, [0.25] * 4), want.multinomial(10**9, [0.25] * 4))
+        for _ in range(2):
+            got = montecarlo._stream(config(seed=seed), kind, block)
+            want = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(kind, block)))
+            assert got.bit_generator.state == want.bit_generator.state
+            assert np.array_equal(got.integers(0, 2**63, 64), want.integers(0, 2**63, 64))
+            assert np.array_equal(got.multinomial(10**9, [0.25] * 4), want.multinomial(10**9, [0.25] * 4))
+        with pytest.raises(ValueError, match="read-only"):
+            got.bit_generator.seed_seq.words[0] = 0
+    hits, misses, maxsize, size = montecarlo._seed_words.cache_info()
+    assert (hits, misses, size) == (4, 4, 4)
+    assert 4 <= maxsize < math.inf
+
+
+def test_streams_are_default_rng_streams_when_threads_share_the_cache():
+    # more threads than cores build the same few streams while the cache is
+    # cleared under them, switching often: every stream still starts where
+    # default_rng's does
+    keys = [(seed, kind, block) for seed in (3, 4) for kind in (0, 1) for block in (0, 1)]
+    want = {key: np.random.default_rng(np.random.SeedSequence(entropy=key[0], spawn_key=key[1:]))
+            .bit_generator.state for key in keys}
+    wrong = []
+
+    def build(shift):
+        for i in range(400):
+            seed, kind, block = keys[(i + shift) % len(keys)]
+            if montecarlo._stream(config(seed=seed), kind, block).bit_generator.state != want[seed, kind, block]:
+                wrong.append((seed, kind, block))
+            if i % 50 == shift:
+                montecarlo._seed_words.cache_clear()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=build, args=(shift,)) for shift in range(6)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert wrong == []
 
 
 def test_draw_tables_are_built_once_per_configuration(monkeypatch):
