@@ -13,12 +13,14 @@ proportion to their means. The sampler rests on this Poisson
 splitting, never on the closed forms it checks.
 
 Blocks are sized from the configuration alone, to expect about
-``_BLOCK_ROWS`` rows. The draw step draws a block's class counts, then
-per class how many rounds hold N = 0, 1, 2 and >= 3 entries. Rounds
-without an entry never click. One-entry rounds stay counts: a
-multinomial over the cells gives how many click each detector, with an
-odd photon count or with a dark count, which never changes the photon
-parity. Two-entry rounds stay counts too: per class that holds any, one
+``_BLOCK_ROWS`` rows. The draw step draws a block's class counts, then,
+per class whose cells a tally reads (``_READ``: both senders in X, or
+both in Z and in H), how many rounds hold N = 0, 1, 2 and >= 3 entries.
+Rounds of the other classes (mixed bases, unchecked Z) are counted, not
+split, and draw no random number. Rounds without an entry never click.
+One-entry rounds stay counts: a multinomial over the cells gives how
+many click each detector, with an odd photon count or with a dark count,
+which never changes the photon parity. Two-entry rounds stay counts too: per class that holds any, one
 multinomial over the 64 ordered pairs of cells (i, j), of probability
 q_i q_j, gives how many click bits_i | bits_j with photon parity
 odd_i ^ odd_j (two photons in one cell are an even count). Only rounds of
@@ -101,8 +103,8 @@ ATTACKS = ("none", "beam_split", "dishonest_bob")
 # no evidence of agreement.
 MIN_EXPECTED = 10.0
 
-# Blocks expect about _BLOCK_ROWS rounds of three or more entries, the only
-# rows of work; _MAX_BLOCK bounds blocks where those are rare or absent.
+# Blocks expect about _BLOCK_ROWS rounds of three or more entries in read classes, the only rows
+# of work; _MAX_BLOCK bounds blocks where those are rare or absent.
 _BLOCK_ROWS = 8192
 _MAX_BLOCK = 2**53
 # Configurations whose draw tables and closed-form rows are kept, the least
@@ -352,6 +354,9 @@ _ATOM_STARTS = 16 * np.cumsum([0, *map(len, _ATOM_CELLS[:-1])])
 _PARITY_AT = np.array([sum(1 << d for d, c in zip(dets, classes) if c is ClickParity.ODD) << 10
                        | rep << 4 | sum(1 << d for d in dets)
                        for _, rep in _PARITY_KEYS for _, _, dets, classes in _PARITY_CELLS])
+# The classes whose cells a tally reads, an atom's or a parity cell's: both senders in X, or both in Z
+# and in H. Rounds of any other class are only counted (n_zz, n_mixed), never split into cells.
+_READ = np.isin(_CLASSES, [*(cell >> 4 for cells in _ATOM_CELLS for cell in cells), *(rep for _, rep in _PARITY_KEYS)])
 # Per class, whether it is an X-basis round, a Z-basis round and a round: ``m @ _BASIS_SUMS``
 # gives n_xx, n_zz and the rounds of the class counts m.
 _BASIS_SUMS = np.stack((_XA & _XB, ~_XA & ~_XB, np.ones(64, bool)), axis=1).astype(np.int64)
@@ -401,14 +406,15 @@ _DrawTables = collections.namedtuple("_DrawTables", "weights p_multi lam strata 
 
 @_cached
 def _tables(mu_arm: float, p_d: float, basis_policy: float) -> _DrawTables:
-    """Tables built once per configuration and read by every block: class weights, P(N >= 3) of a
-    round and, except at p_d = 1, per class: entry total mean, strata P(N = 0, 1, 2, >= 3) and cell
-    probabilities, both in ascending order (numpy draws multinomial outcomes rarest first and gives
-    the likeliest the remainder; probability 0 stays empty), the strata's ranks, each sorted cell's
-    detector and parity bit (0 for a dark count) and its flat histogram index, and per ordered pair
-    of sorted cells (i, j), row-major, its probability q_i q_j and flat histogram index (click
-    bits_i | bits_j, photon parity odd_i ^ odd_j: two photons in one cell are an even count). The
-    arrays are read-only."""
+    """Tables built once per configuration and read by every block: class weights, the chance that
+    a round is a row, of three or more entries in a read class (``_READ``), and, except at p_d = 1,
+    per class: entry total mean, strata P(N = 0, 1, 2, >= 3) and cell probabilities, both in
+    ascending order (numpy draws multinomial outcomes rarest first and gives the likeliest the
+    remainder; probability 0 stays empty), the strata's ranks, each sorted cell's detector and
+    parity bit (0 for a dark count) and its flat histogram index, and per ordered pair of sorted
+    cells (i, j), row-major, its probability q_i q_j and flat histogram index (click bits_i |
+    bits_j, photon parity odd_i ^ odd_j: two photons in one cell are an even count). The arrays
+    are read-only."""
     weights = _class_weights(basis_policy)
     if p_d == 1.0:  # delta = inf: every round clicks four times
         tables = _DrawTables(weights, 0.0)
@@ -421,8 +427,9 @@ def _tables(mu_arm: float, p_d: float, basis_policy: float) -> _DrawTables:
         q = means[_CLASSES[:, None], order] / np.where(lam > 0.0, lam, 1.0)[:, None]
         bits = 1 << (order & 3)
         odd = np.where(order < 4, bits, 0)
-        tables = _DrawTables(weights, float(weights @ strata[:, 3]), lam, strata[_CLASSES[:, None], rank],
-                             rank, q, bits, odd, (odd << 6 | _CLASSES[:, None]) << 4 | bits,
+        tables = _DrawTables(weights, float(weights @ (strata[:, 3] * _READ)), lam,
+                             strata[_CLASSES[:, None], rank], rank, q, bits, odd,
+                             (odd << 6 | _CLASSES[:, None]) << 4 | bits,
                              (q[:, :, None] * q[:, None, :]).reshape(64, 64),
                              (((odd[:, :, None] ^ odd[:, None, :]) << 6 | _CLASSES[:, None, None]) << 4
                               | bits[:, :, None] | bits[:, None, :]).reshape(64, 64))
@@ -438,8 +445,8 @@ def _draw_tables(cfg: SimConfig) -> _DrawTables:
 
 
 def _block_sizes(cfg: SimConfig, tables: _DrawTables) -> list[int]:
-    """Partition ``cfg.rounds`` into blocks that expect about ``_BLOCK_ROWS``
-    rounds of three or more entries (at p_d = 1 there are none), up to ``_MAX_BLOCK``
+    """Partition ``cfg.rounds`` into blocks that expect about ``_BLOCK_ROWS`` rows, rounds of
+    three or more entries in read classes (at p_d = 1 there are none), up to ``_MAX_BLOCK``
     rounds. The sizes depend on the configuration only."""
     p_multi = tables.p_multi
     block = _MAX_BLOCK if p_multi * _MAX_BLOCK <= _BLOCK_ROWS else math.ceil(_BLOCK_ROWS / p_multi)
@@ -469,17 +476,17 @@ def _rows(counts: np.ndarray, bits: np.ndarray, odd_bits: np.ndarray) -> tuple:
 
 
 def _draw(t: _DrawTables, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw step: a block's class counts ``m`` and its histogram of rounds
-    over (parity mask, class, click mask). The draw order (class counts,
-    strata, one-entry rounds, two-entry rounds if any, rows if any) is fixed."""
+    """Draw step: a block's class counts ``m`` and its histogram over (parity mask, class, click
+    mask) of the rounds of read classes (``_READ``); the others stay in ``m`` only. The draw order
+    (class counts, strata, one-entry rounds, two-entry rounds if any, rows if any) is fixed."""
     m = rng.multinomial(size, t.weights)
     hist = np.zeros((16, 64, 16), np.int64)
     if t.lam is None:  # p_d = 1; the photon parity shows in no pattern
-        hist[0, :, 15] = m
+        hist[0, :, 15] = m * _READ
         return m, hist
     flat = hist.reshape(-1)
     n = np.empty((64, 4), np.int64)
-    n[_CLASSES[:, None], t.rank] = rng.multinomial(m, t.strata)
+    n[_CLASSES[:, None], t.rank] = rng.multinomial(m * _READ, t.strata)
     flat[t.cell_at] = rng.multinomial(n[:, 1], t.q)
     if np.count_nonzero(n[:, 2]):  # two-entry rounds: counts over the ordered cell pairs (i, j), row-major
         cls = np.flatnonzero(n[:, 2])

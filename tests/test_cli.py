@@ -180,10 +180,37 @@ def test_mc_crosscheck_rejects_out_of_range_flags(argv, message, capsys):
     assert (args.rounds, args.seed, args.budget) == (10_000_000, 2026, 5.0) and args.threads >= 1
 
 
+def test_draw_audit_finds_no_difference_between_a_tree_and_itself(capsys):
+    # Base and change both the checkout, on 3 seeds, each in its own
+    # interpreter: every configuration reads identical, every field that
+    # varies differs by 0 standard errors with a variance ratio of 1, and
+    # both sides pass the same gates with the same worst row.
+    module = load_script("draw_audit")
+    root = str(Path(__file__).resolve().parents[1])
+    assert module.main(["--base", root, "--change", root, "--seeds", "0-2"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("reports identical on 3 of 3 seeds") == len(module.configurations()) == 9
+    fields = re.findall(r"^   \S+ +\S+ +\S+ +(\S+) +(\S+)$", out, re.MULTILINE)
+    assert fields and set(fields) == {("+0.00", "1.000")}
+    gates = re.findall(r"base (\d+)/3, change (\d+)/3", out)
+    assert len(gates) == 18 and all(b == c for b, c in gates)
+    base, change = (re.findall(rf"^  {side}: (.*)$", out, re.MULTILINE) for side in ("base", "change"))
+    assert len(base) == 2 and base == change
+
+
+@pytest.mark.parametrize("seeds", ("3-2", "-1", "a-b", "0-"))
+def test_draw_audit_rejects_bad_seed_ranges(seeds, capsys):
+    module = load_script("draw_audit")
+    with pytest.raises(SystemExit) as exit_info:
+        module.main(["--base", ".", "--change", ".", "--seeds", seeds])
+    assert exit_info.value.code == 2 and "seeds must read A-B" in capsys.readouterr().err
+
+
 # SHA-256 of the JSON each command prints, recorded before the handlers
 # returned payloads for main to serialise; key order, float repr and
 # indentation must all hold. The beam-splitting run's was recorded again
-# when the lottery came to split the tally's atoms instead of its cells.
+# when the lottery came to split the tally's atoms instead of its cells, and
+# when rounds of classes that no tally reads stopped being split into cells.
 JSON_DIGESTS = {
     ("optimize", "--L", "400"):
         "a9aa213a4b1469bae7bd115cf81c24ddff610c57a21f62b3aa4251d65b56a112",
@@ -192,7 +219,7 @@ JSON_DIGESTS = {
     ("thresholds",):
         "9abe3c7ab13b98212f367df33588c787c39dbb8f5e01cd1ca91ea7cf60a5f3ba",
     ("simulate", "--rounds", "100000", "--seed", "3", "--attack", "beam-split"):
-        "ada6aa0664ba9f3bf2a431cc4a5eea15f275407c48551e3e0710baa51a023b7d",
+        "30b6bdf52b442a271c761a63d36d1f0461dfb2124c063f5ec02e13b74bcca47e",
 }
 
 
@@ -209,14 +236,17 @@ def test_json_bytes_unchanged(argv, capsys):
 # beam-splitting run with checks (the eve_leak row), the p_d = 0 run (rows of
 # zero variance, rounds_needed None) and the p_d = 1 run (no cell tables) were
 # recorded before the comparison rows were built in one loop, the report
-# without its __init__ and the lottery without its empty layers.
+# without its __init__ and the lottery without its empty layers. When rounds
+# of classes that no tally reads stopped being split into cells, the
+# beam-splitting, p_d = 0 and dishonest receiver's runs were recorded again;
+# the far run (basis_policy 1) and the p_d = 1 run (nothing split) held.
 SIMULATE_DIGESTS = {
     "beam-split": (("simulate", "--rounds", "200000", "--seed", "5", "--basis-policy", "0.5",
                     "--check-fraction", "0.3", "--attack", "beam-split"),
-                   "b5ae4a039e0cb95c4e64258f87fb7de784bfb215c8c25a6cb7ed2100a087386f"),
+                   "c2fa401bb5af16e3610fd3b1e26d0b00d65d7d140463ef638c2b7a4640680b20"),
     "p_d=0": (("simulate", "--p-d", "0", "--rounds", "200000", "--seed", "7", "--basis-policy", "0.5",
                "--check-fraction", "0.3"),
-              "b2fc516ae9e3f7ea37d335f5341dba4e9cf7087350faf47ab24dbdf2d658ab48"),
+              "b1a1134fe34438eee3b3b29a37d7279876dcbaf98c6ed7cd3a06dcc80a002de5"),
     "p_d=1": (("simulate", "--p-d", "1", "--rounds", "200000", "--seed", "11", "--basis-policy", "0.5",
                "--check-fraction", "0.3"),
               "82ebfe2386111d5ba87f94d71439ccce9623ad2f63995364e12e05bd7138a48a"),
@@ -224,7 +254,7 @@ SIMULATE_DIGESTS = {
             "10fec57f3c1b819ed54d96517d279e4fc9a71c1e961c36945ed73887570fadc5"),
     "dishonest-bob": (("simulate", "--rounds", "200000", "--seed", "3", "--basis-policy", "0.5",
                        "--check-fraction", "0.3", "--attack", "dishonest-bob", "--flip", "0.05"),
-                      "53f8e5fe8eb48a5dbc6ec8b76b1cadc204106a843222943c253b59d26b7e9fdf"),
+                      "e651119029bcc79a81ccea4bc826daaae358abd783d0b7640672bdc195f54142"),
 }
 
 

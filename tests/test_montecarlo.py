@@ -94,13 +94,13 @@ def test_block_sizes_partition_rounds_whatever_the_threads(cfg, monkeypatch):
 
 @pytest.mark.parametrize("cfg, pooled", (
     (config(sp=FAR, rounds=5 * 10**16), False),
-    (config(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0), rounds=50_000), True),
+    (config(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0), rounds=50_000, basis_policy=1.0), True),
 ), ids=("far", "bright"))
 def test_light_blocks_run_on_the_calling_thread(cfg, pooled, monkeypatch):
     # Six far blocks of about 20 rows each ran 2 to 2.7 times slower on a
-    # pool of two than on the caller, so they stay there; seven bright
-    # blocks of 8k rows each gain from the pool. The report is the same
-    # either way.
+    # pool of two than on the caller, so these six, of about 7, stay there;
+    # seven bright blocks of 8k rows each gain from the pool. The report is
+    # the same either way.
     real, idents = montecarlo._block_tallies, []
     monkeypatch.setattr(montecarlo, "_block_tallies",
                         lambda *args: idents.append(threading.get_ident()) or real(*args))
@@ -276,25 +276,27 @@ def test_cached_tables_are_read_only(sp):
 
 @pytest.mark.parametrize("kw, rounds, block", (
     (dict(sp=SystemParams(mu=0.4, l_km=100.0), basis_policy=1.0), 10**11, 31_762_059_498),
-    (dict(sp=SystemParams(mu=0.84, l_km=100.0)), 10**10, 3_462_757_295),
-    (dict(sp=SystemParams(mu=1.5, l_km=100.0), basis_policy=0.0), 10**9, 616_903_671),
-    (dict(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0)), 1_100_000, 8193),
-    (dict(sp=SystemParams(mu=0.84, l_km=100.0, p_d=0.02)), 10**8, 45_711_034),
-    (dict(sp=SystemParams(mu=0.84, l_km=100.0, p_d=0.7)), 1_100_000, 9512),
+    (dict(sp=SystemParams(mu=0.84, l_km=100.0)), 3 * 10**10, 11_080_823_342),
+    (dict(sp=SystemParams(mu=1.5, l_km=100.0), basis_policy=0.0), 10**10, 2_467_614_683),
+    (dict(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0)), 1_100_000, 26_215),
+    (dict(sp=SystemParams(mu=0.84, l_km=100.0, p_d=0.02)), 10**9, 146_275_306),
+    (dict(sp=SystemParams(mu=0.84, l_km=100.0, p_d=0.7)), 1_100_000, 30_439),
     (dict(sp=SystemParams(p_d=1.0)), 10**15, 10**15),
     (dict(sp=FAR, basis_policy=1.0), 10**17, 2**53),
 ), ids=("100km-mu0.4", "100km", "100km-z", "bright", "pd0.02", "pd0.7", "pd1", "400km"))
 def test_blocks_expect_a_fixed_number_of_multi_entry_rounds(kw, rounds, block):
-    # A block expects about _BLOCK_ROWS rounds of three or more entries, up
-    # to 2^53 rounds: nearly every round when bright or dark-heavy, one in
-    # 4e5 at 100 km, one in 4e14 at 400 km, where a block holds 22 of them.
-    # At p_d = 1 every round is a count, so one block holds them all.
+    # A block expects about _BLOCK_ROWS rows, rounds of three or more entries
+    # in a class the tally reads, up to 2^53 rounds: nearly every read round
+    # when bright or dark-heavy (at basis_policy 0.5, 5 in 16 rounds are read),
+    # one in 4e5 at 100 km, one in 4e14 at 400 km, where a block holds 22 of
+    # them. At p_d = 1 every round is a count, so one block holds them all.
     cfg = config(rounds=rounds, **kw)
     sizes = _block_sizes(cfg, _draw_tables(cfg))
     assert sizes == [block] * (rounds // block) + [rounds % block] * (rounds % block > 0)
     if cfg.sp.p_d < 1.0:
         lam = montecarlo._cell_means(cfg.sp.mu_arm, cfg.sp.p_d).sum(axis=1)
-        p_multi = montecarlo._class_weights(cfg.basis_policy) @ montecarlo._strata(lam)[:, 3]
+        read = [c for c in range(64) if c >> 4 == 3 or c >> 4 == 0 and not c & 0b0101]  # XX, or ZZ in H
+        p_multi = montecarlo._class_weights(cfg.basis_policy)[read] @ montecarlo._strata(lam)[read, 3]
         assert block == min(montecarlo._MAX_BLOCK, math.ceil(montecarlo._BLOCK_ROWS / p_multi))
 
 
@@ -767,21 +769,28 @@ def test_report_dict_shape():
 
 PINNED = {
     "near": (dict(rounds=1_100_000),
-             "cb47c2d4f12a7e93c1a2fd93cb05d185b609417d4cc58f85b2db6e802e59beb6"),
+             "c1acb0b3a4deadf788b49ae660a646704bc001a6206a6bd41d5a157ee4aa323f"),
     "bright": (dict(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0), rounds=600_000, seed=17),
-               "8798c94d169d157cf74b17a2684e78c30974f2addbfda5ee8ae90fe8f312483a"),
+               "7538908ec0948dad61eb45caf42e8962dc4bb9161df5bc82ebc25d67975d01fa"),
     "dark": (dict(sp=SystemParams(mu=0.84, l_km=100.0, p_d=0.02), rounds=600_000, seed=13),
-             "9e34069fd41f43b1baf066b64fc9d5016ed0106db2b26adeba056307e3623c80"),
+             "f19ea44d4c4eb17d57b5f9cc54fa22a8735f469b49261a74b41f7c6883bae7eb"),
     "checked-none": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05),
-                     "c1771a8fc5597642928b8a88705a4f9a965ca03df02d9a92d31436d536a8bbc9"),
+                     "09d5f1314ddbc4b80e4cfd503d69f6fb5fd1d189efbfb43a8f71aed305e2fbe5"),
     "checked-beam_split": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05,
                                 attack="beam_split"),
-                           "fadca3be1fe704715bdee5a6e1bb38462f079e6c2a737154b1a12cdcf674a596"),
+                           "2d447b99ba1aeacc5c7431e349f37ddeb24ccbc742aa54bdb77dc013d3fa4d38"),
     "checked-dishonest_bob": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05,
                                    attack="dishonest_bob"),
-                              "e6044785b8e980d5437ccb92a6f5fbde3a29bdee3c6011c0c96c13db23d10433"),
+                              "55c968e320c67c8482e7c67c640c0741f28ca535b56fc75ddf709959e69b4e92"),
     "far": (dict(sp=FAR, rounds=10**9),
-            "9bcdf4a30419528d8a72ab6a33f46a0498ad88ce3160df9f07f11fefe01c100e"),
+            "492a580ed9feec39e37d38ff864389d9817a69cdf32af50dd33e9c4b2e48c287"),
+    "near-x": (dict(rounds=1_100_000, basis_policy=1.0),
+               "8a36bf95ea3031a36ca5293b61044055aba56be0117ffdaa63eae83d58c0902b"),
+    "checked-beam_split-x": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05,
+                                  attack="beam_split", basis_policy=1.0),
+                             "4bf6c3281e555ae56739a44199409d4dce0d02311ab32d6ccfd097069ce313ea"),
+    "bright-x": (dict(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0), rounds=60_000, seed=17, basis_policy=1.0),
+                 "0abb0d90cade5909bbfa4ba9672f1115a4e72c715737a0dc8f921d9bcf0a59c0"),
 }
 
 
@@ -793,8 +802,10 @@ def test_tallies_pinned_at_fixed_seeds(case):
     became counts over cell pairs (only rounds of three or more entries as
     rows), and the checked cases again when the lottery came to split the
     tally's atoms instead of its cells; each is the same for 1 and 2
-    threads. The bright case spans 74 blocks, the
-    others one each. Any change of the block sizes or of how a block
+    threads. The bright cases span 23 blocks (8 at basis_policy 1), the
+    others one each. They were recorded again, all but the basis_policy 1
+    cases, when rounds of classes that no tally reads stopped being split
+    into cells, and blocks came to count only the rows they draw. Any change of the block sizes or of how a block
     consumes its random streams changes these digests; such a change must
     update them and say so in CHANGES.md.
     """
@@ -1157,11 +1168,29 @@ def test_cells_of_mean_zero_never_receive_an_entry(basis_policy):
     silent = (montecarlo._cell_means(sp.mu_arm, sp.p_d)[:, :4] == 0) @ (1 << np.arange(4))
     assert np.count_nonzero(silent[m > 0]) == (16 if basis_policy else 8)
     impossible = (np.arange(16) & silent[:, None]) != 0
-    assert hist.sum() == m.sum() > 0
+    assert hist.sum() == (m * montecarlo._READ).sum() > 0
     assert hist[:, impossible].sum() == 0
     # an odd photon count is only ever seen at a detector that clicked
     odd_unclicked = (np.arange(16)[:, None] & ~np.arange(16)) != 0
     assert hist.transpose(0, 2, 1)[odd_unclicked].sum() == 0
+
+
+def test_read_classes_are_the_x_and_checked_z_classes():
+    # The tally reads the cells of classes with both senders in X (48-63),
+    # and those of both senders in Z with both in the H mode (0, 2, 8, 10).
+    assert np.flatnonzero(montecarlo._READ).tolist() == [0, 2, 8, 10, *range(48, 64)]
+
+
+@pytest.mark.parametrize("sp", (SystemParams(mu=20.0, l_km=0.0, eta_d=1.0), SystemParams(p_d=1.0)),
+                         ids=("bright", "pd1"))
+def test_unread_classes_are_counted_not_split(sp):
+    # Mixed-basis and unchecked Z rounds keep their class counts, which n_zz
+    # and n_mixed read, but no histogram cell: nothing reads their clicks.
+    cfg = config(sp=sp)
+    m, hist = montecarlo._draw(_draw_tables(cfg), np.random.default_rng(7), 100_000)
+    assert m[~montecarlo._READ].sum() > 60_000
+    assert not hist[:, ~montecarlo._READ].any()
+    assert hist.sum(axis=(0, 2)).tolist() == (m * montecarlo._READ).tolist()
 
 
 def test_memory_does_not_grow_with_rounds():
