@@ -6,9 +6,13 @@ must not change their distribution. This script runs two source trees,
 ``--base`` and ``--change`` (each a checkout holding ``src/dualqss``), over
 the seeds ``--seeds A-B``, each tree in its own subprocess so that the two
 packages never share a process. It covers criterion 8's six configurations
-at 10**7 rounds (basis_policy 1) and the three checked settings of the
-pinned digests (600,000 rounds at basis_policy 0.5, check fraction 0.3, no
-attack, beam splitting and the dishonest receiver at flip 0.05).
+at 10**7 rounds (basis_policy 1) and five settings of the pinned digests,
+all at basis_policy 0.5: the three checked ones (600,000 rounds, check
+fraction 0.3, no attack, beam splitting and the dishonest receiver at flip
+0.05), the rows-heavy ``bright`` one (mu 20, L 0, eta_d 1, 60,000 rounds)
+and the dark-heavy ``dark`` one (p_d 0.02, 600,000 rounds). In those two
+the joint draw orders the rounds of three or more entries or the dark
+categories last.
 
 Per configuration it prints:
 - on how many seeds the two trees' reports are identical;
@@ -40,6 +44,7 @@ SIGMA_GATE = 5.0
 P_GATE = 5.7e-7  # two-sided tail of 5 sigma
 C8_ROUNDS = 10_000_000
 CHECKED_ROUNDS = 600_000
+BRIGHT_ROUNDS = 60_000
 
 
 def configurations() -> list[tuple[str, dict]]:
@@ -49,7 +54,9 @@ def configurations() -> list[tuple[str, dict]]:
     checked = [(f"checked-{attack}", dict(sp=dict(mu=0.84, l_km=100.0), rounds=CHECKED_ROUNDS, basis_policy=0.5,
                                           check_fraction=0.3, flip_fraction=0.05, attack=attack))
                for attack in ("none", "beam_split", "dishonest_bob")]
-    return c8 + checked
+    heavy = [("bright", dict(sp=dict(mu=20.0, l_km=0.0, eta_d=1.0), rounds=BRIGHT_ROUNDS, basis_policy=0.5)),
+             ("dark", dict(sp=dict(mu=0.84, l_km=100.0, p_d=0.02), rounds=CHECKED_ROUNDS, basis_policy=0.5))]
+    return c8 + checked + heavy
 
 
 def fields_of(report: dict) -> dict:
@@ -191,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.base is None or args.change is None:
         parser.error("--base and --change are required")
     print(f"draw audit: seeds {seeds.start}-{seeds[-1]}; criterion 8 at {C8_ROUNDS} rounds, "
-          f"checked settings at {CHECKED_ROUNDS} rounds; one process per tree")
+          f"checked and dark settings at {CHECKED_ROUNDS}, bright at {BRIGHT_ROUNDS} rounds; one process per tree")
     report(run_tree(args.base, seeds), run_tree(args.change, seeds), seeds)
     return 0
 

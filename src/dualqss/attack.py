@@ -41,8 +41,8 @@ class TapParams:
     eta_t: float
 
     def __post_init__(self) -> None:
-        check_range("mu", self.mu, 0.0)
-        check_range("eta_t", self.eta_t, 0.0, 1.0)
+        for name, *bounds in (("mu", 0.0), ("eta_t", 0.0, 1.0)):  # stored as checked, a float
+            object.__setattr__(self, name, check_range(name, getattr(self, name), *bounds))
 
     @property
     def tapped_mu(self) -> float:

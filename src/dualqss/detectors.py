@@ -68,11 +68,9 @@ class SystemParams:
     f: float = 1.15
 
     def __post_init__(self) -> None:
-        for name in ("mu", "alpha", "l_km"):
-            check_range(name, getattr(self, name), 0.0)
-        check_range("eta_d", self.eta_d, 0.0, 1.0)
-        check_range("p_d", self.p_d, 0.0, 1.0)
-        check_range("f", self.f, 1.0)
+        for name, *bounds in (("mu", 0.0), ("alpha", 0.0), ("l_km", 0.0), ("eta_d", 0.0, 1.0), ("p_d", 0.0, 1.0),
+                              ("f", 1.0)):
+            object.__setattr__(self, name, check_range(name, getattr(self, name), *bounds))  # as checked, a float
 
     @property
     def eta_t(self) -> float:

@@ -13,43 +13,46 @@ proportion to their means. The sampler rests on this Poisson
 splitting, never on the closed forms it checks.
 
 Blocks are sized from the configuration alone, to expect about
-``_BLOCK_ROWS`` rows. The draw step draws a block's class counts, then,
-per class whose cells a tally reads (``_READ``: both senders in X, or
-both in Z and in H), how many rounds hold N = 0, 1, 2 and >= 3 entries.
-Rounds of the other classes (mixed bases, unchecked Z) are counted, not
-split, and draw no random number. Rounds without an entry never click.
-One-entry rounds stay counts: a multinomial over the cells gives how
-many click each detector, with an odd photon count or with a dark count,
-which never changes the photon parity. Two-entry rounds stay counts too: per class that holds any, one
-multinomial over the 64 ordered pairs of cells (i, j), of probability
-q_i q_j, gives how many click bits_i | bits_j with photon parity
-odd_i ^ odd_j (two photons in one cell are an even count). Only rounds of
-three or more entries become rows: each draws N from the Poisson
+``_BLOCK_ROWS`` rows. A block's draw is one multinomial over its joint
+categories: per class whose cells a tally reads (``_READ``: both senders
+in X, or both in Z and in H), rounds of no entry, of one entry in each
+cell, of two entries by the histogram cell they make, and of three or
+more; each other class (mixed bases, unchecked Z) is one category, its
+rounds counted, not split. This flattens the staged draw's nested
+multinomials (class, entry total, cells) into one over their leaves,
+merging leaves of one cell by summing their probabilities, so every
+tally keeps its law and a cache-cold block pays one numpy call's fixed
+cost, not four. A one-entry round clicks its cell's detector, with an
+odd photon count or with a dark count, which never changes the photon
+parity; a two-entry round in cells (i, j), of probability q_i q_j given
+two entries, clicks bits_i | bits_j with photon parity odd_i ^ odd_j
+(two photons in one cell are an even count). Summed by class, the
+categories give the class counts, and by cell the histogram. Only rounds
+of three or more entries become rows: each draws N from the Poisson
 conditioned on N >= 3 and splits it over the cells into a 4-bit click
 mask and a 4-bit photon-parity mask; a block without such a round skips
-this row stage. At p_d = 1 every round clicks four times. The draw
-tables, the cell-pair probabilities and histogram indices included, are
+this row stage. At p_d = 1 each class is one category, whose rounds
+click four times. The draw tables, the joint categories included, are
 built once per configuration (mu_arm, p_d, basis_policy) and kept in a
-small bounded cache (``_tables``); the block sizing and every block's
-draw step of every call with that configuration read them, so a block
-makes one multinomial and one flat ``np.add.at`` for its pairs. The
-closed forms that ``compare_to_analytic`` checks against are kept the
-same way (``_closed_forms``). A block's rounds end in one histogram
-over (parity mask, class, click mask). The truth tables over (class,
-click mask) tell apart only 12 atoms (Event1 by phase error, Event2 and
-Event3 by phase and polarization error, the Z check by phase error), so
-the block sums the histogram's tallied cells into atom counts, and the
-lottery (checks, an attack's flips or Eve's success) splits those with
-binomials (last layers of probability 0 add no lots), which keeps the
-law of every tally. The block also gathers the 40 parity cells of the
-comparison rows from the same histogram. ``simulate`` runs the blocks on
-the calling thread unless they carry enough rows to pay for a pool (only
-then is one built, and ``concurrent.futures`` imported), sums their
-integer arrays as they arrive, tallies the sums through the atoms'
-truth-table rows and builds the report (without its frozen ``__init__``)
-once per call. ``_PATTERNS``, the six tallied click patterns, drives the
-truth tables and the parity cells (``_PARITY_CELLS``), and those and
-``_RATE_ROWS`` the comparison rows.
+small bounded cache (``_tables``), read by the block sizing and every
+block of every call with that configuration. The closed forms that
+``compare_to_analytic`` checks against are kept the same way
+(``_closed_forms``). A block's rounds end in one histogram over (parity
+mask, class, click mask). The truth tables over (class, click mask) tell
+apart only 12 atoms (Event1 by phase error, Event2 and Event3 by phase
+and polarization error, the Z check by phase error), so the block sums
+the histogram's tallied cells into atom counts, and the lottery (checks,
+an attack's flips or Eve's success) splits those with binomials (last
+layers of probability 0 add no lots), which keeps the law of every
+tally. The block also gathers the 40 parity cells of the comparison rows
+from the same histogram. ``simulate`` runs the blocks on the calling
+thread unless they carry enough rows to pay for a pool (only then is one
+built, and ``concurrent.futures`` imported), sums their integer arrays
+as they arrive, tallies the sums through the atoms' truth-table rows and
+builds the report (without its frozen ``__init__``) once per call.
+``_PATTERNS``, the six tallied click patterns, drives the truth tables
+and the parity cells (``_PARITY_CELLS``), and those and ``_RATE_ROWS``
+the comparison rows.
 
 Each block draws from a stream seeded by (seed, block index), so
 reports are bit-identical for any worker count. Attack randomness lives
@@ -400,39 +403,48 @@ def _cached(build):
     return call
 
 
-_DrawTables = collections.namedtuple("_DrawTables", "weights p_multi lam strata rank q bits odd_bits cell_at "
-                                     "pair_q pair_at", defaults=[None] * 9)
+_DrawTables = collections.namedtuple("_DrawTables", "weights p_multi lam q bits odd_bits p cls at multi",
+                                     defaults=[None] * 8)
+_SPARE = 16 * 64 * 16  # the flat histogram's spare last slot, where the categories that make no cell go
 
 
 @_cached
 def _tables(mu_arm: float, p_d: float, basis_policy: float) -> _DrawTables:
     """Tables built once per configuration and read by every block: class weights, the chance that
-    a round is a row, of three or more entries in a read class (``_READ``), and, except at p_d = 1,
-    per class: entry total mean, strata P(N = 0, 1, 2, >= 3) and cell probabilities, both in
-    ascending order (numpy draws multinomial outcomes rarest first and gives the likeliest the
-    remainder; probability 0 stays empty), the strata's ranks, each sorted cell's detector and
-    parity bit (0 for a dark count) and its flat histogram index, and per ordered pair of sorted
-    cells (i, j), row-major, its probability q_i q_j and flat histogram index (click bits_i |
-    bits_j, photon parity odd_i ^ odd_j: two photons in one cell are an even count). The arrays
-    are read-only."""
+    a round is a row (three or more entries in a read class), the rows' per-class entry total mean,
+    ascending cell probabilities q and each sorted cell's detector and parity bit (0 for a dark
+    count), and the joint categories of positive probability in the joint order: ascending, stable
+    over class by class, pairs by first appearance (numpy gives the last, the likeliest, the
+    remainder); of each its probability, class and flat histogram index (``_SPARE``: none), and
+    which are three or more entries. The arrays are read-only."""
     weights = _class_weights(basis_policy)
-    if p_d == 1.0:  # delta = inf: every round clicks four times
-        tables = _DrawTables(weights, 0.0)
+    if p_d == 1.0:  # delta = inf: each class is one category, in class order, whose rounds click four times
+        tables = _DrawTables(weights, 0.0, p=weights, cls=np.arange(64), at=np.where(_READ, _CLASSES << 4 | 15, _SPARE),
+                             multi=np.arange(0))  # parity mask 0: the photon parity shows in no pattern
     else:
         means = _cell_means(mu_arm, p_d)
         lam = means.sum(axis=1)
         strata = _strata(lam)
-        rank = np.argsort(strata, axis=1, kind="stable")
         order = np.argsort(means, axis=1, kind="stable")
         q = means[_CLASSES[:, None], order] / np.where(lam > 0.0, lam, 1.0)[:, None]
         bits = 1 << (order & 3)
         odd = np.where(order < 4, bits, 0)
-        tables = _DrawTables(weights, float(weights @ (strata[:, 3] * _READ)), lam,
-                             strata[_CLASSES[:, None], rank], rank, q, bits, odd,
-                             (odd << 6 | _CLASSES[:, None]) << 4 | bits,
-                             (q[:, :, None] * q[:, None, :]).reshape(64, 64),
-                             (((odd[:, :, None] ^ odd[:, None, :]) << 6 | _CLASSES[:, None, None]) << 4
-                              | bits[:, :, None] | bits[:, None, :]).reshape(64, 64))
+        # per class its categories: the class or no entry, one in cells 1-8, two by first pair 9-72, 73 more
+        joint_p, joint_at, read = np.zeros((64, 74)), np.full((64, 74), _SPARE), np.flatnonzero(_READ)
+        joint_p[:, 0] = weights * np.where(_READ, strata[:, 0], 1.0)
+        o, b, qr = odd[read], bits[read], q[read]  # the read classes' rows
+        joint_p[read, 1:9] = weights[read, None] * (strata[read, 1:2] * qr)
+        joint_p[read, 73] = weights[read] * strata[read, 3]
+        joint_at[read, 1:9] = (o << 6 | read[:, None]) << 4 | b
+        pair_at = (((o[..., None] ^ o[:, None]) << 6 | read[:, None, None]) << 4 | b[..., None] | b[:, None]).ravel()
+        cells, first, merged = np.unique(pair_at, return_index=True, return_inverse=True)
+        c, place = cells >> 4 & 63, 9 + first % 64  # sums q_i q_j in row-major order, from 0.0
+        joint_p[c, place] = weights[c] * (strata[c, 2] * np.bincount(merged, (qr[..., None] * qr[:, None]).ravel()))
+        joint_at[c, place] = cells
+        joint = np.flatnonzero(joint_p > 0.0)
+        joint = joint[np.argsort(joint_p.flat[joint], kind="stable")]
+        tables = _DrawTables(weights, float(weights @ (strata[:, 3] * _READ)), lam, q, bits, odd, joint_p.flat[joint],
+                             joint // 74, joint_at.flat[joint], np.flatnonzero(joint % 74 == 73))
     for array in tables:
         if isinstance(array, np.ndarray):
             array.flags.writeable = False
@@ -456,16 +468,15 @@ def _block_sizes(cfg: SimConfig, tables: _DrawTables) -> list[int]:
 def _multi_entry_totals(rng: np.random.Generator, lam: np.ndarray) -> np.ndarray:
     """Poisson(lam) conditioned on N >= 3, by exact rejection: where lam <= 1,
     3 + Poisson(lam) is kept with probability 6 / (N (N - 1) (N - 2)), else
-    Poisson(lam) is redrawn until it reaches 3."""
-    n = np.empty(lam.size, np.int64)
-    todo = np.arange(lam.size)
-    while todo.size:
-        small = lam[todo] <= 1.0
-        x = rng.poisson(lam[todo]) + 3 * small
-        keep = np.where(small, rng.random(todo.size) * x * (x - 1.0) * (x - 2.0) < 6.0, x >= 3)
-        n[todo[keep]] = x[keep]
-        todo = todo[~keep]
-    return n
+    Poisson(lam) is redrawn until it reaches 3; each pass carries its rows' lam, index and mask."""
+    n, at, small = np.empty(lam.size, np.int64), np.arange(lam.size), lam <= 1.0
+    while True:
+        x = rng.poisson(lam) + 3 * small
+        n[at] = x
+        keep = np.where(small, rng.random(lam.size) * x * (x - 1.0) * (x - 2.0) < 6.0, x >= 3)
+        if keep.all():
+            return n
+        at, lam, small = at[~keep], lam[~keep], small[~keep]
 
 
 def _rows(counts: np.ndarray, bits: np.ndarray, odd_bits: np.ndarray) -> tuple:
@@ -477,27 +488,19 @@ def _rows(counts: np.ndarray, bits: np.ndarray, odd_bits: np.ndarray) -> tuple:
 
 def _draw(t: _DrawTables, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw step: a block's class counts ``m`` and its histogram over (parity mask, class, click
-    mask) of the rounds of read classes (``_READ``); the others stay in ``m`` only. The draw order
-    (class counts, strata, one-entry rounds, two-entry rounds if any, rows if any) is fixed."""
-    m = rng.multinomial(size, t.weights)
-    hist = np.zeros((16, 64, 16), np.int64)
-    if t.lam is None:  # p_d = 1; the photon parity shows in no pattern
-        hist[0, :, 15] = m * _READ
-        return m, hist
-    flat = hist.reshape(-1)
-    n = np.empty((64, 4), np.int64)
-    n[_CLASSES[:, None], t.rank] = rng.multinomial(m * _READ, t.strata)
-    flat[t.cell_at] = rng.multinomial(n[:, 1], t.q)
-    if np.count_nonzero(n[:, 2]):  # two-entry rounds: counts over the ordered cell pairs (i, j), row-major
-        cls = np.flatnonzero(n[:, 2])
-        # a 1-D index keeps np.add.at on its fast path
-        np.add.at(flat, t.pair_at[cls].ravel(), rng.multinomial(n[cls, 2], t.pair_q[cls]).ravel())
-    if np.count_nonzero(n[:, 3]):
-        cls = np.repeat(_CLASSES, n[:, 3])  # the rounds of three or more entries, the only rows
+    mask) of the rounds of read classes (``_READ``), from one multinomial over the joint categories
+    (``_tables``), then the rows if any; the others stay in ``m`` only."""
+    k = rng.multinomial(size, t.p)
+    m = np.zeros(64, np.int64)
+    np.add.at(m, t.cls, k)
+    flat = np.zeros(_SPARE + 1, np.int64)
+    np.add.at(flat, t.at, k)
+    if (multi := k[t.multi]).any():
+        cls = np.repeat(t.cls[t.multi], multi)  # the rounds of three or more entries, the only rows
         counts = rng.multinomial(_multi_entry_totals(rng, t.lam[cls]), t.q[cls])
         clicks, odd = _rows(counts, t.bits[cls], t.odd_bits[cls])
         np.add.at(flat, (odd << 6 | cls) << 4 | clicks, 1)
-    return m, hist
+    return m, flat[:_SPARE].reshape(16, 64, 16)
 
 
 @functools.cache

@@ -10,6 +10,7 @@ every mode is fully described by one real amplitude.
 ``check_range`` is the library's one boundary rule: a parameter is finite
 and inside its physical range, or a ValueError names it and words its range
 from the bounds. NaN, infinities and integers beyond the float range fail.
+It returns the value as a float, which the parameter classes store.
 """
 
 from __future__ import annotations
@@ -39,15 +40,16 @@ _SQRT2 = math.sqrt(2.0)
 SMALLEST_POSITIVE = math.ulp(0.0)
 
 
-def check_range(name: str, value: float, lo: float = -math.inf, hi: float = math.inf) -> None:
-    """Raise ValueError unless ``value`` is finite and lo <= value <= hi.
+def check_range(name: str, value: float, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """Return ``value`` as a float (a numpy float32 is then computed in float64 downstream); raise
+    ValueError unless it is finite and lo <= value <= hi.
 
     The message words the range from the bounds alone: "in [lo, hi]", "non-negative"
     (lo 0), "positive" (lo ``SMALLEST_POSITIVE``), ">= lo", or without bounds "finite".
     """
     try:
         if math.isfinite(value) and lo <= value <= hi:
-            return
+            return float(value)
         got = repr(value)
     except OverflowError:
         got = "an integer beyond the float range"
@@ -179,9 +181,7 @@ def poisson_odd_mass(i: float) -> float:
 
 def coherent_overlap(alpha: float, beta: float) -> float:
     """Overlap <alpha|beta> of two real-amplitude coherent states."""
-    check_range("alpha", alpha)
-    check_range("beta", beta)
-    d = alpha - beta
+    d = check_range("alpha", alpha) - check_range("beta", beta)
     # beyond 40 the exponential is already 0.0, and the square would overflow near 1.3e154
     return math.exp(-0.5 * d ** 2) if abs(d) <= 40.0 else 0.0
 

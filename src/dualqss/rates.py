@@ -209,8 +209,7 @@ def plob_bound(l_km: float, alpha: float = 0.2) -> float:
     eta_ch = 10^(-alpha l / 10) is the end-to-end power transmittance.
     Returns +inf at zero distance.
     """
-    check_range("l_km", l_km, 0.0)
-    check_range("alpha", alpha, 0.0)
+    l_km, alpha = check_range("l_km", l_km, 0.0), check_range("alpha", alpha, 0.0)
     eta_ch = 10.0 ** (-alpha * l_km / 10.0)
     if eta_ch >= 1.0:
         return math.inf

@@ -189,11 +189,11 @@ def test_draw_audit_finds_no_difference_between_a_tree_and_itself(capsys):
     root = str(Path(__file__).resolve().parents[1])
     assert module.main(["--base", root, "--change", root, "--seeds", "0-2"]) == 0
     out = capsys.readouterr().out
-    assert out.count("reports identical on 3 of 3 seeds") == len(module.configurations()) == 9
+    assert out.count("reports identical on 3 of 3 seeds") == len(module.configurations()) == 11
     fields = re.findall(r"^   \S+ +\S+ +\S+ +(\S+) +(\S+)$", out, re.MULTILINE)
     assert fields and set(fields) == {("+0.00", "1.000")}
     gates = re.findall(r"base (\d+)/3, change (\d+)/3", out)
-    assert len(gates) == 18 and all(b == c for b, c in gates)
+    assert len(gates) == 22 and all(b == c for b, c in gates)
     base, change = (re.findall(rf"^  {side}: (.*)$", out, re.MULTILINE) for side in ("base", "change"))
     assert len(base) == 2 and base == change
 
@@ -209,8 +209,9 @@ def test_draw_audit_rejects_bad_seed_ranges(seeds, capsys):
 # SHA-256 of the JSON each command prints, recorded before the handlers
 # returned payloads for main to serialise; key order, float repr and
 # indentation must all hold. The beam-splitting run's was recorded again
-# when the lottery came to split the tally's atoms instead of its cells, and
-# when rounds of classes that no tally reads stopped being split into cells.
+# when the lottery came to split the tally's atoms instead of its cells, when
+# rounds of classes that no tally reads stopped being split into cells, and
+# when a block came to draw one multinomial over its joint categories.
 JSON_DIGESTS = {
     ("optimize", "--L", "400"):
         "a9aa213a4b1469bae7bd115cf81c24ddff610c57a21f62b3aa4251d65b56a112",
@@ -219,7 +220,7 @@ JSON_DIGESTS = {
     ("thresholds",):
         "9abe3c7ab13b98212f367df33588c787c39dbb8f5e01cd1ca91ea7cf60a5f3ba",
     ("simulate", "--rounds", "100000", "--seed", "3", "--attack", "beam-split"):
-        "30b6bdf52b442a271c761a63d36d1f0461dfb2124c063f5ec02e13b74bcca47e",
+        "abaaa26f31c94aa4bbd70b3baa39250c031f9f946cf2888e145c890ff0e0f027",
 }
 
 
@@ -240,21 +241,23 @@ def test_json_bytes_unchanged(argv, capsys):
 # of classes that no tally reads stopped being split into cells, the
 # beam-splitting, p_d = 0 and dishonest receiver's runs were recorded again;
 # the far run (basis_policy 1) and the p_d = 1 run (nothing split) held.
+# When a block came to draw one multinomial over its joint categories, all
+# but the p_d = 1 run (whose draw is unchanged) were recorded again.
 SIMULATE_DIGESTS = {
     "beam-split": (("simulate", "--rounds", "200000", "--seed", "5", "--basis-policy", "0.5",
                     "--check-fraction", "0.3", "--attack", "beam-split"),
-                   "c2fa401bb5af16e3610fd3b1e26d0b00d65d7d140463ef638c2b7a4640680b20"),
+                   "d205d23c1837623c30c333b29cfb1003e5e21209b0ecab7bade6c799fe40d5d6"),
     "p_d=0": (("simulate", "--p-d", "0", "--rounds", "200000", "--seed", "7", "--basis-policy", "0.5",
                "--check-fraction", "0.3"),
-              "b1a1134fe34438eee3b3b29a37d7279876dcbaf98c6ed7cd3a06dcc80a002de5"),
+              "8ec6e6f19cf4b6f84f26b94685cdf1be05d3e677512d7a8b8dec60b1a6042698"),
     "p_d=1": (("simulate", "--p-d", "1", "--rounds", "200000", "--seed", "11", "--basis-policy", "0.5",
                "--check-fraction", "0.3"),
               "82ebfe2386111d5ba87f94d71439ccce9623ad2f63995364e12e05bd7138a48a"),
     "far": (("simulate", "--L", "400", "--rounds", "2000000", "--seed", "2026", "--basis-policy", "1"),
-            "10fec57f3c1b819ed54d96517d279e4fc9a71c1e961c36945ed73887570fadc5"),
+            "f8c861d8d0fcd3a7a16c5a9908efc052c331d7ce7b83050e7362c3cc0a7637a0"),
     "dishonest-bob": (("simulate", "--rounds", "200000", "--seed", "3", "--basis-policy", "0.5",
                        "--check-fraction", "0.3", "--attack", "dishonest-bob", "--flip", "0.05"),
-                      "e651119029bcc79a81ccea4bc826daaae358abd783d0b7640672bdc195f54142"),
+                      "c3b04bb2a93f9d9d5a01db4fec34ec9d2b471d9afa4ff33b7407019cdbc5fdef"),
 }
 
 

@@ -266,7 +266,7 @@ def test_results_do_not_depend_on_the_call_history(signs):
 def test_cached_tables_are_read_only(sp):
     tables = _draw_tables(config(sp=sp))
     arrays = [array for array in tables if isinstance(array, np.ndarray)]
-    assert len(arrays) == (10 if sp.p_d < 1.0 else 1)
+    assert len(arrays) == (9 if sp.p_d < 1.0 else 5)  # at p_d = 1 the weights are the categories' probabilities
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
@@ -769,28 +769,28 @@ def test_report_dict_shape():
 
 PINNED = {
     "near": (dict(rounds=1_100_000),
-             "c1acb0b3a4deadf788b49ae660a646704bc001a6206a6bd41d5a157ee4aa323f"),
+             "fd6bed7cca53accc49e936de17e88942cf72016237c443ab834cea379050ffea"),
     "bright": (dict(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0), rounds=600_000, seed=17),
-               "7538908ec0948dad61eb45caf42e8962dc4bb9161df5bc82ebc25d67975d01fa"),
+               "ee20c01c6dfc2e48e4c2cb40b39f1319b3821bac1789a35da2cf367a5fe7b46a"),
     "dark": (dict(sp=SystemParams(mu=0.84, l_km=100.0, p_d=0.02), rounds=600_000, seed=13),
-             "f19ea44d4c4eb17d57b5f9cc54fa22a8735f469b49261a74b41f7c6883bae7eb"),
+             "5795d0c21774a0a5827fd47367c9d2cf8149bec566647c296010acd4c1a2021d"),
     "checked-none": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05),
-                     "09d5f1314ddbc4b80e4cfd503d69f6fb5fd1d189efbfb43a8f71aed305e2fbe5"),
+                     "c620702a0d64075e24368c8d41e76e7573b522460f593163ed085dde49413bdb"),
     "checked-beam_split": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05,
                                 attack="beam_split"),
-                           "2d447b99ba1aeacc5c7431e349f37ddeb24ccbc742aa54bdb77dc013d3fa4d38"),
+                           "943c65b6f0a0247043a82a5138e77e4136ce8ddf1ab01e7a7e0c68c4402947ce"),
     "checked-dishonest_bob": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05,
                                    attack="dishonest_bob"),
-                              "55c968e320c67c8482e7c67c640c0741f28ca535b56fc75ddf709959e69b4e92"),
+                              "7c9c0b0c2e720296a90e7dc4c4c7e798be11a2d4d0b7b8cd88d1ad7223fde78f"),
     "far": (dict(sp=FAR, rounds=10**9),
-            "492a580ed9feec39e37d38ff864389d9817a69cdf32af50dd33e9c4b2e48c287"),
+            "19f9ba9f184ff53ac7892498b59bcac13b61d8a114adbbbb78a47eaae00ea0f4"),
     "near-x": (dict(rounds=1_100_000, basis_policy=1.0),
-               "8a36bf95ea3031a36ca5293b61044055aba56be0117ffdaa63eae83d58c0902b"),
+               "2a4e9d43d284a9d0fe862901274ff5158b6cbf4452d518d3b20d1f64e757c629"),
     "checked-beam_split-x": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05,
                                   attack="beam_split", basis_policy=1.0),
-                             "4bf6c3281e555ae56739a44199409d4dce0d02311ab32d6ccfd097069ce313ea"),
+                             "87b8042c1007175bbbe9e1c73d18d8c0cd8c8804832e45e5c0eb370e0c68d45e"),
     "bright-x": (dict(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0), rounds=60_000, seed=17, basis_policy=1.0),
-                 "0abb0d90cade5909bbfa4ba9672f1115a4e72c715737a0dc8f921d9bcf0a59c0"),
+                 "8d27c670e02455ef1af835f42851e8c70a66065df29c8f892518e3cb29374442"),
 }
 
 
@@ -805,7 +805,9 @@ def test_tallies_pinned_at_fixed_seeds(case):
     threads. The bright cases span 23 blocks (8 at basis_policy 1), the
     others one each. They were recorded again, all but the basis_policy 1
     cases, when rounds of classes that no tally reads stopped being split
-    into cells, and blocks came to count only the rows they draw. Any change of the block sizes or of how a block
+    into cells, and blocks came to count only the rows they draw, and all
+    ten when a block came to draw one multinomial over its joint categories
+    (module docstring). Any change of the block sizes or of how a block
     consumes its random streams changes these digests; such a change must
     update them and say so in CHANGES.md.
     """
@@ -903,38 +905,89 @@ class Recorder:
         return self.drawn[-1][-1]
 
 
+def joint_categories(t, weights):
+    """The joint categories of ``_tables``, built class by class in loops: (probability, class,
+    flat histogram index or ``_SPARE``, kind: class, none, one, pair or multi), without those of
+    probability 0, stably in ascending order of probability. A class no tally reads is one
+    category of its weight w; a read class has no entry (w P0), each one-entry cell i (w (P1
+    q_i)), each distinct cell of its ordered pairs (i, j) by first appearance, row-major, as the
+    reference reduces them (w (P2 s), s the sum of their q_i q_j > 0) and three or more (w P3)."""
+    strata, eye, spare = montecarlo._strata(t.lam), np.eye(8, dtype=np.int64), montecarlo._SPARE
+    first, second = np.divmod(np.arange(64), 8)
+    want = []
+    for c in range(64):
+        w = weights[c]
+        if not montecarlo._READ[c]:
+            want.append((w, c, spare, "class"))
+            continue
+        p0, p1, p2, p3 = strata[c]
+        want.append((w * p0, c, spare, "none"))
+        for counts, kind in ((eye, "one"), (eye[first] + eye[second], "pair")):
+            rounds, clicks, odd = reference_rows(*entries(counts, np.tile(t.bits[c], (len(counts), 1)),
+                                                          np.tile(t.odd_bits[c], (len(counts), 1))))
+            assert np.array_equal(rounds, np.arange(len(counts)))  # every such round clicks
+            cells = ((odd << 6 | c) << 4 | clicks).tolist()
+            if kind == "one":
+                want += [(w * (p1 * t.q[c, i]), c, cells[i], kind) for i in range(8)]
+                continue
+            sums = {}
+            for n, cell in enumerate(cells):
+                q_ij = t.q[c, first[n]] * t.q[c, second[n]]
+                sums[cell] = sums.get(cell, 0.0) + q_ij if q_ij > 0.0 else sums.get(cell, 0.0)
+            want += [(w * (p2 * total), c, cell, kind) for cell, total in sums.items()]
+        want.append((w * p3, c, spare, "multi"))
+    return sorted((row for row in want if row[0] > 0.0), key=lambda row: row[0])
+
+
 @pytest.mark.parametrize("sp, size", DRAWN + ((FAR, 10**13),), ids=DRAWN_IDS + ("far",))
 def test_drawn_pairs_reduce_like_unique_reference(sp, size):
-    # Two-entry rounds are counts over each class's 64 ordered pairs of
-    # cells (i, j), row-major, of probability q_i q_j. Expanded into entries,
-    # one round per drawn pair, they reduce as the reference does; with the
-    # one-entry counts they leave in the histogram exactly the rows, class
-    # by class. Pairs in one photon cell (an even count) are among them.
+    # A block draws one multinomial over its joint categories, which match
+    # the loop-built ones bit for bit: a two-entry category's ordered pairs
+    # (i, j) reduce through the reference to its cell (two photons in one cell
+    # are an even count), and each category's probability is the class weight
+    # times its stratum times q_i, or times sum q_i q_j. The class counts are
+    # the categories' sums by class, and the one- and two-entry counts leave
+    # in the histogram exactly the rows, class by class.
     t = _draw_tables(config(sp=sp))
+    want = joint_categories(t, montecarlo._class_weights(0.5))
+    p, cls, at, kind = (np.array(column) for column in zip(*want))
+    multi = kind == "multi"
+    assert np.array_equal(t.p, p) and np.array_equal(t.cls, cls) and np.array_equal(t.at, at)
+    assert np.array_equal(t.multi, np.flatnonzero(multi))
     rng = Recorder(3)
     m, hist = montecarlo._draw(t, rng, size)
-    (_, _, drawn_m), (_, _, ranked), (_, _, singles), *later = rng.drawn
-    n = np.empty((64, 4), np.int64)
-    n[np.arange(64)[:, None], t.rank] = ranked
-    rest = hist.copy()
-    rest[t.odd_bits, np.arange(64)[:, None], t.bits] -= singles
-    if sp.mu == sp.p_d == 0.0:
-        assert later == [] and not n[:, 2:].any() and not rest.any()
-        return
-    for n2, pvals, pairs in later[:int(n[:, 2].any())]:  # then the rows' cells, if any
-        cls = np.flatnonzero(n[:, 2])
-        assert np.array_equal(n2, n[cls, 2]) and np.array_equal(pairs.sum(axis=1), n2)
-        assert np.array_equal(pvals, np.einsum("ci,cj->cij", t.q[cls], t.q[cls]).reshape(-1, 64))
-        r, s = np.nonzero(pairs)
-        counts = np.eye(8, dtype=np.int64)[s // 8] + np.eye(8, dtype=np.int64)[s % 8]
-        rounds, clicks, odd = reference_rows(*entries(counts, t.bits[cls[r]], t.odd_bits[cls[r]]))
-        assert np.array_equal(rounds, np.arange(r.size))
-        np.subtract.at(rest, (odd, cls[r], clicks), pairs[r, s])
-        # bright pulses leave almost no two-entry round, heavy darks few photon pairs
-        photon_pair = (s // 8 == s % 8) & (t.odd_bits[cls[r], s % 8] > 0)
-        assert photon_pair.any() or sp.p_d > 0.01
-    assert rest.min() >= 0 and np.array_equal(rest.sum(axis=(0, 2)), n[:, 3])
-    assert np.array_equal(drawn_m, m) and (n[:, 2].any() or sp.mu > 1.0)
+    [(n, pvals, drawn), *rows] = rng.drawn
+    assert n == size and pvals is t.p and np.array_equal(m, np.bincount(cls, drawn, 64))
+    rest = hist.ravel().copy()
+    np.subtract.at(rest, at[at < montecarlo._SPARE], drawn[at < montecarlo._SPARE])
+    assert rest.min() >= 0 and np.array_equal(rest.reshape(16, 64, 16).sum(axis=(0, 2)),
+                                              np.bincount(cls[multi], drawn[multi], 64))
+    assert len(rows) == int(drawn[multi].any())  # the rows' cells, if any round has three or more
+    # bright pulses leave almost no two-entry round; without light or dark counts no round holds an entry
+    assert drawn[kind == "pair"].any() or sp.mu > 1.0 or sp.mu == sp.p_d == 0.0 and not hist.any()
+
+
+TABLE_CASES = [SystemParams(mu=mu, l_km=100.0, p_d=p_d) for mu in (0.0, 0.84, 20.0) for p_d in (0.0, 8e-8, 0.02, 0.7)]
+
+
+@pytest.mark.parametrize("basis_policy", (0.0, 0.5, 1.0))
+@pytest.mark.parametrize("sp", TABLE_CASES, ids=lambda sp: f"mu{sp.mu:g}-pd{sp.p_d:g}")
+def test_joint_categories_are_a_law_over_read_cells(sp, basis_policy):
+    # Every category is possible and they sum to 1; the last, whose count
+    # numpy takes as the remainder, is the likeliest; each class's
+    # categories sum to its weight; and every histogram cell belongs to a
+    # read class and clicks every detector whose photon parity it marks odd;
+    # a class no tally reads is one category, which makes no cell.
+    t = _draw_tables(config(sp=sp, basis_policy=basis_policy))
+    weights = montecarlo._class_weights(basis_policy)
+    assert (t.p > 0.0).all() and abs(t.p.sum() - 1.0) <= 1e-12
+    assert (np.diff(t.p) >= 0.0).all() and t.p[-1] == t.p.max()
+    assert np.allclose(np.bincount(t.cls, t.p, 64), weights, rtol=1e-12, atol=0.0)
+    cells = t.at[t.at < montecarlo._SPARE]
+    assert montecarlo._READ[cells >> 4 & 63].all() and not (cells >> 10 & ~cells & 15).any()
+    unread = ~montecarlo._READ[t.cls]
+    assert (np.bincount(t.cls[unread], minlength=64) <= 1).all() and (t.at[unread] == montecarlo._SPARE).all()
+    assert montecarlo._READ[t.cls[t.multi]].all()
 
 
 # Patterns by click mask (bit d for detector d): D1H = 1, D2H = 2, D1V = 4,
@@ -1131,6 +1184,31 @@ def test_strata_to_full_relative_precision(lam):
     for stratum, value in enumerate(want):
         assert got[0, stratum] == got[1, stratum]
         assert abs(got[0, stratum] - value) <= 1e-14 * value, stratum
+
+
+def multi_entry_totals_reference(rng, lam):
+    """The rejection loop of ``_multi_entry_totals`` as first written: each pass gathers its rows'
+    lam twice."""
+    n = np.empty(lam.size, np.int64)
+    todo = np.arange(lam.size)
+    while todo.size:
+        small = lam[todo] <= 1.0
+        x = rng.poisson(lam[todo]) + 3 * small
+        keep = np.where(small, rng.random(todo.size) * x * (x - 1.0) * (x - 2.0) < 6.0, x >= 3)
+        n[todo[keep]] = x[keep]
+        todo = todo[~keep]
+    return n
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_multi_entry_totals_draw_as_the_reference_loop(seed):
+    # Same totals, and the generator left in the same state, on mixed means
+    # both sides of lam = 1, from a single row to many passes of rejections.
+    size = (1, 2, 7, 60, 500, 3000)[seed % 6]
+    lam = np.random.default_rng(seed).choice([0.01, 0.5, 1.0, 1.5, 4.0, 30.0], size=size)
+    got, want = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
+    assert np.array_equal(montecarlo._multi_entry_totals(got, lam), multi_entry_totals_reference(want, lam))
+    assert got.bit_generator.state == want.bit_generator.state
 
 
 @pytest.mark.parametrize("lam", (0.02, 0.5, 1.0, 1.4, 6.0))

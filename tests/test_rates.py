@@ -11,13 +11,14 @@ import math
 import pickle
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dualqss
 from dualqss.attack import TapParams, ie_dual
 from dualqss.detectors import SystemParams
-from dualqss.optics import binary_entropy
+from dualqss.optics import binary_entropy, coherent_overlap
 from dualqss.optimize import SweepSpec, SweepVariable, max_distance, sweep
 from dualqss.rates import (
     QBER_THRESHOLD_EVENT23_REPORTED,
@@ -225,6 +226,25 @@ def test_plob_bound_frozen():
     assert plob_bound(400.0) == pytest.approx(1.4426950481024389e-08, rel=1e-12)
     assert plob_bound(0.0) == math.inf
     assert plob_bound(100.0) > plob_bound(200.0)
+
+
+def test_float32_parameters_are_computed_in_float64():
+    # A numpy float32 is stored as the float it checked, so the rate reads the same bits as that
+    # float does; computed in float32 it differed by 4.7e-8 relative.
+    sp = SystemParams(mu=np.float32(0.84), l_km=400.0)
+    assert type(sp.mu) is float and type(TapParams(mu=1.0, eta_t=np.float32(0.5)).eta_t) is float
+    assert key_rate(sp) == key_rate(SystemParams(mu=float(np.float32(0.84)), l_km=400.0))
+
+
+@pytest.mark.parametrize("call", (
+    lambda: coherent_overlap(np.float32(0.5), 1e200),
+    lambda: plob_bound(1e200, np.float32(0.5)),
+    lambda: ie_dual(TapParams(mu=1e200, eta_t=np.float32(0.5))),
+), ids=("coherent_overlap", "plob_bound", "ie_dual"))
+def test_float32_beside_a_huge_float_emits_no_overflow(call):
+    # In float32 the huge float overflowed in its cast, a RuntimeWarning that
+    # the suite's warnings-as-errors turns into an exception.
+    assert math.isfinite(call())
 
 
 @pytest.mark.parametrize("l_km, alpha, name", (
