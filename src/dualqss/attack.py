@@ -41,8 +41,8 @@ class TapParams:
     eta_t: float
 
     def __post_init__(self) -> None:
-        for name, *bounds in (("mu", 0.0), ("eta_t", 0.0, 1.0)):  # stored as checked, a float
-            object.__setattr__(self, name, check_range(name, getattr(self, name), *bounds))
+        fields = vars(self)  # stored as checked, a float: frozen guards setattr, not the dict
+        fields["mu"], fields["eta_t"] = check_range("mu", self.mu, 0.0), check_range("eta_t", self.eta_t, 0.0, 1.0)
 
     @property
     def tapped_mu(self) -> float:

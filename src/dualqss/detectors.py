@@ -68,9 +68,10 @@ class SystemParams:
     f: float = 1.15
 
     def __post_init__(self) -> None:
-        for name, *bounds in (("mu", 0.0), ("alpha", 0.0), ("l_km", 0.0), ("eta_d", 0.0, 1.0), ("p_d", 0.0, 1.0),
-                              ("f", 1.0)):
-            object.__setattr__(self, name, check_range(name, getattr(self, name), *bounds))  # as checked, a float
+        fields, inf = vars(self), math.inf  # stored as checked, a float: frozen guards setattr, not the dict
+        for name, lo, hi in (("mu", 0.0, inf), ("alpha", 0.0, inf), ("l_km", 0.0, inf), ("eta_d", 0.0, 1.0),
+                             ("p_d", 0.0, 1.0), ("f", 1.0, inf)):
+            fields[name] = check_range(name, fields[name], lo, hi)
 
     @property
     def eta_t(self) -> float:

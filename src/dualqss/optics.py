@@ -10,7 +10,7 @@ every mode is fully described by one real amplitude.
 ``check_range`` is the library's one boundary rule: a parameter is finite
 and inside its physical range, or a ValueError names it and words its range
 from the bounds. NaN, infinities and integers beyond the float range fail.
-It returns the value as a float, which the parameter classes store.
+It returns the value as a float, which the parameter classes store (float32 in, float64 out).
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ SMALLEST_POSITIVE = math.ulp(0.0)
 
 
 def check_range(name: str, value: float, lo: float = -math.inf, hi: float = math.inf) -> float:
-    """Return ``value`` as a float (a numpy float32 is then computed in float64 downstream); raise
-    ValueError unless it is finite and lo <= value <= hi.
+    """Return ``value`` as a float if it is finite and lo <= value <= hi, else raise ValueError.
 
     The message words the range from the bounds alone: "in [lo, hi]", "non-negative"
     (lo 0), "positive" (lo ``SMALLEST_POSITIVE``), ">= lo", or without bounds "finite".
