@@ -6,13 +6,16 @@ must not change their distribution. This script runs two source trees,
 ``--base`` and ``--change`` (each a checkout holding ``src/dualqss``), over
 the seeds ``--seeds A-B``, each tree in its own subprocess so that the two
 packages never share a process. It covers criterion 8's six configurations
-at 10**7 rounds (basis_policy 1) and five settings of the pinned digests,
-all at basis_policy 0.5: the three checked ones (600,000 rounds, check
-fraction 0.3, no attack, beam splitting and the dishonest receiver at flip
-0.05), the rows-heavy ``bright`` one (mu 20, L 0, eta_d 1, 60,000 rounds)
-and the dark-heavy ``dark`` one (p_d 0.02, 600,000 rounds). In those two
-the joint draw orders the rounds of three or more entries or the dark
-categories last.
+at 10**7 rounds (basis_policy 1) and six settings at basis_policy 0.5:
+five of the pinned digests, which are the three checked ones (600,000
+rounds, check fraction 0.3, no attack, beam splitting and the dishonest
+receiver at flip 0.05), the rows-heavy ``bright`` one (mu 20, L 0, eta_d
+1, 60,000 rounds) and the dark-heavy ``dark`` one (p_d 0.02, 600,000
+rounds), and ``heavy-dark`` (p_d 0.3, mu 0.84, L 100, 600,000 rounds). In
+``bright`` and ``dark`` the joint draw orders the rounds of three or more
+entries or the dark categories last; in ``heavy-dark`` rounds of three
+entries, drawn over the row table, and of four or more, drawn as rows,
+are both common.
 
 Per configuration it prints:
 - on how many seeds the two trees' reports are identical;
@@ -55,7 +58,8 @@ def configurations() -> list[tuple[str, dict]]:
                                           check_fraction=0.3, flip_fraction=0.05, attack=attack))
                for attack in ("none", "beam_split", "dishonest_bob")]
     heavy = [("bright", dict(sp=dict(mu=20.0, l_km=0.0, eta_d=1.0), rounds=BRIGHT_ROUNDS, basis_policy=0.5)),
-             ("dark", dict(sp=dict(mu=0.84, l_km=100.0, p_d=0.02), rounds=CHECKED_ROUNDS, basis_policy=0.5))]
+             ("dark", dict(sp=dict(mu=0.84, l_km=100.0, p_d=0.02), rounds=CHECKED_ROUNDS, basis_policy=0.5)),
+             ("heavy-dark", dict(sp=dict(mu=0.84, l_km=100.0, p_d=0.3), rounds=CHECKED_ROUNDS, basis_policy=0.5))]
     return c8 + checked + heavy
 
 

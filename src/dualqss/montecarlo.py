@@ -16,26 +16,26 @@ Blocks are sized from the configuration alone, to expect about
 ``_BLOCK_ROWS`` rows. A block's draw is one multinomial over its joint
 categories: per class whose cells a tally reads (``_READ``: both senders
 in X, or both in Z and in H), rounds of no entry, of one entry in each
-cell, of two entries by the histogram cell they make, and of three or
-more; each other class (mixed bases, unchecked Z) is one category, its
-rounds counted, not split. This flattens the staged draw's nested
-multinomials (class, entry total, cells) into one over their leaves,
-merging leaves of one cell by summing their probabilities, so every
-tally keeps its law and a cache-cold block pays one numpy call's fixed
-cost, not four. A one-entry round clicks its cell's detector, with an
-odd photon count or with a dark count, which never changes the photon
-parity; a two-entry round in cells (i, j), of probability q_i q_j given
-two entries, clicks bits_i | bits_j with photon parity odd_i ^ odd_j
-(two photons in one cell are an even count). Summed by class, the
-categories give the class counts, and by cell the histogram. Only rounds
-of three or more entries become rows: each draws N from the Poisson
-conditioned on N >= 3 and splits it over the cells into a 4-bit click
-mask and a 4-bit photon-parity mask; a block without such a round skips
-this row stage. At p_d = 1 each class is one category, whose rounds
-click four times. The draw tables, the joint categories included, are
-built once per configuration (mu_arm, p_d, basis_policy) and kept in a
-small bounded cache (``_tables``), read by the block sizing and every
-block of every call with that configuration. The closed forms that
+cell and of two entries by the histogram cell they make, each other
+class (mixed bases, unchecked Z) one category, its rounds counted, not
+split, and one category the rounds of three or more entries in a read
+class; only if that drew some, a second multinomial splits them over the
+row table: per read class, three entries by histogram cell, and four or
+more. Nested multinomials (class, entry total, cells) flatten into these
+two levels, merging leaves of one cell by summing their probabilities,
+so every tally keeps its law. An n-entry round in cells (i, j, ...), of
+probability q_i q_j ... given n entries, clicks bits_i | bits_j | ...
+with photon parity odd_i ^ odd_j ^ ... (a dark count has no photon; two
+photons in one cell are an even count). Summed by class, the categories
+give the class counts, and by cell the histogram. Only rounds of four or
+more entries become rows: each draws N from the Poisson conditioned on
+N >= 4 and splits it over the cells into a 4-bit click mask and a 4-bit
+photon-parity mask; a block without such a round skips this row stage.
+At p_d = 1 each class is one category, whose rounds click four times.
+The draw tables, both levels included, are built once per configuration
+(mu_arm, p_d, basis_policy) and kept in a small bounded cache
+(``_tables``), read by the block sizing and every block of every call
+with that configuration. The closed forms that
 ``compare_to_analytic`` checks against are kept the same way
 (``_closed_forms``). A block's rounds end in one histogram over (parity
 mask, class, click mask). The truth tables over (class, click mask) tell
@@ -106,7 +106,7 @@ ATTACKS = ("none", "beam_split", "dishonest_bob")
 # no evidence of agreement.
 MIN_EXPECTED = 10.0
 
-# Blocks expect about _BLOCK_ROWS rounds of three or more entries in read classes, the only rows
+# Blocks expect about _BLOCK_ROWS rounds of four or more entries in read classes, the only rows
 # of work; _MAX_BLOCK bounds blocks where those are rare or absent.
 _BLOCK_ROWS = 8192
 _MAX_BLOCK = 2**53
@@ -173,8 +173,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.rounds >= 2**63:  # the tallies are summed as int64
             raise ValueError(f"rounds must be below 2**63, got {self.rounds!r}")
-        for name in ("basis_policy", "check_fraction", "flip_fraction"):
-            check_range(name, getattr(self, name), 0.0, 1.0)
+        for name in ("basis_policy", "check_fraction", "flip_fraction"):  # stored as checked, through the dict
+            vars(self)[name] = check_range(name, getattr(self, name), 0.0, 1.0)
         if self.attack not in ATTACKS:
             raise ValueError(f"attack must be one of {ATTACKS}, got {self.attack!r}")
         # a class's entry total is mu_arm times its _UNIT_LAM row sum, plus four dark means
@@ -296,7 +296,7 @@ def _unit_intensities() -> np.ndarray:
 _UNIT_LAM = _unit_intensities()
 # The largest entry total per unit mu_arm, 2 up to rounding, as numpy sums a row of _UNIT_LAM.
 _UNIT_SUM_MAX = float(_UNIT_LAM.sum(axis=1).max())
-_TAIL = np.array([1.0 / math.factorial(k) for k in range(3, 21)])  # series of P(N >= 3) / e^-lam
+_TAIL = np.array([6.0 / math.factorial(k) for k in range(4, 22)])  # series of P(N >= 4) / P(N = 3) / lam
 # Each representative's key in a report's ``parity`` and its class (both senders in the X basis).
 _PARITY_KEYS = tuple((pairing.name.lower(), 0b110000 | e.ka_ph << 3 | e.ka_pol << 2 | e.kb_ph << 1 | e.kb_pol)
                      for pairing in PolPairing for e in (pairing.representative(),))
@@ -379,14 +379,14 @@ def _cell_means(mu_arm: float, p_d: float) -> np.ndarray:
 
 
 def _strata(lam: np.ndarray) -> np.ndarray:
-    """P(N = 0), P(N = 1), P(N = 2) and P(N >= 3) of N ~ Poisson(lam), along
-    the last axis, each to full relative precision: below lam = 1, P(N >= 3)
-    sums its series, where 1 - e^-lam (1 + lam + lam^2 / 2) would cancel."""
+    """P(N = 0) to P(N = 3) and P(N >= 4) of N ~ Poisson(lam), along the last axis, each to full
+    relative precision: below lam = 1, P(N >= 4) sums its series from k = 4, where 1 - P(N < 4) would cancel."""
     p0 = np.exp(-lam)
     p1 = lam * p0
     p2 = 0.5 * lam * p1
+    p3 = lam * p2 / 3.0
     series = np.power.outer(np.minimum(lam, 1.0), np.arange(_TAIL.size)) @ _TAIL
-    return np.stack((p0, p1, p2, np.where(lam < 1.0, p1 * lam * lam * series, 1.0 - (p0 + p1 + p2))), axis=-1)
+    return np.stack((p0, p1, p2, p3, np.where(lam < 1.0, p3 * lam * series, 1.0 - (p0 + p1 + p2 + p3))), axis=-1)
 
 
 def _cached(build):
@@ -403,25 +403,25 @@ def _cached(build):
     return call
 
 
-_DrawTables = collections.namedtuple("_DrawTables", "weights p_multi lam q bits odd_bits p cls at multi",
-                                     defaults=[None] * 8)
+_DrawTables = collections.namedtuple("_DrawTables", "weights p_multi lam q bits odd_bits p cls at three p_rows multi",
+                                     defaults=[None] * 10)
 _SPARE = 16 * 64 * 16  # the flat histogram's spare last slot, where the categories that make no cell go
 
 
 @_cached
 def _tables(mu_arm: float, p_d: float, basis_policy: float) -> _DrawTables:
     """Tables built once per configuration and read by every block: class weights, the chance that
-    a round is a row (three or more entries in a read class), the rows' per-class entry total mean,
+    a round is a row (four or more entries in a read class), the rows' per-class entry total mean,
     ascending cell probabilities q and each sorted cell's detector and parity bit (0 for a dark
-    count), and the joint categories of positive probability in the joint order: ascending, stable
-    over class by class, pairs by first appearance (numpy gives the last, the likeliest, the
-    remainder); of each its probability, class and flat histogram index (``_SPARE``: none), and
-    which are three or more entries. The arrays are read-only."""
+    count); the probabilities of the joint categories (``p``; ``three``: the place of its rounds of
+    three or more entries, None if none) and of the row table (``p_rows``, normalised), each
+    ascending, stable over class by class and column (numpy gives the last, the likeliest, the
+    remainder); of both, joint first, each category's class (64: none), flat histogram index
+    (``_SPARE``: none), and which are four or more entries."""
     weights = _class_weights(basis_policy)
     if p_d == 1.0:  # delta = inf: each class is one category, in class order, whose rounds click four times
-        tables = _DrawTables(weights, 0.0, p=weights, cls=np.arange(64), at=np.where(_READ, _CLASSES << 4 | 15, _SPARE),
-                             multi=np.arange(0))  # parity mask 0: the photon parity shows in no pattern
-    else:
+        tables = _DrawTables(weights, 0.0, p=weights, cls=np.arange(64), at=np.where(_READ, _CLASSES << 4 | 15, _SPARE))
+    else:  # parity mask 0 above: the photon parity shows in no pattern
         means = _cell_means(mu_arm, p_d)
         lam = means.sum(axis=1)
         strata = _strata(lam)
@@ -429,22 +429,34 @@ def _tables(mu_arm: float, p_d: float, basis_policy: float) -> _DrawTables:
         q = means[_CLASSES[:, None], order] / np.where(lam > 0.0, lam, 1.0)[:, None]
         bits = 1 << (order & 3)
         odd = np.where(order < 4, bits, 0)
-        # per class its categories: the class or no entry, one in cells 1-8, two by first pair 9-72, 73 more
-        joint_p, joint_at, read = np.zeros((64, 74)), np.full((64, 74), _SPARE), np.flatnonzero(_READ)
-        joint_p[:, 0] = weights * np.where(_READ, strata[:, 0], 1.0)
-        o, b, qr = odd[read], bits[read], q[read]  # the read classes' rows
-        joint_p[read, 1:9] = weights[read, None] * (strata[read, 1:2] * qr)
-        joint_p[read, 73] = weights[read] * strata[read, 3]
-        joint_at[read, 1:9] = (o << 6 | read[:, None]) << 4 | b
-        pair_at = (((o[..., None] ^ o[:, None]) << 6 | read[:, None, None]) << 4 | b[..., None] | b[:, None]).ravel()
-        cells, first, merged = np.unique(pair_at, return_index=True, return_inverse=True)
-        c, place = cells >> 4 & 63, 9 + first % 64  # sums q_i q_j in row-major order, from 0.0
-        joint_p[c, place] = weights[c] * (strata[c, 2] * np.bincount(merged, (qr[..., None] * qr[:, None]).ravel()))
-        joint_at[c, place] = cells
-        joint = np.flatnonzero(joint_p > 0.0)
-        joint = joint[np.argsort(joint_p.flat[joint], kind="stable")]
-        tables = _DrawTables(weights, float(weights @ (strata[:, 3] * _READ)), lam, q, bits, odd, joint_p.flat[joint],
-                             joint // 74, joint_at.flat[joint], np.flatnonzero(joint % 74 == 73))
+        # the categories as (class, column, probability, flat histogram index), per class: 0 the class or no entry,
+        # then by cell (parity mask << 4 | click mask) one entry 1-256, two 257-512, the row table's three 513-768,
+        # and 769 four or more; class 64 holds the joint's rounds of three or more entries in a read class, their sum
+        read = np.flatnonzero(_READ)
+        parts = [(np.arange(65), np.zeros(65, int), np.append(weights * np.where(_READ, strata[:, 0], 1.0), 0.0),
+                  np.full(65, _SPARE)),
+                 (read, np.full(read.size, 769), weights[read] * strata[read, 4], np.full(read.size, _SPARE))]
+        for some in np.array_split(read, 2):  # half the read classes at a time, to halve the peak memory
+            cell, prod = np.arange(some.size)[:, None] << 8, np.ones((some.size, 1))  # row, parity mask, click mask
+            for n in (1, 2, 3):  # their ordered n-tuples of cells, row-major
+                cell = (cell[..., None] ^ odd[some, None] << 4 | bits[some, None]).reshape(some.size, -1)
+                prod = (prod[..., None] * q[some, None]).reshape(some.size, -1)
+                sums = np.bincount(cell.ravel(), prod.ravel())  # of q_i q_j ... by cell, in row-major order from 0.0
+                found = np.flatnonzero(sums)
+                c = some[found >> 8]
+                parts.append((c, 256 * n - 255 + (found & 255), weights[c] * (strata[c, n] * sums[found]),
+                              ((found >> 4 & 15) << 6 | c) << 4 | found & 15))
+        cls, col, p, at = map(np.concatenate, zip(*parts))
+        by_key = np.argsort(cls * 770 + col, kind="stable")  # class by class, column by column
+        rows = by_key[(col[by_key] > 512) & (p[by_key] > 0.0)]
+        rows = rows[np.argsort(p[rows], kind="stable")]
+        p[64] = total = p[rows].sum()
+        joint = by_key[(col[by_key] <= 512) & (p[by_key] > 0.0)]
+        joint = joint[np.argsort(p[joint], kind="stable")]
+        tables = _DrawTables(weights, float(p[col == 769].sum()), lam, q, bits, odd, p[joint],
+                             cls[np.concatenate((joint, rows))], at[np.concatenate((joint, rows))],
+                             int(np.argmax(cls[joint] == 64)) if total > 0.0 else None, p[rows] / total,
+                             joint.size + np.flatnonzero(col[rows] == 769))
     for array in tables:
         if isinstance(array, np.ndarray):
             array.flags.writeable = False
@@ -458,7 +470,7 @@ def _draw_tables(cfg: SimConfig) -> _DrawTables:
 
 def _block_sizes(cfg: SimConfig, tables: _DrawTables) -> list[int]:
     """Partition ``cfg.rounds`` into blocks that expect about ``_BLOCK_ROWS`` rows, rounds of
-    three or more entries in read classes (at p_d = 1 there are none), up to ``_MAX_BLOCK``
+    four or more entries in read classes (at p_d = 1 there are none), up to ``_MAX_BLOCK``
     rounds. The sizes depend on the configuration only."""
     p_multi = tables.p_multi
     block = _MAX_BLOCK if p_multi * _MAX_BLOCK <= _BLOCK_ROWS else math.ceil(_BLOCK_ROWS / p_multi)
@@ -466,14 +478,13 @@ def _block_sizes(cfg: SimConfig, tables: _DrawTables) -> list[int]:
 
 
 def _multi_entry_totals(rng: np.random.Generator, lam: np.ndarray) -> np.ndarray:
-    """Poisson(lam) conditioned on N >= 3, by exact rejection: where lam <= 1,
-    3 + Poisson(lam) is kept with probability 6 / (N (N - 1) (N - 2)), else
-    Poisson(lam) is redrawn until it reaches 3; each pass carries its rows' lam, index and mask."""
+    """Poisson(lam) conditioned on N >= 4, by exact rejection: where lam <= 1, 4 + Poisson(lam) is
+    kept with probability 24 / (N (N - 1) (N - 2) (N - 3)), else Poisson(lam) is redrawn until >= 4."""
     n, at, small = np.empty(lam.size, np.int64), np.arange(lam.size), lam <= 1.0
     while True:
-        x = rng.poisson(lam) + 3 * small
+        x = rng.poisson(lam) + 4 * small
         n[at] = x
-        keep = np.where(small, rng.random(lam.size) * x * (x - 1.0) * (x - 2.0) < 6.0, x >= 3)
+        keep = np.where(small, rng.random(lam.size) * x * (x - 1.0) * (x - 2.0) * (x - 3.0) < 24.0, x >= 4)
         if keep.all():
             return n
         at, lam, small = at[~keep], lam[~keep], small[~keep]
@@ -487,20 +498,22 @@ def _rows(counts: np.ndarray, bits: np.ndarray, odd_bits: np.ndarray) -> tuple:
 
 
 def _draw(t: _DrawTables, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw step: a block's class counts ``m`` and its histogram over (parity mask, class, click
-    mask) of the rounds of read classes (``_READ``), from one multinomial over the joint categories
-    (``_tables``), then the rows if any; the others stay in ``m`` only."""
+    """Draw step: a block's class counts ``m`` and its histogram over (parity mask, class, click mask)
+    of the rounds of read classes (``_READ``), from one multinomial over the joint categories (``_tables``),
+    one over the row table if it drew rounds of three or more entries, then the rows if any."""
     k = rng.multinomial(size, t.p)
-    m = np.zeros(64, np.int64)
-    np.add.at(m, t.cls, k)
     flat = np.zeros(_SPARE + 1, np.int64)
-    np.add.at(flat, t.at, k)
-    if (multi := k[t.multi]).any():
-        cls = np.repeat(t.cls[t.multi], multi)  # the rounds of three or more entries, the only rows
-        counts = rng.multinomial(_multi_entry_totals(rng, t.lam[cls]), t.q[cls])
-        clicks, odd = _rows(counts, t.bits[cls], t.odd_bits[cls])
-        np.add.at(flat, (odd << 6 | cls) << 4 | clicks, 1)
-    return m, flat[:_SPARE].reshape(16, 64, 16)
+    if t.three is not None and (three := k[t.three]):
+        k = np.concatenate((k, rng.multinomial(three, t.p_rows)))
+        if (multi := k[t.multi]).any():
+            cls = np.repeat(t.cls[t.multi], multi)  # the rounds of four or more entries, the only rows
+            counts = rng.multinomial(_multi_entry_totals(rng, t.lam[cls]), t.q[cls])
+            clicks, odd = _rows(counts, t.bits[cls], t.odd_bits[cls])
+            np.add.at(flat, (odd << 6 | cls) << 4 | clicks, 1)
+    m = np.zeros(65, np.int64)  # its spare last slot holds the joint's rounds of three or more entries
+    np.add.at(m, t.cls[:k.size], k)
+    np.add.at(flat, t.at[:k.size], k)
+    return m[:64], flat[:_SPARE].reshape(16, 64, 16)
 
 
 @functools.cache

@@ -189,11 +189,11 @@ def test_draw_audit_finds_no_difference_between_a_tree_and_itself(capsys):
     root = str(Path(__file__).resolve().parents[1])
     assert module.main(["--base", root, "--change", root, "--seeds", "0-2"]) == 0
     out = capsys.readouterr().out
-    assert out.count("reports identical on 3 of 3 seeds") == len(module.configurations()) == 11
+    assert out.count("reports identical on 3 of 3 seeds") == len(module.configurations()) == 12
     fields = re.findall(r"^   \S+ +\S+ +\S+ +(\S+) +(\S+)$", out, re.MULTILINE)
     assert fields and set(fields) == {("+0.00", "1.000")}
     gates = re.findall(r"base (\d+)/3, change (\d+)/3", out)
-    assert len(gates) == 22 and all(b == c for b, c in gates)
+    assert len(gates) == 24 and all(b == c for b, c in gates)
     base, change = (re.findall(rf"^  {side}: (.*)$", out, re.MULTILINE) for side in ("base", "change"))
     assert len(base) == 2 and base == change
 
@@ -210,8 +210,9 @@ def test_draw_audit_rejects_bad_seed_ranges(seeds, capsys):
 # returned payloads for main to serialise; key order, float repr and
 # indentation must all hold. The beam-splitting run's was recorded again
 # when the lottery came to split the tally's atoms instead of its cells, when
-# rounds of classes that no tally reads stopped being split into cells, and
-# when a block came to draw one multinomial over its joint categories.
+# rounds of classes that no tally reads stopped being split into cells, when
+# a block came to draw one multinomial over its joint categories, and when
+# rounds of three entries became categories of a second draw.
 JSON_DIGESTS = {
     ("optimize", "--L", "400"):
         "a9aa213a4b1469bae7bd115cf81c24ddff610c57a21f62b3aa4251d65b56a112",
@@ -220,7 +221,7 @@ JSON_DIGESTS = {
     ("thresholds",):
         "9abe3c7ab13b98212f367df33588c787c39dbb8f5e01cd1ca91ea7cf60a5f3ba",
     ("simulate", "--rounds", "100000", "--seed", "3", "--attack", "beam-split"):
-        "abaaa26f31c94aa4bbd70b3baa39250c031f9f946cf2888e145c890ff0e0f027",
+        "e6515d35ba766e44f7f7fd8ff9f8da12e968fd98d2910af346bc5ac57ad0b981",
 }
 
 
@@ -242,22 +243,24 @@ def test_json_bytes_unchanged(argv, capsys):
 # beam-splitting, p_d = 0 and dishonest receiver's runs were recorded again;
 # the far run (basis_policy 1) and the p_d = 1 run (nothing split) held.
 # When a block came to draw one multinomial over its joint categories, all
-# but the p_d = 1 run (whose draw is unchanged) were recorded again.
+# but the p_d = 1 run (whose draw is unchanged) were recorded again, and
+# again when rounds of three entries became categories of a second draw
+# over the row table (only rounds of four or more as rows).
 SIMULATE_DIGESTS = {
     "beam-split": (("simulate", "--rounds", "200000", "--seed", "5", "--basis-policy", "0.5",
                     "--check-fraction", "0.3", "--attack", "beam-split"),
-                   "d205d23c1837623c30c333b29cfb1003e5e21209b0ecab7bade6c799fe40d5d6"),
+                   "a8da82c3eff4d9faad9085e73111bd00fad59ba6254b268633f77c7a227f6825"),
     "p_d=0": (("simulate", "--p-d", "0", "--rounds", "200000", "--seed", "7", "--basis-policy", "0.5",
                "--check-fraction", "0.3"),
-              "8ec6e6f19cf4b6f84f26b94685cdf1be05d3e677512d7a8b8dec60b1a6042698"),
+              "26fddb4b431e03ec6ea7e5f8e0046b10be929691221cbf0b209c1f66b98bcca0"),
     "p_d=1": (("simulate", "--p-d", "1", "--rounds", "200000", "--seed", "11", "--basis-policy", "0.5",
                "--check-fraction", "0.3"),
               "82ebfe2386111d5ba87f94d71439ccce9623ad2f63995364e12e05bd7138a48a"),
     "far": (("simulate", "--L", "400", "--rounds", "2000000", "--seed", "2026", "--basis-policy", "1"),
-            "f8c861d8d0fcd3a7a16c5a9908efc052c331d7ce7b83050e7362c3cc0a7637a0"),
+            "fef5633b51666b80be6c88b139f78d1e09625919a683e36ad0775f7e4767cd66"),
     "dishonest-bob": (("simulate", "--rounds", "200000", "--seed", "3", "--basis-policy", "0.5",
                        "--check-fraction", "0.3", "--attack", "dishonest-bob", "--flip", "0.05"),
-                      "c3b04bb2a93f9d9d5a01db4fec34ec9d2b471d9afa4ff33b7407019cdbc5fdef"),
+                      "90fff29392d8f9f5f05673e5048e6378bb9ae57aebeeb75df4d189f3d0e1551c"),
 }
 
 

@@ -266,7 +266,7 @@ def test_results_do_not_depend_on_the_call_history(signs):
 def test_cached_tables_are_read_only(sp):
     tables = _draw_tables(config(sp=sp))
     arrays = [array for array in tables if isinstance(array, np.ndarray)]
-    assert len(arrays) == (9 if sp.p_d < 1.0 else 5)  # at p_d = 1 the weights are the categories' probabilities
+    assert len(arrays) == (10 if sp.p_d < 1.0 else 4)  # at p_d = 1 the weights are the categories' probabilities
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
@@ -275,28 +275,29 @@ def test_cached_tables_are_read_only(sp):
 
 
 @pytest.mark.parametrize("kw, rounds, block", (
-    (dict(sp=SystemParams(mu=0.4, l_km=100.0), basis_policy=1.0), 10**11, 31_762_059_498),
-    (dict(sp=SystemParams(mu=0.84, l_km=100.0)), 3 * 10**10, 11_080_823_342),
-    (dict(sp=SystemParams(mu=1.5, l_km=100.0), basis_policy=0.0), 10**10, 2_467_614_683),
+    (dict(sp=SystemParams(mu=0.4, l_km=100.0), basis_policy=1.0), 3 * 10**13, 10_958_494_428_769),
+    (dict(sp=SystemParams(mu=0.84, l_km=100.0)), 5 * 10**12, 1_821_710_698_587),
+    (dict(sp=SystemParams(mu=1.5, l_km=100.0), basis_policy=0.0), 10**12, 227_401_824_141),
     (dict(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0)), 1_100_000, 26_215),
-    (dict(sp=SystemParams(mu=0.84, l_km=100.0, p_d=0.02)), 10**9, 146_275_306),
-    (dict(sp=SystemParams(mu=0.84, l_km=100.0, p_d=0.7)), 1_100_000, 30_439),
+    (dict(sp=SystemParams(mu=0.84, l_km=100.0, p_d=0.02)), 2 * 10**10, 5_593_010_360),
+    (dict(sp=SystemParams(mu=0.84, l_km=100.0, p_d=0.7)), 1_100_000, 36_827),
     (dict(sp=SystemParams(p_d=1.0)), 10**15, 10**15),
     (dict(sp=FAR, basis_policy=1.0), 10**17, 2**53),
 ), ids=("100km-mu0.4", "100km", "100km-z", "bright", "pd0.02", "pd0.7", "pd1", "400km"))
 def test_blocks_expect_a_fixed_number_of_multi_entry_rounds(kw, rounds, block):
-    # A block expects about _BLOCK_ROWS rows, rounds of three or more entries
+    # A block expects about _BLOCK_ROWS rows, rounds of four or more entries
     # in a class the tally reads, up to 2^53 rounds: nearly every read round
-    # when bright or dark-heavy (at basis_policy 0.5, 5 in 16 rounds are read),
-    # one in 4e5 at 100 km, one in 4e14 at 400 km, where a block holds 22 of
-    # them. At p_d = 1 every round is a count, so one block holds them all.
+    # when bright, 71% of them at p_d = 0.7 (at basis_policy 0.5, 5 in 16
+    # rounds are read), one in 2e8 at 100 km, one in 6e19 at 400 km, where a
+    # block holds none of them. At p_d = 1 every round is a count, so one
+    # block holds them all.
     cfg = config(rounds=rounds, **kw)
     sizes = _block_sizes(cfg, _draw_tables(cfg))
     assert sizes == [block] * (rounds // block) + [rounds % block] * (rounds % block > 0)
     if cfg.sp.p_d < 1.0:
         lam = montecarlo._cell_means(cfg.sp.mu_arm, cfg.sp.p_d).sum(axis=1)
         read = [c for c in range(64) if c >> 4 == 3 or c >> 4 == 0 and not c & 0b0101]  # XX, or ZZ in H
-        p_multi = montecarlo._class_weights(cfg.basis_policy)[read] @ montecarlo._strata(lam)[read, 3]
+        p_multi = montecarlo._class_weights(cfg.basis_policy)[read] @ montecarlo._strata(lam)[read, 4]
         assert block == min(montecarlo._MAX_BLOCK, math.ceil(montecarlo._BLOCK_ROWS / p_multi))
 
 
@@ -721,6 +722,22 @@ def test_config_accepts_numpy_integers():
     assert simulate(config(rounds=np.uint32(1_200_000))).rounds == 1_200_000
 
 
+def test_float32_parameters_are_stored_as_floats():
+    # A numpy float is stored as the float that check_range returns, so the
+    # report serialises, equals the report of the plain floats and shares
+    # their cached draw tables; rounds stays an integer.
+    plain = config(basis_policy=0.5, check_fraction=0.25, flip_fraction=0.5, attack="dishonest_bob")
+    single = replace(plain, basis_policy=np.float32(0.5), check_fraction=np.float32(0.25),
+                     flip_fraction=np.float32(0.5))
+    montecarlo._tables.cache_clear()
+    want = simulate(plain)
+    got = simulate(single)
+    assert montecarlo._tables.cache_info()[:2] == (1, 1)  # (hits, misses): the second call reused the first's
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict()) and got == want
+    assert {type(getattr(single, name)) for name in ("basis_policy", "check_fraction", "flip_fraction")} == {float}
+    assert type(single.rounds) is int
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(sp=SP, rounds=0, seed=1)
@@ -769,28 +786,28 @@ def test_report_dict_shape():
 
 PINNED = {
     "near": (dict(rounds=1_100_000),
-             "fd6bed7cca53accc49e936de17e88942cf72016237c443ab834cea379050ffea"),
+             "4daf0b99beab7d371cda676e3bf1cef5541fda6932879df546c5145ea83fb56c"),
     "bright": (dict(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0), rounds=600_000, seed=17),
-               "ee20c01c6dfc2e48e4c2cb40b39f1319b3821bac1789a35da2cf367a5fe7b46a"),
+               "e0a30e309289e7514ba359c18013515ea0ff3e1b65c5657bdd8058458d7688e7"),
     "dark": (dict(sp=SystemParams(mu=0.84, l_km=100.0, p_d=0.02), rounds=600_000, seed=13),
-             "5795d0c21774a0a5827fd47367c9d2cf8149bec566647c296010acd4c1a2021d"),
+             "d8fd438c727b994309033175606b2f41aaf4d2420cf5e5be2536020c414e80ce"),
     "checked-none": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05),
-                     "c620702a0d64075e24368c8d41e76e7573b522460f593163ed085dde49413bdb"),
+                     "805b3ba676e5884e3a6c2d50b8e67de5d6d6faa49c2cdf1d3c80a43610ea98a2"),
     "checked-beam_split": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05,
                                 attack="beam_split"),
-                           "943c65b6f0a0247043a82a5138e77e4136ce8ddf1ab01e7a7e0c68c4402947ce"),
+                           "b05097f18ebccd1f798343d2ac061671642b0716829b1abce648dc019afef63b"),
     "checked-dishonest_bob": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05,
                                    attack="dishonest_bob"),
-                              "7c9c0b0c2e720296a90e7dc4c4c7e798be11a2d4d0b7b8cd88d1ad7223fde78f"),
+                              "79db61772c07a1cce16d057e7d54964d22b06a85cb56f486882fc51078521751"),
     "far": (dict(sp=FAR, rounds=10**9),
-            "19f9ba9f184ff53ac7892498b59bcac13b61d8a114adbbbb78a47eaae00ea0f4"),
+            "ba1841c2df2f4c8647b421333f30e715d1c2957863e7fefe7ef0761f2b6ce70a"),
     "near-x": (dict(rounds=1_100_000, basis_policy=1.0),
-               "2a4e9d43d284a9d0fe862901274ff5158b6cbf4452d518d3b20d1f64e757c629"),
+               "ca4f4209cf57c73c9ea51622165c901d4f1755533ad75948ec66495f5cade8eb"),
     "checked-beam_split-x": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05,
                                   attack="beam_split", basis_policy=1.0),
-                             "87b8042c1007175bbbe9e1c73d18d8c0cd8c8804832e45e5c0eb370e0c68d45e"),
+                             "bda6da5ecb49d6c33a5e76548fbc787678aeef7851d6a98469092b42632ce7d9"),
     "bright-x": (dict(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0), rounds=60_000, seed=17, basis_policy=1.0),
-                 "8d27c670e02455ef1af835f42851e8c70a66065df29c8f892518e3cb29374442"),
+                 "7516de26395cfc2c82dfdcb66d28818b55ca61613f552506a96d8a1b338ef156"),
 }
 
 
@@ -805,11 +822,13 @@ def test_tallies_pinned_at_fixed_seeds(case):
     threads. The bright cases span 23 blocks (8 at basis_policy 1), the
     others one each. They were recorded again, all but the basis_policy 1
     cases, when rounds of classes that no tally reads stopped being split
-    into cells, and blocks came to count only the rows they draw, and all
-    ten when a block came to draw one multinomial over its joint categories
-    (module docstring). Any change of the block sizes or of how a block
-    consumes its random streams changes these digests; such a change must
-    update them and say so in CHANGES.md.
+    into cells, and blocks came to count only the rows they draw, all ten
+    when a block came to draw one multinomial over its joint categories
+    (module docstring), and all ten again when rounds of three entries
+    became categories of a second draw over the row table, so that only
+    rounds of four or more are rows. Any change of the block sizes or of
+    how a block consumes its random streams changes these digests; such a
+    change must update them and say so in CHANGES.md.
     """
     kw, digest = PINNED[case]
     report = simulate(config(**kw), threads=2)
@@ -858,9 +877,9 @@ def test_row_reduction_matches_unique_reference(seed):
 
 
 DRAWN = (
-    (SP, 10**7),
+    (SP, 10**10),
     (SystemParams(mu=20.0, l_km=0.0, eta_d=1.0), 50_000),
-    (SystemParams(mu=0.84, l_km=100.0, p_d=0.02), 10**6),
+    (SystemParams(mu=0.84, l_km=100.0, p_d=0.02), 10**8),
     (SystemParams(mu=0.84, l_km=100.0, p_d=0.7), 50_000),
     (SystemParams(mu=0.0, p_d=0.0), 50_000),
 )
@@ -870,7 +889,7 @@ DRAWN_IDS = ("near", "bright", "pd0.02", "pd0.7", "empty")
 @pytest.mark.parametrize("sp, size", DRAWN, ids=DRAWN_IDS)
 def test_drawn_entries_reduce_like_unique_reference(sp, size, monkeypatch):
     # The draw step's rows, as it reduces them, against the reference over
-    # the same entries; each round holds three or more, and each lands in
+    # the same entries; each round holds four or more, and each lands in
     # the histogram.
     seen = []
 
@@ -886,7 +905,7 @@ def test_drawn_entries_reduce_like_unique_reference(sp, size, monkeypatch):
     [(counts, bits, odd_bits, (clicks, odd))] = seen
     want = reference_rows(*entries(counts, bits, odd_bits))
     assert all(np.array_equal(g, w) for g, w in zip((np.arange(clicks.size), clicks, odd), want))
-    assert (counts.sum(axis=1) >= 3).all()
+    assert (counts.sum(axis=1) >= 4).all()
     assert (hist.sum(axis=1).ravel() >= np.bincount(odd << 4 | clicks, minlength=256)).all()
     assert clicks.size > 0
 
@@ -894,8 +913,8 @@ def test_drawn_entries_reduce_like_unique_reference(sp, size, monkeypatch):
 class Recorder:
     """A generator that keeps every multinomial draw: (n, pvals, drawn)."""
 
-    def __init__(self, seed):
-        self.rng, self.drawn = np.random.default_rng(seed), []
+    def __init__(self, rng):
+        self.rng, self.drawn = rng, []
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
@@ -905,66 +924,104 @@ class Recorder:
         return self.drawn[-1][-1]
 
 
-def joint_categories(t, weights):
+def tuple_cells(t, c, n):
+    """The distinct flat histogram indices of class c's ordered n-tuples of cells (i, j, ...), as
+    the reference reduces them, in ascending order, each with the sum of its tuples' products
+    q_i q_j ..., summed in row-major order from 0.0."""
+    tuples = list(itertools.product(range(8), repeat=n))
+    counts = np.array([np.bincount(entry, minlength=8) for entry in tuples])
+    rounds, clicks, odd = reference_rows(*entries(counts, np.tile(t.bits[c], (len(counts), 1)),
+                                                  np.tile(t.odd_bits[c], (len(counts), 1))))
+    assert np.array_equal(rounds, np.arange(len(counts)))  # every such round clicks
+    sums = {}
+    for entry, cell in zip(tuples, ((odd << 6 | c) << 4 | clicks).tolist()):
+        sums[cell] = sums.get(cell, 0.0) + math.prod(t.q[c, i] for i in entry)
+    return sorted(sums.items())
+
+
+def ascending(rows):
+    """``rows`` of positive probability, stably in ascending order of it, as four columns."""
+    rows = sorted((row for row in rows if row[0] > 0.0), key=lambda row: row[0])
+    return [np.array([row[i] for row in rows]) for i in range(4)]
+
+
+def row_categories(t, weights):
+    """The row table of ``_tables`` before it is normalised, built class by class in loops:
+    (probability, class, flat histogram index or ``_SPARE``, kind: three or multi). A read class
+    has each distinct cell of its ordered triples (w (P3 s), s the sum of their q_i q_j q_k), then
+    four or more entries (w P4)."""
+    strata = montecarlo._strata(t.lam)
+    rows = []
+    for c in np.flatnonzero(montecarlo._READ).tolist():
+        w, p3, p4 = weights[c], strata[c, 3], strata[c, 4]
+        rows += [(w * (p3 * total), c, cell, "three") for cell, total in tuple_cells(t, c, 3)]
+        rows.append((w * p4, c, montecarlo._SPARE, "multi"))
+    return ascending(rows)
+
+
+def joint_categories(t, weights, three):
     """The joint categories of ``_tables``, built class by class in loops: (probability, class,
-    flat histogram index or ``_SPARE``, kind: class, none, one, pair or multi), without those of
-    probability 0, stably in ascending order of probability. A class no tally reads is one
-    category of its weight w; a read class has no entry (w P0), each one-entry cell i (w (P1
-    q_i)), each distinct cell of its ordered pairs (i, j) by first appearance, row-major, as the
-    reference reduces them (w (P2 s), s the sum of their q_i q_j > 0) and three or more (w P3)."""
-    strata, eye, spare = montecarlo._strata(t.lam), np.eye(8, dtype=np.int64), montecarlo._SPARE
-    first, second = np.divmod(np.arange(64), 8)
-    want = []
+    flat histogram index or ``_SPARE``, kind: class, none, one, pair or three). A class no tally
+    reads is one category of its weight w; a read class has no entry (w P0), each one-entry cell
+    i (w (P1 q_i)) and each distinct cell of its ordered pairs (i, j) (w (P2 s), s the sum of
+    their q_i q_j); last, of class 64, come the rounds of three or more entries in a read class,
+    of probability ``three``."""
+    strata, spare = montecarlo._strata(t.lam), montecarlo._SPARE
+    rows = []
     for c in range(64):
         w = weights[c]
         if not montecarlo._READ[c]:
-            want.append((w, c, spare, "class"))
+            rows.append((w, c, spare, "class"))
             continue
-        p0, p1, p2, p3 = strata[c]
-        want.append((w * p0, c, spare, "none"))
-        for counts, kind in ((eye, "one"), (eye[first] + eye[second], "pair")):
-            rounds, clicks, odd = reference_rows(*entries(counts, np.tile(t.bits[c], (len(counts), 1)),
-                                                          np.tile(t.odd_bits[c], (len(counts), 1))))
-            assert np.array_equal(rounds, np.arange(len(counts)))  # every such round clicks
-            cells = ((odd << 6 | c) << 4 | clicks).tolist()
-            if kind == "one":
-                want += [(w * (p1 * t.q[c, i]), c, cells[i], kind) for i in range(8)]
-                continue
-            sums = {}
-            for n, cell in enumerate(cells):
-                q_ij = t.q[c, first[n]] * t.q[c, second[n]]
-                sums[cell] = sums.get(cell, 0.0) + q_ij if q_ij > 0.0 else sums.get(cell, 0.0)
-            want += [(w * (p2 * total), c, cell, kind) for cell, total in sums.items()]
-        want.append((w * p3, c, spare, "multi"))
-    return sorted((row for row in want if row[0] > 0.0), key=lambda row: row[0])
+        rows.append((w * strata[c, 0], c, spare, "none"))
+        for n, kind in ((1, "one"), (2, "pair")):
+            rows += [(w * (strata[c, n] * total), c, cell, kind) for cell, total in tuple_cells(t, c, n)]
+    return ascending([*rows, (three, 64, spare, "three")])
 
 
 @pytest.mark.parametrize("sp, size", DRAWN + ((FAR, 10**13),), ids=DRAWN_IDS + ("far",))
 def test_drawn_pairs_reduce_like_unique_reference(sp, size):
-    # A block draws one multinomial over its joint categories, which match
-    # the loop-built ones bit for bit: a two-entry category's ordered pairs
-    # (i, j) reduce through the reference to its cell (two photons in one cell
-    # are an even count), and each category's probability is the class weight
-    # times its stratum times q_i, or times sum q_i q_j. The class counts are
-    # the categories' sums by class, and the one- and two-entry counts leave
-    # in the histogram exactly the rows, class by class.
+    # A block draws one multinomial over its joint categories and, if it
+    # drew rounds of three or more entries, one over the row table, both of
+    # which match the loop-built ones bit for bit: a category's ordered pairs
+    # or triples reduce through the reference to its cell (two photons in
+    # one cell are an even count), and each category's probability is the
+    # class weight times its stratum times q_i, or times the sum of q_i q_j
+    # or q_i q_j q_k; the row table is normalised by its sum, the joint's
+    # rounds of three or more. The class counts are the categories' sums by
+    # class, and the categories leave in the histogram exactly the rows,
+    # class by class.
     t = _draw_tables(config(sp=sp))
-    want = joint_categories(t, montecarlo._class_weights(0.5))
-    p, cls, at, kind = (np.array(column) for column in zip(*want))
-    multi = kind == "multi"
-    assert np.array_equal(t.p, p) and np.array_equal(t.cls, cls) and np.array_equal(t.at, at)
-    assert np.array_equal(t.multi, np.flatnonzero(multi))
-    rng = Recorder(3)
+    weights = montecarlo._class_weights(0.5)
+    row_p, row_cls, row_at, row_kind = row_categories(t, weights)
+    total = row_p.sum()
+    p, cls, at, kind = joint_categories(t, weights, total)
+    assert np.array_equal(t.p, p) and t.three == (list(kind).index("three") if total > 0.0 else None)
+    assert np.array_equal(t.p_rows, row_p / total)
+    assert np.array_equal(t.cls, np.concatenate((cls, row_cls)))
+    assert np.array_equal(t.at, np.concatenate((at, row_at)))
+    assert np.array_equal(t.multi, p.size + np.flatnonzero(row_kind == "multi"))
+    rng = Recorder(np.random.default_rng(3))
     m, hist = montecarlo._draw(t, rng, size)
-    [(n, pvals, drawn), *rows] = rng.drawn
-    assert n == size and pvals is t.p and np.array_equal(m, np.bincount(cls, drawn, 64))
-    rest = hist.ravel().copy()
-    np.subtract.at(rest, at[at < montecarlo._SPARE], drawn[at < montecarlo._SPARE])
-    assert rest.min() >= 0 and np.array_equal(rest.reshape(16, 64, 16).sum(axis=(0, 2)),
-                                              np.bincount(cls[multi], drawn[multi], 64))
-    assert len(rows) == int(drawn[multi].any())  # the rows' cells, if any round has three or more
+    [(n, pvals, drawn), *rest] = rng.drawn
+    assert n == size and pvals is t.p
+    if t.three is not None and drawn[t.three]:
+        [(n, pvals, rows), *rest] = rest
+        assert n == drawn[t.three] and pvals is t.p_rows
+        drawn = np.concatenate((drawn, rows))
+    cls, at, kind = t.cls[:drawn.size], t.at[:drawn.size], np.concatenate((kind, row_kind))[:drawn.size]
+    assert np.array_equal(m, np.bincount(cls, drawn, 65)[:64])
+    rest_of_hist, cell = hist.ravel().copy(), at < montecarlo._SPARE
+    np.subtract.at(rest_of_hist, at[cell], drawn[cell])
+    multi = kind == "multi"
+    assert rest_of_hist.min() >= 0 and np.array_equal(rest_of_hist.reshape(16, 64, 16).sum(axis=(0, 2)),
+                                                      np.bincount(cls[multi], drawn[multi], 64))
+    assert len(rest) == int(drawn[multi].any())  # the rows' cells, if any round has four or more
     # bright pulses leave almost no two-entry round; without light or dark counts no round holds an entry
     assert drawn[kind == "pair"].any() or sp.mu > 1.0 or sp.mu == sp.p_d == 0.0 and not hist.any()
+    # three-entry rounds are drawn wherever they expect at least ten
+    expected = size * row_p[row_kind == "three"].sum()
+    assert drawn[kind == "three"].any() or expected < 10.0, expected
 
 
 TABLE_CASES = [SystemParams(mu=mu, l_km=100.0, p_d=p_d) for mu in (0.0, 0.84, 20.0) for p_d in (0.0, 8e-8, 0.02, 0.7)]
@@ -973,21 +1030,38 @@ TABLE_CASES = [SystemParams(mu=mu, l_km=100.0, p_d=p_d) for mu in (0.0, 0.84, 20
 @pytest.mark.parametrize("basis_policy", (0.0, 0.5, 1.0))
 @pytest.mark.parametrize("sp", TABLE_CASES, ids=lambda sp: f"mu{sp.mu:g}-pd{sp.p_d:g}")
 def test_joint_categories_are_a_law_over_read_cells(sp, basis_policy):
-    # Every category is possible and they sum to 1; the last, whose count
-    # numpy takes as the remainder, is the likeliest; each class's
-    # categories sum to its weight; and every histogram cell belongs to a
-    # read class and clicks every detector whose photon parity it marks odd;
-    # a class no tally reads is one category, which makes no cell.
+    # The joint categories and the row table are each a law: every category
+    # is possible, they sum to 1, and the last, whose count numpy takes as
+    # the remainder, is the likeliest. Each class's categories of both, the
+    # row table's weighted by the joint's rounds of three or more entries,
+    # sum to its weight; its share of the row table is w P(N >= 3) over the
+    # sum of those. Every histogram cell belongs to a read class and clicks
+    # every detector whose photon parity it marks odd; a class no tally
+    # reads is one category, which makes no cell, and rows are only of read
+    # classes.
     t = _draw_tables(config(sp=sp, basis_policy=basis_policy))
     weights = montecarlo._class_weights(basis_policy)
-    assert (t.p > 0.0).all() and abs(t.p.sum() - 1.0) <= 1e-12
-    assert (np.diff(t.p) >= 0.0).all() and t.p[-1] == t.p.max()
-    assert np.allclose(np.bincount(t.cls, t.p, 64), weights, rtol=1e-12, atol=0.0)
+    strata = montecarlo._strata(t.lam)
+    three = weights * (strata[:, 3] + strata[:, 4]) * montecarlo._READ  # w P(N >= 3) in a read class
+    laws = (t.p, t.p_rows) if t.three is not None else (t.p,)
+    for p in laws:
+        assert (p > 0.0).all() and abs(p.sum() - 1.0) <= 1e-12
+        assert (np.diff(p) >= 0.0).all() and p[-1] == p.max()
+    assert np.flatnonzero(t.cls == 64).tolist() == [t.three] * (len(laws) - 1)
+    joint, rows = t.cls[:t.p.size], t.cls[t.p.size:]
+    assert (t.p_rows.size == 0) == (t.three is None) and montecarlo._READ[rows].all()
+    share = np.bincount(rows, t.p_rows, 64)
+    by_class = np.bincount(joint, t.p, 65)[:64] + (t.p[t.three] * share if t.three is not None else 0.0)
+    assert np.allclose(by_class, weights, rtol=1e-12, atol=0.0)
+    if t.three is not None:
+        assert np.allclose(share, three / three.sum(), rtol=1e-12, atol=0.0)
+        assert np.isclose(t.p[t.three], three.sum(), rtol=1e-12, atol=0.0)
     cells = t.at[t.at < montecarlo._SPARE]
     assert montecarlo._READ[cells >> 4 & 63].all() and not (cells >> 10 & ~cells & 15).any()
-    unread = ~montecarlo._READ[t.cls]
-    assert (np.bincount(t.cls[unread], minlength=64) <= 1).all() and (t.at[unread] == montecarlo._SPARE).all()
-    assert montecarlo._READ[t.cls[t.multi]].all()
+    unread = ~np.append(montecarlo._READ, True)[joint]  # class 64 holds rounds of read classes
+    assert (np.bincount(joint[unread], minlength=64) <= 1).all()
+    assert (t.at[:t.p.size][unread] == montecarlo._SPARE).all()
+    assert (t.multi >= t.p.size).all() and (t.at[t.multi] == montecarlo._SPARE).all()
 
 
 # Patterns by click mask (bit d for detector d): D1H = 1, D2H = 2, D1V = 4,
@@ -1175,11 +1249,11 @@ def poisson_pmf(lam, k):
 
 @pytest.mark.parametrize("lam", (1e-12, 1e-6, 0.05, 1.0, 30.0))
 def test_strata_to_full_relative_precision(lam):
-    # at 400 km lam is about 2.5e-5, where 1 - e^-lam (1 + lam + lam^2 / 2)
-    # would keep none of its digits
+    # P(N = 0) to P(N = 3) and P(N >= 4): at 400 km lam is about 2.5e-5,
+    # where 1 - e^-lam (1 + lam + lam^2 / 2 + lam^3 / 6) would keep none of
+    # its digits
     top = int(lam + 40 * math.sqrt(lam) + 40)
-    want = (poisson_pmf(lam, 0), poisson_pmf(lam, 1), poisson_pmf(lam, 2),
-            math.fsum(poisson_pmf(lam, k) for k in range(3, top)))
+    want = (*(poisson_pmf(lam, k) for k in range(4)), math.fsum(poisson_pmf(lam, k) for k in range(4, top)))
     got = montecarlo._strata(np.array([lam, lam]))
     for stratum, value in enumerate(want):
         assert got[0, stratum] == got[1, stratum]
@@ -1187,14 +1261,14 @@ def test_strata_to_full_relative_precision(lam):
 
 
 def multi_entry_totals_reference(rng, lam):
-    """The rejection loop of ``_multi_entry_totals`` as first written: each pass gathers its rows'
-    lam twice."""
+    """The rejection loop of ``_multi_entry_totals`` as first written, conditioned on N >= 4: each
+    pass gathers its rows' lam twice."""
     n = np.empty(lam.size, np.int64)
     todo = np.arange(lam.size)
     while todo.size:
         small = lam[todo] <= 1.0
-        x = rng.poisson(lam[todo]) + 3 * small
-        keep = np.where(small, rng.random(todo.size) * x * (x - 1.0) * (x - 2.0) < 6.0, x >= 3)
+        x = rng.poisson(lam[todo]) + 4 * small
+        keep = np.where(small, rng.random(todo.size) * x * (x - 1.0) * (x - 2.0) * (x - 3.0) < 24.0, x >= 4)
         n[todo[keep]] = x[keep]
         todo = todo[~keep]
     return n
@@ -1213,16 +1287,16 @@ def test_multi_entry_totals_draw_as_the_reference_loop(seed):
 
 @pytest.mark.parametrize("lam", (0.02, 0.5, 1.0, 1.4, 6.0))
 def test_multi_entry_totals_follow_the_conditioned_poisson(lam):
-    # Chi-square of 200k draws against Poisson(lam) given N >= 3, on both
+    # Chi-square of 200k draws against Poisson(lam) given N >= 4, on both
     # sides of lam = 1 (the two rejection rules), in one call with a second
     # mean so that the rules run side by side; the bound is the chi-square
     # quantile at z = 5 (Wilson-Hilferty).
     other = 3.0 if lam <= 1.0 else 0.3
     n = montecarlo._multi_entry_totals(np.random.default_rng(21), np.repeat([lam, other], 200_000))
-    assert n.min() >= 3
+    assert n.min() >= 4
     n = n[:200_000]
-    p_multi = montecarlo._strata(np.array([lam]))[0, 3]
-    expected, observed, k = [], [], 3
+    p_multi = montecarlo._strata(np.array([lam]))[0, 4]
+    expected, observed, k = [], [], 4
     while (e := 200_000 * poisson_pmf(lam, k) / p_multi) >= 20:
         expected.append(e)
         observed.append(np.count_nonzero(n == k))
@@ -1232,6 +1306,26 @@ def test_multi_entry_totals_follow_the_conditioned_poisson(lam):
     df = len(expected) - 1
     chi2 = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
     assert chi2 < df * (1 - 2 / (9 * df) + 5 * math.sqrt(2 / (9 * df))) ** 3, (chi2, df)
+
+
+@pytest.mark.parametrize("cfg, draws", (
+    (config(sp=FAR, rounds=10**9, basis_policy=1.0), 1),
+    (config(sp=SystemParams(mu=0.4, l_km=100.0), rounds=2 * 10**7, basis_policy=1.0), 2),
+), ids=("400km", "100km-mu0.4"))
+def test_blocks_without_four_entry_rounds_draw_no_rows(cfg, draws, monkeypatch):
+    # Only rounds of four or more entries are rows: a block without one never
+    # reaches _multi_entry_totals. At 400 km it draws the joint categories
+    # alone; at 100 km (mu = 0.4) the second draw also splits its few rounds
+    # of three entries over the row table.
+    def refuse(rng, lam):
+        raise AssertionError(f"{lam.size} rows drawn")
+
+    streams, real_stream = [], montecarlo._stream
+    monkeypatch.setattr(montecarlo, "_stream", lambda *args: streams.append(Recorder(real_stream(*args)))
+                        or streams[-1])
+    monkeypatch.setattr(montecarlo, "_multi_entry_totals", refuse)
+    report = simulate(cfg)
+    assert report.rounds == cfg.rounds and [len(stream.drawn) for stream in streams] == [draws]
 
 
 @pytest.mark.parametrize("basis_policy", (0.0, 1.0), ids=("z", "x"))
