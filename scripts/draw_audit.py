@@ -9,13 +9,13 @@ packages never share a process. It covers criterion 8's six configurations
 at 10**7 rounds (basis_policy 1) and six settings at basis_policy 0.5:
 five of the pinned digests, which are the three checked ones (600,000
 rounds, check fraction 0.3, no attack, beam splitting and the dishonest
-receiver at flip 0.05), the rows-heavy ``bright`` one (mu 20, L 0, eta_d
-1, 60,000 rounds) and the dark-heavy ``dark`` one (p_d 0.02, 600,000
-rounds), and ``heavy-dark`` (p_d 0.3, mu 0.84, L 100, 600,000 rounds). In
-``bright`` and ``dark`` the joint draw orders the rounds of three or more
-entries or the dark categories last; in ``heavy-dark`` rounds of three
-entries, drawn over the row table, and of four or more, drawn as rows,
-are both common.
+receiver at flip 0.05), the ``bright`` one (mu 20, L 0, eta_d 1, 60,000
+rounds) and the dark-heavy ``dark`` one (p_d 0.02, 600,000 rounds), and
+``heavy-dark`` (p_d 0.3, mu 0.84, L 100, 600,000 rounds). In ``bright``
+nearly every detector that light reaches clicks, often on many photons;
+in ``dark`` and ``heavy-dark`` dark counts make a large share of the
+clicks, alone or beside photons, and in ``heavy-dark`` rounds with three
+and with four or more photons or dark counts are both common.
 
 Per configuration it prints:
 - on how many seeds the two trees' reports are identical;

@@ -17,7 +17,6 @@ of probability 0 need no rounds; they are counted apart.
 import argparse
 import sys
 
-from dualqss.cli import usable_cpus
 from dualqss.detectors import SystemParams
 from dualqss.montecarlo import (MIN_EXPECTED, SimConfig, compare_to_analytic, max_abs_sigma,
                                 min_p_tail, p_tail, simulate)
@@ -35,13 +34,13 @@ def print_rarest(rows: list[dict], prefixes: tuple[str, ...], kind: str) -> None
               f"{rare['rounds_needed']}" + (f" ({zero} {kind} have probability 0)" if zero else ""))
 
 
-def run(rounds: int, seed: int, threads: int, budget: float, verbose: bool) -> int:
+def run(rounds: int, seed: int, budget: float, verbose: bool) -> int:
     worst_overall, tail_overall = 0.0, 1.0
     for mu in (0.4, 0.84, 1.5):
         for l_km in (100.0, 400.0):
             cfg = SimConfig(sp=SystemParams(mu=mu, l_km=l_km), rounds=rounds,
                             seed=seed, basis_policy=1.0)
-            rows = compare_to_analytic(simulate(cfg, threads=threads))
+            rows = compare_to_analytic(simulate(cfg))
             worst = max_abs_sigma(rows)
             tail = min_p_tail(rows)
             worst_overall, tail_overall = max(worst_overall, worst), min(tail_overall, tail)
@@ -66,9 +65,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rounds", type=int, default=10_000_000)
     parser.add_argument("--seed", type=int, default=2026)
-    parser.add_argument("--threads", type=int, default=usable_cpus(),
-                        help="worker threads (default: one per usable CPU); "
-                             "tallies are the same for any count")
     parser.add_argument("--budget", type=float, default=5.0)
     parser.add_argument("--verbose", action="store_true",
                         help="print every row, not only |sigma| > 2")
@@ -78,11 +74,9 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         check_range("budget", args.budget, 0.0)
     except ValueError as exc:
         parser.error(str(exc))
-    if args.threads < 1:
-        parser.error(f"threads must be an integer >= 1, got {args.threads}")
     return args
 
 
 if __name__ == "__main__":
     args = parse_args()
-    sys.exit(run(args.rounds, args.seed, args.threads, args.budget, args.verbose))
+    sys.exit(run(args.rounds, args.seed, args.budget, args.verbose))

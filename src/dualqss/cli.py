@@ -7,9 +7,7 @@ and golden-section refinement), max-distance, thresholds, and simulate
 can preload any flag; explicit flags win. Each command handler takes the
 parsed flags and the ``SystemParams`` they give, and returns CSV text or
 a JSON payload; ``main`` builds the parameters, serialises a payload and
-writes the output once, atomically when it goes to a file. A simulation
-runs one worker thread per CPU the process may run on (``usable_cpus``);
-its tallies are the same for any worker count.
+writes the output once, atomically when it goes to a file.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from .rates import (
     qber_threshold_event1,
 )
 
-__all__ = ["main", "usable_cpus"]
+__all__ = ["main"]
 
 _FLOAT_FMT = "%.10g"
 
@@ -50,14 +48,6 @@ _PHYSICS = (
     ("p_d", "p_d", "dark count probability"),
     ("f", "f", "error-correction inefficiency"),
 )
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform
-    has one (``os.cpu_count`` also counts CPUs outside it), else every CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _fmt(x: float) -> str:
@@ -236,7 +226,7 @@ def cmd_simulate(args: argparse.Namespace, sp: SystemParams) -> dict:
         attack=args.attack.replace("-", "_"),
         flip_fraction=args.flip,
     )
-    report = simulate(config, threads=usable_cpus())
+    report = simulate(config)
     comparison = compare_to_analytic(report)
     return {
         "report": report.to_dict(),

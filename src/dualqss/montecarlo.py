@@ -3,66 +3,54 @@
 This is the oracle for the analytic gains and error rates. Coherent
 states remain coherent through the beam splitter network, so each
 detector sees an independent Poisson photon count with mean equal to
-its mode intensity, plus a dark click: a Poisson dark count of mean
-delta = -ln(1 - p_d) that is at least 1. The means depend only on a
-round's class (the senders' bases and four key bits; 64 classes). So a
-round holds Poisson entries in eight cells (detector; photon or dark),
-its entry total N is Poisson(Lambda), Lambda the sum of the cell means,
-and given N the entries split multinomially over the cells in
-proportion to their means. The sampler rests on this Poisson
-splitting, never on the closed forms it checks.
+its mode intensity i, and clicks on a photon or on a dark count (of
+probability p_d). The intensities depend only on a round's class (the
+senders' bases and four key bits; 64 classes). So each detector of a
+class is in one of three independent states: no click, (1 - p_d) e^-i;
+a click of odd photon number, -expm1(-2i) / 2; or a click of even photon
+number, none included, expm1(-i)^2 / 2 + p_d e^-i (a dark count has no
+photon). Their products over the four detectors are the law of a round's
+81 outcomes, each a click mask and a photon-parity mask (``_outcomes``).
 
-Blocks are sized from the configuration alone, to expect about
-``_BLOCK_ROWS`` rows. A block's draw is one multinomial over its joint
-categories: per class whose cells a tally reads (``_READ``: both senders
-in X, or both in Z and in H), rounds of no entry, of one entry in each
-cell and of two entries by the histogram cell they make, each other
-class (mixed bases, unchecked Z) one category, its rounds counted, not
-split, and one category the rounds of three or more entries in a read
-class; only if that drew some, a second multinomial splits them over the
-row table: per read class, three entries by histogram cell, and four or
-more. Nested multinomials (class, entry total, cells) flatten into these
-two levels, merging leaves of one cell by summing their probabilities,
-so every tally keeps its law. An n-entry round in cells (i, j, ...), of
-probability q_i q_j ... given n entries, clicks bits_i | bits_j | ...
-with photon parity odd_i ^ odd_j ^ ... (a dark count has no photon; two
-photons in one cell are an even count). Summed by class, the categories
-give the class counts, and by cell the histogram. Only rounds of four or
-more entries become rows: each draws N from the Poisson conditioned on
-N >= 4 and splits it over the cells into a 4-bit click mask and a 4-bit
-photon-parity mask; a block without such a round skips this row stage.
-At p_d = 1 each class is one category, whose rounds click four times.
-The draw tables, both levels included, are built once per configuration
-(mu_arm, p_d, basis_policy) and kept in a small bounded cache
-(``_tables``), read by the block sizing and every block of every call
-with that configuration. The closed forms that
-``compare_to_analytic`` checks against are kept the same way
-(``_closed_forms``). A block's rounds end in one histogram over (parity
-mask, class, click mask). The truth tables over (class, click mask) tell
-apart only 12 atoms (Event1 by phase error, Event2 and Event3 by phase
-and polarization error, the Z check by phase error), so the block sums
-the histogram's tallied cells into atom counts, and the lottery (checks,
-an attack's flips or Eve's success) splits those with binomials (last
-layers of probability 0 add no lots), which keeps the law of every
-tally. The block also gathers the 40 parity cells of the comparison rows
-from the same histogram. ``simulate`` runs the blocks on the calling
-thread unless they carry enough rows to pay for a pool (only then is one
-built, and ``concurrent.futures`` imported), sums their integer arrays
-as they arrive, tallies the sums through the atoms' truth-table rows and
-builds the report (without its frozen ``__init__``) once per call.
-``_PATTERNS``, the six tallied click patterns, drives the truth tables
-and the parity cells (``_PARITY_CELLS``), and those and ``_RATE_ROWS``
-the comparison rows.
+The report tells apart only a round's group (X basis, Z basis, mixed
+bases, or one of the two representative encodings whose parity cells it
+counts), its atom (the truth tables over (class, click mask) tell apart
+12: Event1 by phase error, Event2 and Event3 by phase and polarization
+error, the Z check by phase error) and its parity cell (one of 40). So
+the law's outcomes, weighted by class, merge by (group, atom, parity
+cell) into a few dozen categories (``_tables``), kept in ascending
+probability, stable by key, so numpy gives the likeliest the remainder.
+A block draws one multinomial over them and sums its counts by group,
+by atom and by parity cell; every tally keeps its law. The lottery
+(checks, an attack's flips or Eve's success) splits the atom counts
+with binomials (last layers of probability 0 add no lots). ``simulate``
+runs its blocks, chunks of ``_MAX_BLOCK`` rounds, on the calling thread,
+sums their integer arrays as they arrive, tallies the sums through the
+atoms' truth-table rows and builds the report (without its frozen
+``__init__``) once per call. ``_PATTERNS``, the six tallied click
+patterns, drives the truth tables and the parity cells
+(``_PARITY_CELLS``), and those and ``_RATE_ROWS`` the comparison rows.
 
-Each block draws from a stream seeded by (seed, block index), so
-reports are bit-identical for any worker count. Attack randomness lives
-on a separate per-block stream: paired runs with the same seed see
-identical protocol randomness whether or not an attack is active. The
-caches are ``_tables``, ``_closed_forms`` and the seed words
-(``_seed_words``): the four words that numpy's ``SeedSequence`` gives
-``PCG64`` for each (seed, kind, block) stream, so that the paired runs,
-and every configuration of a grid at one seed, seed their repeated
-streams without its set-up. numpy.random is loaded by the first stream.
+What the oracle checks: two codings of one per-detector model. The
+sampler's law starts from ``_unit_intensities`` and plain exponentials;
+the closed forms that ``compare_to_analytic`` checks against come from
+``optics``, ``detectors`` and ``rates``. The comparison also checks the
+class weights, the truth tables, basis sifting and the lottery, which
+only the sampler codes round by round. The draw tables are built once
+per configuration (mu_arm, p_d, basis_policy) and kept in a small
+bounded cache (``_tables``); the closed forms are kept the same way
+(``_closed_forms``).
+
+Each block draws from a stream seeded by (seed, block index); the
+``threads`` argument is checked, and every block runs on the calling
+thread whatever its value. Attack randomness lives on a separate per-block stream:
+paired runs with the same seed see identical protocol randomness whether
+or not an attack is active. The caches are ``_tables``,
+``_closed_forms`` and the seed words (``_seed_words``): the four words
+that numpy's ``SeedSequence`` gives ``PCG64`` for each (seed, kind,
+block) stream, so that the paired runs, and every configuration of a
+grid at one seed, seed their repeated streams without its set-up.
+numpy.random is loaded by the first stream.
 
 Basis handling follows the protocol: both senders choose the X basis
 with probability ``basis_policy``; rounds with differing bases are
@@ -106,9 +94,7 @@ ATTACKS = ("none", "beam_split", "dishonest_bob")
 # no evidence of agreement.
 MIN_EXPECTED = 10.0
 
-# Blocks expect about _BLOCK_ROWS rounds of four or more entries in read classes, the only rows
-# of work; _MAX_BLOCK bounds blocks where those are rare or absent.
-_BLOCK_ROWS = 8192
+# Rounds per block: np.bincount sums a block's counts as floats, exact up to 2^53.
 _MAX_BLOCK = 2**53
 # Configurations whose draw tables and closed-form rows are kept, the least
 # recently used dropped first; the oracle grid needs three, the attack triple one.
@@ -117,9 +103,6 @@ _CACHE_SIZE = 16
 # leaves the next configuration's in place.
 _SEED_CACHE_SIZE = 256
 _SQRT_HALF = math.sqrt(0.5)
-
-# numpy's largest Poisson mean, as numpy computes it; beyond it a draw raises.
-_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
 
 # Sampling classes c = (x_a << 5) | (x_b << 4) | enc: x = 1 is the X
 # basis, enc the 4-bit encoding id (ka_ph, ka_pol, kb_ph, kb_pol).
@@ -177,12 +160,6 @@ class SimConfig:
             vars(self)[name] = check_range(name, getattr(self, name), 0.0, 1.0)
         if self.attack not in ATTACKS:
             raise ValueError(f"attack must be one of {ATTACKS}, got {self.attack!r}")
-        # a class's entry total is mu_arm times its _UNIT_LAM row sum, plus four dark means
-        sp = self.sp
-        lam_max = sp.mu_arm * _UNIT_SUM_MAX - 4.0 * math.log1p(-sp.p_d) if sp.p_d < 1.0 else 0.0
-        if lam_max > _POISSON_LAM_MAX:
-            raise ValueError(f"sp must be within numpy's Poisson limit of {_POISSON_LAM_MAX:.4g} "
-                             f"entries per round; mu = {self.sp.mu!r} gives {lam_max:.4g}")
 
 
 @dataclass(frozen=True)
@@ -294,9 +271,9 @@ def _unit_intensities() -> np.ndarray:
 
 
 _UNIT_LAM = _unit_intensities()
-# The largest entry total per unit mu_arm, 2 up to rounding, as numpy sums a row of _UNIT_LAM.
-_UNIT_SUM_MAX = float(_UNIT_LAM.sum(axis=1).max())
-_TAIL = np.array([6.0 / math.factorial(k) for k in range(4, 22)])  # series of P(N >= 4) / P(N = 3) / lam
+# A detector's states, 0 no click, 1 a click of odd and 2 of even photon number; the state of
+# detector d in outcome j is ``_STATES[j, d]``, digit d of j in base 3.
+_STATES = np.arange(81)[:, None] // 3 ** np.arange(4) % 3
 # Each representative's key in a report's ``parity`` and its class (both senders in the X basis).
 _PARITY_KEYS = tuple((pairing.name.lower(), 0b110000 | e.ka_ph << 3 | e.ka_pol << 2 | e.kb_ph << 1 | e.kb_pol)
                      for pairing in PolPairing for e in (pairing.representative(),))
@@ -347,22 +324,34 @@ def _atoms() -> tuple:
     return atoms, _TABLES[[atom[0] for atom in atoms]].astype(np.int64)
 
 
-# Per atom, its cells and its truth-table row; the flat histogram indices of every
-# atom's cells over all parity masks, atom by atom, and where each atom's run starts.
+# Per atom, its cells and its truth-table row.
 _ATOM_CELLS, _ATOM_TABLE = _atoms()
-_ATOM_AT = (np.concatenate(_ATOM_CELLS)[:, None] | np.arange(16) << 10).ravel()
-_ATOM_STARTS = 16 * np.cumsum([0, *map(len, _ATOM_CELLS[:-1])])
-# The comparison rows' parity cells, representative by representative, as flat indices
-# ``parity mask << 10 | class << 4 | click mask`` into a block's histogram.
-_PARITY_AT = np.array([sum(1 << d for d, c in zip(dets, classes) if c is ClickParity.ODD) << 10
-                       | rep << 4 | sum(1 << d for d in dets)
-                       for _, rep in _PARITY_KEYS for _, _, dets, classes in _PARITY_CELLS])
-# The classes whose cells a tally reads, an atom's or a parity cell's: both senders in X, or both in Z
-# and in H. Rounds of any other class are only counted (n_zz, n_mixed), never split into cells.
-_READ = np.isin(_CLASSES, [*(cell >> 4 for cells in _ATOM_CELLS for cell in cells), *(rep for _, rep in _PARITY_KEYS)])
-# Per class, whether it is an X-basis round, a Z-basis round and a round: ``m @ _BASIS_SUMS``
-# gives n_xx, n_zz and the rounds of the class counts m.
-_BASIS_SUMS = np.stack((_XA & _XB, ~_XA & ~_XB, np.ones(64, bool)), axis=1).astype(np.int64)
+# Each class's group, the class counts that a report reads: 0 X basis, 1 Z basis, 2 mixed bases, then
+# the representatives (``_PARITY_KEYS``), whose rounds the parity rows count. ``m @ _BASIS_SUMS``
+# gives n_xx, n_zz and the rounds of the group counts m.
+_GROUP = np.where(_XA & _XB, 0, np.where(_XA == _XB, 1, 2))
+_GROUP[[rep for _, rep in _PARITY_KEYS]] = 3, 4
+_BASIS_SUMS = np.array(((1, 0, 1), (0, 1, 1), (0, 0, 1), (1, 0, 1), (1, 0, 1)))
+# A draw category's key: its group, its atom (or none, the last) and its parity cell (or none, the last).
+_KEY_SHAPE = (len(_BASIS_SUMS), len(_ATOM_CELLS) + 1, len(_PARITY_PATHS) + 1)
+
+
+def _category_keys() -> np.ndarray:
+    """The flat category key (``_KEY_SHAPE``) of every class's every outcome (``_STATES``). An
+    outcome clicks the detectors not in state 0 and has odd photon parity at those in state 1."""
+    clicks = (_STATES > 0) @ (1 << np.arange(4))
+    atom = np.full(64 * 16, len(_ATOM_CELLS))  # by class << 4 | click mask
+    for index, cells in enumerate(_ATOM_CELLS):
+        atom[list(cells)] = index
+    cell = np.full((64, 81), len(_PARITY_PATHS))
+    for index, (rep, (_, _, dets, classes)) in enumerate(itertools.product((rep for _, rep in _PARITY_KEYS),
+                                                                           _PARITY_CELLS)):
+        cell[rep, sum((1 if c is ClickParity.ODD else 2) * 3**d for d, c in zip(dets, classes))] = index
+    keys = np.ravel_multi_index((_GROUP[:, None], atom[_CLASSES[:, None] << 4 | clicks], cell), _KEY_SHAPE)
+    return keys.astype(np.int16)
+
+
+_KEYS = _category_keys()
 
 
 def _class_weights(basis_policy: float) -> np.ndarray:
@@ -371,22 +360,16 @@ def _class_weights(basis_policy: float) -> np.ndarray:
     return np.where(_XA, bp, 1.0 - bp) * np.where(_XB, bp, 1.0 - bp) / 16.0
 
 
-def _cell_means(mu_arm: float, p_d: float) -> np.ndarray:
-    """Mean entries per round of every class's eight cells, j = dark << 2
-    | detector: photons, then dark counts of mean delta (inf at p_d = 1)."""
-    delta = -math.log1p(-p_d) if p_d < 1.0 else math.inf
-    return np.concatenate((mu_arm * _UNIT_LAM, np.full((64, 4), delta)), axis=1)
-
-
-def _strata(lam: np.ndarray) -> np.ndarray:
-    """P(N = 0) to P(N = 3) and P(N >= 4) of N ~ Poisson(lam), along the last axis, each to full
-    relative precision: below lam = 1, P(N >= 4) sums its series from k = 4, where 1 - P(N < 4) would cancel."""
-    p0 = np.exp(-lam)
-    p1 = lam * p0
-    p2 = 0.5 * lam * p1
-    p3 = lam * p2 / 3.0
-    series = np.power.outer(np.minimum(lam, 1.0), np.arange(_TAIL.size)) @ _TAIL
-    return np.stack((p0, p1, p2, p3, np.where(lam < 1.0, p3 * lam * series, 1.0 - (p0 + p1 + p2 + p3))), axis=-1)
+def _outcomes(mu_arm: float, p_d: float) -> np.ndarray:
+    """Probability of each class's 81 outcomes (``_STATES``): its detectors, of intensity i,
+    are independent, each without a click, (1 - p_d) e^-i, with a click of odd photon number,
+    -expm1(-2i) / 2, or of even photon number, none included, expm1(-i)^2 / 2 + p_d e^-i (that is,
+    2 e^-i sinh^2(i / 2) + p_d e^-i, without cancellation at either end)."""
+    with np.errstate(over="ignore"):  # i or 2i beyond the float range is inf, whose states are those of 1e300
+        i = mu_arm * _UNIT_LAM
+        e = np.exp(-i)
+        states = np.stack(((1.0 - p_d) * e, -0.5 * np.expm1(-2.0 * i), 0.5 * np.expm1(-i) ** 2 + p_d * e), axis=-1)
+    return states[:, np.arange(4), _STATES].prod(axis=-1)
 
 
 def _cached(build):
@@ -403,63 +386,22 @@ def _cached(build):
     return call
 
 
-_DrawTables = collections.namedtuple("_DrawTables", "weights p_multi lam q bits odd_bits p cls at three p_rows multi",
-                                     defaults=[None] * 10)
-_SPARE = 16 * 64 * 16  # the flat histogram's spare last slot, where the categories that make no cell go
+_DrawTables = collections.namedtuple("_DrawTables", "p group atom cell")
 
 
 @_cached
 def _tables(mu_arm: float, p_d: float, basis_policy: float) -> _DrawTables:
-    """Tables built once per configuration and read by every block: class weights, the chance that
-    a round is a row (four or more entries in a read class), the rows' per-class entry total mean,
-    ascending cell probabilities q and each sorted cell's detector and parity bit (0 for a dark
-    count); the probabilities of the joint categories (``p``; ``three``: the place of its rounds of
-    three or more entries, None if none) and of the row table (``p_rows``, normalised), each
-    ascending, stable over class by class and column (numpy gives the last, the likeliest, the
-    remainder); of both, joint first, each category's class (64: none), flat histogram index
-    (``_SPARE``: none), and which are four or more entries."""
-    weights = _class_weights(basis_policy)
-    if p_d == 1.0:  # delta = inf: each class is one category, in class order, whose rounds click four times
-        tables = _DrawTables(weights, 0.0, p=weights, cls=np.arange(64), at=np.where(_READ, _CLASSES << 4 | 15, _SPARE))
-    else:  # parity mask 0 above: the photon parity shows in no pattern
-        means = _cell_means(mu_arm, p_d)
-        lam = means.sum(axis=1)
-        strata = _strata(lam)
-        order = np.argsort(means, axis=1, kind="stable")
-        q = means[_CLASSES[:, None], order] / np.where(lam > 0.0, lam, 1.0)[:, None]
-        bits = 1 << (order & 3)
-        odd = np.where(order < 4, bits, 0)
-        # the categories as (class, column, probability, flat histogram index), per class: 0 the class or no entry,
-        # then by cell (parity mask << 4 | click mask) one entry 1-256, two 257-512, the row table's three 513-768,
-        # and 769 four or more; class 64 holds the joint's rounds of three or more entries in a read class, their sum
-        read = np.flatnonzero(_READ)
-        parts = [(np.arange(65), np.zeros(65, int), np.append(weights * np.where(_READ, strata[:, 0], 1.0), 0.0),
-                  np.full(65, _SPARE)),
-                 (read, np.full(read.size, 769), weights[read] * strata[read, 4], np.full(read.size, _SPARE))]
-        for some in np.array_split(read, 2):  # half the read classes at a time, to halve the peak memory
-            cell, prod = np.arange(some.size)[:, None] << 8, np.ones((some.size, 1))  # row, parity mask, click mask
-            for n in (1, 2, 3):  # their ordered n-tuples of cells, row-major
-                cell = (cell[..., None] ^ odd[some, None] << 4 | bits[some, None]).reshape(some.size, -1)
-                prod = (prod[..., None] * q[some, None]).reshape(some.size, -1)
-                sums = np.bincount(cell.ravel(), prod.ravel())  # of q_i q_j ... by cell, in row-major order from 0.0
-                found = np.flatnonzero(sums)
-                c = some[found >> 8]
-                parts.append((c, 256 * n - 255 + (found & 255), weights[c] * (strata[c, n] * sums[found]),
-                              ((found >> 4 & 15) << 6 | c) << 4 | found & 15))
-        cls, col, p, at = map(np.concatenate, zip(*parts))
-        by_key = np.argsort(cls * 770 + col, kind="stable")  # class by class, column by column
-        rows = by_key[(col[by_key] > 512) & (p[by_key] > 0.0)]
-        rows = rows[np.argsort(p[rows], kind="stable")]
-        p[64] = total = p[rows].sum()
-        joint = by_key[(col[by_key] <= 512) & (p[by_key] > 0.0)]
-        joint = joint[np.argsort(p[joint], kind="stable")]
-        tables = _DrawTables(weights, float(p[col == 769].sum()), lam, q, bits, odd, p[joint],
-                             cls[np.concatenate((joint, rows))], at[np.concatenate((joint, rows))],
-                             int(np.argmax(cls[joint] == 64)) if total > 0.0 else None, p[rows] / total,
-                             joint.size + np.flatnonzero(col[rows] == 769))
+    """The draw categories of a configuration, built once and read by every block: the law of
+    (group, atom, parity cell) that the class weights and ``_outcomes`` give, keeping the categories
+    of positive probability ``p`` in ascending order, stable by key (numpy gives the last, the
+    likeliest, the remainder), and each one's group, atom and parity cell (the last of each: none)."""
+    law = _class_weights(basis_policy)[:, None] * _outcomes(mu_arm, p_d)
+    sums = np.bincount(_KEYS.ravel(), law.ravel(), math.prod(_KEY_SHAPE))
+    keys = np.flatnonzero(sums)
+    keys = keys[np.argsort(sums[keys], kind="stable")]
+    tables = _DrawTables(sums[keys], *np.unravel_index(keys, _KEY_SHAPE))
     for array in tables:
-        if isinstance(array, np.ndarray):
-            array.flags.writeable = False
+        array.flags.writeable = False
     return tables
 
 
@@ -468,52 +410,13 @@ def _draw_tables(cfg: SimConfig) -> _DrawTables:
     return _tables(cfg.sp.mu_arm, cfg.sp.p_d, cfg.basis_policy)
 
 
-def _block_sizes(cfg: SimConfig, tables: _DrawTables) -> list[int]:
-    """Partition ``cfg.rounds`` into blocks that expect about ``_BLOCK_ROWS`` rows, rounds of
-    four or more entries in read classes (at p_d = 1 there are none), up to ``_MAX_BLOCK``
-    rounds. The sizes depend on the configuration only."""
-    p_multi = tables.p_multi
-    block = _MAX_BLOCK if p_multi * _MAX_BLOCK <= _BLOCK_ROWS else math.ceil(_BLOCK_ROWS / p_multi)
-    return [min(block, cfg.rounds - lo) for lo in range(0, cfg.rounds, block)]
-
-
-def _multi_entry_totals(rng: np.random.Generator, lam: np.ndarray) -> np.ndarray:
-    """Poisson(lam) conditioned on N >= 4, by exact rejection: where lam <= 1, 4 + Poisson(lam) is
-    kept with probability 24 / (N (N - 1) (N - 2) (N - 3)), else Poisson(lam) is redrawn until >= 4."""
-    n, at, small = np.empty(lam.size, np.int64), np.arange(lam.size), lam <= 1.0
-    while True:
-        x = rng.poisson(lam) + 4 * small
-        n[at] = x
-        keep = np.where(small, rng.random(lam.size) * x * (x - 1.0) * (x - 2.0) * (x - 3.0) < 24.0, x >= 4)
-        if keep.all():
-            return n
-        at, lam, small = at[~keep], lam[~keep], small[~keep]
-
-
-def _rows(counts: np.ndarray, bits: np.ndarray, odd_bits: np.ndarray) -> tuple:
-    """Click masks and photon-parity masks of rows of entry counts per cell,
-    given each cell's detector bit and its parity bit (0 for a dark count)."""
-    clicks = np.bitwise_or.reduce(np.where(counts > 0, bits, 0), axis=1)
-    return clicks, np.bitwise_or.reduce(odd_bits & -(counts & 1), axis=1)
-
-
-def _draw(t: _DrawTables, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw step: a block's class counts ``m`` and its histogram over (parity mask, class, click mask)
-    of the rounds of read classes (``_READ``), from one multinomial over the joint categories (``_tables``),
-    one over the row table if it drew rounds of three or more entries, then the rows if any."""
+def _draw(t: _DrawTables, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw step: a block's group counts (``_BASIS_SUMS``), atom counts and parity-cell counts, from
+    one multinomial over the categories of ``_tables``. np.bincount sums them as floats, exactly for
+    at most ``_MAX_BLOCK`` rounds."""
     k = rng.multinomial(size, t.p)
-    flat = np.zeros(_SPARE + 1, np.int64)
-    if t.three is not None and (three := k[t.three]):
-        k = np.concatenate((k, rng.multinomial(three, t.p_rows)))
-        if (multi := k[t.multi]).any():
-            cls = np.repeat(t.cls[t.multi], multi)  # the rounds of four or more entries, the only rows
-            counts = rng.multinomial(_multi_entry_totals(rng, t.lam[cls]), t.q[cls])
-            clicks, odd = _rows(counts, t.bits[cls], t.odd_bits[cls])
-            np.add.at(flat, (odd << 6 | cls) << 4 | clicks, 1)
-    m = np.zeros(65, np.int64)  # its spare last slot holds the joint's rounds of three or more entries
-    np.add.at(m, t.cls[:k.size], k)
-    np.add.at(flat, t.at[:k.size], k)
-    return m[:64], flat[:_SPARE].reshape(16, 64, 16)
+    m, atoms, cells = (np.bincount(index, k, n).astype(np.int64) for index, n in zip(t[1:], _KEY_SHAPE))
+    return m, atoms[:-1], cells[:-1]
 
 
 @functools.cache
@@ -550,9 +453,9 @@ def _stream(cfg: SimConfig, kind: int, block: int) -> np.random.Generator:
 
 def _tally(cfg: SimConfig, m: np.ndarray, parity: np.ndarray, split: np.ndarray) -> dict:
     """Tally step, once per ``simulate`` call: the report counts and parity
-    cells from the block sums of the class counts, the 40 parity-cell
-    counts (``_PARITY_AT``) and the lottery split; flips and Eve's successes
-    come only with their attack."""
+    cells from the block sums of the group counts (``_GROUP``), the 40
+    parity-cell counts (``_PARITY_PATHS``) and the lottery split; flips and
+    Eve's successes come only with their attack."""
     per_lot = (split @ _ATOM_TABLE).tolist()
     t = dict.fromkeys(_COUNT_FIELDS, 0)
     t.update(zip(_TABLE_COUNTS, map(sum, zip(*per_lot))))
@@ -574,8 +477,8 @@ def _tally(cfg: SimConfig, m: np.ndarray, parity: np.ndarray, split: np.ndarray)
             t["n_key_events"] += events
             t["n_eve_success"] += events * won
     cells, t["parity"] = iter(parity.tolist()), {}
-    for key, rep in _PARITY_KEYS:  # loops: a comprehension with a ** merge would build each group twice
-        group = t["parity"][key] = {"n": int(m[rep])}
+    for (key, _), n in zip(_PARITY_KEYS, m[3:].tolist()):  # the representatives' groups come last
+        group = t["parity"][key] = {"n": n}  # loops: a comprehension with a ** merge would build each group twice
         for name, names in _PARITY_GROUPS:
             group[name] = dict(zip(names, cells))
     return t
@@ -583,17 +486,15 @@ def _tally(cfg: SimConfig, m: np.ndarray, parity: np.ndarray, split: np.ndarray)
 
 def _block_tallies(cfg: SimConfig, tables: _DrawTables, block: int, size: int) -> tuple:
     """Simulate one block: the draw step and the lottery. Returns the int64
-    arrays that ``simulate`` sums: the class counts, the histogram's 40
-    parity cells (``_PARITY_AT``) and the lottery split over (lottery,
-    atom). The lottery splits each atom's rounds with binomials: checked in
+    arrays that ``simulate`` sums: the group counts, the 40 parity-cell
+    counts and the lottery split over (lottery, atom). The lottery splits each atom's rounds with binomials: checked in
     bit 0, on the protocol stream, then flip_ph or eve in bit 1 and flip_pol
     in bit 2, on the attack stream, seeded only for an attack. Every cell of a layer is split with the same
     probability, and a sum of binomials of one probability is a binomial of
     their sum, so splitting the atoms' sums gives every (lot, atom) count the
     law that splitting each cell would give. Last layers of probability 0 are left out: a lot bit reads 0."""
     rng = _stream(cfg, 0, block)
-    m, hist = _draw(tables, rng, size)
-    flat = hist.reshape(-1)
+    m, atoms, parity = _draw(tables, rng, size)
     draws = [(rng, cfg.check_fraction)]
     if cfg.attack == "beam_split":
         draws.append((_stream(cfg, 1, block), ie_dual(TapParams(mu=cfg.sp.mu, eta_t=cfg.sp.eta_t))))
@@ -601,37 +502,26 @@ def _block_tallies(cfg: SimConfig, tables: _DrawTables, block: int, size: int) -
         draws += [(_stream(cfg, 1, block), cfg.flip_fraction)] * 2
     while draws and not draws[-1][1]:  # a last layer of probability 0 would add only empty lots
         draws.pop()
-    split = np.add.reduceat(flat.take(_ATOM_AT), _ATOM_STARTS).reshape(1, -1)
+    split = atoms.reshape(1, -1)
     for gen, p in draws:  # a split of probability 0 draws nothing
         won = gen.binomial(split, p) if p else np.zeros_like(split)
         split = np.concatenate((split - won, won))
-    return m, flat.take(_PARITY_AT), split
+    return m, parity, split
 
 
 def simulate(config: SimConfig, threads: int = 1) -> SimReport:
     """Run the simulation and return aggregated tallies.
 
-    ``threads`` only controls execution; the report is bit-identical for any value because blocks
-    are seeded by index and their arrays are summed as integers, then tallied once. Blocks run on
-    the calling thread unless they carry the rows that pay for a pool; only then is a
-    ``ThreadPoolExecutor`` built and ``concurrent.futures`` imported. Like the NamedTuples that
-    ``rates`` builds through ``tuple.__new__``, the report skips its frozen ``__init__`` (31 fields
-    set one by one).
+    ``threads`` is checked and otherwise ignored: every block runs on the calling thread, and the
+    report is the same for any value. Blocks of ``_MAX_BLOCK`` rounds are seeded by index and their
+    arrays summed as integers, then tallied once. Like the NamedTuples that ``rates`` builds through
+    ``tuple.__new__``, the report skips its frozen ``__init__`` (31 fields set one by one).
     """
     if not is_integer(threads) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
-    tables = _draw_tables(config)
-    blocks = [(config, tables, *block) for block in enumerate(_block_sizes(config, tables))]
-    # A second thread gains only on rows: from two blocks' worth of them, and half a block's
-    # worth per block; on 2 cores, blocks of about 2,750 rows break even and lighter ones lose.
-    rows = tables.p_multi * config.rounds
-    workers = min(threads, len(blocks)) if rows >= _BLOCK_ROWS * max(2, len(blocks) / 2) else 1
-    if workers == 1:
-        totals = functools.reduce(_add_into, (_block_tallies(*block) for block in blocks))
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # loaded only for a pool
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            totals = functools.reduce(_add_into, pool.map(lambda block: _block_tallies(*block), blocks))
+    tables, rounds = _draw_tables(config), config.rounds
+    totals = functools.reduce(_add_into, (_block_tallies(config, tables, block, min(_MAX_BLOCK, rounds - lo))
+                                          for block, lo in enumerate(range(0, rounds, _MAX_BLOCK))))
     report = object.__new__(SimReport)  # its fields set at once, in declaration order
     report.__dict__.update({n: getattr(config, n) for n in _ECHO_FIELDS}, **vars(config.sp), **_tally(config, *totals))
     return report

@@ -119,8 +119,9 @@ class ModeIntensities:
     i_v2: float
 
     def __post_init__(self) -> None:
+        fields = vars(self)  # stored as checked, a float: frozen guards setattr, not the dict
         for name in ("i_h1", "i_h2", "i_v1", "i_v2"):
-            check_range(name, getattr(self, name), 0.0)
+            fields[name] = check_range(name, fields[name], 0.0)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.i_h1, self.i_h2, self.i_v1, self.i_v2)

@@ -137,7 +137,7 @@ def test_figure_data_bytes_unchanged(tmp_path, capsys):
 
 
 def test_mc_crosscheck_prints_the_same_from_cold_and_warm_caches(capsys):
-    # The script at its own seed, threads and budget, at few rounds: the
+    # The script at its own seed and budget, at few rounds: the
     # second run in the process reads the cached draw tables and closed
     # forms, the first builds them. The exit code follows the budget, pass
     # or fail.
@@ -147,7 +147,7 @@ def test_mc_crosscheck_prints_the_same_from_cold_and_warm_caches(capsys):
     montecarlo._closed_forms.cache_clear()
     codes, texts = [], []
     for _ in range(2):
-        codes.append(module.run(args.rounds, args.seed, args.threads, args.budget, args.verbose))
+        codes.append(module.run(args.rounds, args.seed, args.budget, args.verbose))
         texts.append(capsys.readouterr().out)
     assert texts[0] == texts[1] and codes[0] == codes[1]
     assert montecarlo._tables.cache_info().hits == montecarlo._closed_forms.cache_info().hits == 6
@@ -162,7 +162,7 @@ def test_mc_crosscheck_prints_the_same_from_cold_and_warm_caches(capsys):
 
 
 @pytest.mark.parametrize("argv, message", (
-    (["--threads", "0"], "threads must be an integer >= 1, got 0"),
+    (["--threads", "0"], "unrecognized arguments: --threads 0"),  # every call runs on one thread
     (["--rounds", "0"], "rounds must be an integer >= 1, got 0"),
     (["--rounds", str(2**63)], "rounds must be below 2**63"),
     (["--seed", "-1"], "seed must be an integer >= 0, got -1"),
@@ -177,7 +177,7 @@ def test_mc_crosscheck_rejects_out_of_range_flags(argv, message, capsys):
         module.parse_args(argv)
     assert exit_info.value.code == 2 and message in capsys.readouterr().err
     args = module.parse_args([])
-    assert (args.rounds, args.seed, args.budget) == (10_000_000, 2026, 5.0) and args.threads >= 1
+    assert (args.rounds, args.seed, args.budget) == (10_000_000, 2026, 5.0)
 
 
 def test_draw_audit_finds_no_difference_between_a_tree_and_itself(capsys):
@@ -208,11 +208,9 @@ def test_draw_audit_rejects_bad_seed_ranges(seeds, capsys):
 
 # SHA-256 of the JSON each command prints, recorded before the handlers
 # returned payloads for main to serialise; key order, float repr and
-# indentation must all hold. The beam-splitting run's was recorded again
-# when the lottery came to split the tally's atoms instead of its cells, when
-# rounds of classes that no tally reads stopped being split into cells, when
-# a block came to draw one multinomial over its joint categories, and when
-# rounds of three entries became categories of a second draw.
+# indentation must all hold. The beam-splitting run's is recorded again
+# whenever the sampler's draws change, last when every round came to be
+# drawn from one multinomial over the categories of the per-detector law.
 JSON_DIGESTS = {
     ("optimize", "--L", "400"):
         "a9aa213a4b1469bae7bd115cf81c24ddff610c57a21f62b3aa4251d65b56a112",
@@ -221,7 +219,7 @@ JSON_DIGESTS = {
     ("thresholds",):
         "9abe3c7ab13b98212f367df33588c787c39dbb8f5e01cd1ca91ea7cf60a5f3ba",
     ("simulate", "--rounds", "100000", "--seed", "3", "--attack", "beam-split"):
-        "e6515d35ba766e44f7f7fd8ff9f8da12e968fd98d2910af346bc5ac57ad0b981",
+        "1697238a79d815c7ab8ad2c9b2364c599ca4e5873848e4cf7e9fd5e2f8833f41",
 }
 
 
@@ -232,35 +230,28 @@ def test_json_bytes_unchanged(argv, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == JSON_DIGESTS[argv]
 
 
-# SHA-256 of the JSON of a far run (no pair or row stage) and of a dishonest
-# receiver's run with checks, recorded before the per-call bookkeeping of
-# simulate and compare_to_analytic was cut; neither may move a byte. The
-# beam-splitting run with checks (the eve_leak row), the p_d = 0 run (rows of
-# zero variance, rounds_needed None) and the p_d = 1 run (no cell tables) were
-# recorded before the comparison rows were built in one loop, the report
-# without its __init__ and the lottery without its empty layers. When rounds
-# of classes that no tally reads stopped being split into cells, the
-# beam-splitting, p_d = 0 and dishonest receiver's runs were recorded again;
-# the far run (basis_policy 1) and the p_d = 1 run (nothing split) held.
-# When a block came to draw one multinomial over its joint categories, all
-# but the p_d = 1 run (whose draw is unchanged) were recorded again, and
-# again when rounds of three entries became categories of a second draw
-# over the row table (only rounds of four or more as rows).
+# SHA-256 of the JSON of a far run, of a dishonest receiver's run with
+# checks, of a beam-splitting run with checks (the eve_leak row), of a
+# p_d = 0 run (rows of zero variance, rounds_needed None) and of a p_d = 1
+# run (every detector clicks). A change to the report or the comparison
+# rows may not move a byte; a change to the sampler's draws records them
+# again, as when every round came to be drawn from one multinomial over
+# the categories of the per-detector law.
 SIMULATE_DIGESTS = {
     "beam-split": (("simulate", "--rounds", "200000", "--seed", "5", "--basis-policy", "0.5",
                     "--check-fraction", "0.3", "--attack", "beam-split"),
-                   "a8da82c3eff4d9faad9085e73111bd00fad59ba6254b268633f77c7a227f6825"),
+                   "9ea749958c1f3b5db9a04e1250cd5d58afeb92e8186b479fbbe5af14d2ff8014"),
     "p_d=0": (("simulate", "--p-d", "0", "--rounds", "200000", "--seed", "7", "--basis-policy", "0.5",
                "--check-fraction", "0.3"),
-              "26fddb4b431e03ec6ea7e5f8e0046b10be929691221cbf0b209c1f66b98bcca0"),
+              "1ff0080de67c1a25ade66214289a36fafd858839f8ac2418074db39af94faab5"),
     "p_d=1": (("simulate", "--p-d", "1", "--rounds", "200000", "--seed", "11", "--basis-policy", "0.5",
                "--check-fraction", "0.3"),
-              "82ebfe2386111d5ba87f94d71439ccce9623ad2f63995364e12e05bd7138a48a"),
+              "ba15fd4942fb5d3712febfa7d584bc5721ab832a23570e7754c2a5cd74fb92a8"),
     "far": (("simulate", "--L", "400", "--rounds", "2000000", "--seed", "2026", "--basis-policy", "1"),
-            "fef5633b51666b80be6c88b139f78d1e09625919a683e36ad0775f7e4767cd66"),
+            "0a928f4e84f8ddd488b84f8c2e46fcf03a3370fff8137d3791293a496c3ed348"),
     "dishonest-bob": (("simulate", "--rounds", "200000", "--seed", "3", "--basis-policy", "0.5",
                        "--check-fraction", "0.3", "--attack", "dishonest-bob", "--flip", "0.05"),
-                      "90fff29392d8f9f5f05673e5048e6378bb9ae57aebeeb75df4d189f3d0e1551c"),
+                      "178256c98e814fa9b12912e06d50be8db8906f63058425f6e4202e86144fbf23"),
 }
 
 
@@ -342,23 +333,6 @@ def test_simulate_single_round(capsys):
     assert code == 0
     counts = json.loads(out)["report"]["counts"]
     assert counts["n_xx"] + counts["n_zz"] + counts["n_mixed"] == 1
-
-
-@pytest.mark.parametrize("affinity", (True, False), ids=("affinity", "no-affinity"))
-def test_simulate_workers_follow_the_affinity_set(affinity, capsys, monkeypatch):
-    # os.cpu_count also counts CPUs outside the process's affinity set; the
-    # worker count is the size of that set where the platform has one
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    if affinity:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
-    else:
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    seen = []
-    real = cli.simulate
-    monkeypatch.setattr(cli, "simulate",
-                        lambda cfg, threads: seen.append(threads) or real(cfg, threads=threads))
-    code, _, _ = run(capsys, "simulate", "--rounds", "1000", "--seed", "1")
-    assert code == 0 and seen == [1 if affinity else 64]
 
 
 def test_sweep_501_rows(capsys):

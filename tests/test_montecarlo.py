@@ -4,6 +4,7 @@ Statistical assertions use generous sigma margins at fixed seeds so
 they stay deterministic.
 """
 
+import functools
 import hashlib
 import itertools
 import json
@@ -13,6 +14,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -24,7 +26,6 @@ from dualqss import montecarlo
 from dualqss.detectors import ClickParity, SystemParams, exclusive_pattern_prob
 from dualqss.montecarlo import (
     SimConfig,
-    _block_sizes,
     _draw_tables,
     compare_to_analytic,
     max_abs_sigma,
@@ -64,9 +65,8 @@ FAR = SystemParams(mu=0.84, l_km=400.0)
 
 
 def test_worker_count_does_not_change_far_tallies():
-    # at 400 km a block holds the most rounds, 2^53, so this run has eight
+    # a block holds at most 2^53 rounds, so this run has eight
     cfg = config(sp=FAR, rounds=7 * 10**16)
-    assert _block_sizes(cfg, _draw_tables(cfg)) == [2**53] * 7 + [7 * 10**16 - 7 * 2**53]
     assert simulate(cfg, threads=1).to_dict() == simulate(cfg, threads=3).to_dict()
 
 
@@ -80,8 +80,9 @@ def test_worker_count_does_not_change_far_tallies():
     config(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0), rounds=30_000),
 ), ids=("far", "far-odd", "300km", "near", "one", "far-blocks", "bright"))
 def test_block_sizes_partition_rounds_whatever_the_threads(cfg, monkeypatch):
-    sizes = _block_sizes(cfg, _draw_tables(cfg))
-    assert sum(sizes) == cfg.rounds and all(s > 0 for s in sizes)
+    # blocks are chunks of 2^53 rounds, whatever the configuration
+    assert montecarlo._MAX_BLOCK == 2**53
+    sizes = [min(2**53, cfg.rounds - lo) for lo in range(0, cfg.rounds, 2**53)]
     real = montecarlo._block_tallies
     seen = []
     monkeypatch.setattr(montecarlo, "_block_tallies",
@@ -92,38 +93,35 @@ def test_block_sizes_partition_rounds_whatever_the_threads(cfg, monkeypatch):
         assert sorted(seen) == list(enumerate(sizes))
 
 
-@pytest.mark.parametrize("cfg, pooled", (
-    (config(sp=FAR, rounds=5 * 10**16), False),
-    (config(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0), rounds=50_000, basis_policy=1.0), True),
+@pytest.mark.parametrize("cfg, blocks", (
+    (config(sp=FAR, rounds=5 * 10**16), 6),
+    (config(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0), rounds=50_000, basis_policy=1.0), 1),
 ), ids=("far", "bright"))
-def test_light_blocks_run_on_the_calling_thread(cfg, pooled, monkeypatch):
-    # Six far blocks of about 20 rows each ran 2 to 2.7 times slower on a
-    # pool of two than on the caller, so these six, of about 7, stay there;
-    # seven bright blocks of 8k rows each gain from the pool. The report is
-    # the same either way.
+def test_light_blocks_run_on_the_calling_thread(cfg, blocks, monkeypatch):
+    # Every block runs on the caller, at any thread count, with the same report.
     real, idents = montecarlo._block_tallies, []
     monkeypatch.setattr(montecarlo, "_block_tallies",
                         lambda *args: idents.append(threading.get_ident()) or real(*args))
     serial = simulate(cfg)
-    assert set(idents) == {threading.get_ident()}
-    idents.clear()
     assert simulate(cfg, threads=2) == serial
-    assert len(idents) == {False: 6, True: 7}[pooled]
-    assert (threading.get_ident() not in idents) == pooled
+    assert idents == [threading.get_ident()] * (2 * blocks)
 
 
 def test_light_calls_load_no_pool_module():
-    # A pool is built, and concurrent.futures imported, only for calls whose
-    # blocks carry the rows that pay for it: importing the package and its
-    # CLI, then a light six-block far run at two threads, leave it unloaded.
-    code = ("import sys, dualqss, dualqss.cli\n"
-            "cfg = dualqss.SimConfig(sp=dualqss.SystemParams(l_km=400.0), rounds=5 * 10**16, seed=1)\n"
-            "dualqss.simulate(cfg, threads=2)\n"
-            "print('concurrent.futures' in sys.modules)")
+    # No call builds a pool or imports concurrent.futures: importing the
+    # package and its CLI, then a six-block far run or a bright run (every
+    # round clicks) at two threads, each in a fresh interpreter, leave it
+    # unloaded.
     paths = (str(Path(montecarlo.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout == "False\n"
+    for sp, rounds, basis_policy in (("l_km=400.0", "5 * 10**16", 0.5), ("mu=20.0, l_km=0.0, eta_d=1.0", "50_000", 1.0)):
+        code = ("import sys, dualqss, dualqss.cli\n"
+                f"cfg = dualqss.SimConfig(sp=dualqss.SystemParams({sp}), rounds={rounds}, seed=1, "
+                f"basis_policy={basis_policy})\n"
+                "dualqss.simulate(cfg, threads=2)\n"
+                "print('concurrent.futures' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout == "False\n", sp
 
 
 def test_analytic_calls_load_no_numpy_random():
@@ -197,16 +195,16 @@ def test_streams_are_default_rng_streams_when_threads_share_the_cache():
 
 
 def test_draw_tables_are_built_once_per_configuration(monkeypatch):
-    # Equal configurations share one set of tables: _strata runs once for
+    # Equal configurations share one set of tables: _outcomes runs once for
     # them, whatever the worker count, and every block of a multi-block far
     # run reads that one object. A changed mu_arm, p_d or basis_policy
     # builds them again; the seed, rounds, lottery and attack do not. The
     # blocks' arrays are summed, so each call is still tallied once, not
     # once per block.
     montecarlo._tables.cache_clear()
-    strata, read, tallied = [], [], []
-    real_strata, real_block, real_tally = montecarlo._strata, montecarlo._block_tallies, montecarlo._tally
-    monkeypatch.setattr(montecarlo, "_strata", lambda lam: strata.append(lam) or real_strata(lam))
+    laws, read, tallied = [], [], []
+    real_outcomes, real_block, real_tally = montecarlo._outcomes, montecarlo._block_tallies, montecarlo._tally
+    monkeypatch.setattr(montecarlo, "_outcomes", lambda *args: laws.append(args) or real_outcomes(*args))
     monkeypatch.setattr(montecarlo, "_block_tallies",
                         lambda c, t, block, size: read.append(t) or real_block(c, t, block, size))
     monkeypatch.setattr(montecarlo, "_tally", lambda *args: tallied.append(args) or real_tally(*args))
@@ -217,19 +215,19 @@ def test_draw_tables_are_built_once_per_configuration(monkeypatch):
             read.clear()
             simulate(replace(cfg, sp=replace(cfg.sp)), threads=threads)  # equal, not the same objects
             calls += 1
-            assert len(strata) == 1 and len(tallied) == calls
+            assert len(laws) == 1 and len(tallied) == calls
             assert len(read) == 8 and all(t is read[0] for t in read)
             tables.add(id(read[0]))
     assert len(tables) == 1
     for same in (replace(cfg, seed=9, rounds=10**6, check_fraction=0.3, attack="beam_split"),
                  replace(cfg, sp=replace(FAR, f=1.3), attack="dishonest_bob", flip_fraction=0.2)):
         simulate(same)
-        assert len(strata) == 1 and read[-1] is read[0]
+        assert len(laws) == 1 and read[-1] is read[0]
     for changed in (replace(cfg, sp=replace(FAR, mu=0.85)), replace(cfg, sp=replace(FAR, l_km=399.0)),
                     replace(cfg, sp=replace(FAR, p_d=1e-7)), replace(cfg, basis_policy=1.0)):
-        built = len(strata)
+        built = len(laws)
         simulate(changed)
-        assert len(strata) == built + 1 and id(read[-1]) not in tables
+        assert len(laws) == built + 1 and id(read[-1]) not in tables
         tables.add(id(read[-1]))
     assert len(tallied) == calls + 6
 
@@ -265,46 +263,20 @@ def test_results_do_not_depend_on_the_call_history(signs):
 @pytest.mark.parametrize("sp", (SP, SystemParams(p_d=1.0)), ids=("near", "pd1"))
 def test_cached_tables_are_read_only(sp):
     tables = _draw_tables(config(sp=sp))
-    arrays = [array for array in tables if isinstance(array, np.ndarray)]
-    assert len(arrays) == (10 if sp.p_d < 1.0 else 4)  # at p_d = 1 the weights are the categories' probabilities
-    for array in arrays:
+    assert len(tables) == 4 and all(isinstance(array, np.ndarray) for array in tables)  # the law, its indices
+    for array in tables:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
     forms = montecarlo._closed_forms(sp.mu_arm, sp.p_d, 0.5)
     assert isinstance(forms, tuple) and all(isinstance(form, tuple) for form in forms)
 
 
-@pytest.mark.parametrize("kw, rounds, block", (
-    (dict(sp=SystemParams(mu=0.4, l_km=100.0), basis_policy=1.0), 3 * 10**13, 10_958_494_428_769),
-    (dict(sp=SystemParams(mu=0.84, l_km=100.0)), 5 * 10**12, 1_821_710_698_587),
-    (dict(sp=SystemParams(mu=1.5, l_km=100.0), basis_policy=0.0), 10**12, 227_401_824_141),
-    (dict(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0)), 1_100_000, 26_215),
-    (dict(sp=SystemParams(mu=0.84, l_km=100.0, p_d=0.02)), 2 * 10**10, 5_593_010_360),
-    (dict(sp=SystemParams(mu=0.84, l_km=100.0, p_d=0.7)), 1_100_000, 36_827),
-    (dict(sp=SystemParams(p_d=1.0)), 10**15, 10**15),
-    (dict(sp=FAR, basis_policy=1.0), 10**17, 2**53),
-), ids=("100km-mu0.4", "100km", "100km-z", "bright", "pd0.02", "pd0.7", "pd1", "400km"))
-def test_blocks_expect_a_fixed_number_of_multi_entry_rounds(kw, rounds, block):
-    # A block expects about _BLOCK_ROWS rows, rounds of four or more entries
-    # in a class the tally reads, up to 2^53 rounds: nearly every read round
-    # when bright, 71% of them at p_d = 0.7 (at basis_policy 0.5, 5 in 16
-    # rounds are read), one in 2e8 at 100 km, one in 6e19 at 400 km, where a
-    # block holds none of them. At p_d = 1 every round is a count, so one
-    # block holds them all.
-    cfg = config(rounds=rounds, **kw)
-    sizes = _block_sizes(cfg, _draw_tables(cfg))
-    assert sizes == [block] * (rounds // block) + [rounds % block] * (rounds % block > 0)
-    if cfg.sp.p_d < 1.0:
-        lam = montecarlo._cell_means(cfg.sp.mu_arm, cfg.sp.p_d).sum(axis=1)
-        read = [c for c in range(64) if c >> 4 == 3 or c >> 4 == 0 and not c & 0b0101]  # XX, or ZZ in H
-        p_multi = montecarlo._class_weights(cfg.basis_policy)[read] @ montecarlo._strata(lam)[read, 4]
-        assert block == min(montecarlo._MAX_BLOCK, math.ceil(montecarlo._BLOCK_ROWS / p_multi))
-
-
-def test_dark_source_is_one_block_of_any_size():
+def test_dark_source_is_one_block_of_any_size(monkeypatch):
     cfg = SimConfig(sp=SystemParams(mu=0.0, p_d=0.0), rounds=10**12, seed=2)
-    assert _block_sizes(cfg, _draw_tables(cfg)) == [10**12]
+    real, sizes = montecarlo._block_tallies, []
+    monkeypatch.setattr(montecarlo, "_block_tallies", lambda *args: sizes.append(args[-1]) or real(*args))
     rep = simulate(cfg, threads=2)
+    assert sizes == [10**12]
     assert rep.n_xx + rep.n_zz + rep.n_mixed == 10**12
     assert rep.n_event1 == rep.n_event2 == rep.n_event3 == rep.n_check_z_bits == 0
 
@@ -671,39 +643,22 @@ def test_config_rejects_non_finite(name, value):
     ("seed", -1),
     ("seed", 1.5),
     ("rounds", 10**400),
-    # twice mu_arm, a Z-basis pulse in one mode, beyond numpy's Poisson limit
-    pytest.param("sp", SystemParams(mu=1e19, l_km=0.0, eta_d=1.0), id="sp-mu1e19"),
 ))
 def test_config_rejects_non_integer_counts(name, value):
     with pytest.raises(ValueError, match=f"{name} must be"):
         config(**{name: value})
 
 
-def test_config_accepts_intensity_below_poisson_limit():
-    sp = SystemParams(mu=4e18, l_km=0.0, eta_d=1.0)
-    assert simulate(SimConfig(sp=sp, rounds=10, seed=1)).rounds == 10
-    with pytest.raises(ValueError, match="mu = 1e"):
-        SimConfig(sp=SystemParams(mu=1e19, l_km=0.0, eta_d=1.0), rounds=10, seed=1)
-
-
-def test_poisson_limit_is_exact_at_its_edge():
-    # The check's closed form, mu_arm times the largest _UNIT_LAM row sum
-    # plus four dark means, is the largest entry total of the draw tables
-    # bit for bit, so the last intensity it accepts draws without numpy's
-    # error, and the next float up is refused.
-    unit, lam_max = montecarlo._UNIT_SUM_MAX, montecarlo._POISSON_LAM_MAX
-    mu = lam_max / unit
-    while mu * unit > lam_max:
-        mu = math.nextafter(mu, 0.0)
-    while math.nextafter(mu, math.inf) * unit <= lam_max:
-        mu = math.nextafter(mu, math.inf)
-    edge = SystemParams(mu=mu, l_km=0.0, eta_d=1.0)
-    for sp in (edge, replace(SP, p_d=0.02), SystemParams(mu=20.0, l_km=0.0, eta_d=1.0, p_d=0.7)):
-        cfg = SimConfig(sp=sp, rounds=10, seed=1)
-        assert _draw_tables(cfg).lam.max() == sp.mu_arm * unit - 4.0 * math.log1p(-sp.p_d)
-        assert simulate(cfg).rounds == 10
-    with pytest.raises(ValueError, match="mu = "):
-        SimConfig(sp=replace(edge, mu=math.nextafter(mu, math.inf)), rounds=10, seed=1)
+def test_config_accepts_any_finite_intensity():
+    # No draw takes a photon number, so no intensity is too bright: mu = 1e19,
+    # refused while rounds drew Poisson entry totals, and the largest float
+    # give finite reports that serialise, and every X-basis round is an
+    # event (two modes cancel, the other two click).
+    for mu in (4e18, 1e19, 1.7976931348623157e308):
+        rep = simulate(SimConfig(sp=SystemParams(mu=mu, l_km=0.0, eta_d=1.0), rounds=100_000, seed=1))
+        assert rep.n_xx + rep.n_zz + rep.n_mixed == 100_000 and rep.n_xx > 0 and rep.n_fail_xx == 0, mu
+        json.dumps(rep.to_dict(), allow_nan=False)
+        assert all(math.isfinite(row["sigma"]) for row in compare_to_analytic(rep)), mu
 
 
 def test_rounds_stay_within_the_int64_tallies():
@@ -786,28 +741,28 @@ def test_report_dict_shape():
 
 PINNED = {
     "near": (dict(rounds=1_100_000),
-             "4daf0b99beab7d371cda676e3bf1cef5541fda6932879df546c5145ea83fb56c"),
+             "231aff028df4dce85eff6ec9e8ea1e7a436b3e171b3b4e31bd0c14ee34e85344"),
     "bright": (dict(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0), rounds=600_000, seed=17),
-               "e0a30e309289e7514ba359c18013515ea0ff3e1b65c5657bdd8058458d7688e7"),
+               "6c7caa36f06697a7537873c4a54c1a26b09e48d0443ebba8e67d2b6dab339ede"),
     "dark": (dict(sp=SystemParams(mu=0.84, l_km=100.0, p_d=0.02), rounds=600_000, seed=13),
-             "d8fd438c727b994309033175606b2f41aaf4d2420cf5e5be2536020c414e80ce"),
+             "db77117e21aca5d11acd773f5320455f587d0d4b66372b54a0041c67e19cd114"),
     "checked-none": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05),
-                     "805b3ba676e5884e3a6c2d50b8e67de5d6d6faa49c2cdf1d3c80a43610ea98a2"),
+                     "bc159745aecb9b27f8550e970cf9d97cac948792bd3316cf19685c3f59a0c4a5"),
     "checked-beam_split": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05,
                                 attack="beam_split"),
-                           "b05097f18ebccd1f798343d2ac061671642b0716829b1abce648dc019afef63b"),
+                           "c3067dae747c54f4afa49d648e3d3e0f03ca3f74dac31310b28ca01c5dcda27c"),
     "checked-dishonest_bob": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05,
                                    attack="dishonest_bob"),
-                              "79db61772c07a1cce16d057e7d54964d22b06a85cb56f486882fc51078521751"),
+                              "01b504e7064c2d4a5590c1ab5de6e58e2317037eabac86fd61e818e2a6547577"),
     "far": (dict(sp=FAR, rounds=10**9),
-            "ba1841c2df2f4c8647b421333f30e715d1c2957863e7fefe7ef0761f2b6ce70a"),
+            "105b2b9ce4dbbf47e10c90fed738f598988eaa3645ede7b852b4130ca7f026af"),
     "near-x": (dict(rounds=1_100_000, basis_policy=1.0),
-               "ca4f4209cf57c73c9ea51622165c901d4f1755533ad75948ec66495f5cade8eb"),
+               "1996fd9a1d301c2552379c9c988a5ee1ffa233f987831b0daa320a1cb8ffba01"),
     "checked-beam_split-x": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05,
                                   attack="beam_split", basis_policy=1.0),
-                             "bda6da5ecb49d6c33a5e76548fbc787678aeef7851d6a98469092b42632ce7d9"),
+                             "f118802fba16bbfce6a3881bc4310f8c4c0658d36cf2ba6dd8ce82f75634f497"),
     "bright-x": (dict(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0), rounds=60_000, seed=17, basis_policy=1.0),
-                 "7516de26395cfc2c82dfdcb66d28818b55ca61613f552506a96d8a1b338ef156"),
+                 "5224749a1c147374ea94ac0de1268b34e8f622edf79c7c6ca44c10a006be3257"),
 }
 
 
@@ -815,20 +770,12 @@ PINNED = {
 def test_tallies_pinned_at_fixed_seeds(case):
     """Reports are reproducible across versions, not only across calls.
 
-    The SHA-256 of each report's JSON was recorded when two-entry rounds
-    became counts over cell pairs (only rounds of three or more entries as
-    rows), and the checked cases again when the lottery came to split the
-    tally's atoms instead of its cells; each is the same for 1 and 2
-    threads. The bright cases span 23 blocks (8 at basis_policy 1), the
-    others one each. They were recorded again, all but the basis_policy 1
-    cases, when rounds of classes that no tally reads stopped being split
-    into cells, and blocks came to count only the rows they draw, all ten
-    when a block came to draw one multinomial over its joint categories
-    (module docstring), and all ten again when rounds of three entries
-    became categories of a second draw over the row table, so that only
-    rounds of four or more are rows. Any change of the block sizes or of
-    how a block consumes its random streams changes these digests; such a
-    change must update them and say so in CHANGES.md.
+    The SHA-256 of each report's JSON, the same for 1 and 2 threads, was
+    last recorded when every round came to be drawn from one multinomial
+    over the categories of the per-detector law (module docstring); each
+    case is one block. Any change of the block sizes or of how a block
+    consumes its random streams changes these digests; such a change must
+    update them and say so in CHANGES.md.
     """
     kw, digest = PINNED[case]
     report = simulate(config(**kw), threads=2)
@@ -855,59 +802,123 @@ def entries(counts, bits, odd_bits):
     return round_id, det, counts[round_id, cell] * (1 + (odd_bits[round_id, cell] == 0))
 
 
+# The slow reference: the Poisson splitting. A round of a class holds Poisson entries in eight
+# cells j = dark << 2 | detector (photons, then dark counts); its entry total N is Poisson(lam),
+# lam the sum of the cell means, and given N the entries split multinomially over the cells in
+# proportion to their means. Each cell's detector bit, and its photon-parity bit (0 for a dark count):
+CELL_BITS = 1 << (np.arange(8) & 3)
+CELL_ODD = np.where(np.arange(8) < 4, CELL_BITS, 0)
+_TAIL = np.array([6.0 / math.factorial(k) for k in range(4, 22)])  # series of P(N >= 4) / P(N = 3) / lam
+
+
+def reference_strata(lam):
+    """P(N = 0) to P(N = 3) and P(N >= 4) of N ~ Poisson(lam), along the last axis, each to full
+    relative precision: below lam = 1, P(N >= 4) sums its series from k = 4, where 1 - P(N < 4) would cancel."""
+    p0 = np.exp(-lam)
+    p1 = lam * p0
+    p2 = 0.5 * lam * p1
+    p3 = lam * p2 / 3.0
+    series = np.power.outer(np.minimum(lam, 1.0), np.arange(_TAIL.size)) @ _TAIL
+    return np.stack((p0, p1, p2, p3, np.where(lam < 1.0, p3 * lam * series, 1.0 - (p0 + p1 + p2 + p3))), axis=-1)
+
+
+def cell_means(sp):
+    """Mean entries per round of every class's eight cells: photons, then dark counts of mean -ln(1 - p_d)."""
+    return np.concatenate((sp.mu_arm * montecarlo._UNIT_LAM, np.full((64, 4), -math.log1p(-sp.p_d))), axis=1)
+
+
+def outcome_of(clicks, odd):
+    """The outcome (``_STATES``) of click masks and photon-parity masks: per detector, 0 without a
+    click, 1 with an odd photon number and 2 with an even one."""
+    bits = 1 << np.arange(4)
+    clicked, odd_at = (np.asarray(mask)[..., None] & bits != 0 for mask in (clicks, odd))
+    return np.where(clicked, np.where(odd_at, 1, 2), 0) @ 3 ** np.arange(4)
+
+
+@functools.cache
+def tuple_outcomes(n):
+    """Every ordered n-tuple of cells (i, j, ...) and the outcome its n entries reduce to through the reference."""
+    tuples = np.array(list(itertools.product(range(8), repeat=n)))
+    counts = np.array([np.bincount(entry, minlength=8) for entry in tuples])
+    rounds, clicks, odd = reference_rows(*entries(counts, np.tile(CELL_BITS, (len(counts), 1)),
+                                                  np.tile(CELL_ODD, (len(counts), 1))))
+    assert np.array_equal(rounds, np.arange(len(counts)))  # every such round clicks
+    return tuples, outcome_of(clicks, odd)
+
+
+def reference_outcomes(sp):
+    """Per class, the probability of each outcome with at most three entries, each ordered n-tuple of
+    cells (i, j, ...) weighing P(N = n) q_i q_j ..., q the cells' shares of lam; and P(N >= 4)."""
+    means = cell_means(sp)
+    lam = means.sum(axis=1)
+    q = means / np.where(lam > 0.0, lam, 1.0)[:, None]
+    strata = reference_strata(lam)
+    law = np.zeros((64, 81))
+    law[:, 0] = strata[:, 0]
+    for n in (1, 2, 3):
+        tuples, outcome = tuple_outcomes(n)
+        for c in range(64):
+            np.add.at(law[c], outcome, strata[c, n] * q[c, tuples].prod(axis=1))
+    return law, strata[:, 4], lam, q
+
+
+def category_key(c, clicks, odd):
+    """The category of a class-c round of a click mask and a photon-parity mask, written out from
+    the report's layout: its group (X basis, Z basis, mixed, the representatives plus_plus and
+    plus_minus), its atom (the one of ``_ATOM_CELLS`` holding (class, click mask), 12 for none) and its
+    parity cell (its place among the report's 40, ``_PARITY_PATHS``; 40 for none)."""
+    xa, xb = c >> 5 & 1, c >> 4 & 1
+    group = {0b110000: 3, 0b110001: 4}.get(c, 0 if xa and xb else 1 if xa == xb else 2)
+    atom = next((a for a, cells in enumerate(montecarlo._ATOM_CELLS) if c << 4 | clicks in cells), 12)
+    cell = 40
+    if group > 2 and clicks in PATTERN_OF_MASK:
+        name, dets = PATTERN_OF_MASK[clicks]
+        parity = "".join("o" if odd >> d & 1 else "e" for d in dets)
+        path = ("plus_plus" if group == 3 else "plus_minus", name, {"o": "odd", "e": "even"}.get(parity, parity))
+        cell = montecarlo._PARITY_PATHS.index(path)
+    return group, atom, cell
+
+
+@functools.cache
+def category_keys():
+    """``category_key`` of every class's every outcome (``_STATES``), as a 64 x 81 list."""
+    masks = [(int((states > 0) @ (1 << np.arange(4))), int((states == 1) @ (1 << np.arange(4))))
+             for states in montecarlo._STATES]
+    return [[category_key(c, clicks, odd) for clicks, odd in masks] for c in range(64)]
+
+
+# Patterns by click mask (bit d for detector d): D1H = 1, D2H = 2, D1V = 4,
+# D2V = 8. Event1 is a lone H click, Event2 an H+V pair at one port,
+# Event3 at crossed ports.
+EVENT_OF_MASK = {0b0001: 1, 0b0010: 1, 0b0101: 2, 0b1010: 2, 0b1001: 3, 0b0110: 3}
+PATTERN_OF_MASK = {0b0001: ("h1", (0,)), 0b0010: ("h2", (1,)), 0b0101: ("h1v1", (0, 2)),
+                   0b1010: ("h2v2", (1, 3)), 0b1001: ("h1v2", (0, 3)), 0b0110: ("h2v1", (1, 2))}
+MASKS = (*EVENT_OF_MASK, 0b0000, 0b0111, 0b1111)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_row_reduction_matches_unique_reference(seed):
-    # Eight cells per row (j = dark << 2 | detector) in a seeded order per
-    # row, as the draw step orders them by mean; counts 0 to 5, many cells
-    # and some rows empty, so that detectors see photons and dark counts
-    # together.
+    # Rounds of 0 to 5 entries per cell, many cells and some rounds empty,
+    # so that detectors see photons and dark counts together, in seeded
+    # classes. Each round's outcome, a detector in state 0 without entries,
+    # 1 with an odd photon number and 2 otherwise, has the category
+    # (``_KEYS``) of the click and photon-parity masks that the reference
+    # reduces its entries to.
     rng = np.random.default_rng(seed)
     size = 3_000
-    order = rng.permuted(np.tile(np.arange(8), (size, 1)), axis=1)
     counts = rng.integers(0, 6, (size, 8)) * (rng.random((size, 8)) < 0.3)
-    bits = 1 << (order & 3)
-    odd_bits = np.where(order < 4, bits, 0)
-    clicks, odd = montecarlo._rows(counts, bits, odd_bits)
-    clicked = np.flatnonzero(clicks)
-    want = reference_rows(*entries(counts, bits, odd_bits))
-    assert all(np.array_equal(g, w) for g, w in zip((clicked, clicks[clicked], odd[clicked]), want))
-    assert 0 < clicked.size < size
-    round_id, det, _ = entries(counts, bits, odd_bits)
+    cls = rng.integers(0, 64, size)
+    photons, darks = counts[:, :4], counts[:, 4:]
+    states = np.where(photons & 1, 1, np.where(photons + darks > 0, 2, 0))
+    got = np.unravel_index(montecarlo._KEYS[cls, states @ 3 ** np.arange(4)], montecarlo._KEY_SHAPE)
+    rounds, clicks, odd = reference_rows(*entries(counts, np.tile(CELL_BITS, (size, 1)), np.tile(CELL_ODD, (size, 1))))
+    all_clicks, all_odd = np.zeros(size, np.int64), np.zeros(size, np.int64)
+    all_clicks[rounds], all_odd[rounds] = clicks, odd
+    want = [category_key(c, k, o) for c, k, o in zip(cls.tolist(), all_clicks.tolist(), all_odd.tolist())]
+    assert list(zip(*(index.tolist() for index in got))) == want
+    assert 0 < rounds.size < size and (got[1] < 12).any() and (got[2] < 40).any()
+    round_id, det, _ = entries(counts, np.tile(CELL_BITS, (size, 1)), np.tile(CELL_ODD, (size, 1)))
     assert np.unique(round_id << 2 | det, return_counts=True)[1].max() > 1
-
-
-DRAWN = (
-    (SP, 10**10),
-    (SystemParams(mu=20.0, l_km=0.0, eta_d=1.0), 50_000),
-    (SystemParams(mu=0.84, l_km=100.0, p_d=0.02), 10**8),
-    (SystemParams(mu=0.84, l_km=100.0, p_d=0.7), 50_000),
-    (SystemParams(mu=0.0, p_d=0.0), 50_000),
-)
-DRAWN_IDS = ("near", "bright", "pd0.02", "pd0.7", "empty")
-
-
-@pytest.mark.parametrize("sp, size", DRAWN, ids=DRAWN_IDS)
-def test_drawn_entries_reduce_like_unique_reference(sp, size, monkeypatch):
-    # The draw step's rows, as it reduces them, against the reference over
-    # the same entries; each round holds four or more, and each lands in
-    # the histogram.
-    seen = []
-
-    def rows(counts, bits, odd_bits, real=montecarlo._rows):
-        seen.append((counts, bits, odd_bits, real(counts, bits, odd_bits)))
-        return seen[-1][-1]
-
-    monkeypatch.setattr(montecarlo, "_rows", rows)
-    _, hist = montecarlo._draw(_draw_tables(config(sp=sp)), np.random.default_rng(3), size)
-    if sp.mu == sp.p_d == 0.0:  # no round holds an entry, so the row stage is skipped
-        assert seen == [] and not hist.any()
-        return
-    [(counts, bits, odd_bits, (clicks, odd))] = seen
-    want = reference_rows(*entries(counts, bits, odd_bits))
-    assert all(np.array_equal(g, w) for g, w in zip((np.arange(clicks.size), clicks, odd), want))
-    assert (counts.sum(axis=1) >= 4).all()
-    assert (hist.sum(axis=1).ravel() >= np.bincount(odd << 4 | clicks, minlength=256)).all()
-    assert clicks.size > 0
 
 
 class Recorder:
@@ -924,104 +935,75 @@ class Recorder:
         return self.drawn[-1][-1]
 
 
-def tuple_cells(t, c, n):
-    """The distinct flat histogram indices of class c's ordered n-tuples of cells (i, j, ...), as
-    the reference reduces them, in ascending order, each with the sum of its tuples' products
-    q_i q_j ..., summed in row-major order from 0.0."""
-    tuples = list(itertools.product(range(8), repeat=n))
-    counts = np.array([np.bincount(entry, minlength=8) for entry in tuples])
-    rounds, clicks, odd = reference_rows(*entries(counts, np.tile(t.bits[c], (len(counts), 1)),
-                                                  np.tile(t.odd_bits[c], (len(counts), 1))))
-    assert np.array_equal(rounds, np.arange(len(counts)))  # every such round clicks
-    sums = {}
-    for entry, cell in zip(tuples, ((odd << 6 | c) << 4 | clicks).tolist()):
-        sums[cell] = sums.get(cell, 0.0) + math.prod(t.q[c, i] for i in entry)
-    return sorted(sums.items())
+DRAWN = (
+    (SP, 10**10),
+    (SystemParams(mu=20.0, l_km=0.0, eta_d=1.0), 50_000),
+    (SystemParams(mu=0.84, l_km=100.0, p_d=0.02), 10**8),
+    (SystemParams(mu=0.84, l_km=100.0, p_d=0.7), 50_000),
+    (SystemParams(mu=0.0, p_d=0.0), 50_000),
+)
+DRAWN_IDS = ("near", "bright", "pd0.02", "pd0.7", "empty")
+# the heavy-dark setting of scripts/draw_audit.py: rounds of three and of four or more entries are both common
+HEAVY_DARK = SystemParams(mu=0.84, l_km=100.0, p_d=0.3)
 
 
-def ascending(rows):
-    """``rows`` of positive probability, stably in ascending order of it, as four columns."""
-    rows = sorted((row for row in rows if row[0] > 0.0), key=lambda row: row[0])
-    return [np.array([row[i] for row in rows]) for i in range(4)]
-
-
-def row_categories(t, weights):
-    """The row table of ``_tables`` before it is normalised, built class by class in loops:
-    (probability, class, flat histogram index or ``_SPARE``, kind: three or multi). A read class
-    has each distinct cell of its ordered triples (w (P3 s), s the sum of their q_i q_j q_k), then
-    four or more entries (w P4)."""
-    strata = montecarlo._strata(t.lam)
-    rows = []
-    for c in np.flatnonzero(montecarlo._READ).tolist():
-        w, p3, p4 = weights[c], strata[c, 3], strata[c, 4]
-        rows += [(w * (p3 * total), c, cell, "three") for cell, total in tuple_cells(t, c, 3)]
-        rows.append((w * p4, c, montecarlo._SPARE, "multi"))
-    return ascending(rows)
-
-
-def joint_categories(t, weights, three):
-    """The joint categories of ``_tables``, built class by class in loops: (probability, class,
-    flat histogram index or ``_SPARE``, kind: class, none, one, pair or three). A class no tally
-    reads is one category of its weight w; a read class has no entry (w P0), each one-entry cell
-    i (w (P1 q_i)) and each distinct cell of its ordered pairs (i, j) (w (P2 s), s the sum of
-    their q_i q_j); last, of class 64, come the rounds of three or more entries in a read class,
-    of probability ``three``."""
-    strata, spare = montecarlo._strata(t.lam), montecarlo._SPARE
-    rows = []
-    for c in range(64):
-        w = weights[c]
-        if not montecarlo._READ[c]:
-            rows.append((w, c, spare, "class"))
-            continue
-        rows.append((w * strata[c, 0], c, spare, "none"))
-        for n, kind in ((1, "one"), (2, "pair")):
-            rows += [(w * (strata[c, n] * total), c, cell, kind) for cell, total in tuple_cells(t, c, n)]
-    return ascending([*rows, (three, 64, spare, "three")])
+@pytest.mark.parametrize("sp", [sp for sp, _ in DRAWN] + [HEAVY_DARK], ids=DRAWN_IDS + ("heavy-dark",))
+def test_drawn_entries_reduce_like_unique_reference(sp):
+    # Rounds of four or more entries, drawn by the reference: 100,000, each
+    # of class c with probability in proportion to w_c P_c(N >= 4), its
+    # entry total from the Poisson conditioned on N >= 4, split over the
+    # cells and reduced through the reference. Their outcomes by class
+    # follow the law less its rounds of up to three entries: a chi-square
+    # over the (class, outcome) bins expecting at least 20, the rest pooled,
+    # below its z = 5 quantile (Wilson-Hilferty). Without light or dark
+    # counts no round holds an entry, and the law is all "no click".
+    law = montecarlo._outcomes(sp.mu_arm, sp.p_d)
+    ref, multi, lam, q = reference_outcomes(sp)
+    weights = montecarlo._class_weights(0.5)
+    if sp.mu == sp.p_d == 0.0:
+        assert not multi.any() and (law[:, 0] == 1.0).all()
+        return
+    rest = weights[:, None] * (law - ref)
+    assert rest.sum() == pytest.approx(weights @ multi, rel=1e-6)
+    rng, rows = np.random.default_rng(11), 100_000
+    cls = rng.choice(64, rows, p=weights * multi / (weights @ multi))
+    counts = rng.multinomial(multi_entry_totals_reference(rng, lam[cls]), q[cls])
+    rounds, clicks, odd = reference_rows(*entries(counts, np.tile(CELL_BITS, (rows, 1)), np.tile(CELL_ODD, (rows, 1))))
+    assert rounds.size == rows  # four or more entries always click
+    observed = np.bincount(cls * 81 + outcome_of(clicks, odd), minlength=64 * 81)
+    expected = rows * rest.ravel() / rest.sum()
+    big = expected >= 20.0
+    observed, expected = [*observed[big], observed[~big].sum()], [*expected[big], rows - expected[big].sum()]
+    df = len(expected) - 1
+    chi2 = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+    assert df >= 10 and chi2 < df * (1 - 2 / (9 * df) + 5 * math.sqrt(2 / (9 * df))) ** 3, (chi2, df)
 
 
 @pytest.mark.parametrize("sp, size", DRAWN + ((FAR, 10**13),), ids=DRAWN_IDS + ("far",))
 def test_drawn_pairs_reduce_like_unique_reference(sp, size):
-    # A block draws one multinomial over its joint categories and, if it
-    # drew rounds of three or more entries, one over the row table, both of
-    # which match the loop-built ones bit for bit: a category's ordered pairs
-    # or triples reduce through the reference to its cell (two photons in
-    # one cell are an even count), and each category's probability is the
-    # class weight times its stratum times q_i, or times the sum of q_i q_j
-    # or q_i q_j q_k; the row table is normalised by its sum, the joint's
-    # rounds of three or more. The class counts are the categories' sums by
-    # class, and the categories leave in the histogram exactly the rows,
-    # class by class.
+    # Each class's rounds of one to three entries, as the reference splits
+    # and reduces them (two photons in one cell are an even count), agree
+    # with the law to 1e-12 relative; rounds of four or more add at most
+    # their own mass P(N >= 4) to an outcome (their law is the chi-square's
+    # above). A block draws one multinomial over the categories and sums
+    # its counts by group, by atom and by parity cell, as a loop does.
+    law = montecarlo._outcomes(sp.mu_arm, sp.p_d)
+    ref, multi, _, _ = reference_outcomes(sp)
+    assert (ref <= law * (1 + 1e-12)).all() and (law <= ref * (1 + 1e-12) + multi[:, None]).all()
     t = _draw_tables(config(sp=sp))
-    weights = montecarlo._class_weights(0.5)
-    row_p, row_cls, row_at, row_kind = row_categories(t, weights)
-    total = row_p.sum()
-    p, cls, at, kind = joint_categories(t, weights, total)
-    assert np.array_equal(t.p, p) and t.three == (list(kind).index("three") if total > 0.0 else None)
-    assert np.array_equal(t.p_rows, row_p / total)
-    assert np.array_equal(t.cls, np.concatenate((cls, row_cls)))
-    assert np.array_equal(t.at, np.concatenate((at, row_at)))
-    assert np.array_equal(t.multi, p.size + np.flatnonzero(row_kind == "multi"))
     rng = Recorder(np.random.default_rng(3))
-    m, hist = montecarlo._draw(t, rng, size)
-    [(n, pvals, drawn), *rest] = rng.drawn
+    got = montecarlo._draw(t, rng, size)
+    [(n, pvals, drawn)] = rng.drawn
     assert n == size and pvals is t.p
-    if t.three is not None and drawn[t.three]:
-        [(n, pvals, rows), *rest] = rest
-        assert n == drawn[t.three] and pvals is t.p_rows
-        drawn = np.concatenate((drawn, rows))
-    cls, at, kind = t.cls[:drawn.size], t.at[:drawn.size], np.concatenate((kind, row_kind))[:drawn.size]
-    assert np.array_equal(m, np.bincount(cls, drawn, 65)[:64])
-    rest_of_hist, cell = hist.ravel().copy(), at < montecarlo._SPARE
-    np.subtract.at(rest_of_hist, at[cell], drawn[cell])
-    multi = kind == "multi"
-    assert rest_of_hist.min() >= 0 and np.array_equal(rest_of_hist.reshape(16, 64, 16).sum(axis=(0, 2)),
-                                                      np.bincount(cls[multi], drawn[multi], 64))
-    assert len(rest) == int(drawn[multi].any())  # the rows' cells, if any round has four or more
-    # bright pulses leave almost no two-entry round; without light or dark counts no round holds an entry
-    assert drawn[kind == "pair"].any() or sp.mu > 1.0 or sp.mu == sp.p_d == 0.0 and not hist.any()
-    # three-entry rounds are drawn wherever they expect at least ten
-    expected = size * row_p[row_kind == "three"].sum()
-    assert drawn[kind == "three"].any() or expected < 10.0, expected
+    m, atoms, cells = [0] * 5, [0] * 13, [0] * 41
+    for k, group, atom, cell in zip(drawn.tolist(), *(index.tolist() for index in t[1:])):
+        m[group] += k
+        atoms[atom] += k
+        cells[cell] += k
+    assert [array.tolist() for array in got] == [m, atoms[:12], cells[:40]]
+    assert all(array.dtype == np.int64 for array in got) and sum(m) == size
+    # without light or dark counts no round clicks; else some rounds are events
+    assert (sum(atoms[:12]) > 0) != (sp.mu == sp.p_d == 0.0)
 
 
 TABLE_CASES = [SystemParams(mu=mu, l_km=100.0, p_d=p_d) for mu in (0.0, 0.84, 20.0) for p_d in (0.0, 8e-8, 0.02, 0.7)]
@@ -1030,47 +1012,43 @@ TABLE_CASES = [SystemParams(mu=mu, l_km=100.0, p_d=p_d) for mu in (0.0, 0.84, 20
 @pytest.mark.parametrize("basis_policy", (0.0, 0.5, 1.0))
 @pytest.mark.parametrize("sp", TABLE_CASES, ids=lambda sp: f"mu{sp.mu:g}-pd{sp.p_d:g}")
 def test_joint_categories_are_a_law_over_read_cells(sp, basis_policy):
-    # The joint categories and the row table are each a law: every category
-    # is possible, they sum to 1, and the last, whose count numpy takes as
-    # the remainder, is the likeliest. Each class's categories of both, the
-    # row table's weighted by the joint's rounds of three or more entries,
-    # sum to its weight; its share of the row table is w P(N >= 3) over the
-    # sum of those. Every histogram cell belongs to a read class and clicks
-    # every detector whose photon parity it marks odd; a class no tally
-    # reads is one category, which makes no cell, and rows are only of read
-    # classes.
+    # The categories are a law: every one possible, summing to 1, in
+    # ascending order, stable by key, so that the last, whose count numpy
+    # takes as the remainder, is the likeliest. They are the class-weighted
+    # outcome laws merged by category, as a loop over every class and
+    # outcome merges them (``category_key``), each to 1e-12 relative; so an
+    # atom or a parity cell only ever holds rounds of the classes it reads.
     t = _draw_tables(config(sp=sp, basis_policy=basis_policy))
-    weights = montecarlo._class_weights(basis_policy)
-    strata = montecarlo._strata(t.lam)
-    three = weights * (strata[:, 3] + strata[:, 4]) * montecarlo._READ  # w P(N >= 3) in a read class
-    laws = (t.p, t.p_rows) if t.three is not None else (t.p,)
-    for p in laws:
-        assert (p > 0.0).all() and abs(p.sum() - 1.0) <= 1e-12
-        assert (np.diff(p) >= 0.0).all() and p[-1] == p.max()
-    assert np.flatnonzero(t.cls == 64).tolist() == [t.three] * (len(laws) - 1)
-    joint, rows = t.cls[:t.p.size], t.cls[t.p.size:]
-    assert (t.p_rows.size == 0) == (t.three is None) and montecarlo._READ[rows].all()
-    share = np.bincount(rows, t.p_rows, 64)
-    by_class = np.bincount(joint, t.p, 65)[:64] + (t.p[t.three] * share if t.three is not None else 0.0)
-    assert np.allclose(by_class, weights, rtol=1e-12, atol=0.0)
-    if t.three is not None:
-        assert np.allclose(share, three / three.sum(), rtol=1e-12, atol=0.0)
-        assert np.isclose(t.p[t.three], three.sum(), rtol=1e-12, atol=0.0)
-    cells = t.at[t.at < montecarlo._SPARE]
-    assert montecarlo._READ[cells >> 4 & 63].all() and not (cells >> 10 & ~cells & 15).any()
-    unread = ~np.append(montecarlo._READ, True)[joint]  # class 64 holds rounds of read classes
-    assert (np.bincount(joint[unread], minlength=64) <= 1).all()
-    assert (t.at[:t.p.size][unread] == montecarlo._SPARE).all()
-    assert (t.multi >= t.p.size).all() and (t.at[t.multi] == montecarlo._SPARE).all()
+    law = montecarlo._class_weights(basis_policy)[:, None] * montecarlo._outcomes(sp.mu_arm, sp.p_d)
+    assert (t.p > 0.0).all() and abs(t.p.sum() - 1.0) <= 1e-12
+    keys = np.ravel_multi_index(t[1:], montecarlo._KEY_SHAPE)
+    assert np.array_equal(np.lexsort((keys, t.p)), np.arange(t.p.size)) and t.p[-1] == t.p.max()
+    merged = {}
+    for c, row in enumerate(category_keys()):
+        for key, p in zip(row, law[c].tolist()):
+            merged[key] = merged.get(key, 0.0) + p
+    want = {key: p for key, p in merged.items() if p > 0.0}
+    got = dict(zip(zip(*(index.tolist() for index in t[1:])), t.p.tolist()))
+    assert got.keys() == want.keys()
+    assert all(abs(got[key] - p) <= 1e-12 * p for key, p in want.items())
 
 
-# Patterns by click mask (bit d for detector d): D1H = 1, D2H = 2, D1V = 4,
-# D2V = 8. Event1 is a lone H click, Event2 an H+V pair at one port,
-# Event3 at crossed ports.
-EVENT_OF_MASK = {0b0001: 1, 0b0010: 1, 0b0101: 2, 0b1010: 2, 0b1001: 3, 0b0110: 3}
-PATTERN_OF_MASK = {0b0001: ("h1", (0,)), 0b0010: ("h2", (1,)), 0b0101: ("h1v1", (0, 2)),
-                   0b1010: ("h2v2", (1, 3)), 0b1001: ("h1v2", (0, 3)), 0b0110: ("h2v1", (1, 2))}
-MASKS = (*EVENT_OF_MASK, 0b0000, 0b0111, 0b1111)
+@pytest.mark.parametrize("p_d", (0.0, 0.7, 1.0))
+@pytest.mark.parametrize("mu_arm", (0.0, 1e-320, 1e300, 1.7976931348623157e308), ids=("0", "1e-320", "1e300", "max"))
+def test_laws_stay_finite_at_the_edges(mu_arm, p_d):
+    # Intensities of 0, about 1e-320 (subnormal), up to 2e300 and beyond
+    # the float range, with no dark counts, many, or a click at every
+    # detector: each class's law is finite and sums to 1 within 1e-12, and
+    # so do the categories, each positive, without a numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        law = montecarlo._outcomes(mu_arm, p_d)
+        assert np.isfinite(law).all() and (law >= 0.0).all() and abs(law.sum(axis=1) - 1.0).max() <= 1e-12
+        for basis_policy in (0.0, 0.5, 1.0):
+            p = montecarlo._tables(mu_arm, p_d, basis_policy).p
+            assert np.isfinite(p).all() and (p > 0.0).all() and abs(p.sum() - 1.0) <= 1e-12
+    if p_d == 1.0:  # every detector clicks, with odd photon parity only where light arrives
+        assert law[:, 80].sum() > 0.0 and not law[:, (montecarlo._STATES == 0).any(axis=1)].any()
 
 
 def expected_tallies(m, rows):
@@ -1124,9 +1102,9 @@ def test_tally_step_matches_row_semantics(attack):
     # Every class, every pattern plus 0-, 3- and 4-click masks, every parity
     # mask within the click mask, and every lottery draw the attack makes,
     # each row repeated a seeded 1 to 3 times; the tally step sees them as
-    # the histogram over (parity mask, class, click mask) that the draw
-    # step produces and the lottery split over (lottery, atom) that the
-    # lottery produces, each tallied cell's rows counted in its atom.
+    # the group counts, the parity-cell counts (each row's category,
+    # ``_KEYS``) and the lottery split over (lottery, atom) that a block
+    # returns, each tallied cell's rows counted in its atom.
     draws = {"none": [(0, 0, 0)], "beam_split": [(0, 0, 0), (0, 0, 1)],
              "dishonest_bob": [(a, b, 0) for a in (0, 1) for b in (0, 1)]}[attack]
     rows = [(c, clicks, odd, checked, *drawn)
@@ -1138,14 +1116,15 @@ def test_tally_step_matches_row_semantics(attack):
     c, clicks, odd, checked, flip_ph, flip_pol, eve = (np.array(col) for col in zip(*rows))
     lots = {"none": 2, "beam_split": 4, "dishonest_bob": 8}[attack]
     lottery = checked | (flip_ph | eve) << 1 | flip_pol << 2
-    hist = np.bincount((odd << 6 | c) << 4 | clicks, minlength=1 << 14).reshape(16, 64, 16)
+    cell = np.unravel_index(montecarlo._KEYS[c, outcome_of(clicks, odd)], montecarlo._KEY_SHAPE)[2]
     atom_of = np.full(1024, -1)
     for atom, cells in enumerate(montecarlo._ATOM_CELLS):
         atom_of[list(cells)] = atom
     atom = atom_of[c << 4 | clicks]
     atoms = len(montecarlo._ATOM_CELLS)
     split = np.bincount((lottery * atoms + atom)[atom >= 0], minlength=lots * atoms).reshape(lots, atoms)
-    got = montecarlo._tally(config(attack=attack), m, hist.reshape(-1).take(montecarlo._PARITY_AT), split)
+    groups = np.bincount(montecarlo._GROUP, m, 5).astype(np.int64)
+    got = montecarlo._tally(config(attack=attack), groups, np.bincount(cell, minlength=41)[:40], split)
     want = expected_tallies(m, rows)
     assert got == want
     assert min(got[k] for k in montecarlo._COUNT_FIELDS if k != "n_eve_success") > 0
@@ -1156,50 +1135,38 @@ def test_atoms_partition_the_tallied_cells():
     # Every cell with a non-zero truth-table row lies in exactly one atom,
     # whose row equals its own, and no other cell lies in any: Event1 by
     # phase error, Event2 and Event3 by phase and polarization error, and
-    # the Z check by phase error. The block's flat indices read every
-    # atom's cells over all 16 parity masks, atom by atom.
+    # the Z check by phase error.
     tables, rows = montecarlo._TABLES, montecarlo._ATOM_TABLE
     cells = [cell for atom in montecarlo._ATOM_CELLS for cell in atom]
     assert sorted(cells) == np.flatnonzero(tables.any(axis=1)).tolist() and len(cells) == 104
     for atom, members in enumerate(montecarlo._ATOM_CELLS):
         assert all(np.array_equal(tables[cell], rows[atom]) for cell in members)
     assert rows.shape == (12, 10) and len({tuple(row) for row in rows.tolist()}) == 12
-    read = [sorted(at.tolist()) for at in np.split(montecarlo._ATOM_AT, montecarlo._ATOM_STARTS[1:])]
-    assert read == [sorted(odd << 10 | cell for odd in range(16) for cell in members)
-                    for members in montecarlo._ATOM_CELLS]
 
 
-def test_parity_cells_index_the_block_histogram():
-    # Each of the 40 parity-cell indices, in row order, decodes in the
-    # block histogram's flat layout (parity mask << 10 | class << 4 | click
-    # mask) to the row's representative class (plus_plus, then plus_minus),
-    # its pattern's click mask and a parity mask set exactly on the
-    # detectors the cell marks Odd.
-    cells = montecarlo._PARITY_CELLS
-    at = montecarlo._PARITY_AT.tolist()
-    assert len(cells) == 20 and len(at) == 40 and len(set(at)) == 40
-    rows = [(rep, cell) for rep in (0b110000, 0b110001) for cell in cells]
-    for index, (rep, (name, _, dets, classes)) in zip(at, rows):
-        assert index >> 4 & 63 == rep
-        assert PATTERN_OF_MASK[index & 15] == (name, tuple(map(int, dets)))
-        assert index >> 10 == sum(1 << d for d, c in zip(dets, classes) if c is ClickParity.ODD)
+def test_parity_cells_index_the_outcomes():
+    # Each of the 40 parity cells, in row order, is the category of exactly
+    # one outcome of one class: the row's representative class (plus_plus,
+    # then plus_minus), its pattern's detectors clicking, with odd photon
+    # parity exactly on the detectors the cell marks Odd.
+    cell = np.unravel_index(montecarlo._KEYS, montecarlo._KEY_SHAPE)[2]
+    rows = [(rep, cell) for rep in (0b110000, 0b110001) for cell in montecarlo._PARITY_CELLS]
+    assert len(rows) == 40 and np.count_nonzero(cell < 40) == 40
+    for index, (rep, (name, _, dets, classes)) in enumerate(rows):
+        [[c], [j]] = np.nonzero(cell == index)
+        states = montecarlo._STATES[j]
+        assert c == rep and PATTERN_OF_MASK[int((states > 0) @ (1 << np.arange(4)))] == (name, tuple(map(int, dets)))
+        assert [d for d in range(4) if states[d] == 1] == [d for d, p in zip(dets, classes) if p is ClickParity.ODD]
 
 
-def atom_sums(hist):
-    """Rounds per atom of a histogram over (parity mask, class, click mask)."""
-    cells = hist.sum(axis=0).reshape(-1)
-    return np.array([cells[list(atom)].sum() for atom in montecarlo._ATOM_CELLS])
-
-
-def lottery_split(monkeypatch, cfg, hist):
-    """The block's draw step replaced by ``hist``: the lottery split that
-    the block returns, and whether the protocol stream was left as the
-    draw step left it."""
+def lottery_split(monkeypatch, cfg, atoms):
+    """The block's draw step replaced by ``atoms``, its atom counts: the lottery split that the
+    block returns, and whether the protocol stream was left as the draw step left it."""
     seen = {}
 
     def draw(t, rng, size):
         seen["rng"], seen["state"] = rng, rng.bit_generator.state
-        return np.zeros(64, np.int64), hist
+        return np.zeros(5, np.int64), atoms, np.zeros(40, np.int64)
 
     monkeypatch.setattr(montecarlo, "_draw", draw)
     _, _, split = montecarlo._block_tallies(cfg, _draw_tables(cfg), 0, 1)
@@ -1208,15 +1175,14 @@ def lottery_split(monkeypatch, cfg, hist):
 
 @pytest.mark.parametrize("attack, lots", (("none", 2), ("beam_split", 4), ("dishonest_bob", 8)))
 def test_lottery_splits_every_atom(attack, lots, monkeypatch):
-    hist = np.random.default_rng(1).poisson(200.0, (16, 64, 16))
+    rounds = np.random.default_rng(1).poisson(200.0 * 16 * 104 / 12, 12)
     cfg = config(attack=attack, check_fraction=0.3, flip_fraction=0.25)
-    split, _ = lottery_split(monkeypatch, cfg, hist)
+    split, _ = lottery_split(monkeypatch, cfg, rounds)
     assert split.shape == (lots, 12)
-    assert np.array_equal(split.sum(axis=0), atom_sums(hist))
+    assert np.array_equal(split.sum(axis=0), rounds)
     # bit 0: checked; bit 1: flip_ph or Eve's success; bit 2: flip_pol
     leak = montecarlo.ie_dual(montecarlo.TapParams(mu=cfg.sp.mu, eta_t=cfg.sp.eta_t))
     probs = {"none": [0.3], "beam_split": [0.3, leak], "dishonest_bob": [0.3, 0.25, 0.25]}[attack]
-    rounds = atom_sums(hist)
     for bit, p in enumerate(probs):
         drawn = split[[lot for lot in range(lots) if lot >> bit & 1]].sum(axis=0)
         assert (abs(drawn - rounds * p) < 5 * np.sqrt(rounds * p * (1 - p))).all(), bit
@@ -1226,13 +1192,13 @@ def test_lottery_splits_every_atom(attack, lots, monkeypatch):
 def test_lottery_draws_nothing_it_does_not_need(monkeypatch):
     # no check split when nothing is checked, and no attack stream without
     # an attack: the protocol stream is left as the draw step left it
-    hist = np.random.default_rng(4).poisson(5.0, (16, 64, 16))
-    split, untouched = lottery_split(monkeypatch, config(), hist)
-    assert untouched and split.shape == (1, 12) and np.array_equal(split[0], atom_sums(hist))
+    rounds = np.random.default_rng(4).poisson(5.0 * 16 * 104 / 12, 12)
+    split, untouched = lottery_split(monkeypatch, config(), rounds)
+    assert untouched and split.shape == (1, 12) and np.array_equal(split[0], rounds)
     # a last layer of probability 0 adds no lots; one before a drawn layer keeps its bit
     for cfg, lots in ((config(attack="dishonest_bob", check_fraction=0.3), 2), (config(attack="beam_split"), 4)):
-        split, _ = lottery_split(monkeypatch, cfg, hist)
-        assert split.shape == (lots, 12) and np.array_equal(split.sum(axis=0), atom_sums(hist)), cfg.attack
+        split, _ = lottery_split(monkeypatch, cfg, rounds)
+        assert split.shape == (lots, 12) and np.array_equal(split.sum(axis=0), rounds), cfg.attack
     kinds = []
     real = montecarlo._stream
     monkeypatch.setattr(montecarlo, "_stream", lambda c, kind, block: kinds.append(kind) or real(c, kind, block))
@@ -1249,20 +1215,20 @@ def poisson_pmf(lam, k):
 
 @pytest.mark.parametrize("lam", (1e-12, 1e-6, 0.05, 1.0, 30.0))
 def test_strata_to_full_relative_precision(lam):
-    # P(N = 0) to P(N = 3) and P(N >= 4): at 400 km lam is about 2.5e-5,
-    # where 1 - e^-lam (1 + lam + lam^2 / 2 + lam^3 / 6) would keep none of
-    # its digits
+    # The reference's P(N = 0) to P(N = 3) and P(N >= 4): at 400 km lam is
+    # about 2.5e-5, where 1 - e^-lam (1 + lam + lam^2 / 2 + lam^3 / 6)
+    # would keep none of its digits
     top = int(lam + 40 * math.sqrt(lam) + 40)
     want = (*(poisson_pmf(lam, k) for k in range(4)), math.fsum(poisson_pmf(lam, k) for k in range(4, top)))
-    got = montecarlo._strata(np.array([lam, lam]))
+    got = reference_strata(np.array([lam, lam]))
     for stratum, value in enumerate(want):
         assert got[0, stratum] == got[1, stratum]
         assert abs(got[0, stratum] - value) <= 1e-14 * value, stratum
 
 
 def multi_entry_totals_reference(rng, lam):
-    """The rejection loop of ``_multi_entry_totals`` as first written, conditioned on N >= 4: each
-    pass gathers its rows' lam twice."""
+    """Poisson(lam) conditioned on N >= 4, by exact rejection: where lam <= 1, 4 + Poisson(lam) is
+    kept with probability 24 / (N (N - 1) (N - 2) (N - 3)), else Poisson(lam) is redrawn until >= 4."""
     n = np.empty(lam.size, np.int64)
     todo = np.arange(lam.size)
     while todo.size:
@@ -1274,28 +1240,17 @@ def multi_entry_totals_reference(rng, lam):
     return n
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_multi_entry_totals_draw_as_the_reference_loop(seed):
-    # Same totals, and the generator left in the same state, on mixed means
-    # both sides of lam = 1, from a single row to many passes of rejections.
-    size = (1, 2, 7, 60, 500, 3000)[seed % 6]
-    lam = np.random.default_rng(seed).choice([0.01, 0.5, 1.0, 1.5, 4.0, 30.0], size=size)
-    got, want = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
-    assert np.array_equal(montecarlo._multi_entry_totals(got, lam), multi_entry_totals_reference(want, lam))
-    assert got.bit_generator.state == want.bit_generator.state
-
-
 @pytest.mark.parametrize("lam", (0.02, 0.5, 1.0, 1.4, 6.0))
 def test_multi_entry_totals_follow_the_conditioned_poisson(lam):
-    # Chi-square of 200k draws against Poisson(lam) given N >= 4, on both
-    # sides of lam = 1 (the two rejection rules), in one call with a second
-    # mean so that the rules run side by side; the bound is the chi-square
-    # quantile at z = 5 (Wilson-Hilferty).
+    # The reference's totals: chi-square of 200k draws against Poisson(lam)
+    # given N >= 4, on both sides of lam = 1 (the two rejection rules), in
+    # one call with a second mean so that the rules run side by side; the
+    # bound is the chi-square quantile at z = 5 (Wilson-Hilferty).
     other = 3.0 if lam <= 1.0 else 0.3
-    n = montecarlo._multi_entry_totals(np.random.default_rng(21), np.repeat([lam, other], 200_000))
+    n = multi_entry_totals_reference(np.random.default_rng(21), np.repeat([lam, other], 200_000))
     assert n.min() >= 4
     n = n[:200_000]
-    p_multi = montecarlo._strata(np.array([lam]))[0, 4]
+    p_multi = reference_strata(np.array([lam]))[0, 4]
     expected, observed, k = [], [], 4
     while (e := 200_000 * poisson_pmf(lam, k) / p_multi) >= 20:
         expected.append(e)
@@ -1308,61 +1263,58 @@ def test_multi_entry_totals_follow_the_conditioned_poisson(lam):
     assert chi2 < df * (1 - 2 / (9 * df) + 5 * math.sqrt(2 / (9 * df))) ** 3, (chi2, df)
 
 
-@pytest.mark.parametrize("cfg, draws", (
-    (config(sp=FAR, rounds=10**9, basis_policy=1.0), 1),
-    (config(sp=SystemParams(mu=0.4, l_km=100.0), rounds=2 * 10**7, basis_policy=1.0), 2),
+@pytest.mark.parametrize("cfg", (
+    config(sp=FAR, rounds=10**9, basis_policy=1.0),
+    config(sp=SystemParams(mu=0.4, l_km=100.0), rounds=2 * 10**7, basis_policy=1.0),
 ), ids=("400km", "100km-mu0.4"))
-def test_blocks_without_four_entry_rounds_draw_no_rows(cfg, draws, monkeypatch):
-    # Only rounds of four or more entries are rows: a block without one never
-    # reaches _multi_entry_totals. At 400 km it draws the joint categories
-    # alone; at 100 km (mu = 0.4) the second draw also splits its few rounds
-    # of three entries over the row table.
-    def refuse(rng, lam):
-        raise AssertionError(f"{lam.size} rows drawn")
-
+def test_blocks_without_four_entry_rounds_draw_no_rows(cfg, monkeypatch):
+    # No round is a row: a block's protocol stream draws one multinomial,
+    # over the categories, however many entries its rounds hold.
     streams, real_stream = [], montecarlo._stream
     monkeypatch.setattr(montecarlo, "_stream", lambda *args: streams.append(Recorder(real_stream(*args)))
                         or streams[-1])
-    monkeypatch.setattr(montecarlo, "_multi_entry_totals", refuse)
     report = simulate(cfg)
-    assert report.rounds == cfg.rounds and [len(stream.drawn) for stream in streams] == [draws]
+    assert report.rounds == cfg.rounds and [len(stream.drawn) for stream in streams] == [1]
+    assert streams[0].drawn[0][1] is _draw_tables(cfg).p
 
 
 @pytest.mark.parametrize("basis_policy", (0.0, 1.0), ids=("z", "x"))
 def test_cells_of_mean_zero_never_receive_an_entry(basis_policy):
-    # At p_d = 0 every dark cell has mean 0, and cancelled modes leave
-    # photon cells of mean 0 (two in each X class, three in a Z class whose
-    # senders share a polarization): such a detector never clicks. Bright
-    # pulses make multi-entry rounds the rule.
+    # At p_d = 0, cancelled modes leave detectors of intensity 0 (two in
+    # each X class, three in a Z class whose senders share a polarization):
+    # such a detector never clicks. Bright pulses make the other detectors
+    # click in nearly every round.
     sp = SystemParams(mu=20.0, l_km=0.0, eta_d=1.0, p_d=0.0)
-    cfg = config(sp=sp, basis_policy=basis_policy)
-    m, hist = montecarlo._draw(_draw_tables(cfg), np.random.default_rng(7), 100_000)
-    silent = (montecarlo._cell_means(sp.mu_arm, sp.p_d)[:, :4] == 0) @ (1 << np.arange(4))
-    assert np.count_nonzero(silent[m > 0]) == (16 if basis_policy else 8)
-    impossible = (np.arange(16) & silent[:, None]) != 0
-    assert hist.sum() == (m * montecarlo._READ).sum() > 0
-    assert hist[:, impossible].sum() == 0
-    # an odd photon count is only ever seen at a detector that clicked
-    odd_unclicked = (np.arange(16)[:, None] & ~np.arange(16)) != 0
-    assert hist.transpose(0, 2, 1)[odd_unclicked].sum() == 0
+    weights = montecarlo._class_weights(basis_policy)
+    silent = (montecarlo._UNIT_LAM == 0.0) @ (1 << np.arange(4))
+    assert np.count_nonzero(silent[weights > 0]) == (16 if basis_policy else 8)
+    law = montecarlo._outcomes(sp.mu_arm, sp.p_d)
+    clicks = (montecarlo._STATES > 0) @ (1 << np.arange(4))
+    impossible = (clicks & silent[:, None]) != 0
+    assert not law[impossible].any() and law[~impossible].all()
+    m, atoms, _ = montecarlo._draw(_draw_tables(config(sp=sp, basis_policy=basis_policy)), np.random.default_rng(7),
+                                   100_000)
+    assert m.sum() == 100_000 and atoms.sum() > 0
 
 
 def test_read_classes_are_the_x_and_checked_z_classes():
-    # The tally reads the cells of classes with both senders in X (48-63),
-    # and those of both senders in Z with both in the H mode (0, 2, 8, 10).
-    assert np.flatnonzero(montecarlo._READ).tolist() == [0, 2, 8, 10, *range(48, 64)]
+    # The tally reads the outcomes of classes with both senders in X
+    # (48-63), and those of both senders in Z with both in the H mode (0,
+    # 2, 8, 10): only their outcomes fall in an atom or a parity cell.
+    _, atom, cell = np.unravel_index(montecarlo._KEYS, montecarlo._KEY_SHAPE)
+    assert np.flatnonzero(((atom < 12) | (cell < 40)).any(axis=1)).tolist() == [0, 2, 8, 10, *range(48, 64)]
 
 
 @pytest.mark.parametrize("sp", (SystemParams(mu=20.0, l_km=0.0, eta_d=1.0), SystemParams(p_d=1.0)),
                          ids=("bright", "pd1"))
 def test_unread_classes_are_counted_not_split(sp):
-    # Mixed-basis and unchecked Z rounds keep their class counts, which n_zz
-    # and n_mixed read, but no histogram cell: nothing reads their clicks.
-    cfg = config(sp=sp)
-    m, hist = montecarlo._draw(_draw_tables(cfg), np.random.default_rng(7), 100_000)
-    assert m[~montecarlo._READ].sum() > 60_000
-    assert not hist[:, ~montecarlo._READ].any()
-    assert hist.sum(axis=(0, 2)).tolist() == (m * montecarlo._READ).tolist()
+    # Mixed-basis and unchecked Z rounds keep their group counts, which n_zz
+    # and n_mixed read, but no atom or parity cell: nothing reads their clicks.
+    t = _draw_tables(config(sp=sp))
+    assert (t.atom[t.group == 2] == 12).all() and (t.cell[t.group < 3] == 40).all()
+    m, atoms, parity = montecarlo._draw(t, np.random.default_rng(7), 100_000)
+    assert m[1] + m[2] > 60_000 and m.sum() == 100_000
+    assert atoms.sum() <= m.sum() - m[2] and parity.sum() <= m[3] + m[4]
 
 
 def test_memory_does_not_grow_with_rounds():

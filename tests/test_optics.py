@@ -5,7 +5,9 @@ Frozen numbers were produced by a brute-force Poisson enumeration
 closed forms under test.
 """
 
+import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -190,6 +192,15 @@ def test_mode_intensities_reject_non_finite(position, value):
     values[position] = value
     with pytest.raises(ValueError, match="must be finite"):
         ModeIntensities(*values)
+
+
+def test_mode_intensities_store_numpy_floats_as_floats():
+    # a numpy float is stored as the float that check_range returns, so the
+    # fields serialise and the instance equals the plain floats' one
+    single = ModeIntensities(np.float32(0.1), 0.2, np.float64(0.3), 0.4)
+    assert {type(value) for value in single.as_tuple()} == {float}
+    assert json.dumps(dataclasses.asdict(single))
+    assert single == ModeIntensities(float(np.float32(0.1)), 0.2, 0.3, 0.4)
 
 
 def test_matched_encoding_amplitudes():
