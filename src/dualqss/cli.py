@@ -178,6 +178,8 @@ def cmd_sweep(args: argparse.Namespace, sp: SystemParams) -> str:
     ie_compare = args.command == "ie-compare"
     spec = SweepSpec(variable=SweepVariable(args.var), lo=args.lo, hi=args.hi, step=args.step,
                      fixed=sp)
+    header = _CSV_HEADER + (_CSV_IE_EXTRA if ie_compare else "") + "\n"
+    row = ",".join([_FLOAT_FMT] * (header.count(",") + 1)) + "\n"  # one % per CSV line
     lines = [
         _echo_params(
             args,
@@ -189,16 +191,15 @@ def cmd_sweep(args: argparse.Namespace, sp: SystemParams) -> str:
                 "ie_compare": str(ie_compare).lower(),
             },
         ),
-        _CSV_HEADER + (_CSV_IE_EXTRA if ie_compare else "") + "\n",
+        header,
     ]
     for point in sweep(spec):
-        values = [point.l_km, point.mu, point.r, *point.r_events, point.i_e,
-                  plob_bound(point.l_km, args.alpha)]
+        values = (point.l_km, point.mu, point.r, *point.r_events, point.i_e, plob_bound(point.l_km, args.alpha))
         if ie_compare:
             # IE_dual is the I_E column: the rate kernel's leakage is ie_dual of this tap
             tap = TapParams(mu=point.mu, eta_t=arm_efficiency(args.eta_d, args.alpha, point.l_km))
-            values += [point.i_e, ie_wcp_ph(tap), ie_wcp_pol(tap), ie_dps_tf(tap)]
-        lines.append(",".join(map(_fmt, values)) + "\n")
+            values += (point.i_e, ie_wcp_ph(tap), ie_wcp_pol(tap), ie_dps_tf(tap))
+        lines.append(row % values)
     return "".join(lines)
 
 

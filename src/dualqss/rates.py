@@ -31,10 +31,11 @@ take plain, already validated floats, compute each intermediate once per
 point and build each NamedTuple result once, through ``tuple.__new__`` as
 ``namedtuple._make`` does: the class's Python-level ``__new__`` would add
 a frame per result. The ``EventRates`` triple of ``_event_terms`` is
-``RatePoint.events`` itself. It stays scalar ``math`` code: on the
-arguments of the analytic chain numpy differs from ``math`` in the last
-bit for 24% of ``sinh``, 5% of ``exp`` and ``10.0 ** x``, and 0.1-0.2%
-of ``expm1`` and ``log2`` inputs, which would change the curves.
+``RatePoint.events`` itself. The kernel clamps each bracket by a comparison,
+``b if b > 0.0 else 0.0``: -0.0 and NaN give +0.0, as ``max(0.0, b)`` did. It
+stays scalar ``math`` code: on the arguments of the analytic chain numpy
+differs from ``math`` in the last bit for 24% of ``sinh``, 5% of ``exp`` and
+``10.0 ** x``, and 0.1-0.2% of ``expm1`` and ``log2`` inputs, which would change the curves.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ QBER_THRESHOLD_EVENT23_REPORTED = 0.0208
 # From this arm intensity on, 2 s ** 2 ~ 2 e^2I is not a finite float:
 # it raises OverflowError or, as inf, zeroes the double-click error rates.
 _SCALED_FROM_I = 0.5 * math.log(0.5 * sys.float_info.max)
+_FLOAT_MIN = sys.float_info.min  # smallest normal float
 
 _new = tuple.__new__  # _new(Cls, values) is Cls(*values) without a __new__ frame, as in _make
 
@@ -127,7 +129,7 @@ def _event_terms(i: float, p_d: float) -> tuple[EventRates, EventRates, EventRat
         q = 0.5 * ((1.0 - p_d) ** 2 * no_click) * s ** 2
     event1 = _new(EventRates, (q1, v / s, ge / s))
     denom = 2.0 * s ** 2
-    if denom < sys.float_info.min:
+    if denom < _FLOAT_MIN:
         # s ** 2 is subnormal or zero (I and p_d both below ~1e-154).
         # The double-click error rates are ratios of quadratic forms in
         # the masses, so take them on the masses scaled by 1 / s.
@@ -186,9 +188,9 @@ def _rate_point(mu: float, l_km: float, eta_t: float, p_d: float, f: float) -> R
     events = _event_terms(eta_t * mu, p_d)
     (q1, e_bit1, e_ph1), (q2, e_bit2, e_ph2), (q3, e_bit3, e_ph3) = events
     i_e = _ie_dual_tapped((1.0 - eta_t) * mu)
-    r1 = q1 * max(0.0, _bracket(i_e, e_bit1, e_ph1, f))
-    r2 = q2 * max(0.0, _bracket(i_e, e_bit2, e_ph2, f))
-    r3 = q3 * max(0.0, _bracket(i_e, e_bit3, e_ph3, f))
+    r1 = q1 * (b if (b := _bracket(i_e, e_bit1, e_ph1, f)) > 0.0 else 0.0)
+    r2 = q2 * (b if (b := _bracket(i_e, e_bit2, e_ph2, f)) > 0.0 else 0.0)
+    r3 = q3 * (b if (b := _bracket(i_e, e_bit3, e_ph3, f)) > 0.0 else 0.0)
     # left to right, as sum() adds before Python 3.12: 0 + r1 == r1 since each r >= +0.0
     return _new(RatePoint, (l_km, mu, r1 + r2 + r3, i_e, events, (r1, r2, r3)))
 

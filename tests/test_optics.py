@@ -249,12 +249,26 @@ def test_coherent_overlap_rejects_non_finite(name, value):
         coherent_overlap(**{"alpha": 0.3, "beta": 0.3, name: value})
 
 
-def test_binary_entropy_oracles():
-    assert binary_entropy(0.0) == 0.0
-    assert binary_entropy(1.0) == 0.0
-    assert binary_entropy(0.5) == pytest.approx(1.0, rel=1e-15)
-    assert binary_entropy(0.0239) == pytest.approx(0.16281065732932964, rel=1e-12)
-    assert binary_entropy(0.11) == pytest.approx(0.499915958164528, rel=1e-12)
+@pytest.mark.parametrize("x, expected, rel", (
+    # the edges are +0.0 exactly, -0.0 included
+    (-0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0),
+    (1.0, 0.0, 0.0),
+    (0.5, 1.0, 1e-15),
+    (0.0239, 0.16281065732932964, 1e-12),
+    (0.11, 0.499915958164528, 1e-12),
+    # the interior's own edges: finite and positive (None)
+    (5e-324, None, None),
+    (math.nextafter(1.0, 0.0), None, None),
+), ids=("-0.0", "0.0", "1.0", "0.5", "0.0239", "0.11", "5e-324", "below-1"))
+def test_binary_entropy_oracles(x, expected, rel):
+    h = binary_entropy(x)
+    if expected is None:
+        assert 0.0 < h < math.inf
+    elif expected == 0.0:
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
+    else:
+        assert h == pytest.approx(expected, rel=rel)
 
 
 @given(st.floats(min_value=1e-9, max_value=0.5, allow_nan=False))
@@ -262,8 +276,8 @@ def test_binary_entropy_symmetry(e):
     assert binary_entropy(e) == pytest.approx(binary_entropy(1.0 - e), rel=1e-12)
 
 
-def test_binary_entropy_domain():
-    with pytest.raises(ValueError):
-        binary_entropy(-0.01)
-    with pytest.raises(ValueError):
-        binary_entropy(1.01)
+@pytest.mark.parametrize("x", (-0.01, 1.01, math.nan, math.inf, -math.inf, -5e-324,
+                               pytest.param(math.nextafter(1.0, 2.0), id="above-1")))
+def test_binary_entropy_domain(x):
+    with pytest.raises(ValueError, match="binary_entropy argument must be in"):
+        binary_entropy(x)

@@ -198,8 +198,9 @@ def test_rate_unimodal_in_distance():
 
 def test_rate_clamps_to_zero_beyond_reach():
     point = key_rate(SystemParams(mu=0.84, l_km=600.0))
-    assert point.r == 0.0
-    assert all(r == 0.0 for r in point.r_events)
+    # +0.0, not -0.0: the clamp compares, and 0.0 + 0.0 keeps the sign
+    for r in (point.r, *point.r_events):
+        assert r == 0.0 and math.copysign(1.0, r) == 1.0
 
 
 def test_per_event_clamping_is_independent():
