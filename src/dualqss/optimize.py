@@ -6,10 +6,12 @@ intensity, and grid sweeps for curve generation.
 Each varies one parameter over a range whose two ends are validated
 once; every point then goes through the plain-float kernel of ``rates``
 and gives the same floats as ``key_rate``.
+``sweep`` pauses the cyclic collector, as its points hold no cycles but stay GC-tracked.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import sys
 from collections.abc import Callable
@@ -97,10 +99,18 @@ def _curve(
 
 
 def sweep(spec: SweepSpec) -> list[RatePoint]:
-    """Evaluate the rate at every grid value, in grid order."""
+    """Evaluate the rate at every grid value, in grid order, with the cyclic collector
+    paused: the points hold no cycles but stay GC-tracked. A caller's disabled state is kept;
+    the switch is process-wide: a concurrent sweep may re-enable it early, costing only speed."""
     values = spec.values()
     rate = _curve(spec.fixed, spec.variable, values[0], values[-1])
-    return [rate(value) for value in values]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return [rate(value) for value in values]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _golden_section(rate, lo: float, hi: float, tol: float) -> tuple[float, float, int]:

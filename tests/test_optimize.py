@@ -1,5 +1,6 @@
 """Sweeps, intensity optimization, and the reach search."""
 
+import gc
 import hashlib
 import math
 import sys
@@ -15,7 +16,7 @@ from dualqss.optimize import (
     optimize_mu,
     sweep,
 )
-from dualqss.rates import at_distance, at_intensity, key_rate
+from dualqss.rates import _SCALED_FROM_I, _rate_point, at_distance, at_intensity, key_rate
 
 SP = SystemParams(mu=0.84, l_km=400.0)
 
@@ -62,6 +63,52 @@ def test_sweep_rejects_negative_lo(variable, name):
     spec = SweepSpec(variable=variable, lo=-1.0, hi=1.0, step=0.5, fixed=SP)
     with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
         sweep(spec)
+
+
+@pytest.mark.parametrize("enabled, fails", ((True, False), (False, False), (True, True)),
+                         ids=("enabled", "disabled", "kernel-raises"))
+def test_sweep_restores_collector_state(monkeypatch, enabled, fails):
+    # sweep pauses the cyclic collector while it builds points and hands back the caller's state
+    seen = []
+
+    def kernel(*args):
+        seen.append(gc.isenabled())
+        if fails:
+            raise ZeroDivisionError("kernel")
+        return _rate_point(*args)
+
+    monkeypatch.setattr("dualqss.optimize._rate_point", kernel)
+    spec = SweepSpec(variable=SweepVariable.DISTANCE, lo=0.0, hi=100.0, step=25.0, fixed=SP)
+    try:
+        if not enabled:
+            gc.disable()
+        if fails:
+            with pytest.raises(ZeroDivisionError, match="kernel"):
+                sweep(spec)
+        else:
+            assert len(sweep(spec)) == 5
+        assert seen and not any(seen)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def test_sweep_points_form_no_cycles():
+    # The pause in sweep defers collections only because the points hold no reference
+    # cycles; if this fails, the pause defers real garbage and must be withdrawn.
+    dark = SystemParams(p_d=0.0)
+    gc.disable()
+    try:
+        gc.collect()
+        sweep(SweepSpec(variable=SweepVariable.DISTANCE, lo=0.0, hi=500.0, step=0.5, fixed=SP))
+        # mu = 0 at p_d = 0 shares one EventRates three times; 1e308 runs the scaled branch
+        points = sweep(SweepSpec(variable=SweepVariable.MU, lo=0.0, hi=1e308, step=1e306, fixed=dark))
+        assert points[0].events[0] is points[0].events[2]
+        assert points[-1].mu * dark.eta_t >= _SCALED_FROM_I
+        del points
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_sweep_spec_validation():
