@@ -21,8 +21,11 @@ carry weight 1/2 each, so Q1 = c (u + v) and Q2 = Q3 = (b/2)(u + v)^2
 with c = (1 - p_d)^3 e^-2I and b = (1 - p_d)^2 e^-2I the no-click
 factors of the spectator detectors. Error rates divide the
 pairing-conditional error terms by twice the conditional-gain sum,
-which leaves them independent of the overall normalization. The
-Monte-Carlo module cross-checks every one of these quantities.
+which leaves them independent of the overall normalization. Event3 is
+Event2 with the two equally weighted pairings swapped, so each of its
+numerators is Event2's polynomial and the whole ``EventRates`` is shared,
+one object built once per point. The Monte-Carlo module cross-checks
+every one of these quantities, Event3 from its own truth-table columns.
 
 One path evaluates all of this: ``_event_terms`` (the only copy of each
 closed form), ``_bracket`` (the only copy of the secret fraction, which
@@ -102,7 +105,7 @@ class RatePoint(NamedTuple):
 
 
 def _event_terms(i: float, p_d: float) -> tuple[EventRates, EventRates, EventRates]:
-    """``EventRates`` of Event1, Event2 and Event3 at arm intensity ``i``."""
+    """``EventRates`` of Event1, Event2 and Event3 at arm intensity ``i``; Events 2 and 3 share one."""
     if i >= _SCALED_FROM_I:
         # 2 s ** 2 and then e^I would overflow. Take the masses times e^-I:
         # every error rate is a ratio of forms of equal degree in them, so
@@ -135,13 +138,9 @@ def _event_terms(i: float, p_d: float) -> tuple[EventRates, EventRates, EventRat
         # the masses, so take them on the masses scaled by 1 / s.
         u, v, ge, go = u / s, v / s, ge / s, go / s
         denom = 2.0
-    n_ph2 = (2.0 * go * ge + ge * go + ge * ge) + (go * v) + (v * v)
-    n_ph3 = (go * v) + (ge * go + 2.0 * go * ge + ge * ge) + (v * v)
-    return (
-        event1,
-        _new(EventRates, (q, (v * u + v * v + 2.0 * v * u) / denom, n_ph2 / denom)),
-        _new(EventRates, (q, (u * v + 2.0 * u * v + v * v) / denom, n_ph3 / denom)),
-    )
+    n_ph = (2.0 * go * ge + ge * go + ge * ge) + (go * v) + (v * v)
+    double = _new(EventRates, (q, (v * u + v * v + 2.0 * v * u) / denom, n_ph / denom))
+    return event1, double, double
 
 
 def event1_rates(sp: SystemParams) -> EventRates:
@@ -168,12 +167,13 @@ def event2_rates(sp: SystemParams) -> EventRates:
 
 
 def event3_rates(sp: SystemParams) -> EventRates:
-    """Cross-index double click (D1H,D2V or D2H,D1V): gain and error rates.
+    """Cross-index double click (D1H,D2V or D2H,D1V): the values of ``event2_rates``.
 
     Mirror image of the same-index event: conditional on ++ the cross
     patterns are half lit, conditional on +- the (H1, V2) pattern is
-    fully lit. The both-dark pattern is conditioned on the pairing that
-    leaves both of its detectors unlit, mirroring the same-index event.
+    fully lit, and the both-dark pattern is conditioned on the pairing
+    that leaves both of its detectors unlit. Swapping the pairings maps
+    one event onto the other.
     """
     return _event_terms(sp.mu_arm, sp.p_d)[2]
 
@@ -186,11 +186,10 @@ def _bracket(i_e: float, e_bit: float, e_ph: float, f: float) -> float:
 def _rate_point(mu: float, l_km: float, eta_t: float, p_d: float, f: float) -> RatePoint:
     """``key_rate`` on plain floats that the caller has already validated."""
     events = _event_terms(eta_t * mu, p_d)
-    (q1, e_bit1, e_ph1), (q2, e_bit2, e_ph2), (q3, e_bit3, e_ph3) = events
+    (q1, e_bit1, e_ph1), (q2, e_bit2, e_ph2), _ = events
     i_e = _ie_dual_tapped((1.0 - eta_t) * mu)
     r1 = q1 * (b if (b := _bracket(i_e, e_bit1, e_ph1, f)) > 0.0 else 0.0)
-    r2 = q2 * (b if (b := _bracket(i_e, e_bit2, e_ph2, f)) > 0.0 else 0.0)
-    r3 = q3 * (b if (b := _bracket(i_e, e_bit3, e_ph3, f)) > 0.0 else 0.0)
+    r2 = r3 = q2 * (b if (b := _bracket(i_e, e_bit2, e_ph2, f)) > 0.0 else 0.0)
     # left to right, as sum() adds before Python 3.12: 0 + r1 == r1 since each r >= +0.0
     return _new(RatePoint, (l_km, mu, r1 + r2 + r3, i_e, events, (r1, r2, r3)))
 

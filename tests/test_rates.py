@@ -9,7 +9,9 @@ import hashlib
 import importlib
 import math
 import pickle
+import random
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -57,13 +59,37 @@ def test_event2_chain_frozen():
     assert e2.e_ph == pytest.approx(0.012848661336826312, rel=1e-12)
 
 
-def test_event3_equals_event2():
-    # mirror-image detector patterns: identical statistics
-    e2 = event2_rates(SP_084_400)
-    e3 = event3_rates(SP_084_400)
-    assert e3.q == pytest.approx(e2.q, rel=1e-14)
-    assert e3.e_bit == pytest.approx(e2.e_bit, rel=1e-14)
-    assert e3.e_ph == pytest.approx(e2.e_ph, rel=1e-14)
+@pytest.mark.parametrize("sp", (SP_084_400, SP_SCALED, SP_SUBNORMAL_S, SystemParams(mu=0.0, p_d=0.0),
+                                SystemParams(p_d=1.0), SystemParams(l_km=374.0)),
+                         ids=("400km", "scaled", "subnormal_s", "no_clicks", "p_d_1", "374km"))
+def test_event3_equals_event2(sp):
+    # mirror-image detector patterns: one EventRates, so equal to the last bit on every branch.
+    # At 374 km the two summation orders of the double-click bit error round an ulp apart.
+    point = key_rate(sp)
+    assert point.events[1] is point.events[2]
+    assert event3_rates(sp) == event2_rates(sp)
+    assert point.r_events[1] == point.r_events[2]
+
+
+@pytest.mark.parametrize("mu", (0.4, 0.84, 1.5))
+def test_event3_reach_equals_event2(mu):
+    assert max_distance(mu, SystemParams(), event=3) == max_distance(mu, SystemParams(), event=2)
+
+
+def test_double_click_numerators_are_one_polynomial():
+    """Event3's bit- and phase-error numerators, as _event_terms computed them
+    before Event3 began sharing Event2's EventRates, against Event2's, which it
+    keeps. Event3 is Event2 with the two pairings swapped (its patterns are half
+    lit under ++ where Event2's are lit, and lit under +-), and the pairings weigh
+    1/2 each, so both sums collect the same terms: 3uv + v^2 for the bit error
+    and 3 go ge + ge^2 + go v + v^2 for the phase error. Checked exactly, in
+    rationals, so the only difference the floats saw was summation order."""
+    rng = random.Random(20261020)
+    for _ in range(200):
+        u, v, ge, go = (Fraction(rng.randint(0, 10 ** 9), rng.randint(1, 10 ** 9)) for _ in range(4))
+        assert v * u + v * v + 2 * v * u == u * v + 2 * u * v + v * v
+        assert ((2 * go * ge + ge * go + ge * ge) + (go * v) + (v * v)
+                == (go * v) + (ge * go + 2 * go * ge + ge * ge) + (v * v))
 
 
 def test_key_rate_frozen():
@@ -141,7 +167,7 @@ def _off_default_floats():
         yield from _point_floats(point)
 
 
-OFF_DEFAULT_SHA256 = "8bf4125dd90ab13a7767b4f3e6ce961be278b957036c02cb543ae022feb8cbc3"
+OFF_DEFAULT_SHA256 = "cea46f623dc36e4450984387f0062367e5ffefe6b4dafb694e8d35d565a07b6c"
 
 
 def test_off_default_digest():
@@ -152,7 +178,8 @@ def test_off_default_digest():
     analytic chain digest of test_optimize sees the default parameters
     only, which never leave the ordinary branch of _event_terms. Recorded
     before the rate results were built through tuple.__new__, so it pins
-    that change to the last bit on every branch."""
+    that change to the last bit on every branch. Re-recorded when Event3
+    began sharing Event2's EventRates: only Event3's e_bit moved (<= 2 ulp)."""
     h = hashlib.sha256()
     for value in _off_default_floats():
         h.update(repr(value).encode() + b"\n")
