@@ -116,17 +116,23 @@ def dual_dof_ensemble(tp: TapParams) -> StateEnsemble:
 def ie_dual(tp: TapParams) -> float:
     """Leakage bound for the dual (polarization + phase) encoding.
 
-    1 - (1/3)[e^{-2x} + 2 e^{-x}] with x = (1 - eta_t) mu. It is a bound
-    with slack, not Eve's optimum: the optimal USD success on the four
-    tapped states is (1 - e^{-x})^2, and one mode alone gives 1 - e^{-x};
-    at mu = 0.4, eta_t = 0.0145 these read 0.399, 0.106 and 0.326.
+    1 - (1/3)[e^{-2x} + 2 e^{-x}] with x = (1 - eta_t) mu, as -t (t + 4)/3 with t = expm1(-x):
+    no cancellation, within 2 ulp of 50-digit values for x in [1e-12, 40]. It is a bound with
+    slack, not Eve's optimum: the optimal USD success on the four tapped states is (1 - e^{-x})^2,
+    and one mode alone gives 1 - e^{-x}; at mu = 0.4, eta_t = 0.0145 these read 0.399, 0.106, 0.326.
     """
     return _ie_dual_tapped(tp.tapped_mu)
 
 
 def _ie_dual_tapped(x: float) -> float:
     """``ie_dual`` as a plain function of the tapped intensity x."""
-    return 1.0 - (math.exp(-2.0 * x) + 2.0 * math.exp(-x)) / 3.0
+    t = math.expm1(-x)  # e^-x = 1 + t
+    return -t * (t + 4.0) / 3.0
+
+
+def _budget_tapped(x: float) -> float:
+    """The key budget (e^-2x + 2 e^-x)/3 = 1 - ``ie_dual``, without its cancellation at large x."""
+    return (e := math.exp(-x)) * (e + 2.0) / 3.0
 
 
 def ie_wcp_ph(tp: TapParams) -> float:

@@ -206,9 +206,9 @@ def max_distance(
         raise ValueError(f"rate still positive at l_hi={l_hi!r} km; raise l_hi")
 
     def bracket(l_km: float) -> float:
-        point = rate_at(l_km)
-        brackets = [_bracket(point.i_e, e.e_bit, e.e_ph, sp.f) for e in point.events]
-        return max(brackets) if event is None else brackets[event - 1]
+        point = rate_at(l_km)  # Event3's EventRates is Event2's object, so its bracket is b2
+        b1, b2 = (_bracket(point.i_e, e.e_bit, e.e_ph, sp.f) for e in point.events[:2])
+        return max(b1, b2) if event is None else (b1, b2, b2)[event - 1]
 
     grid = [k * l_hi / n_scan for k in range(n_scan + 1)]
     lo = next((g for g in reversed(grid) if rate(g) > 0.0), None)

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from dualqss import optimize
 from dualqss.detectors import SystemParams
 from dualqss.optimize import (
     SweepSpec,
@@ -16,7 +17,7 @@ from dualqss.optimize import (
     optimize_mu,
     sweep,
 )
-from dualqss.rates import _SCALED_FROM_I, _rate_point, at_distance, at_intensity, key_rate
+from dualqss.rates import _SCALED_FROM_I, _bracket, _rate_point, at_distance, at_intensity, key_rate
 
 SP = SystemParams(mu=0.84, l_km=400.0)
 
@@ -284,9 +285,28 @@ def test_max_distance_tolerance_below_float_resolution(mu):
     assert key_rate(at_distance(base, math.nextafter(edge, math.inf))).r == 0.0
 
 
+@pytest.mark.parametrize("event", (None, 1, 2, 3))
+def test_max_distance_brackets_event2_once_per_point(event, monkeypatch):
+    # At mu = 4.472 no scan point has a positive rate, so the window search scans the
+    # brackets: 66 points, two brackets each, since Event3's EventRates is Event2's object.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _bracket(*args)
+
+    monkeypatch.setattr(optimize, "_bracket", counting)
+    if event in (None, 1):
+        assert max_distance(4.472, SystemParams(), event=event) == 304.6957243435744
+    else:
+        with pytest.raises(ValueError, match="key rate is zero everywhere"):
+            max_distance(4.472, SystemParams(), event=event)
+    assert len(calls) == 132
+
+
 # --- the analytic chain at full precision ---
 
-ANALYTIC_CHAIN_SHA256 = "cd16cfe50cb82defa212bcff9771d138a59e4b5b92c94b43ea66511082bbad1f"
+ANALYTIC_CHAIN_SHA256 = "9a68647e100abe74ebe37b4a3713027fefc5598686d5611810e554b804000263"
 
 
 def _float_digest(values) -> str:
@@ -328,5 +348,8 @@ def test_analytic_chain_digest():
     cannot see a last-bit drift; this can. The digest was recorded before
     the result types became NamedTuples, so it also pins that change.
     Re-recorded when Event3 began sharing Event2's EventRates: only Event3's
-    e_bit (<= 2 ulp, another summation order) and r_event3 moved."""
+    e_bit (<= 2 ulp, another summation order) and r_event3 moved. Re-recorded
+    for the expm1 leakage and products in place of powers: i_e (<= 2 ulp), the
+    factored Event2/3 e_ph (<= 4 ulp), a few q2/e_bit2/e_ph1 (<= 2 ulp), and the
+    rates and best rates they feed (the bracket cancels near the death distance)."""
     assert _float_digest(_analytic_chain_floats()) == ANALYTIC_CHAIN_SHA256

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dualqss
-from dualqss.attack import TapParams, ie_dual
+from dualqss.attack import TapParams, _budget_tapped, ie_dual
 from dualqss.detectors import SystemParams
 from dualqss.optics import binary_entropy, coherent_overlap
 from dualqss.optimize import SweepSpec, SweepVariable, max_distance, sweep
@@ -167,7 +167,7 @@ def _off_default_floats():
         yield from _point_floats(point)
 
 
-OFF_DEFAULT_SHA256 = "cea46f623dc36e4450984387f0062367e5ffefe6b4dafb694e8d35d565a07b6c"
+OFF_DEFAULT_SHA256 = "d92be9041ebe77d6d6ea9ee313fd2954e8fa8b3402d77c057580048514c9e9c7"
 
 
 def test_off_default_digest():
@@ -179,7 +179,9 @@ def test_off_default_digest():
     only, which never leave the ordinary branch of _event_terms. Recorded
     before the rate results were built through tuple.__new__, so it pins
     that change to the last bit on every branch. Re-recorded when Event3
-    began sharing Event2's EventRates: only Event3's e_bit moved (<= 2 ulp)."""
+    began sharing Event2's EventRates: only Event3's e_bit moved (<= 2 ulp).
+    Re-recorded for the expm1 leakage (i_e, 0.0 -> 4x/3 at the subnormal-s
+    points) and the factored Event2/3 e_ph (<= 4 ulp), with the rates they feed."""
     h = hashlib.sha256()
     for value in _off_default_floats():
         h.update(repr(value).encode() + b"\n")
@@ -306,21 +308,22 @@ def test_qber_threshold_limits():
     assert qber_threshold_event1(SystemParams(mu=0.84, f=1.0)) > qber_threshold_event1(SP_084_400)
 
 
-QBER_THRESHOLD_SHA256 = "7d5af61b272e2116e3662816d0ff461d5daf4289b1f305e6d44a9e67c43cc710"
+QBER_THRESHOLD_SHA256 = "b642fe8809bb9e28168aa7fe88fc1ce716e48414b6150c22a17efaeee2a1d7bd"
 
 
 def test_qber_threshold_digest():
     """SHA-256 of the newline-joined reprs of qber_threshold_event1 at
     mu = 0.01, 0.1, 0.4, 0.84, 1.5, 2, 5, 10, 20 times f = 1, 1.15, 2.
     Recorded while the solver still ran a fixed 100 halvings, so it pins
-    the move to a bisection that stops at adjacent floats."""
+    the move to a bisection that stops at adjacent floats. Re-recorded when the
+    budget became (e^-2x + 2 e^-x)/3 in place of 1 - I_E: 13 of 27 values moved."""
     values = [repr(qber_threshold_event1(SystemParams(mu=mu, f=f)))
               for mu in (0.01, 0.1, 0.4, 0.84, 1.5, 2.0, 5.0, 10.0, 20.0) for f in (1.0, 1.15, 2.0)]
     assert hashlib.sha256("\n".join(values).encode()).hexdigest() == QBER_THRESHOLD_SHA256
 
 
 def _threshold_predicate(sp):
-    budget = 1.0 - ie_dual(TapParams(mu=sp.mu, eta_t=0.0))
+    budget = _budget_tapped(sp.mu)
     return lambda e: (1.0 + sp.f) * binary_entropy(e) < budget
 
 
@@ -344,10 +347,13 @@ def test_bisect_stops_at_tolerance(tol):
     assert tol / 2.0 < hi - lo <= tol
 
 
-def test_qber_threshold_zero_where_budget_rounds_to_zero():
-    # 1 - I_E rounds to 0 from mu = 37.1, though the leakage is not complete
-    assert 1.0 - ie_dual(TapParams(mu=40.0, eta_t=0.0)) == 0.0
-    assert qber_threshold_event1(SystemParams(mu=40.0)) == 0.0
+@pytest.mark.parametrize("mu", (37.1, 40.0))
+def test_qber_threshold_positive_where_one_minus_ie_rounds_to_zero(mu):
+    # 1 - I_E rounds to 0 from mu = 37.1 though the leakage is not complete; the budget
+    # (e^-2x + 2 e^-x)/3 does not, so the threshold is still a positive solution
+    sp = SystemParams(mu=mu)
+    threshold = qber_threshold_event1(sp)
+    assert 0.0 < threshold < 1e-17 and _threshold_predicate(sp)(math.nextafter(threshold, 0.0))
 
 
 def test_reported_threshold_constant():
