@@ -18,12 +18,16 @@ counts), its atom (the truth tables over (class, click mask) tell apart
 12: Event1 by phase error, Event2 and Event3 by phase and polarization
 error, the Z check by phase error) and its parity cell (one of 40). So
 the law's outcomes, weighted by class, merge by (group, atom, parity
-cell) into a few dozen categories (``_tables``), kept in ascending
-probability, stable by key, so numpy gives the likeliest the remainder.
-A block draws one multinomial over them and sums its counts by group,
-by atom and by parity cell; every tally keeps its law. The lottery
-(checks, an attack's flips or Eve's success) splits the atom counts
-with binomials (last layers of probability 0 add no lots). ``simulate``
+cell) into a few dozen categories (``_tables``). With checks, each
+category that has an atom splits in two by the check fraction c, its
+unchecked rounds (1 - c) and its checked rounds (c): thinning a
+category binomially and drawing the split categories in one multinomial
+give one law. The categories are kept in ascending probability, stable
+by key, so numpy gives the likeliest the remainder. A block draws one
+multinomial over them and sums its counts by group, by (lot, atom) and
+by parity cell; every tally keeps its law. An attack's lottery (its
+flips or Eve's success) splits the (lot, atom) counts with binomials on
+its own stream (layers of probability 0 add no lots). ``simulate``
 runs its blocks, chunks of ``_MAX_BLOCK`` rounds, on the calling thread,
 sums their integer arrays as they arrive, tallies the sums through the
 atoms' truth-table rows and builds the report (without its frozen
@@ -37,9 +41,9 @@ the closed forms that ``compare_to_analytic`` checks against come from
 ``optics``, ``detectors`` and ``rates``. The comparison also checks the
 class weights, the truth tables, basis sifting and the lottery, which
 only the sampler codes round by round. The draw tables are built once
-per configuration (mu_arm, p_d, basis_policy) and kept in a small
-bounded cache (``_tables``); the closed forms are kept the same way
-(``_closed_forms``).
+per configuration (mu_arm, p_d, basis_policy, check_fraction) and kept
+in a small bounded cache (``_tables``); the closed forms are kept the
+same way (``_closed_forms``).
 
 Each block draws from a stream seeded by (seed, block index); the
 ``threads`` argument is checked, and every block runs on the calling
@@ -66,11 +70,11 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .attack import TapParams, ie_dual
+from .attack import TapParams, _ie_dual_tapped, ie_dual
 from .detectors import ClickParity, Detector, SystemParams, arm_efficiency, exclusive_pattern_prob
 from .optics import PolPairing, check_range, detector_amplitudes, intensities, is_integer
 from .rates import _event_terms
@@ -386,37 +390,50 @@ def _cached(build):
     return call
 
 
-_DrawTables = collections.namedtuple("_DrawTables", "p group atom cell")
+_DrawTables = collections.namedtuple("_DrawTables", "p group atom cell sizes")
 
 
 @_cached
-def _tables(mu_arm: float, p_d: float, basis_policy: float) -> _DrawTables:
+def _tables(mu_arm: float, p_d: float, basis_policy: float, check_fraction: float) -> _DrawTables:
     """The draw categories of a configuration, built once and read by every block: the law of
-    (group, atom, parity cell) that the class weights and ``_outcomes`` give, keeping the categories
-    of positive probability ``p`` in ascending order, stable by key (numpy gives the last, the
-    likeliest, the remainder), and each one's group, atom and parity cell (the last of each: none)."""
+    (lot, group, atom, parity cell) that the class weights, ``_outcomes`` and the check fraction c
+    give, keeping the categories of positive probability ``p`` in ascending order, stable by key
+    (numpy gives the last, the likeliest, the remainder), and each one's group, ``lot * 13 + atom``
+    and parity cell (the last atom and cell: none), with the ``np.bincount`` length of each. Without
+    checks there is one lot; with them, each category that has an atom is p (1 - c) in lot 0 and
+    p c in lot 1, checked, and the rest stay whole in lot 0."""
+    lots = 2 if check_fraction else 1
     law = _class_weights(basis_policy)[:, None] * _outcomes(mu_arm, p_d)
     sums = np.bincount(_KEYS.ravel(), law.ravel(), math.prod(_KEY_SHAPE))
+    if check_fraction:
+        whole = sums.reshape(_KEY_SHAPE)
+        sums = np.zeros((lots, *_KEY_SHAPE))
+        sums[0], sums[1, :, :-1] = whole, whole[:, :-1] * check_fraction
+        sums[0, :, :-1] *= 1.0 - check_fraction
+        sums = sums.ravel()
     keys = np.flatnonzero(sums)
     keys = keys[np.argsort(sums[keys], kind="stable")]
-    tables = _DrawTables(sums[keys], *np.unravel_index(keys, _KEY_SHAPE))
-    for array in tables:
+    lot, group, atom, cell = np.unravel_index(keys, (lots, *_KEY_SHAPE))
+    tables = _DrawTables(sums[keys], group, lot * _KEY_SHAPE[1] + atom, cell,
+                         (_KEY_SHAPE[0], lots * _KEY_SHAPE[1], _KEY_SHAPE[2]))
+    for array in tables[:4]:
         array.flags.writeable = False
     return tables
 
 
 def _draw_tables(cfg: SimConfig) -> _DrawTables:
-    """``_tables`` of ``cfg``'s mu_arm, p_d and basis_policy: built once per configuration, shared by every call."""
-    return _tables(cfg.sp.mu_arm, cfg.sp.p_d, cfg.basis_policy)
+    """``_tables`` of ``cfg``'s mu_arm, p_d, basis_policy and check_fraction: built once per
+    configuration, shared by every call."""
+    return _tables(cfg.sp.mu_arm, cfg.sp.p_d, cfg.basis_policy, cfg.check_fraction)
 
 
 def _draw(t: _DrawTables, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw step: a block's group counts (``_BASIS_SUMS``), atom counts and parity-cell counts, from
-    one multinomial over the categories of ``_tables``. np.bincount sums them as floats, exactly for
-    at most ``_MAX_BLOCK`` rounds."""
+    """Draw step: a block's group counts (``_BASIS_SUMS``), (lot, atom) counts and parity-cell counts,
+    from one multinomial over the categories of ``_tables``. np.bincount sums them as floats, exactly
+    for at most ``_MAX_BLOCK`` rounds."""
     k = rng.multinomial(size, t.p)
-    m, atoms, cells = (np.bincount(index, k, n).astype(np.int64) for index, n in zip(t[1:], _KEY_SHAPE))
-    return m, atoms[:-1], cells[:-1]
+    m, atoms, cells = (np.bincount(index, k, n).astype(np.int64) for index, n in zip(t[1:4], t.sizes))
+    return m, atoms.reshape(-1, _KEY_SHAPE[1])[:, :-1], cells[:-1]
 
 
 @functools.cache
@@ -485,27 +502,32 @@ def _tally(cfg: SimConfig, m: np.ndarray, parity: np.ndarray, split: np.ndarray)
 
 
 def _block_tallies(cfg: SimConfig, tables: _DrawTables, block: int, size: int) -> tuple:
-    """Simulate one block: the draw step and the lottery. Returns the int64
-    arrays that ``simulate`` sums: the group counts, the 40 parity-cell
-    counts and the lottery split over (lottery, atom). The lottery splits each atom's rounds with binomials: checked in
-    bit 0, on the protocol stream, then flip_ph or eve in bit 1 and flip_pol
-    in bit 2, on the attack stream, seeded only for an attack. Every cell of a layer is split with the same
-    probability, and a sum of binomials of one probability is a binomial of
-    their sum, so splitting the atoms' sums gives every (lot, atom) count the
-    law that splitting each cell would give. Last layers of probability 0 are left out: a lot bit reads 0."""
-    rng = _stream(cfg, 0, block)
-    m, atoms, parity = _draw(tables, rng, size)
-    draws = [(rng, cfg.check_fraction)]
+    """Simulate one block: the draw step and the attack's lottery. Returns the
+    int64 arrays that ``simulate`` sums: the group counts, the 40 parity-cell
+    counts and the lottery split over (lot, atom). Checked is bit 0, drawn in
+    the block's one multinomial on the protocol stream (``_tables``); an
+    attack's layers split each (lot, atom) count with binomials on the attack
+    stream, seeded only when a layer is drawn: Eve's success in bit 1, or
+    flip_ph in bit 1 and flip_pol in bit 2. Every cell of a layer is split
+    with the same probability, and a sum of binomials of one probability is a
+    binomial of their sum, so splitting the atoms' sums gives every (lot, atom)
+    count the law that splitting each cell would give. Layers of probability 0
+    are left out; after a draw without checks an attack's layers follow an
+    empty checked lot, so that bit 0 still reads checked."""
+    m, split, parity = _draw(tables, _stream(cfg, 0, block), size)
     if cfg.attack == "beam_split":
-        draws.append((_stream(cfg, 1, block), ie_dual(TapParams(mu=cfg.sp.mu, eta_t=cfg.sp.eta_t))))
+        p, layers = _ie_dual_tapped((1.0 - cfg.sp.eta_t) * cfg.sp.mu), 1
     elif cfg.attack == "dishonest_bob":
-        draws += [(_stream(cfg, 1, block), cfg.flip_fraction)] * 2
-    while draws and not draws[-1][1]:  # a last layer of probability 0 would add only empty lots
-        draws.pop()
-    split = atoms.reshape(1, -1)
-    for gen, p in draws:  # a split of probability 0 draws nothing
-        won = gen.binomial(split, p) if p else np.zeros_like(split)
-        split = np.concatenate((split - won, won))
+        p, layers = cfg.flip_fraction, 2
+    else:
+        return m, parity, split
+    if p:
+        rng = _stream(cfg, 1, block)
+        if len(split) == 1:
+            split = np.concatenate((split, np.zeros_like(split)))
+        for _ in range(layers):
+            won = rng.binomial(split, p)
+            split = np.concatenate((split - won, won))
     return m, parity, split
 
 
@@ -534,14 +556,22 @@ def _add_into(totals: tuple, arrays: tuple) -> tuple:
     return totals
 
 
+def _with_attack(config: SimConfig, attack: str) -> SimConfig:
+    """``config`` with another of ``ATTACKS``. Its other fields were checked when it was built, so,
+    like the report, it skips the frozen ``__init__`` and the checks that ``replace`` would run again."""
+    attacked = object.__new__(SimConfig)
+    attacked.__dict__.update(vars(config), attack=attack)
+    return attacked
+
+
 def simulate_beam_split(config: SimConfig, threads: int = 1) -> SimReport:
     """Run with the beam-splitting eavesdropper sampling enabled."""
-    return simulate(replace(config, attack="beam_split"), threads=threads)
+    return simulate(_with_attack(config, "beam_split"), threads=threads)
 
 
 def simulate_dishonest_bob(config: SimConfig, threads: int = 1) -> SimReport:
     """Run with the dishonest receiver flipping announced bits."""
-    return simulate(replace(config, attack="dishonest_bob"), threads=threads)
+    return simulate(_with_attack(config, "dishonest_bob"), threads=threads)
 
 
 @_cached

@@ -237,14 +237,16 @@ def test_json_bytes_unchanged(argv, capsys):
 # run (every detector clicks). A change to the report or the comparison
 # rows may not move a byte; a change to the sampler's draws records them
 # again, as when every round came to be drawn from one multinomial over
-# the categories of the per-detector law.
+# the categories of the per-detector law. The three runs with checks and
+# atoms (beam-split, p_d=0, dishonest-bob) moved again when the checks came
+# to be drawn in that multinomial.
 SIMULATE_DIGESTS = {
     "beam-split": (("simulate", "--rounds", "200000", "--seed", "5", "--basis-policy", "0.5",
                     "--check-fraction", "0.3", "--attack", "beam-split"),
-                   "9ea749958c1f3b5db9a04e1250cd5d58afeb92e8186b479fbbe5af14d2ff8014"),
+                   "4a6db1dcf2aa3882a6241b72662c00dea077cd8e047280d2d6be62c4fab1314a"),
     "p_d=0": (("simulate", "--p-d", "0", "--rounds", "200000", "--seed", "7", "--basis-policy", "0.5",
                "--check-fraction", "0.3"),
-              "1ff0080de67c1a25ade66214289a36fafd858839f8ac2418074db39af94faab5"),
+              "da64d66b0e6f035a3e61aec6633b93cebc93968bf199d9f93bacd65447831ad9"),
     "p_d=1": (("simulate", "--p-d", "1", "--rounds", "200000", "--seed", "11", "--basis-policy", "0.5",
                "--check-fraction", "0.3"),
               "ba15fd4942fb5d3712febfa7d584bc5721ab832a23570e7754c2a5cd74fb92a8"),
@@ -252,7 +254,7 @@ SIMULATE_DIGESTS = {
             "0a928f4e84f8ddd488b84f8c2e46fcf03a3370fff8137d3791293a496c3ed348"),
     "dishonest-bob": (("simulate", "--rounds", "200000", "--seed", "3", "--basis-policy", "0.5",
                        "--check-fraction", "0.3", "--attack", "dishonest-bob", "--flip", "0.05"),
-                      "178256c98e814fa9b12912e06d50be8db8906f63058425f6e4202e86144fbf23"),
+                      "cb6f97cb765f738d7330debed6524e7f9ccb1becb32f8ed1e4597e2ae4b7fc31"),
 }
 
 

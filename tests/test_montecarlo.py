@@ -197,10 +197,10 @@ def test_streams_are_default_rng_streams_when_threads_share_the_cache():
 def test_draw_tables_are_built_once_per_configuration(monkeypatch):
     # Equal configurations share one set of tables: _outcomes runs once for
     # them, whatever the worker count, and every block of a multi-block far
-    # run reads that one object. A changed mu_arm, p_d or basis_policy
-    # builds them again; the seed, rounds, lottery and attack do not. The
-    # blocks' arrays are summed, so each call is still tallied once, not
-    # once per block.
+    # run reads that one object. A changed mu_arm, p_d, basis_policy or
+    # check fraction builds them again (checks are drawn in the block's one
+    # multinomial); the seed, rounds and attack do not. The blocks' arrays
+    # are summed, so each call is still tallied once, not once per block.
     montecarlo._tables.cache_clear()
     laws, read, tallied = [], [], []
     real_outcomes, real_block, real_tally = montecarlo._outcomes, montecarlo._block_tallies, montecarlo._tally
@@ -219,17 +219,23 @@ def test_draw_tables_are_built_once_per_configuration(monkeypatch):
             assert len(read) == 8 and all(t is read[0] for t in read)
             tables.add(id(read[0]))
     assert len(tables) == 1
-    for same in (replace(cfg, seed=9, rounds=10**6, check_fraction=0.3, attack="beam_split"),
+    for same in (replace(cfg, seed=9, rounds=10**6, attack="beam_split"),
                  replace(cfg, sp=replace(FAR, f=1.3), attack="dishonest_bob", flip_fraction=0.2)):
         simulate(same)
         assert len(laws) == 1 and read[-1] is read[0]
     for changed in (replace(cfg, sp=replace(FAR, mu=0.85)), replace(cfg, sp=replace(FAR, l_km=399.0)),
-                    replace(cfg, sp=replace(FAR, p_d=1e-7)), replace(cfg, basis_policy=1.0)):
+                    replace(cfg, sp=replace(FAR, p_d=1e-7)), replace(cfg, basis_policy=1.0),
+                    replace(cfg, check_fraction=0.3)):
         built = len(laws)
         simulate(changed)
         assert len(laws) == built + 1 and id(read[-1]) not in tables
         tables.add(id(read[-1]))
-    assert len(tallied) == calls + 6
+    checked, built = read[-1], len(laws)
+    for same in (replace(cfg, check_fraction=0.3, seed=9, rounds=10**6, attack="beam_split"),
+                 replace(cfg, check_fraction=0.3, attack="dishonest_bob", flip_fraction=0.2)):
+        simulate(same)
+        assert len(laws) == built and read[-1] is checked
+    assert len(tallied) == calls + 9
 
 
 def run_and_compare(cfg):
@@ -262,11 +268,14 @@ def test_results_do_not_depend_on_the_call_history(signs):
 
 @pytest.mark.parametrize("sp", (SP, SystemParams(p_d=1.0)), ids=("near", "pd1"))
 def test_cached_tables_are_read_only(sp):
-    tables = _draw_tables(config(sp=sp))
-    assert len(tables) == 4 and all(isinstance(array, np.ndarray) for array in tables)  # the law, its indices
-    for array in tables:
-        with pytest.raises(ValueError, match="read-only"):
-            array[...] = 0
+    for lots, check_fraction in ((1, 0.0), (2, 0.3)):
+        tables = _draw_tables(config(sp=sp, check_fraction=check_fraction))
+        # the law and its indices, then their bincount lengths, a tuple of ints
+        assert len(tables) == 5 and all(isinstance(array, np.ndarray) for array in tables[:4])
+        assert tables.sizes == (5, 13 * lots, 41)
+        for array in tables[:4]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
     forms = montecarlo._closed_forms(sp.mu_arm, sp.p_d, 0.5)
     assert isinstance(forms, tuple) and all(isinstance(form, tuple) for form in forms)
 
@@ -304,13 +313,37 @@ def test_check_fraction_partitions_events():
 
 
 def test_paired_seed_attack_invariance():
-    honest = simulate(config(rounds=400_000))
-    tapped = simulate_beam_split(config(rounds=400_000))
-    hc, tc = counts(honest), counts(tapped)
-    diff = {k for k in hc if hc[k] != tc[k]}
-    assert diff <= {"n_eve_success"}
-    assert honest.parity == tapped.parity
-    assert tc["n_eve_success"] > 0
+    # Honest and attacked runs read one table and one protocol stream, the
+    # checks included: at every check fraction an attack moves only its own
+    # counts, Eve's successes or the announced ones.
+    for check_fraction in (0.0, 0.3, 1.0):
+        cfg = config(rounds=400_000, check_fraction=check_fraction, flip_fraction=0.05)
+        honest = simulate(cfg)
+        hc = counts(honest)
+        for attack, moved in (("beam_split", {"n_eve_success"}), ("dishonest_bob", {"n_check_x_err", "n_check_z_err"})):
+            attacked = simulate(replace(cfg, attack=attack))
+            ac = counts(attacked)
+            assert {k for k in hc if hc[k] != ac[k]} <= moved, (check_fraction, attack)
+            assert honest.parity == attacked.parity
+            if attack == "beam_split":
+                assert (ac["n_eve_success"] > 0) == (check_fraction < 1.0)
+            else:
+                assert ac["n_check_z_err"] != hc["n_check_z_err"]
+                assert (ac["n_check_x_err"] != hc["n_check_x_err"]) == (check_fraction > 0.0)
+
+
+@pytest.mark.parametrize("run, attack", ((simulate_beam_split, "beam_split"),
+                                         (simulate_dishonest_bob, "dishonest_bob")))
+def test_attack_runs_simulate_the_replaced_config(run, attack, monkeypatch):
+    # The attack wrappers build their config without re-checking its fields:
+    # it equals, and simulates like, the config that ``replace`` builds.
+    cfg = config(rounds=100_000, check_fraction=0.3, flip_fraction=0.05)
+    seen, real = [], montecarlo.simulate
+    monkeypatch.setattr(montecarlo, "simulate", lambda c, threads=1: seen.append(c) or real(c, threads))
+    report = run(cfg)
+    assert seen == [replace(cfg, attack=attack)] and type(seen[0]) is SimConfig
+    assert vars(seen[0]) == vars(replace(cfg, attack=attack))
+    assert report == real(replace(cfg, attack=attack))
 
 
 def test_beam_split_leak_matches_bound():
@@ -747,20 +780,20 @@ PINNED = {
     "dark": (dict(sp=SystemParams(mu=0.84, l_km=100.0, p_d=0.02), rounds=600_000, seed=13),
              "db77117e21aca5d11acd773f5320455f587d0d4b66372b54a0041c67e19cd114"),
     "checked-none": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05),
-                     "bc159745aecb9b27f8550e970cf9d97cac948792bd3316cf19685c3f59a0c4a5"),
+                     "f2ce14d3be18add46c3cea954423d283be2af6c3aa03d317bc2b0aed2ea81495"),
     "checked-beam_split": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05,
                                 attack="beam_split"),
-                           "c3067dae747c54f4afa49d648e3d3e0f03ca3f74dac31310b28ca01c5dcda27c"),
+                           "e597401a77320cbf6e145b3e594e0a8ed412609c27ee42d3b8629c9dd2e613d1"),
     "checked-dishonest_bob": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05,
                                    attack="dishonest_bob"),
-                              "01b504e7064c2d4a5590c1ab5de6e58e2317037eabac86fd61e818e2a6547577"),
+                              "92c31b17709df6a4b231315d23cbe453cacf823c730618db5d2fbefa12dc10df"),
     "far": (dict(sp=FAR, rounds=10**9),
             "105b2b9ce4dbbf47e10c90fed738f598988eaa3645ede7b852b4130ca7f026af"),
     "near-x": (dict(rounds=1_100_000, basis_policy=1.0),
                "1996fd9a1d301c2552379c9c988a5ee1ffa233f987831b0daa320a1cb8ffba01"),
     "checked-beam_split-x": (dict(rounds=600_000, check_fraction=0.3, flip_fraction=0.05,
                                   attack="beam_split", basis_policy=1.0),
-                             "f118802fba16bbfce6a3881bc4310f8c4c0658d36cf2ba6dd8ce82f75634f497"),
+                             "518a036d5f6d6ca9daf2e6233e4ded3c8b5ebbcd95df2fff0366cb5292d8b518"),
     "bright-x": (dict(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0), rounds=60_000, seed=17, basis_policy=1.0),
                  "5224749a1c147374ea94ac0de1268b34e8f622edf79c7c6ca44c10a006be3257"),
 }
@@ -772,8 +805,9 @@ def test_tallies_pinned_at_fixed_seeds(case):
 
     The SHA-256 of each report's JSON, the same for 1 and 2 threads, was
     last recorded when every round came to be drawn from one multinomial
-    over the categories of the per-detector law (module docstring); each
-    case is one block. Any change of the block sizes or of how a block
+    over the categories of the per-detector law (module docstring), and the
+    four ``checked-*`` cases when the checks came to be drawn in that
+    multinomial; each case is one block. Any change of the block sizes or of how a block
     consumes its random streams changes these digests; such a change must
     update them and say so in CHANGES.md.
     """
@@ -996,11 +1030,11 @@ def test_drawn_pairs_reduce_like_unique_reference(sp, size):
     [(n, pvals, drawn)] = rng.drawn
     assert n == size and pvals is t.p
     m, atoms, cells = [0] * 5, [0] * 13, [0] * 41
-    for k, group, atom, cell in zip(drawn.tolist(), *(index.tolist() for index in t[1:])):
+    for k, group, atom, cell in zip(drawn.tolist(), *(index.tolist() for index in t[1:4])):
         m[group] += k
         atoms[atom] += k
         cells[cell] += k
-    assert [array.tolist() for array in got] == [m, atoms[:12], cells[:40]]
+    assert [array.tolist() for array in got] == [m, [atoms[:12]], cells[:40]]
     assert all(array.dtype == np.int64 for array in got) and sum(m) == size
     # without light or dark counts no round clicks; else some rounds are events
     assert (sum(atoms[:12]) > 0) != (sp.mu == sp.p_d == 0.0)
@@ -1018,19 +1052,26 @@ def test_joint_categories_are_a_law_over_read_cells(sp, basis_policy):
     # outcome laws merged by category, as a loop over every class and
     # outcome merges them (``category_key``), each to 1e-12 relative; so an
     # atom or a parity cell only ever holds rounds of the classes it reads.
-    t = _draw_tables(config(sp=sp, basis_policy=basis_policy))
-    law = montecarlo._class_weights(basis_policy)[:, None] * montecarlo._outcomes(sp.mu_arm, sp.p_d)
-    assert (t.p > 0.0).all() and abs(t.p.sum() - 1.0) <= 1e-12
-    keys = np.ravel_multi_index(t[1:], montecarlo._KEY_SHAPE)
-    assert np.array_equal(np.lexsort((keys, t.p)), np.arange(t.p.size)) and t.p[-1] == t.p.max()
-    merged = {}
-    for c, row in enumerate(category_keys()):
-        for key, p in zip(row, law[c].tolist()):
-            merged[key] = merged.get(key, 0.0) + p
-    want = {key: p for key, p in merged.items() if p > 0.0}
-    got = dict(zip(zip(*(index.tolist() for index in t[1:])), t.p.tolist()))
-    assert got.keys() == want.keys()
-    assert all(abs(got[key] - p) <= 1e-12 * p for key, p in want.items())
+    # With checks, a category with an atom is (1 - c) of it in lot 0 and c
+    # in lot 1, and one without stays whole in lot 0.
+    for check in (0.0, 0.3):
+        t = _draw_tables(config(sp=sp, basis_policy=basis_policy, check_fraction=check))
+        law = montecarlo._class_weights(basis_policy)[:, None] * montecarlo._outcomes(sp.mu_arm, sp.p_d)
+        assert (t.p > 0.0).all() and abs(t.p.sum() - 1.0) <= 1e-12
+        lot, atom = np.divmod(t.atom, 13)
+        keys = np.ravel_multi_index((lot, t.group, atom, t.cell), (2, *montecarlo._KEY_SHAPE))
+        assert np.array_equal(np.lexsort((keys, t.p)), np.arange(t.p.size)) and t.p[-1] == t.p.max()
+        assert lot.max(initial=0) <= (check > 0.0) and (atom[lot == 1] < 12).all()
+        merged = {}
+        for c, row in enumerate(category_keys()):
+            for key, p in zip(row, law[c].tolist()):
+                parts = ((0, p * (1.0 - check)), (1, p * check)) if check and key[1] < 12 else ((0, p),)
+                for part in parts:
+                    merged[part[0], *key] = merged.get((part[0], *key), 0.0) + part[1]
+        want = {key: p for key, p in merged.items() if p > 0.0}
+        got = dict(zip(zip(*(index.tolist() for index in (lot, t.group, atom, t.cell))), t.p.tolist()))
+        assert got.keys() == want.keys()
+        assert all(abs(got[key] - p) <= 1e-12 * p for key, p in want.items())
 
 
 @pytest.mark.parametrize("p_d", (0.0, 0.7, 1.0))
@@ -1039,16 +1080,69 @@ def test_laws_stay_finite_at_the_edges(mu_arm, p_d):
     # Intensities of 0, about 1e-320 (subnormal), up to 2e300 and beyond
     # the float range, with no dark counts, many, or a click at every
     # detector: each class's law is finite and sums to 1 within 1e-12, and
-    # so do the categories, each positive, without a numpy warning.
+    # so do the categories, each positive, with checks or without, and
+    # without a numpy warning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         law = montecarlo._outcomes(mu_arm, p_d)
         assert np.isfinite(law).all() and (law >= 0.0).all() and abs(law.sum(axis=1) - 1.0).max() <= 1e-12
-        for basis_policy in (0.0, 0.5, 1.0):
-            p = montecarlo._tables(mu_arm, p_d, basis_policy).p
+        for basis_policy, check_fraction in itertools.product((0.0, 0.5, 1.0), (0.0, 0.3)):
+            p = montecarlo._tables(mu_arm, p_d, basis_policy, check_fraction).p
             assert np.isfinite(p).all() and (p > 0.0).all() and abs(p.sum() - 1.0) <= 1e-12
     if p_d == 1.0:  # every detector clicks, with odd photon parity only where light arrives
         assert law[:, 80].sum() > 0.0 and not law[:, (montecarlo._STATES == 0).any(axis=1)].any()
+
+
+def one_lot_tables(mu_arm, p_d, basis_policy):
+    """The draw tables as built before checks joined them: the categories of positive probability in
+    ascending order, stable by key, and each one's group, atom and parity cell."""
+    law = montecarlo._class_weights(basis_policy)[:, None] * montecarlo._outcomes(mu_arm, p_d)
+    sums = np.bincount(montecarlo._KEYS.ravel(), law.ravel(), math.prod(montecarlo._KEY_SHAPE))
+    keys = np.flatnonzero(sums)
+    keys = keys[np.argsort(sums[keys], kind="stable")]
+    return (sums[keys], *np.unravel_index(keys, montecarlo._KEY_SHAPE))
+
+
+_FOLD_RNG = np.random.default_rng(38)
+FOLDED_LAWS = [(float(10.0 ** _FOLD_RNG.uniform(-8, 2)), p_d, float(_FOLD_RNG.uniform()))
+               for p_d in (0.0, 1e-9, 8e-8, 1e-5, 1e-3, 0.3, 1.0) for _ in range(3)] + [
+    (mu_arm, p_d, basis_policy) for mu_arm in (0.0, 1e-320, 1e300, 1.7976931348623157e308)
+    for p_d in (0.0, 0.7, 1.0) for basis_policy in (0.0, 0.5, 1.0)]
+
+
+def test_checks_fold_into_the_draw_law():
+    # Each category with an atom splits into its unchecked and checked
+    # rounds, p (1 - c) and p c: the pair sums to the unsplit p within 1e-15
+    # relative and the checked share is c within 2 ulp, up to the rounding
+    # of a subnormal part (half the smallest float each); a part that
+    # rounds to 0 is dropped. Categories without an atom stay whole, in lot
+    # 0. Without checks the tables are those of one lot, as built before.
+    tiny = Fraction(math.ulp(0.0))
+    for mu_arm, p_d, basis_policy in FOLDED_LAWS:
+        whole = one_lot_tables(mu_arm, p_d, basis_policy)
+        plain = montecarlo._tables(mu_arm, p_d, basis_policy, 0.0)
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(whole, plain[:4]))
+        assert plain.sizes == montecarlo._KEY_SHAPE
+        unsplit = dict(zip(zip(*(index.tolist() for index in whole[1:])), whole[0].tolist()))
+        for c in (1e-3, 0.3, 1.0):
+            t = montecarlo._tables(mu_arm, p_d, basis_policy, c)
+            assert t.sizes == (5, 26, 41)
+            lot, atom = np.divmod(t.atom, 13)
+            parts = {}
+            for key, p in zip(zip(lot.tolist(), t.group.tolist(), atom.tolist(), t.cell.tolist()), t.p.tolist()):
+                assert key[0] == 0 or key[2] < 12, key  # only a category with an atom splits
+                parts.setdefault(key[1:], [0.0, 0.0])[key[0]] = p
+            assert parts.keys() == unsplit.keys()
+            for key, p in unsplit.items():
+                free, checked = parts[key]
+                if key[1] == 12:
+                    assert (free, checked) == (p, 0.0), key
+                    continue
+                p = Fraction(p)
+                assert abs(Fraction(free) + Fraction(checked) - p) <= Fraction(1e-15) * p + tiny, key
+                assert abs(Fraction(checked) - Fraction(c) * p) <= 2 * Fraction(math.ulp(c)) * p + tiny / 2, key
+    cfg = config(sp=HEAVY_DARK)
+    assert lottery_split(cfg, 10**6).shape == (1, 12)
 
 
 def expected_tallies(m, rows):
@@ -1159,28 +1253,21 @@ def test_parity_cells_index_the_outcomes():
         assert [d for d in range(4) if states[d] == 1] == [d for d, p in zip(dets, classes) if p is ClickParity.ODD]
 
 
-def lottery_split(monkeypatch, cfg, atoms):
-    """The block's draw step replaced by ``atoms``, its atom counts: the lottery split that the
-    block returns, and whether the protocol stream was left as the draw step left it."""
-    seen = {}
-
-    def draw(t, rng, size):
-        seen["rng"], seen["state"] = rng, rng.bit_generator.state
-        return np.zeros(5, np.int64), atoms, np.zeros(40, np.int64)
-
-    monkeypatch.setattr(montecarlo, "_draw", draw)
-    _, _, split = montecarlo._block_tallies(cfg, _draw_tables(cfg), 0, 1)
-    return split, seen["rng"].bit_generator.state == seen["state"]
+def lottery_split(cfg, size):
+    """The lottery split over (lot, atom) that one block of ``size`` rounds of ``cfg`` returns."""
+    return montecarlo._block_tallies(cfg, _draw_tables(cfg), 0, size)[2]
 
 
 @pytest.mark.parametrize("attack, lots", (("none", 2), ("beam_split", 4), ("dishonest_bob", 8)))
-def test_lottery_splits_every_atom(attack, lots, monkeypatch):
-    rounds = np.random.default_rng(1).poisson(200.0 * 16 * 104 / 12, 12)
-    cfg = config(attack=attack, check_fraction=0.3, flip_fraction=0.25)
-    split, _ = lottery_split(monkeypatch, cfg, rounds)
-    assert split.shape == (lots, 12)
-    assert np.array_equal(split.sum(axis=0), rounds)
-    # bit 0: checked; bit 1: flip_ph or Eve's success; bit 2: flip_pol
+def test_lottery_splits_every_atom(attack, lots):
+    # Heavy dark counts give each of the 12 atoms over 40,000 rounds in one
+    # block of 10^7. Given the atom's rounds, each lot bit is a binomial of
+    # its probability: within 5 sigma per atom and over all atoms.
+    cfg = config(sp=HEAVY_DARK, attack=attack, check_fraction=0.3, flip_fraction=0.25)
+    split = lottery_split(cfg, 10**7)
+    rounds = split.sum(axis=0)
+    assert split.shape == (lots, 12) and rounds.min() > 40_000
+    # bit 0: checked, drawn in the block's multinomial; bit 1: flip_ph or Eve's success; bit 2: flip_pol
     leak = montecarlo.ie_dual(montecarlo.TapParams(mu=cfg.sp.mu, eta_t=cfg.sp.eta_t))
     probs = {"none": [0.3], "beam_split": [0.3, leak], "dishonest_bob": [0.3, 0.25, 0.25]}[attack]
     for bit, p in enumerate(probs):
@@ -1190,22 +1277,27 @@ def test_lottery_splits_every_atom(attack, lots, monkeypatch):
 
 
 def test_lottery_draws_nothing_it_does_not_need(monkeypatch):
-    # no check split when nothing is checked, and no attack stream without
-    # an attack: the protocol stream is left as the draw step left it
-    rounds = np.random.default_rng(4).poisson(5.0 * 16 * 104 / 12, 12)
-    split, untouched = lottery_split(monkeypatch, config(), rounds)
-    assert untouched and split.shape == (1, 12) and np.array_equal(split[0], rounds)
-    # a last layer of probability 0 adds no lots; one before a drawn layer keeps its bit
-    for cfg, lots in ((config(attack="dishonest_bob", check_fraction=0.3), 2), (config(attack="beam_split"), 4)):
-        split, _ = lottery_split(monkeypatch, cfg, rounds)
-        assert split.shape == (lots, 12) and np.array_equal(split.sum(axis=0), rounds), cfg.attack
-    kinds = []
-    real = montecarlo._stream
-    monkeypatch.setattr(montecarlo, "_stream", lambda c, kind, block: kinds.append(kind) or real(c, kind, block))
-    for attack in montecarlo.ATTACKS:
-        cfg = config(attack=attack)
-        montecarlo._block_tallies(cfg, _draw_tables(cfg), 0, 1000)
-    assert kinds == [0, 0, 1, 0, 1]
+    # The protocol stream draws one multinomial, checks included; an attack
+    # stream is built only for a layer of positive probability (flip 0 adds
+    # no lots), and after a draw without checks its layers follow an empty
+    # checked lot, so that bit 0 still reads checked.
+    streams, real = [], montecarlo._stream
+    monkeypatch.setattr(montecarlo, "_stream", lambda c, kind, block: streams.append((kind, real(c, kind, block)))
+                        or streams[-1][1])
+    for kw, lots, kinds in ((dict(), 1, [0]), (dict(check_fraction=0.3), 2, [0]),
+                            (dict(attack="dishonest_bob", check_fraction=0.3), 2, [0]),
+                            (dict(attack="beam_split"), 4, [0, 1]),
+                            (dict(attack="dishonest_bob", flip_fraction=0.1), 8, [0, 1])):
+        cfg = config(**kw)
+        streams.clear()
+        split = lottery_split(cfg, 100_000)
+        assert split.shape == (lots, 12) and [kind for kind, _ in streams] == kinds, kw
+        fresh = real(cfg, 0, 0)
+        _, atoms, _ = montecarlo._draw(_draw_tables(cfg), fresh, 100_000)
+        assert streams[0][1].bit_generator.state == fresh.bit_generator.state, kw
+        assert np.array_equal(split.sum(axis=0), atoms.sum(axis=0)) and atoms.sum() > 0
+        if not cfg.check_fraction:
+            assert not split[1::2].any(), kw
 
 
 def poisson_pmf(lam, k):
