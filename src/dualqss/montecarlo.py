@@ -98,7 +98,8 @@ ATTACKS = ("none", "beam_split", "dishonest_bob")
 # no evidence of agreement.
 MIN_EXPECTED = 10.0
 
-# Rounds per block: np.bincount sums a block's counts as floats, exact up to 2^53.
+# Rounds per block: np.bincount sums a block's counts as floats, exact up to 2^53, and above 2^53
+# trials numpy's binomial, the multinomial's step, draws on a grid: 2^60 trials give multiples of 64.
 _MAX_BLOCK = 2**53
 # Configurations whose draw tables and closed-form rows are kept, the least
 # recently used dropped first; the oracle grid needs three, the attack triple one.

@@ -30,21 +30,24 @@ every one of these quantities, Event3 from its own truth-table columns.
 One path evaluates all of this: ``_event_terms`` (the only copy of each closed form),
 ``_bracket`` (the only copy of the secret fraction, which ``max_distance`` also reads
 unclamped) and the kernel ``_rate_point`` take plain, already validated floats, compute each
-intermediate once per point and build each NamedTuple result once, through ``tuple.__new__``
-as ``namedtuple._make`` does: the class's Python-level ``__new__`` would add a frame per
-result. The ``EventRates`` triple of ``_event_terms`` is ``RatePoint.events`` itself. The
-kernel clamps each bracket by a comparison, ``b if b > 0.0 else 0.0``: -0.0 and NaN give +0.0,
-as ``max(0.0, b)`` did. Integer powers are products, and ``s * s`` is taken once: ``x ** 2``
-calls libm ``pow``, 48 ns against 20 ns for ``x * x`` (Python 3.11, 2 vCPU), and is not always
-correctly rounded where the product is. It stays scalar ``math`` code: on the arguments of the
-analytic chain numpy differs from ``math`` in the last bit for 24% of ``sinh``, 5% of ``exp``
-and ``10.0 ** x``, and 0.1-0.2% of ``expm1`` and ``log2`` inputs, which would change the curves.
+intermediate once per point and build each NamedTuple result once, through ``tuple.__new__`` as
+``namedtuple._make`` does: the class's Python-level ``__new__`` would add a frame per result.
+The ``EventRates`` triple of ``_event_terms`` is ``RatePoint.events`` itself. It scales the
+masses by e^-I (v = p_d e^-I, t = expm1(-I), u = v - t, ge = t^2/2 + v and go = -expm1(-2I)/2)
+and divides them by their sum s once: each error rate is a ratio of forms of equal degree in
+them and stays as it is, and the gains take the e^-I back from e^-2I. No step overflows, and ge
+is formed as t (t/s)/2, as t * t underflows below I ~ 1e-154. The kernel clamps each bracket by
+a comparison, ``b if b > 0.0 else 0.0``: -0.0 and NaN give +0.0, as ``max(0.0, b)`` did.
+Integer powers are products, and ``s * s`` is taken once: ``x ** 2`` calls libm ``pow``, 48 ns
+against 20 ns for ``x * x`` (Python 3.11, 2 vCPU), and is not always correctly rounded where
+the product is. It stays scalar ``math`` code: on the arguments of the analytic chain numpy
+differs from ``math`` in the last bit for 24% of ``sinh``, 5% of ``exp`` and ``10.0 ** x``, and
+0.1-0.2% of ``expm1`` and ``log2`` inputs, which would change the curves.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -71,10 +74,6 @@ __all__ = [
 # reproduce the 2.39% single-click threshold), so the value is recorded
 # here and flagged unverified by the CLI rather than derived.
 QBER_THRESHOLD_EVENT23_REPORTED = 0.0208
-
-# From this arm intensity on, 2 s * s ~ 2 e^2I is inf, which would zero the double-click error rates.
-_SCALED_FROM_I = 0.5 * math.log(0.5 * sys.float_info.max)
-_FLOAT_MIN = sys.float_info.min  # smallest normal float
 
 _new = tuple.__new__  # _new(Cls, values) is Cls(*values) without a __new__ frame, as in _make
 
@@ -106,40 +105,19 @@ class RatePoint(NamedTuple):
 def _event_terms(i: float, p_d: float) -> tuple[EventRates, EventRates, EventRates]:
     """``EventRates`` of Event1, Event2 and Event3 at arm intensity ``i``; Events 2 and 3 share one."""
     c = 1.0 - p_d
-    if i >= _SCALED_FROM_I:
-        # 2 s * s and then e^I would overflow. Take the masses times e^-I: every error rate is a
-        # ratio of forms of equal degree in them, so it stays as it is, and the e^-2I of the
-        # no-click factors folds into the gains.
-        x = math.exp(-i)
-        v = p_d * x
-        t = math.expm1(-i)
-        u = -t + v
-        ge = 0.5 * (t * t) + v
-        go = -0.5 * math.expm1(-2.0 * i)
-        s = u + v
-        k1, k2 = x, 1.0  # what is left of the no-click factors e^-2I once s carries e^-I
-    else:
-        u = math.expm1(i) + p_d
-        v = p_d
-        h = math.sinh(0.5 * i)
-        ge = 2.0 * (h * h) + p_d
-        go = math.sinh(i)
-        s = u + v
-        if s == 0.0:
-            return (EventRates(0.0, 0.0, 0.0),) * 3
-        k1 = k2 = math.exp(-2.0 * i)  # the no-click factor of the gains
-    s2 = s * s
-    q1 = c * c * c * k1 * s
-    q = 0.5 * (c * c * k2) * s2
-    event1 = _new(EventRates, (q1, v / s, ge / s))
-    denom = 2.0 * s2
-    if denom < _FLOAT_MIN:
-        # s * s is subnormal or zero (I and p_d both below ~1e-154). The double-click error rates
-        # are ratios of quadratic forms in the masses, so take them on the masses scaled by 1 / s.
-        u, v, ge, go = u / s, v / s, ge / s, go / s
-        denom = 2.0
+    x = math.exp(-i)
+    t = math.expm1(-i)
+    v = p_d * x  # the masses times e^-I (module docstring)
+    s = 2.0 * v - t
+    if s == 0.0:
+        return (EventRates(0.0, 0.0, 0.0),) * 3
+    u = (v - t) / s
+    v = p_d / s * x  # v / s without rounding p_d * x where it is subnormal
+    ge = 0.5 * t * (t / s) + v
+    go = -0.5 * math.expm1(-2.0 * i) / s
+    event1 = _new(EventRates, (c * c * c * x * s, v, ge))
     n_ph = ge * (3.0 * go + ge) + v * (go + v)
-    double = _new(EventRates, (q, (v * u + v * v + 2.0 * v * u) / denom, n_ph / denom))
+    double = _new(EventRates, (0.5 * (c * c) * (s * s), 0.5 * (v * u + v * v + 2.0 * v * u), 0.5 * n_ph))
     return event1, double, double
 
 

@@ -212,15 +212,18 @@ def test_draw_audit_rejects_bad_seed_ranges(seeds, capsys):
 # whenever the sampler's draws change, last when every round came to be
 # drawn from one multinomial over the categories of the per-detector law.
 # The optimize run's was recorded again for the expm1 leakage: best_rate moved 3 ulp.
+# The optimize and simulate runs' were recorded again when the closed forms came to be
+# taken on the masses times e^-I divided by their sum: best_rate and the comparison rows'
+# p_analytic, expected and sigma moved by at most 12 ulp.
 JSON_DIGESTS = {
     ("optimize", "--L", "400"):
-        "2edc884d378bbf88d5c9789c22c342fc5375f9e24c79d6b0c652914a8d19079d",
+        "d67bda5fa47607e36d8cf072a138039e38994ba9c787432715a59ac11b86f2dd",
     ("max-distance", "--mu", "0.84"):
         "0f52953e03664222ff094081206d894f61880da501ba108faece246e8268a3fc",
     ("thresholds",):
         "9abe3c7ab13b98212f367df33588c787c39dbb8f5e01cd1ca91ea7cf60a5f3ba",
     ("simulate", "--rounds", "100000", "--seed", "3", "--attack", "beam-split"):
-        "1697238a79d815c7ab8ad2c9b2364c599ca4e5873848e4cf7e9fd5e2f8833f41",
+        "6a1077db8ae302eaa63d53acf30abfb8eae68b044ec8f241c3a263c3ec44840f",
 }
 
 
@@ -239,22 +242,24 @@ def test_json_bytes_unchanged(argv, capsys):
 # again, as when every round came to be drawn from one multinomial over
 # the categories of the per-detector law. The three runs with checks and
 # atoms (beam-split, p_d=0, dishonest-bob) moved again when the checks came
-# to be drawn in that multinomial.
+# to be drawn in that multinomial. All but p_d=0 were recorded again when the
+# closed forms came to be taken on the masses times e^-I divided by their sum:
+# no count moved, and p_analytic, expected, sigma and max_abs_sigma by at most 7 ulp.
 SIMULATE_DIGESTS = {
     "beam-split": (("simulate", "--rounds", "200000", "--seed", "5", "--basis-policy", "0.5",
                     "--check-fraction", "0.3", "--attack", "beam-split"),
-                   "4a6db1dcf2aa3882a6241b72662c00dea077cd8e047280d2d6be62c4fab1314a"),
+                   "4dc76032a28f35ad0c4b070fe19d404e3baf002d89ca5fe92c913de6a0c1d570"),
     "p_d=0": (("simulate", "--p-d", "0", "--rounds", "200000", "--seed", "7", "--basis-policy", "0.5",
                "--check-fraction", "0.3"),
               "da64d66b0e6f035a3e61aec6633b93cebc93968bf199d9f93bacd65447831ad9"),
     "p_d=1": (("simulate", "--p-d", "1", "--rounds", "200000", "--seed", "11", "--basis-policy", "0.5",
                "--check-fraction", "0.3"),
-              "ba15fd4942fb5d3712febfa7d584bc5721ab832a23570e7754c2a5cd74fb92a8"),
+              "fae6c782fa7824eee9e3bee8ddf49df9f23069ba6fc1940487ebd0e535307027"),
     "far": (("simulate", "--L", "400", "--rounds", "2000000", "--seed", "2026", "--basis-policy", "1"),
-            "0a928f4e84f8ddd488b84f8c2e46fcf03a3370fff8137d3791293a496c3ed348"),
+            "829e23d0a5531c2d3856feed24e78bd77461e4d4f98e0f93ac20335472d6da9f"),
     "dishonest-bob": (("simulate", "--rounds", "200000", "--seed", "3", "--basis-policy", "0.5",
                        "--check-fraction", "0.3", "--attack", "dishonest-bob", "--flip", "0.05"),
-                      "cb6f97cb765f738d7330debed6524e7f9ccb1becb32f8ed1e4597e2ae4b7fc31"),
+                      "4d9bdd24f327e26950abbe5f4040f088c458262e033514be4360d2a87abd3eed"),
 }
 
 

@@ -10,10 +10,10 @@ unit is the smallest subnormal, 5e-324.
 Bounds: 3 ulp for the leakage and the key budget, 8 ulp for every output of ``_event_terms``.
 The event outputs are ratios of masses (expm1, sinh) that each carry their own rounding, so
 their errors add: over 10,011 points (the 9,201 arm intensities of the 0-460 km sweep at the
-defaults and 810 seeded points on every branch) the worst was 7.7 ulp (Event2's e_ph at
-I = 0.0043), and at the points below it is 5.1 ulp (Event2's q at I = 0.12). No point needs a
-wider bound. Left out: p_d = 0 at I below ~1e-154, where 2 sinh(I/2)^2 underflows to 0 and
-Event1's e_ph reads 0 for I/2.
+defaults and 810 seeded points with p_d from 0 to 1: a third at I from 1e-6 to 316, a third at
+I from 354 to 1e4, where e^I and s * s overflow a float, and a third with I and p_d below
+1e-154, where s * s is subnormal) the worst was 5.1 ulp (Event2's e_ph at I = 0.041), and at
+the points below it is 2.2 ulp (Event1's q at I = 300). No point needs a wider bound.
 """
 
 import math
@@ -67,18 +67,27 @@ EVENT_TERMS = {
                    "2.450000000000000077715612e-1", "2.316690100085406115784932e-131", "5.0e-1"),
     (0.5, 1.0): ("0", "3.775406687981454353610994e-1", "4.257246610581712764408003e-1",
                  "0", "4.237740466006672067498524e-1", "3.246590924337032864327662e-1"),
-    # I >= _SCALED_FROM_I: the masses are taken times e^-I
+    # e^I and s * s overflow a float: only the masses times e^-I are finite
     (400.0, 0.0): ("1.91516959671400569501984e-174", "0", "5.0e-1", "5.0e-1", "0", "5.0e-1"),
     (400.0, 0.001): ("1.909429831517484223118496e-174", "1.915169596714005734887316e-177", "5.0e-1",
                      "4.990004999999999999792041e-1", "2.872754395071008602330974e-177", "5.0e-1"),
     (5000.0, 8e-08): ("3.369693339582386618435734e-2172", "2.69575531864713406796213e-2179", "5.0e-1",
                       "4.999999200000031999999983e-1", "4.043632977970701101943196e-2179", "5.0e-1"),
-    # subnormal s * s: the double-click rates are taken on the masses scaled by 1 / s
+    # s * s subnormal or 0: the double-click rates are ratios of squares that underflow
     (1e-200, 1e-170): ("1.999999999999999966690998e-170", "5.0e-1", "5.0e-1",
                        "1.999999999999999933381996e-340", "5.0e-1", "2.5e-1"),
     (3e-160, 5e-160): ("1.299999999999999985227642e-159", "3.846153846153846153846154e-1",
                        "3.846153846153846153846154e-1", "8.449999999999999807959344e-319",
                        "4.289940828402366863905325e-1", "3.254437869822485207100592e-1"),
+    # products of the masses that underflow: v * u for e_bit, and for p_d = 0 the square in ge
+    (1e-32, 1e-320): ("1.00000000000000005596731e-32", "9.999888671826829494466883e-289",
+                      "5.00000000000000027983655e-33", "5.0000000000000005596731e-65",
+                      "1.499983300774024424170033e-288", "7.500000000000000419754825e-33"),
+    (7.79e-154, 5.27e-202): ("7.789999999999999434556715e-154", "6.765083440308088232957298e-49",
+                             "6.765083440308088232957298e-49", "3.034204999999999559519681e-307",
+                             "1.014762516046213234943595e-48", "1.35301668806161764659146e-48"),
+    (1e-200, 0.0): ("9.999999999999999821002624e-201", "0", "4.999999999999999910501312e-201",
+                    "4.999999999999999821002624e-401", "0", "7.499999999999999865751968e-201"),
 }
 
 

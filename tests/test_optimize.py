@@ -17,7 +17,7 @@ from dualqss.optimize import (
     optimize_mu,
     sweep,
 )
-from dualqss.rates import _SCALED_FROM_I, _bracket, _rate_point, at_distance, at_intensity, key_rate
+from dualqss.rates import _bracket, _rate_point, at_distance, at_intensity, key_rate
 
 SP = SystemParams(mu=0.84, l_km=400.0)
 
@@ -102,10 +102,9 @@ def test_sweep_points_form_no_cycles():
     try:
         gc.collect()
         sweep(SweepSpec(variable=SweepVariable.DISTANCE, lo=0.0, hi=500.0, step=0.5, fixed=SP))
-        # mu = 0 at p_d = 0 shares one EventRates three times; 1e308 runs the scaled branch
+        # mu = 0 at p_d = 0 shares one EventRates three times; mu = 1e308 is far past e^I's overflow
         points = sweep(SweepSpec(variable=SweepVariable.MU, lo=0.0, hi=1e308, step=1e306, fixed=dark))
         assert points[0].events[0] is points[0].events[2]
-        assert points[-1].mu * dark.eta_t >= _SCALED_FROM_I
         del points
         assert gc.collect() == 0
     finally:
@@ -306,7 +305,7 @@ def test_max_distance_brackets_event2_once_per_point(event, monkeypatch):
 
 # --- the analytic chain at full precision ---
 
-ANALYTIC_CHAIN_SHA256 = "9a68647e100abe74ebe37b4a3713027fefc5598686d5611810e554b804000263"
+ANALYTIC_CHAIN_SHA256 = "65040db331583c66cef253516c812a96f98238ad666ca9404446ab3f77bf438b"
 
 
 def _float_digest(values) -> str:
@@ -351,5 +350,8 @@ def test_analytic_chain_digest():
     e_bit (<= 2 ulp, another summation order) and r_event3 moved. Re-recorded
     for the expm1 leakage and products in place of powers: i_e (<= 2 ulp), the
     factored Event2/3 e_ph (<= 4 ulp), a few q2/e_bit2/e_ph1 (<= 2 ulp), and the
-    rates and best rates they feed (the bracket cancels near the death distance)."""
+    rates and best rates they feed (the bracket cancels near the death distance).
+    Re-recorded when the closed forms came to be taken on the masses times e^-I
+    divided by their sum: the event outputs moved by at most 9 ulp, the rates they
+    feed by up to 4,574 ulp where the bracket cancels, best_mu not at all."""
     assert _float_digest(_analytic_chain_floats()) == ANALYTIC_CHAIN_SHA256

@@ -38,9 +38,9 @@ from dualqss.rates import (
 )
 
 SP_084_400 = SystemParams(mu=0.84, l_km=400.0)
-# Each reaches one branch of rates._event_terms: the overflow-free form
-# (arm intensity 1e4 >= _SCALED_FROM_I) and, with s ** 2 below the
-# smallest normal float, the masses scaled by 1 / s.
+# The two ends of the float range for rates._event_terms: at arm intensity
+# 1e4, e^I and s ** 2 overflow a float, and at mu = 1e-170 with p_d = 0,
+# s ** 2 is below the smallest normal float.
 SP_SCALED = SystemParams(mu=1e4, l_km=0.0, eta_d=1.0)
 SP_SUBNORMAL_S = SystemParams(mu=1e-170, p_d=0.0)
 
@@ -63,7 +63,7 @@ def test_event2_chain_frozen():
                                 SystemParams(p_d=1.0), SystemParams(l_km=374.0)),
                          ids=("400km", "scaled", "subnormal_s", "no_clicks", "p_d_1", "374km"))
 def test_event3_equals_event2(sp):
-    # mirror-image detector patterns: one EventRates, so equal to the last bit on every branch.
+    # mirror-image detector patterns: one EventRates, so equal to the last bit at every point.
     # At 374 km the two summation orders of the double-click bit error round an ulp apart.
     point = key_rate(sp)
     assert point.events[1] is point.events[2]
@@ -167,21 +167,25 @@ def _off_default_floats():
         yield from _point_floats(point)
 
 
-OFF_DEFAULT_SHA256 = "d92be9041ebe77d6d6ea9ee313fd2954e8fa8b3402d77c057580048514c9e9c7"
+OFF_DEFAULT_SHA256 = "42918b35eb8ac41d6afb23f746241c5c7c19568bcef2d5643ddefbd80aa83739"
 
 
 def test_off_default_digest():
-    """SHA-256 of the repr of every float of key_rate at 24 overflow-free
-    (scaled) points, 24 subnormal-s points, mu = p_d = 0 (no clicks),
-    p_d = 1, eta_d = 1 and mu = 20; of max_distance per event (1, 2, 3)
-    at mu = 0.4, 0.84, 1.5; and of a mu sweep over [0, 20] at 0 km. The
-    analytic chain digest of test_optimize sees the default parameters
-    only, which never leave the ordinary branch of _event_terms. Recorded
-    before the rate results were built through tuple.__new__, so it pins
-    that change to the last bit on every branch. Re-recorded when Event3
+    """SHA-256 of the repr of every float of key_rate at 24 points where e^I
+    and s * s overflow a float (scaled), 24 points where s * s is subnormal
+    (subnormal-s), mu = p_d = 0 (no clicks), p_d = 1, eta_d = 1 and mu = 20;
+    of max_distance per event (1, 2, 3) at mu = 0.4, 0.84, 1.5; and of a mu
+    sweep over [0, 20] at 0 km. The analytic chain digest of test_optimize
+    sees the default parameters only, which reach neither end of the float
+    range. Recorded before the rate results were built through tuple.__new__,
+    so it pins that change to the last bit at both ends. Re-recorded when Event3
     began sharing Event2's EventRates: only Event3's e_bit moved (<= 2 ulp).
     Re-recorded for the expm1 leakage (i_e, 0.0 -> 4x/3 at the subnormal-s
-    points) and the factored Event2/3 e_ph (<= 4 ulp), with the rates they feed."""
+    points) and the factored Event2/3 e_ph (<= 4 ulp), with the rates they feed.
+    Re-recorded when the closed forms came to be taken on the masses times e^-I
+    divided by their sum: the event outputs moved by at most 10 ulp and the rates
+    by at most 105, but at the six subnormal-s points with p_d = 0 every e_ph was
+    0 or 4% off (the square in ge underflowed) and is now within 2 ulp of 50 digits."""
     h = hashlib.sha256()
     for value in _off_default_floats():
         h.update(repr(value).encode() + b"\n")
