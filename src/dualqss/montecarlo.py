@@ -18,9 +18,9 @@ counts), its atom (the truth tables over (class, click mask) tell apart
 12: Event1 by phase error, Event2 and Event3 by phase and polarization
 error, the Z check by phase error) and its parity cell (one of 40). So
 the law's outcomes, weighted by class, merge by (group, atom, parity
-cell) into a few dozen categories (``_tables``). With checks, each
-category that has an atom splits in two by the check fraction c, its
-unchecked rounds (1 - c) and its checked rounds (c): thinning a
+cell) into a few dozen categories (``_tables``). Each category that has
+an atom splits in two lots by the check fraction c, its unchecked rounds
+(1 - c) and its checked rounds (c; none without checks): thinning a
 category binomially and drawing the split categories in one multinomial
 give one law. The categories are kept in ascending probability, stable
 by key, so numpy gives the likeliest the remainder. A block draws one
@@ -377,47 +377,31 @@ def _outcomes(mu_arm: float, p_d: float) -> np.ndarray:
     return states[:, np.arange(4), _STATES].prod(axis=-1)
 
 
-def _cached(build):
-    """``build`` memoised on its arguments, for at most ``_CACHE_SIZE`` of them. Arguments that
-    compare equal but differ in type or in the sign of a zero are other keys: p_d = -0.0 gives
-    -0.0 probabilities where p_d = 0.0 gives 0.0. Callers share a result, so it must be immutable."""
-    memo = functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)(lambda signs, *args: build(*args))
-
-    @functools.wraps(build)
-    def call(*args):
-        return memo(tuple(math.copysign(1.0, a) for a in args), *args)
-
-    call.cache_clear, call.cache_info = memo.cache_clear, memo.cache_info
-    return call
+_DrawTables = collections.namedtuple("_DrawTables", "p group atom cell")
+# The ``np.bincount`` length of each index of a draw table: groups, two lots of atoms, parity cells.
+_DRAW_SIZES = (_KEY_SHAPE[0], 2 * _KEY_SHAPE[1], _KEY_SHAPE[2])
 
 
-_DrawTables = collections.namedtuple("_DrawTables", "p group atom cell sizes")
-
-
-@_cached
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _tables(mu_arm: float, p_d: float, basis_policy: float, check_fraction: float) -> _DrawTables:
     """The draw categories of a configuration, built once and read by every block: the law of
     (lot, group, atom, parity cell) that the class weights, ``_outcomes`` and the check fraction c
     give, keeping the categories of positive probability ``p`` in ascending order, stable by key
     (numpy gives the last, the likeliest, the remainder), and each one's group, ``lot * 13 + atom``
-    and parity cell (the last atom and cell: none), with the ``np.bincount`` length of each. Without
-    checks there is one lot; with them, each category that has an atom is p (1 - c) in lot 0 and
-    p c in lot 1, checked, and the rest stay whole in lot 0."""
-    lots = 2 if check_fraction else 1
+    and parity cell (the last atom and cell: none). Each category that has an atom is p (1 - c) in
+    lot 0 and p c in lot 1, checked, and the rest stay whole in lot 0; at c = 0 the checked lot is
+    0 and dropped. ``p`` is at most 1: at p_d = 1 the likeliest category's sum can round above it."""
     law = _class_weights(basis_policy)[:, None] * _outcomes(mu_arm, p_d)
-    sums = np.bincount(_KEYS.ravel(), law.ravel(), math.prod(_KEY_SHAPE))
-    if check_fraction:
-        whole = sums.reshape(_KEY_SHAPE)
-        sums = np.zeros((lots, *_KEY_SHAPE))
-        sums[0], sums[1, :, :-1] = whole, whole[:, :-1] * check_fraction
-        sums[0, :, :-1] *= 1.0 - check_fraction
-        sums = sums.ravel()
+    whole = np.bincount(_KEYS.ravel(), law.ravel(), math.prod(_KEY_SHAPE)).reshape(_KEY_SHAPE)
+    sums = np.zeros((2, *_KEY_SHAPE))
+    sums[0], sums[1, :, :-1] = whole, whole[:, :-1] * check_fraction
+    sums[0, :, :-1] *= 1.0 - check_fraction
+    sums = sums.ravel()
     keys = np.flatnonzero(sums)
     keys = keys[np.argsort(sums[keys], kind="stable")]
-    lot, group, atom, cell = np.unravel_index(keys, (lots, *_KEY_SHAPE))
-    tables = _DrawTables(sums[keys], group, lot * _KEY_SHAPE[1] + atom, cell,
-                         (_KEY_SHAPE[0], lots * _KEY_SHAPE[1], _KEY_SHAPE[2]))
-    for array in tables[:4]:
+    lot, group, atom, cell = np.unravel_index(keys, (2, *_KEY_SHAPE))
+    tables = _DrawTables(np.minimum(sums[keys], 1.0), group, lot * _KEY_SHAPE[1] + atom, cell)
+    for array in tables:  # callers share a result, so it must be immutable
         array.flags.writeable = False
     return tables
 
@@ -433,7 +417,7 @@ def _draw(t: _DrawTables, rng: np.random.Generator, size: int) -> tuple[np.ndarr
     from one multinomial over the categories of ``_tables``. np.bincount sums them as floats, exactly
     for at most ``_MAX_BLOCK`` rounds."""
     k = rng.multinomial(size, t.p)
-    m, atoms, cells = (np.bincount(index, k, n).astype(np.int64) for index, n in zip(t[1:4], t.sizes))
+    m, atoms, cells = (np.bincount(index, k, n).astype(np.int64) for index, n in zip(t[1:], _DRAW_SIZES))
     return m, atoms.reshape(-1, _KEY_SHAPE[1])[:, :-1], cells[:-1]
 
 
@@ -513,8 +497,7 @@ def _block_tallies(cfg: SimConfig, tables: _DrawTables, block: int, size: int) -
     with the same probability, and a sum of binomials of one probability is a
     binomial of their sum, so splitting the atoms' sums gives every (lot, atom)
     count the law that splitting each cell would give. Layers of probability 0
-    are left out; after a draw without checks an attack's layers follow an
-    empty checked lot, so that bit 0 still reads checked."""
+    are left out; a draw without checks leaves the checked lot empty."""
     m, split, parity = _draw(tables, _stream(cfg, 0, block), size)
     if cfg.attack == "beam_split":
         p, layers = _ie_dual_tapped((1.0 - cfg.sp.eta_t) * cfg.sp.mu), 1
@@ -524,8 +507,6 @@ def _block_tallies(cfg: SimConfig, tables: _DrawTables, block: int, size: int) -
         return m, parity, split
     if p:
         rng = _stream(cfg, 1, block)
-        if len(split) == 1:
-            split = np.concatenate((split, np.zeros_like(split)))
         for _ in range(layers):
             won = rng.binomial(split, p)
             split = np.concatenate((split - won, won))
@@ -575,7 +556,7 @@ def simulate_dishonest_bob(config: SimConfig, threads: int = 1) -> SimReport:
     return simulate(_with_attack(config, "dishonest_bob"), threads=threads)
 
 
-@_cached
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _closed_forms(mu_arm: float, p_d: float, basis_policy: float, *leak: float) -> tuple:
     """(name, p_analytic, p_trial) of every comparison row, in row order, built once per
     configuration; ``leak`` is (mu, eta_t, check_fraction) for the ``eve_leak`` row of a

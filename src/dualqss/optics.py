@@ -10,7 +10,8 @@ every mode is fully described by one real amplitude.
 ``check_range`` is the library's one boundary rule: a parameter is finite
 and inside its physical range, or a ValueError names it and words its range
 from the bounds. NaN, infinities and integers beyond the float range fail.
-It returns the value as a float, which the parameter classes store (float32 in, float64 out).
+It returns the value as a float, which the parameter classes store (float32 in, float64 out),
+and a zero as +0.0, so that -0.0 and 0.0 give the same results, cached or not.
 """
 
 from __future__ import annotations
@@ -42,14 +43,14 @@ SMALLEST_POSITIVE = math.ulp(0.0)
 
 
 def check_range(name: str, value: float, lo: float = -math.inf, hi: float = math.inf) -> float:
-    """Return ``value`` as a float if it is finite and lo <= value <= hi, else raise ValueError.
+    """Return ``value`` as a float (a zero as +0.0) if it is finite and lo <= value <= hi, else raise ValueError.
 
     The message words the range from the bounds alone: "in [lo, hi]", "non-negative"
     (lo 0), "positive" (lo ``SMALLEST_POSITIVE``), ">= lo", or without bounds "finite".
     """
     try:
         if math.isfinite(value) and lo <= value <= hi:
-            return float(value)
+            return float(value) or 0.0  # past the boundary a zero has no sign; other floats keep their object
         got = repr(value)
     except OverflowError:
         got = "an integer beyond the float range"

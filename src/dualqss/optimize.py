@@ -60,9 +60,9 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.variable, SweepVariable):
             raise ValueError(f"variable must be a SweepVariable member, got {self.variable!r}")
-        check_range("lo", self.lo)
-        check_range("hi", self.hi)
-        check_range("step", self.step, SMALLEST_POSITIVE)
+        fields = vars(self)  # stored as checked, a float: frozen guards setattr, not the dict
+        for name, lo in (("lo", -math.inf), ("hi", -math.inf), ("step", SMALLEST_POSITIVE)):
+            fields[name] = check_range(name, fields[name], lo)
         if self.hi < self.lo:
             raise ValueError(f"hi must be >= lo, got [{self.lo!r}, {self.hi!r}]")
         if (self.hi - self.lo) / self.step + 1 > _MAX_SWEEP_POINTS:

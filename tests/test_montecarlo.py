@@ -247,9 +247,9 @@ def run_and_compare(cfg):
 @pytest.mark.parametrize("signs", ((0.0, -0.0), (-0.0, 0.0)), ids=("zero-first", "negative-first"))
 def test_results_do_not_depend_on_the_call_history(signs):
     # Cached tables and closed forms are keyed on the values they read,
-    # with signed zeros apart: p_d = -0.0 gives -0.0 probabilities in the
-    # rows. Whichever sign runs first, each run equals a run from cleared
-    # caches, the beam-splitting run's eve_leak row included.
+    # and check_range stores p_d = -0.0 as +0.0. Whichever sign runs first,
+    # each run equals a run from cleared caches, the beam-splitting run's
+    # eve_leak row included, and the two signs' runs are the same bytes.
     configs = [config(sp=SystemParams(p_d=p_d), attack=attack, check_fraction=0.3)
                for p_d in signs for attack in ("none", "beam_split")]
     warm = [run_and_compare(cfg) for cfg in configs]
@@ -259,7 +259,7 @@ def test_results_do_not_depend_on_the_call_history(signs):
         montecarlo._closed_forms.cache_clear()
         cold.append(run_and_compare(cfg))
     assert warm == cold
-    assert warm[0][1] != warm[2][1]  # the rows show the sign of p_d
+    assert warm[:2] == warm[2:]  # no field or row shows the sign of p_d
     for _, rows in warm:
         names = [row["name"] for row in json.loads(rows)]
         assert len(names) == 48 + ("eve_leak" in names) and len(set(names)) == len(names)
@@ -268,12 +268,11 @@ def test_results_do_not_depend_on_the_call_history(signs):
 
 @pytest.mark.parametrize("sp", (SP, SystemParams(p_d=1.0)), ids=("near", "pd1"))
 def test_cached_tables_are_read_only(sp):
-    for lots, check_fraction in ((1, 0.0), (2, 0.3)):
+    for check_fraction in (0.0, 0.3):
         tables = _draw_tables(config(sp=sp, check_fraction=check_fraction))
-        # the law and its indices, then their bincount lengths, a tuple of ints
-        assert len(tables) == 5 and all(isinstance(array, np.ndarray) for array in tables[:4])
-        assert tables.sizes == (5, 13 * lots, 41)
-        for array in tables[:4]:
+        # the law and its indices
+        assert len(tables) == 4 and all(isinstance(array, np.ndarray) for array in tables)
+        for array in tables:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
     forms = montecarlo._closed_forms(sp.mu_arm, sp.p_d, 0.5)
@@ -1020,7 +1019,8 @@ def test_drawn_pairs_reduce_like_unique_reference(sp, size):
     # with the law to 1e-12 relative; rounds of four or more add at most
     # their own mass P(N >= 4) to an outcome (their law is the chi-square's
     # above). A block draws one multinomial over the categories and sums
-    # its counts by group, by atom and by parity cell, as a loop does.
+    # its counts by group, by (lot, atom) and by parity cell, as a loop
+    # does; without checks the checked lot is drawn as zeros.
     law = montecarlo._outcomes(sp.mu_arm, sp.p_d)
     ref, multi, _, _ = reference_outcomes(sp)
     assert (ref <= law * (1 + 1e-12)).all() and (law <= ref * (1 + 1e-12) + multi[:, None]).all()
@@ -1029,12 +1029,13 @@ def test_drawn_pairs_reduce_like_unique_reference(sp, size):
     got = montecarlo._draw(t, rng, size)
     [(n, pvals, drawn)] = rng.drawn
     assert n == size and pvals is t.p
-    m, atoms, cells = [0] * 5, [0] * 13, [0] * 41
-    for k, group, atom, cell in zip(drawn.tolist(), *(index.tolist() for index in t[1:4])):
+    m, atoms, cells = [0] * 5, [0] * 26, [0] * 41
+    for k, group, atom, cell in zip(drawn.tolist(), *(index.tolist() for index in t[1:])):
         m[group] += k
         atoms[atom] += k
         cells[cell] += k
-    assert [array.tolist() for array in got] == [m, [atoms[:12]], cells[:40]]
+    assert [array.tolist() for array in got] == [m, [atoms[:12], [0] * 12], cells[:40]]
+    assert atoms[13:] == [0] * 13
     assert all(array.dtype == np.int64 for array in got) and sum(m) == size
     # without light or dark counts no round clicks; else some rounds are events
     assert (sum(atoms[:12]) > 0) != (sp.mu == sp.p_d == 0.0)
@@ -1088,9 +1089,32 @@ def test_laws_stay_finite_at_the_edges(mu_arm, p_d):
         assert np.isfinite(law).all() and (law >= 0.0).all() and abs(law.sum(axis=1) - 1.0).max() <= 1e-12
         for basis_policy, check_fraction in itertools.product((0.0, 0.5, 1.0), (0.0, 0.3)):
             p = montecarlo._tables(mu_arm, p_d, basis_policy, check_fraction).p
-            assert np.isfinite(p).all() and (p > 0.0).all() and abs(p.sum() - 1.0) <= 1e-12
+            assert np.isfinite(p).all() and (p > 0.0).all() and (p <= 1.0).all() and abs(p.sum() - 1.0) <= 1e-12
     if p_d == 1.0:  # every detector clicks, with odd photon parity only where light arrives
         assert law[:, 80].sum() > 0.0 and not law[:, (montecarlo._STATES == 0).any(axis=1)].any()
+
+
+EDGE_RUNS = list(itertools.product((0.0, 1e-8, 0.84, 20.0, 1e300), (0.0, 0.5, 1.0 - 2.0**-53, 1.0),
+                                   (0.0, 5e-324, 0.5, 1.0), (0.0, 1.0)))
+
+
+def test_runs_and_comparisons_at_the_edges():
+    # No light, faint, bright and far beyond any detector's range; no dark
+    # counts to a click at every detector (where the likeliest category's
+    # sum can round above 1); one basis, barely the other, or both; no
+    # checks or all; and each of the three runs: each simulates and
+    # compares without an error or a numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mu, p_d, basis_policy, check_fraction in EDGE_RUNS:
+            cfg = config(sp=SystemParams(mu=mu, p_d=p_d), basis_policy=basis_policy,
+                         check_fraction=check_fraction, flip_fraction=0.25)
+            for run in (simulate, simulate_beam_split, simulate_dishonest_bob):
+                report = run(cfg)
+                rows = compare_to_analytic(report)
+                assert report.n_xx + report.n_zz + report.n_mixed == cfg.rounds
+                assert len(rows) == 48 + (run is simulate_beam_split)
+                assert all(0.0 <= row["p_analytic"] <= 1.0 for row in rows), (cfg, run)
 
 
 def one_lot_tables(mu_arm, p_d, basis_policy):
@@ -1116,17 +1140,16 @@ def test_checks_fold_into_the_draw_law():
     # relative and the checked share is c within 2 ulp, up to the rounding
     # of a subnormal part (half the smallest float each); a part that
     # rounds to 0 is dropped. Categories without an atom stay whole, in lot
-    # 0. Without checks the tables are those of one lot, as built before.
+    # 0. Without checks the tables are those of one lot, as built before,
+    # and a block's split carries an empty checked lot.
     tiny = Fraction(math.ulp(0.0))
     for mu_arm, p_d, basis_policy in FOLDED_LAWS:
         whole = one_lot_tables(mu_arm, p_d, basis_policy)
         plain = montecarlo._tables(mu_arm, p_d, basis_policy, 0.0)
-        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(whole, plain[:4]))
-        assert plain.sizes == montecarlo._KEY_SHAPE
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(whole, plain))
         unsplit = dict(zip(zip(*(index.tolist() for index in whole[1:])), whole[0].tolist()))
         for c in (1e-3, 0.3, 1.0):
             t = montecarlo._tables(mu_arm, p_d, basis_policy, c)
-            assert t.sizes == (5, 26, 41)
             lot, atom = np.divmod(t.atom, 13)
             parts = {}
             for key, p in zip(zip(lot.tolist(), t.group.tolist(), atom.tolist(), t.cell.tolist()), t.p.tolist()):
@@ -1142,7 +1165,7 @@ def test_checks_fold_into_the_draw_law():
                 assert abs(Fraction(free) + Fraction(checked) - p) <= Fraction(1e-15) * p + tiny, key
                 assert abs(Fraction(checked) - Fraction(c) * p) <= 2 * Fraction(math.ulp(c)) * p + tiny / 2, key
     cfg = config(sp=HEAVY_DARK)
-    assert lottery_split(cfg, 10**6).shape == (1, 12)
+    assert lottery_split(cfg, 10**6).shape == (2, 12)
 
 
 def expected_tallies(m, rows):
@@ -1279,12 +1302,11 @@ def test_lottery_splits_every_atom(attack, lots):
 def test_lottery_draws_nothing_it_does_not_need(monkeypatch):
     # The protocol stream draws one multinomial, checks included; an attack
     # stream is built only for a layer of positive probability (flip 0 adds
-    # no lots), and after a draw without checks its layers follow an empty
-    # checked lot, so that bit 0 still reads checked.
+    # no lots), and a draw without checks leaves the checked lot, bit 0, empty.
     streams, real = [], montecarlo._stream
     monkeypatch.setattr(montecarlo, "_stream", lambda c, kind, block: streams.append((kind, real(c, kind, block)))
                         or streams[-1][1])
-    for kw, lots, kinds in ((dict(), 1, [0]), (dict(check_fraction=0.3), 2, [0]),
+    for kw, lots, kinds in ((dict(), 2, [0]), (dict(check_fraction=0.3), 2, [0]),
                             (dict(attack="dishonest_bob", check_fraction=0.3), 2, [0]),
                             (dict(attack="beam_split"), 4, [0, 1]),
                             (dict(attack="dishonest_bob", flip_fraction=0.1), 8, [0, 1])):

@@ -201,6 +201,8 @@ def test_mode_intensities_store_numpy_floats_as_floats():
     assert {type(value) for value in single.as_tuple()} == {float}
     assert json.dumps(dataclasses.asdict(single))
     assert single == ModeIntensities(float(np.float32(0.1)), 0.2, 0.3, 0.4)
+    # and a zero as +0.0, so that -0.0 keys no cache of its own
+    assert math.copysign(1.0, check_range("p_d", -0.0, 0.0, 1.0)) == 1.0
 
 
 def test_matched_encoding_amplitudes():

@@ -46,6 +46,16 @@ def test_sweep_handles_inexact_step():
     assert values[-1] == pytest.approx(0.5, abs=1e-12)
 
 
+def test_sweep_spec_stores_checked_floats():
+    # numpy float32 bounds are stored as the floats that check_range returns, so the grid
+    # and its rates are those of the same bounds given as floats, not float32 arithmetic
+    lo, hi, step = np.float32(0.0), np.float32(0.3), np.float32(0.1)
+    spec = SweepSpec(variable=SweepVariable.DISTANCE, lo=lo, hi=hi, step=step, fixed=SP)
+    plain = SweepSpec(variable=SweepVariable.DISTANCE, lo=float(lo), hi=float(hi), step=float(step), fixed=SP)
+    assert {type(value) for value in (spec.lo, spec.hi, spec.step, *spec.values())} == {float}
+    assert spec.values() == plain.values() and sweep(spec) == sweep(plain)
+
+
 @pytest.mark.parametrize("fixed", (SP, SystemParams(mu=1.3, alpha=0.27, l_km=80.0, eta_d=0.6,
                                                    p_d=3e-4, f=1.4)))
 @pytest.mark.parametrize("variable, lo, hi, step, at", (
