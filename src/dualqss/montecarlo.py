@@ -23,15 +23,16 @@ an atom splits in two lots by the check fraction c, its unchecked rounds
 (1 - c) and its checked rounds (c; none without checks): thinning a
 category binomially and drawing the split categories in one multinomial
 give one law. The categories are kept in ascending probability, stable
-by key, so numpy gives the likeliest the remainder. A block draws one
-multinomial over them and sums its counts by group, by (lot, atom) and
-by parity cell; every tally keeps its law. An attack's lottery (its
-flips or Eve's success) splits the (lot, atom) counts with binomials on
-its own stream (layers of probability 0 add no lots). ``simulate``
-runs its blocks, chunks of ``_MAX_BLOCK`` rounds, on the calling thread,
-sums their integer arrays as they arrive, tallies the sums through the
-atoms' truth-table rows and builds the report (without its frozen
-``__init__``) once per call. ``_PATTERNS``, the six tallied click
+by key, so numpy gives the likeliest the remainder. Numpy only draws: a
+block's one multinomial over them adds each count, a Python int, to its
+category's slots in one count list (basis sums, each lot's truth-table
+columns and atoms, parity cells); every tally keeps its law. An attack's
+lottery (its flips or Eve's success) splits the (lot, atom) counts with
+binomials on its own stream (layers of probability 0 add no lots).
+``simulate`` runs its blocks, chunks of ``_MAX_BLOCK`` rounds, on the
+calling thread, sums their count lists as they arrive, tallies the sums
+(an attack's lots through the atoms' truth-table rows) and builds the
+report (without its frozen ``__init__``) once per call. ``_PATTERNS``, the six tallied click
 patterns, drives the truth tables and the parity cells
 (``_PARITY_CELLS``), and those and ``_RATE_ROWS`` the comparison rows.
 
@@ -98,8 +99,8 @@ ATTACKS = ("none", "beam_split", "dishonest_bob")
 # no evidence of agreement.
 MIN_EXPECTED = 10.0
 
-# Rounds per block: np.bincount sums a block's counts as floats, exact up to 2^53, and above 2^53
-# trials numpy's binomial, the multinomial's step, draws on a grid: 2^60 trials give multiples of 64.
+# Rounds per block: above 2^53 trials numpy's binomial, the multinomial's step and the attack's,
+# draws on a grid (2^60 trials give multiples of 64). Blocks are summed as Python ints.
 _MAX_BLOCK = 2**53
 # Configurations whose draw tables and closed-form rows are kept, the least
 # recently used dropped first; the oracle grid needs three, the attack triple one.
@@ -159,7 +160,7 @@ class SimConfig:
             value = getattr(self, name)
             if not is_integer(value) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        if self.rounds >= 2**63:  # the tallies are summed as int64
+        if self.rounds >= 2**63:  # at most 1,024 blocks, and every count fits an int64
             raise ValueError(f"rounds must be below 2**63, got {self.rounds!r}")
         for name in ("basis_policy", "check_fraction", "flip_fraction"):  # stored as checked, through the dict
             vars(self)[name] = check_range(name, getattr(self, name), 0.0, 1.0)
@@ -333,10 +334,10 @@ def _atoms() -> tuple:
 _ATOM_CELLS, _ATOM_TABLE = _atoms()
 # Each class's group, the class counts that a report reads: 0 X basis, 1 Z basis, 2 mixed bases, then
 # the representatives (``_PARITY_KEYS``), whose rounds the parity rows count. ``m @ _BASIS_SUMS``
-# gives n_xx, n_zz and the rounds of the group counts m.
+# gives n_xx, n_zz, the rounds and the representatives' rounds of the group counts m.
 _GROUP = np.where(_XA & _XB, 0, np.where(_XA == _XB, 1, 2))
 _GROUP[[rep for _, rep in _PARITY_KEYS]] = 3, 4
-_BASIS_SUMS = np.array(((1, 0, 1), (0, 1, 1), (0, 0, 1), (1, 0, 1), (1, 0, 1)))
+_BASIS_SUMS = np.array(((1, 0, 1, 0, 0), (0, 1, 1, 0, 0), (0, 0, 1, 0, 0), (1, 0, 1, 1, 0), (1, 0, 1, 0, 1)))
 # A draw category's key: its group, its atom (or none, the last) and its parity cell (or none, the last).
 _KEY_SHAPE = (len(_BASIS_SUMS), len(_ATOM_CELLS) + 1, len(_PARITY_PATHS) + 1)
 
@@ -377,9 +378,16 @@ def _outcomes(mu_arm: float, p_d: float) -> np.ndarray:
     return states[:, np.arange(4), _STATES].prod(axis=-1)
 
 
-_DrawTables = collections.namedtuple("_DrawTables", "p group atom cell")
-# The ``np.bincount`` length of each index of a draw table: groups, two lots of atoms, parity cells.
-_DRAW_SIZES = (_KEY_SHAPE[0], 2 * _KEY_SHAPE[1], _KEY_SHAPE[2])
+_DrawTables = collections.namedtuple("_DrawTables", "p group atom cell slots")
+_N_ATOMS, _N_COLUMNS = _ATOM_TABLE.shape
+# Per (lot, atom) of up to 8 lots, in C order: where its truth-table row counts in the lots' columns.
+_LOT_COLUMNS = tuple(tuple(lot * _N_COLUMNS + j for j, bit in enumerate(row) if bit)
+                     for lot in range(8) for row in _ATOM_TABLE.tolist())
+# A block's count list of Python ints: the sums of ``_BASIS_SUMS``, then from ``_COLUMNS`` each lot's
+# columns, from ``_ATOMS`` each lot's atoms (or an attack's lots) and from ``_CELLS`` the parity cells.
+_COLUMNS = _BASIS_SUMS.shape[1]
+_ATOMS = _COLUMNS + 2 * _N_COLUMNS
+_CELLS = _ATOMS + 2 * _N_ATOMS
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -387,10 +395,10 @@ def _tables(mu_arm: float, p_d: float, basis_policy: float, check_fraction: floa
     """The draw categories of a configuration, built once and read by every block: the law of
     (lot, group, atom, parity cell) that the class weights, ``_outcomes`` and the check fraction c
     give, keeping the categories of positive probability ``p`` in ascending order, stable by key
-    (numpy gives the last, the likeliest, the remainder), and each one's group, ``lot * 13 + atom``
-    and parity cell (the last atom and cell: none). Each category that has an atom is p (1 - c) in
-    lot 0 and p c in lot 1, checked, and the rest stay whole in lot 0; at c = 0 the checked lot is
-    0 and dropped. ``p`` is at most 1: at p_d = 1 the likeliest category's sum can round above it."""
+    (numpy gives the last, the likeliest, the remainder), and each one's group, ``lot * 13 + atom``,
+    parity cell (the last atom and cell: none) and slots in a count list (``_COLUMNS``). A category
+    with an atom is p (1 - c) in lot 0 and p c in lot 1, checked, the rest whole in lot 0; at c = 0
+    the checked lot is 0 and dropped. ``p`` is at most 1: at p_d = 1 the likeliest sum can round above it."""
     law = _class_weights(basis_policy)[:, None] * _outcomes(mu_arm, p_d)
     whole = np.bincount(_KEYS.ravel(), law.ravel(), math.prod(_KEY_SHAPE)).reshape(_KEY_SHAPE)
     sums = np.zeros((2, *_KEY_SHAPE))
@@ -399,9 +407,16 @@ def _tables(mu_arm: float, p_d: float, basis_policy: float, check_fraction: floa
     sums = sums.ravel()
     keys = np.flatnonzero(sums)
     keys = keys[np.argsort(sums[keys], kind="stable")]
-    lot, group, atom, cell = np.unravel_index(keys, (2, *_KEY_SHAPE))
-    tables = _DrawTables(np.minimum(sums[keys], 1.0), group, lot * _KEY_SHAPE[1] + atom, cell)
-    for array in tables:  # callers share a result, so it must be immutable
+    lots, groups, atoms, cells = np.unravel_index(keys, (2, *_KEY_SHAPE))
+    basis = [[j for j, bit in enumerate(row) if bit] for row in _BASIS_SUMS.tolist()]
+    slots = []
+    for lot, group, atom, cell in zip(*(index.tolist() for index in (lots, groups, atoms, cells))):
+        own = basis[group] + [_CELLS + cell] * (cell < len(_PARITY_PATHS))
+        if atom < _N_ATOMS:
+            own += [*(_COLUMNS + j for j in _LOT_COLUMNS[lot * _N_ATOMS + atom]), _ATOMS + lot * _N_ATOMS + atom]
+        slots.append(tuple(own))
+    tables = _DrawTables(np.minimum(sums[keys], 1.0), groups, lots * _KEY_SHAPE[1] + atoms, cells, tuple(slots))
+    for array in tables[:-1]:  # callers share a result, so it must be immutable
         array.flags.writeable = False
     return tables
 
@@ -412,13 +427,15 @@ def _draw_tables(cfg: SimConfig) -> _DrawTables:
     return _tables(cfg.sp.mu_arm, cfg.sp.p_d, cfg.basis_policy, cfg.check_fraction)
 
 
-def _draw(t: _DrawTables, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw step: a block's group counts (``_BASIS_SUMS``), (lot, atom) counts and parity-cell counts,
-    from one multinomial over the categories of ``_tables``. np.bincount sums them as floats, exactly
-    for at most ``_MAX_BLOCK`` rounds."""
-    k = rng.multinomial(size, t.p)
-    m, atoms, cells = (np.bincount(index, k, n).astype(np.int64) for index, n in zip(t[1:], _DRAW_SIZES))
-    return m, atoms.reshape(-1, _KEY_SHAPE[1])[:, :-1], cells[:-1]
+def _draw(t: _DrawTables, rng: np.random.Generator, size: int) -> list:
+    """Draw step: a block's count list (``_COLUMNS``), from one multinomial over the categories of
+    ``_tables``, each count added as a Python int to its category's slots."""
+    counts = [0] * (_CELLS + len(_PARITY_PATHS))
+    for n, slots in zip(rng.multinomial(size, t.p).tolist(), t.slots):
+        if n:
+            for slot in slots:
+                counts[slot] += n
+    return counts
 
 
 @functools.cache
@@ -453,18 +470,23 @@ def _stream(cfg: SimConfig, kind: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_seed_words(cfg.seed, kind, block)))
 
 
-def _tally(cfg: SimConfig, m: np.ndarray, parity: np.ndarray, split: np.ndarray) -> dict:
-    """Tally step, once per ``simulate`` call: the report counts and parity
-    cells from the block sums of the group counts (``_GROUP``), the 40
-    parity-cell counts (``_PARITY_PATHS``) and the lottery split; flips and
-    Eve's successes come only with their attack."""
-    per_lot = (split @ _ATOM_TABLE).tolist()
+def _tally(cfg: SimConfig, counts: list) -> dict:
+    """Tally step, once per ``simulate`` call: the report counts and parity cells from the block
+    sums of the count list (``_COLUMNS``); flips and Eve's successes come only with their attack,
+    whose lots' columns are their atoms' truth-table rows summed."""
+    columns, atoms = counts[_COLUMNS:_ATOMS], counts[_ATOMS:-len(_PARITY_PATHS)]
     t = dict.fromkeys(_COUNT_FIELDS, 0)
-    t.update(zip(_TABLE_COUNTS, map(sum, zip(*per_lot))))
-    t["n_xx"], t["n_zz"], rounds = (m @ _BASIS_SUMS).tolist()
+    t.update(zip(_TABLE_COUNTS, map(operator.add, columns, columns[_N_COLUMNS:])))
+    t["n_xx"], t["n_zz"], rounds, *reps = counts[:_COLUMNS]
     t["n_mixed"] = rounds - t["n_xx"] - t["n_zz"]
     t["n_fail_xx"] = t["n_xx"] - t["n_event1"] - t["n_event2"] - t["n_event3"]
-    for lot, (x1, x2, x3, e1_ph, e2_ph, e2_pol, e3_ph, e3_pol, zc, z_ph) in enumerate(per_lot):
+    if len(atoms) > 2 * _N_ATOMS:  # an attack's lots: each one's columns from its atoms
+        columns = [0] * (len(atoms) // _N_ATOMS * _N_COLUMNS)
+        for n, slots in zip(atoms, _LOT_COLUMNS):
+            if n:
+                for slot in slots:
+                    columns[slot] += n
+    for lot, (x1, x2, x3, e1_ph, e2_ph, e2_pol, e3_ph, e3_pol, zc, z_ph) in enumerate(zip(*[iter(columns)] * 10)):
         f_ph, won = (lot >> 1 & 1, 0) if cfg.attack == "dishonest_bob" else (0, lot >> 1 & 1)
         f_pol, events = lot >> 2 & 1, x1 + x2 + x3
         # Flipping the announced bit of n rows with e errors makes n - e
@@ -478,39 +500,40 @@ def _tally(cfg: SimConfig, m: np.ndarray, parity: np.ndarray, split: np.ndarray)
         else:
             t["n_key_events"] += events
             t["n_eve_success"] += events * won
-    cells, t["parity"] = iter(parity.tolist()), {}
-    for (key, _), n in zip(_PARITY_KEYS, m[3:].tolist()):  # the representatives' groups come last
+    cells, t["parity"] = iter(counts[-len(_PARITY_PATHS):]), {}
+    for (key, _), n in zip(_PARITY_KEYS, reps):
         group = t["parity"][key] = {"n": n}  # loops: a comprehension with a ** merge would build each group twice
         for name, names in _PARITY_GROUPS:
             group[name] = dict(zip(names, cells))
     return t
 
 
-def _block_tallies(cfg: SimConfig, tables: _DrawTables, block: int, size: int) -> tuple:
+def _block_tallies(cfg: SimConfig, tables: _DrawTables, block: int, size: int) -> list:
     """Simulate one block: the draw step and the attack's lottery. Returns the
-    int64 arrays that ``simulate`` sums: the group counts, the 40 parity-cell
-    counts and the lottery split over (lot, atom). Checked is bit 0, drawn in
-    the block's one multinomial on the protocol stream (``_tables``); an
-    attack's layers split each (lot, atom) count with binomials on the attack
-    stream, seeded only when a layer is drawn: Eve's success in bit 1, or
-    flip_ph in bit 1 and flip_pol in bit 2. Every cell of a layer is split
-    with the same probability, and a sum of binomials of one probability is a
-    binomial of their sum, so splitting the atoms' sums gives every (lot, atom)
-    count the law that splitting each cell would give. Layers of probability 0
-    are left out; a draw without checks leaves the checked lot empty."""
-    m, split, parity = _draw(tables, _stream(cfg, 0, block), size)
+    count list (``_COLUMNS``) that ``simulate`` sums. Checked is bit 0 of a
+    lot, drawn in the block's one multinomial on the protocol stream
+    (``_tables``); an attack's layers split the (lot, atom) counts in place,
+    with binomials on the attack stream, seeded only when a layer is drawn:
+    Eve's success in bit 1, or flip_ph in bit 1 and flip_pol in bit 2. Every
+    cell of a layer is split with the same probability, and a sum of binomials
+    of one probability is a binomial of their sum, so splitting the atoms' sums
+    gives every (lot, atom) count the law that splitting each cell would give.
+    Layers of probability 0 are left out; a draw without checks leaves the
+    checked lot empty."""
+    counts = _draw(tables, _stream(cfg, 0, block), size)
     if cfg.attack == "beam_split":
         p, layers = _ie_dual_tapped((1.0 - cfg.sp.eta_t) * cfg.sp.mu), 1
     elif cfg.attack == "dishonest_bob":
         p, layers = cfg.flip_fraction, 2
     else:
-        return m, parity, split
+        return counts
     if p:
-        rng = _stream(cfg, 1, block)
+        rng, split = _stream(cfg, 1, block), counts[_ATOMS:_CELLS]
         for _ in range(layers):
-            won = rng.binomial(split, p)
-            split = np.concatenate((split - won, won))
-    return m, parity, split
+            won = rng.binomial(split, p).tolist()
+            split = [*map(operator.sub, split, won), *won]
+        counts[_ATOMS:_CELLS] = split
+    return counts
 
 
 def simulate(config: SimConfig, threads: int = 1) -> SimReport:
@@ -518,24 +541,17 @@ def simulate(config: SimConfig, threads: int = 1) -> SimReport:
 
     ``threads`` is checked and otherwise ignored: every block runs on the calling thread, and the
     report is the same for any value. Blocks of ``_MAX_BLOCK`` rounds are seeded by index and their
-    arrays summed as integers, then tallied once. Like the NamedTuples that ``rates`` builds through
-    ``tuple.__new__``, the report skips its frozen ``__init__`` (31 fields set one by one).
+    count lists summed as Python ints, then tallied once. Like the NamedTuples that ``rates`` builds
+    through ``tuple.__new__``, the report skips its frozen ``__init__`` (31 fields set one by one).
     """
     if not is_integer(threads) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     tables, rounds = _draw_tables(config), config.rounds
-    totals = functools.reduce(_add_into, (_block_tallies(config, tables, block, min(_MAX_BLOCK, rounds - lo))
-                                          for block, lo in enumerate(range(0, rounds, _MAX_BLOCK))))
+    totals = functools.reduce(lambda a, b: [*map(operator.add, a, b)], (_block_tallies(
+        config, tables, block, min(_MAX_BLOCK, rounds - lo)) for block, lo in enumerate(range(0, rounds, _MAX_BLOCK))))
     report = object.__new__(SimReport)  # its fields set at once, in declaration order
-    report.__dict__.update({n: getattr(config, n) for n in _ECHO_FIELDS}, **vars(config.sp), **_tally(config, *totals))
+    report.__dict__.update({n: getattr(config, n) for n in _ECHO_FIELDS}, **vars(config.sp), **_tally(config, totals))
     return report
-
-
-def _add_into(totals: tuple, arrays: tuple) -> tuple:
-    """``totals`` with a block's arrays added in place: blocks are summed as they arrive, never listed."""
-    for total, array in zip(totals, arrays):
-        total += array
-    return totals
 
 
 def _with_attack(config: SimConfig, attack: str) -> SimConfig:
@@ -605,15 +621,16 @@ def compare_to_analytic(report: SimReport) -> list[dict]:
     configuration.
     """
     eta_t = arm_efficiency(report.eta_d, report.alpha, report.l_km)  # SystemParams.eta_t, not checked again
-    leak = (report.mu, eta_t, report.check_fraction) if report.attack == "beam_split" else ()
+    # + 0.0 makes a hand-made -0.0 the +0.0 that check_range stores: the cache takes them as one key
+    leak = (report.mu + 0.0, eta_t + 0.0, report.check_fraction + 0.0) if report.attack == "beam_split" else ()
     rate, parity, rounds = _RATE_COUNTS(report), report.parity, report.rounds
     counts = [*zip(rate[::2], rate[1::2]), *((parity[key][name][cell], parity[key]["n"])
                                              for key, name, cell in _PARITY_PATHS)]
     if leak:
         counts.append((report.n_eve_success, report.n_key_events))
     rows = []
-    for (name, p, p_trial), (count, n) in zip(_closed_forms(eta_t * report.mu, report.p_d, report.basis_policy,
-                                                            *leak), counts):
+    for (name, p, p_trial), (count, n) in zip(_closed_forms(eta_t * report.mu + 0.0, report.p_d + 0.0,
+                                                            report.basis_policy + 0.0, *leak), counts):
         expected = n * p
         variance = expected * (1.0 - p)  # without it, sigma is 0 on the mean and inf off it
         per_round = rounds * p_trial * p

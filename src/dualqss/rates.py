@@ -25,7 +25,9 @@ which leaves them independent of the overall normalization. Event3 is
 Event2 with the two equally weighted pairings swapped, so each of its
 numerators is Event2's polynomial and the whole ``EventRates`` is shared,
 one object built once per point. The Monte-Carlo module cross-checks
-every one of these quantities, Event3 from its own truth-table columns.
+each event's gain q and its bit error rate e_bit, per degree of freedom
+(Event3 from its own truth-table columns), and the exclusive click
+probabilities at the two representative pairings; no row checks e_ph.
 
 One path evaluates all of this: ``_event_terms`` (the only copy of each closed form),
 ``_bracket`` (the only copy of the secret fraction, which ``max_distance`` also reads

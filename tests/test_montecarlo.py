@@ -199,8 +199,8 @@ def test_draw_tables_are_built_once_per_configuration(monkeypatch):
     # them, whatever the worker count, and every block of a multi-block far
     # run reads that one object. A changed mu_arm, p_d, basis_policy or
     # check fraction builds them again (checks are drawn in the block's one
-    # multinomial); the seed, rounds and attack do not. The blocks' arrays
-    # are summed, so each call is still tallied once, not once per block.
+    # multinomial); the seed, rounds and attack do not. The blocks' count
+    # lists are summed, so each call is still tallied once, not once per block.
     montecarlo._tables.cache_clear()
     laws, read, tallied = [], [], []
     real_outcomes, real_block, real_tally = montecarlo._outcomes, montecarlo._block_tallies, montecarlo._tally
@@ -270,11 +270,14 @@ def test_results_do_not_depend_on_the_call_history(signs):
 def test_cached_tables_are_read_only(sp):
     for check_fraction in (0.0, 0.3):
         tables = _draw_tables(config(sp=sp, check_fraction=check_fraction))
-        # the law and its indices
-        assert len(tables) == 4 and all(isinstance(array, np.ndarray) for array in tables)
-        for array in tables:
+        # the law and its indices as arrays, and each category's slots as a tuple of int tuples
+        *arrays, slots = tables
+        assert len(arrays) == 4 and all(isinstance(array, np.ndarray) for array in arrays)
+        for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
+        assert isinstance(slots, tuple) and len(slots) == tables.p.size
+        assert all(isinstance(own, tuple) and all(type(slot) is int for slot in own) for own in slots)
     forms = montecarlo._closed_forms(sp.mu_arm, sp.p_d, 0.5)
     assert isinstance(forms, tuple) and all(isinstance(form, tuple) for form in forms)
 
@@ -694,7 +697,7 @@ def test_config_accepts_any_finite_intensity():
 
 
 def test_rounds_stay_within_the_int64_tallies():
-    # the blocks' arrays are summed as int64: 2^63 rounds would wrap
+    # at most 1,024 blocks, each count within an int64: 2^63 rounds are refused
     with pytest.raises(ValueError, match=r"rounds must be below 2\*\*63"):
         config(rounds=2**63)
     # 1,024 blocks of 2^53 rounds, every round a four-click count
@@ -795,6 +798,12 @@ PINNED = {
                              "518a036d5f6d6ca9daf2e6233e4ded3c8b5ebbcd95df2fff0366cb5292d8b518"),
     "bright-x": (dict(sp=SystemParams(mu=20.0, l_km=0.0, eta_d=1.0), rounds=60_000, seed=17, basis_policy=1.0),
                  "5224749a1c147374ea94ac0de1268b34e8f622edf79c7c6ca44c10a006be3257"),
+    "blocks-dishonest_bob": (dict(sp=FAR, rounds=3 * 2**53 + 5, check_fraction=0.3, flip_fraction=0.05,
+                                  attack="dishonest_bob"),
+                             "24257b20bfe17d7b60ea4dc76ce172ee9bb80b47696390b400585cebe33071ba"),
+    "blocks-beam_split": (dict(sp=FAR, rounds=3 * 2**53 + 5, check_fraction=0.3, flip_fraction=0.05,
+                               attack="beam_split"),
+                          "a76839460f37c34db60518bc77718f21a1310ec7bd0505877cca58ce388c6329"),
 }
 
 
@@ -806,7 +815,9 @@ def test_tallies_pinned_at_fixed_seeds(case):
     last recorded when every round came to be drawn from one multinomial
     over the categories of the per-detector law (module docstring), and the
     four ``checked-*`` cases when the checks came to be drawn in that
-    multinomial; each case is one block. Any change of the block sizes or of how a block
+    multinomial; each case is one block but the two ``blocks-*`` cases, four
+    blocks each, whose digests were recorded from the summed int64 arrays
+    before blocks came to be summed as Python ints. Any change of the block sizes or of how a block
     consumes its random streams changes these digests; such a change must
     update them and say so in CHANGES.md.
     """
@@ -1019,7 +1030,9 @@ def test_drawn_pairs_reduce_like_unique_reference(sp, size):
     # with the law to 1e-12 relative; rounds of four or more add at most
     # their own mass P(N >= 4) to an outcome (their law is the chi-square's
     # above). A block draws one multinomial over the categories and sums
-    # its counts by group, by (lot, atom) and by parity cell, as a loop
+    # its counts as Python ints into the basis sums, each lot's columns and
+    # atoms and the parity cells, as a loop over the categories' groups,
+    # atoms and cells, reduced through ``_BASIS_SUMS`` and ``_ATOM_TABLE``,
     # does; without checks the checked lot is drawn as zeros.
     law = montecarlo._outcomes(sp.mu_arm, sp.p_d)
     ref, multi, _, _ = reference_outcomes(sp)
@@ -1030,13 +1043,15 @@ def test_drawn_pairs_reduce_like_unique_reference(sp, size):
     [(n, pvals, drawn)] = rng.drawn
     assert n == size and pvals is t.p
     m, atoms, cells = [0] * 5, [0] * 26, [0] * 41
-    for k, group, atom, cell in zip(drawn.tolist(), *(index.tolist() for index in t[1:])):
+    for k, group, atom, cell in zip(drawn.tolist(), *(index.tolist() for index in t[1:4])):
         m[group] += k
         atoms[atom] += k
         cells[cell] += k
-    assert [array.tolist() for array in got] == [m, [atoms[:12], [0] * 12], cells[:40]]
+    lots = [atoms[:12], atoms[13:25]]
+    assert got == [*(np.array(m) @ montecarlo._BASIS_SUMS).tolist(),
+                   *(np.array(lots) @ montecarlo._ATOM_TABLE).ravel().tolist(), *atoms[:12], *atoms[13:25], *cells[:40]]
     assert atoms[13:] == [0] * 13
-    assert all(array.dtype == np.int64 for array in got) and sum(m) == size
+    assert all(type(n) is int for n in got) and sum(m) == size == got[2]
     # without light or dark counts no round clicks; else some rounds are events
     assert (sum(atoms[:12]) > 0) != (sp.mu == sp.p_d == 0.0)
 
@@ -1219,9 +1234,10 @@ def test_tally_step_matches_row_semantics(attack):
     # Every class, every pattern plus 0-, 3- and 4-click masks, every parity
     # mask within the click mask, and every lottery draw the attack makes,
     # each row repeated a seeded 1 to 3 times; the tally step sees them as
-    # the group counts, the parity-cell counts (each row's category,
-    # ``_KEYS``) and the lottery split over (lottery, atom) that a block
-    # returns, each tallied cell's rows counted in its atom.
+    # the count list that a block returns: the basis sums of the group
+    # counts, the drawn lots' columns, the lottery split over (lottery,
+    # atom), each tallied cell's rows counted in its atom, and the
+    # parity-cell counts (each row's category, ``_KEYS``).
     draws = {"none": [(0, 0, 0)], "beam_split": [(0, 0, 0), (0, 0, 1)],
              "dishonest_bob": [(a, b, 0) for a in (0, 1) for b in (0, 1)]}[attack]
     rows = [(c, clicks, odd, checked, *drawn)
@@ -1241,11 +1257,103 @@ def test_tally_step_matches_row_semantics(attack):
     atoms = len(montecarlo._ATOM_CELLS)
     split = np.bincount((lottery * atoms + atom)[atom >= 0], minlength=lots * atoms).reshape(lots, atoms)
     groups = np.bincount(montecarlo._GROUP, m, 5).astype(np.int64)
-    got = montecarlo._tally(config(attack=attack), groups, np.bincount(cell, minlength=41)[:40], split)
+    drawn = split.reshape(-1, 2, atoms).sum(axis=0)  # an attack's layers split the drawn lots 0 and 1
+    counts = [*groups @ montecarlo._BASIS_SUMS, *(drawn @ montecarlo._ATOM_TABLE).ravel(), *split.ravel(),
+              *np.bincount(cell, minlength=41)[:40]]
+    got = montecarlo._tally(config(attack=attack), [int(n) for n in counts])
     want = expected_tallies(m, rows)
     assert got == want
     assert min(got[k] for k in montecarlo._COUNT_FIELDS if k != "n_eve_success") > 0
     assert (got["n_eve_success"] > 0) == (attack == "beam_split")
+
+
+def array_reference(cfg):
+    """The tallies of ``cfg`` as numpy reduced each block before its counts were summed as Python
+    ints: three ``np.bincount``s of the multinomial draw by group, by (lot, atom) and by parity
+    cell; an attack's layers drawn on the (lot, atom) array; the blocks' int64 arrays summed; then
+    the lots' columns ``split @ _ATOM_TABLE`` and the basis sums ``m @ _BASIS_SUMS``, tallied lot by
+    lot."""
+    t, total = _draw_tables(cfg), None
+    p, layers = {"beam_split": (montecarlo._ie_dual_tapped((1.0 - cfg.sp.eta_t) * cfg.sp.mu), 1),
+                 "dishonest_bob": (cfg.flip_fraction, 2)}.get(cfg.attack, (0.0, 0))
+    for block, lo in enumerate(range(0, cfg.rounds, 2**53)):
+        k = montecarlo._stream(cfg, 0, block).multinomial(min(2**53, cfg.rounds - lo), t.p)
+        m, atoms, cells = (np.bincount(index, k, n).astype(np.int64) for index, n in zip(t[1:4], (5, 26, 41)))
+        split = atoms.reshape(2, 13)[:, :-1]
+        if p:
+            rng = montecarlo._stream(cfg, 1, block)
+            for _ in range(layers):
+                won = rng.binomial(split, p)
+                split = np.concatenate((split - won, won))
+        arrays = (m, cells[:-1], split)
+        total = arrays if total is None else tuple(a + b for a, b in zip(total, arrays))
+    m, cells, split = total
+    per_lot = (split @ montecarlo._ATOM_TABLE).tolist()
+    want = dict(zip(montecarlo._TABLE_COUNTS, map(sum, zip(*per_lot))))
+    want["n_xx"], want["n_zz"], rounds, *reps = (m @ montecarlo._BASIS_SUMS).tolist()
+    want["n_mixed"] = rounds - want["n_xx"] - want["n_zz"]
+    want.update(n_check_z_err=0, n_check_x_bits=0, n_check_x_err=0, n_key_events=0, n_eve_success=0)
+    for lot, (x1, x2, x3, e1_ph, e2_ph, e2_pol, e3_ph, e3_pol, zc, z_ph) in enumerate(per_lot):
+        f_ph, won = (lot >> 1 & 1, 0) if cfg.attack == "dishonest_bob" else (0, lot >> 1 & 1)
+        f_pol = lot >> 2 & 1
+        want["n_check_z_err"] += zc - z_ph if f_ph else z_ph
+        if lot & 1:
+            want["n_check_x_bits"] += x1 + 2 * (x2 + x3)
+            want["n_check_x_err"] += x1 + x2 + x3 - e1_ph - e2_ph - e3_ph if f_ph else e1_ph + e2_ph + e3_ph
+            want["n_check_x_err"] += x2 + x3 - e2_pol - e3_pol if f_pol else e2_pol + e3_pol
+        else:
+            want["n_key_events"] += x1 + x2 + x3
+            want["n_eve_success"] += (x1 + x2 + x3) * won
+    cells = iter(cells.tolist())
+    want["parity"] = {key: {"n": n, **{name: dict(zip(names, cells)) for name, names in montecarlo._PARITY_GROUPS}}
+                      for (key, _), n in zip(montecarlo._PARITY_KEYS, reps)}
+    return want
+
+
+def reference_configs():
+    """99 seeded configurations: mu from 1e-3 to 20, 0 to 450 km, check fraction and p_d each 0, 1
+    or random, random basis policy and flips, and 1 to 3 * 2^53 + 5 rounds (up to four blocks)."""
+    rng = np.random.default_rng(41)
+    for i in range(99):
+        sp = SystemParams(mu=float(10.0 ** rng.uniform(-3, 1.3)), l_km=float(rng.uniform(0, 450)),
+                          p_d=(0.0, 1.0, float(10.0 ** rng.uniform(-9, -0.5)))[i // 3 % 3])
+        rounds = (1, int(rng.integers(1, 10**7)), int(rng.integers(1, 10**15)), 3 * 2**53 + 5)[int(rng.integers(4))]
+        yield config(sp=sp, rounds=rounds, seed=int(rng.integers(2**32)),
+                     check_fraction=(0.0, 1.0, float(rng.uniform()))[i % 3],
+                     basis_policy=(0.5, 1.0, float(rng.uniform()))[int(rng.integers(3))],
+                     flip_fraction=(0.0, 1.0, float(rng.uniform()))[int(rng.integers(3))])
+
+
+def test_block_sums_match_the_array_reference():
+    # Every seeded configuration, with each of the three runs, gives the
+    # report counts and parity cells that the numpy reduction of the same
+    # draws gives (``array_reference``): the same streams, the same
+    # binomial inputs in the same order, the same sums.
+    blocks = 0
+    for cfg in reference_configs():
+        for attack in ("none", "beam_split", "dishonest_bob"):
+            attacked = replace(cfg, attack=attack)
+            report, want = simulate(attacked), array_reference(attacked)
+            assert {name: getattr(report, name) for name in want} == want, attacked
+        blocks += cfg.rounds > 2**53
+    assert blocks >= 10
+
+
+@pytest.mark.parametrize("attack", ("none", "beam_split"))
+def test_hand_made_negative_zero_leaves_real_rows_alone(attack):
+    # SimReport runs no checks, so a report replaced by hand can carry
+    # p_d = -0.0 and check_fraction = -0.0, which the cached closed forms
+    # take as the +0.0 that check_range stores. Compared in either order
+    # on cleared caches, both reports give the rows the genuine report
+    # gives alone.
+    report = simulate(config(sp=SystemParams(p_d=0.0), attack=attack))
+    negative = replace(report, p_d=-0.0, check_fraction=-0.0)
+    montecarlo._closed_forms.cache_clear()
+    alone = json.dumps(compare_to_analytic(report))
+    for order in ((report, negative), (negative, report)):
+        montecarlo._closed_forms.cache_clear()
+        assert [json.dumps(compare_to_analytic(r)) for r in order] == [alone, alone]
+    assert ("eve_leak" in alone) == (attack == "beam_split")
 
 
 def test_atoms_partition_the_tallied_cells():
@@ -1277,8 +1385,8 @@ def test_parity_cells_index_the_outcomes():
 
 
 def lottery_split(cfg, size):
-    """The lottery split over (lot, atom) that one block of ``size`` rounds of ``cfg`` returns."""
-    return montecarlo._block_tallies(cfg, _draw_tables(cfg), 0, size)[2]
+    """The lottery split over (lot, atom) in the count list that one block of ``size`` rounds of ``cfg`` returns."""
+    return np.array(montecarlo._block_tallies(cfg, _draw_tables(cfg), 0, size)[montecarlo._ATOMS:-40]).reshape(-1, 12)
 
 
 @pytest.mark.parametrize("attack, lots", (("none", 2), ("beam_split", 4), ("dishonest_bob", 8)))
@@ -1315,9 +1423,9 @@ def test_lottery_draws_nothing_it_does_not_need(monkeypatch):
         split = lottery_split(cfg, 100_000)
         assert split.shape == (lots, 12) and [kind for kind, _ in streams] == kinds, kw
         fresh = real(cfg, 0, 0)
-        _, atoms, _ = montecarlo._draw(_draw_tables(cfg), fresh, 100_000)
+        atoms = np.array(montecarlo._draw(_draw_tables(cfg), fresh, 100_000)[montecarlo._ATOMS:montecarlo._CELLS])
         assert streams[0][1].bit_generator.state == fresh.bit_generator.state, kw
-        assert np.array_equal(split.sum(axis=0), atoms.sum(axis=0)) and atoms.sum() > 0
+        assert np.array_equal(split.sum(axis=0), atoms.reshape(2, 12).sum(axis=0)) and atoms.sum() > 0
         if not cfg.check_fraction:
             assert not split[1::2].any(), kw
 
@@ -1406,9 +1514,8 @@ def test_cells_of_mean_zero_never_receive_an_entry(basis_policy):
     clicks = (montecarlo._STATES > 0) @ (1 << np.arange(4))
     impossible = (clicks & silent[:, None]) != 0
     assert not law[impossible].any() and law[~impossible].all()
-    m, atoms, _ = montecarlo._draw(_draw_tables(config(sp=sp, basis_policy=basis_policy)), np.random.default_rng(7),
-                                   100_000)
-    assert m.sum() == 100_000 and atoms.sum() > 0
+    counts = montecarlo._draw(_draw_tables(config(sp=sp, basis_policy=basis_policy)), np.random.default_rng(7), 100_000)
+    assert counts[2] == 100_000 and sum(counts[montecarlo._ATOMS:montecarlo._CELLS]) > 0
 
 
 def test_read_classes_are_the_x_and_checked_z_classes():
@@ -1426,17 +1533,20 @@ def test_unread_classes_are_counted_not_split(sp):
     # and n_mixed read, but no atom or parity cell: nothing reads their clicks.
     t = _draw_tables(config(sp=sp))
     assert (t.atom[t.group == 2] == 12).all() and (t.cell[t.group < 3] == 40).all()
-    m, atoms, parity = montecarlo._draw(t, np.random.default_rng(7), 100_000)
-    assert m[1] + m[2] > 60_000 and m.sum() == 100_000
-    assert atoms.sum() <= m.sum() - m[2] and parity.sum() <= m[3] + m[4]
+    counts = montecarlo._draw(t, np.random.default_rng(7), 100_000)
+    n_xx, n_zz, rounds, *reps = counts[:montecarlo._COLUMNS]
+    assert rounds - n_xx > 60_000 and rounds == 100_000  # the Z and mixed rounds
+    assert sum(counts[montecarlo._ATOMS:montecarlo._CELLS]) <= n_xx + n_zz
+    assert sum(counts[montecarlo._CELLS:]) <= sum(reps)
+    assert all(slot < montecarlo._COLUMNS for own, group in zip(t.slots, t.group) if group == 2 for slot in own)
 
 
 def test_memory_does_not_grow_with_rounds():
     # No array is sized by rounds or by one-entry rounds: 1e13 rounds at
     # 400 km hold about 2.5e8 one-entry rounds, 2e6 at 100 km about 48k.
-    # Nor by blocks: 2^60 rounds at p_d = 1 are 128 blocks, each with 40
-    # parity counts (320 bytes) and an 8-lot split of 768 bytes, summed as
-    # they arrive rather than held as a list.
+    # Nor by blocks: 2^60 rounds at p_d = 1 are 128 blocks, each a count
+    # list of 161 ints with an 8-lot split, summed as they arrive rather
+    # than held as a list.
     for cfg in (config(sp=FAR, rounds=10**13, basis_policy=1.0), config(rounds=2_000_000),
                 config(sp=SystemParams(p_d=1.0), rounds=2**60, attack="dishonest_bob", flip_fraction=0.1)):
         simulate(cfg)
