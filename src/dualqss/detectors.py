@@ -48,6 +48,11 @@ class ClickParity(Enum):
     EVEN = "even"
 
 
+# SystemParams' rule for each field, (name, lo, hi), checked by ``check_range``.
+_SYSTEM_RANGES = (("mu", 0.0, math.inf), ("alpha", 0.0, math.inf), ("l_km", 0.0, math.inf), ("eta_d", 0.0, 1.0),
+                  ("p_d", 0.0, 1.0), ("f", 1.0, math.inf))
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Physical and protocol parameters of one configuration.
@@ -68,9 +73,8 @@ class SystemParams:
     f: float = 1.15
 
     def __post_init__(self) -> None:
-        fields, inf = vars(self), math.inf  # stored as checked, a float: frozen guards setattr, not the dict
-        for name, lo, hi in (("mu", 0.0, inf), ("alpha", 0.0, inf), ("l_km", 0.0, inf), ("eta_d", 0.0, 1.0),
-                             ("p_d", 0.0, 1.0), ("f", 1.0, inf)):
+        fields = vars(self)  # stored as checked, a float: frozen guards setattr, not the dict
+        for name, lo, hi in _SYSTEM_RANGES:
             fields[name] = check_range(name, fields[name], lo, hi)
 
     @property

@@ -25,14 +25,14 @@ category binomially and drawing the split categories in one multinomial
 give one law. The categories are kept in ascending probability, stable
 by key, so numpy gives the likeliest the remainder. Numpy only draws: a
 block's one multinomial over them adds each count, a Python int, to its
-category's slots in one count list (basis sums, each lot's truth-table
-columns and atoms, parity cells); every tally keeps its law. An attack's
+category's slots in one count list (its group, its parity cell and its
+(lot, atom), each if it has one); every tally keeps its law. An attack's
 lottery (its flips or Eve's success) splits the (lot, atom) counts with
 binomials on its own stream (layers of probability 0 add no lots).
 ``simulate`` runs its blocks, chunks of ``_MAX_BLOCK`` rounds, on the
 calling thread, sums their count lists as they arrive, tallies the sums
-(an attack's lots through the atoms' truth-table rows) and builds the
-report (without its frozen ``__init__``) once per call. ``_PATTERNS``, the six tallied click
+(each lot through its atoms' truth-table rows) and builds the report
+(without its frozen ``__init__``) once per call. ``_PATTERNS``, the six tallied click
 patterns, drives the truth tables and the parity cells
 (``_PARITY_CELLS``), and those and ``_RATE_ROWS`` the comparison rows.
 
@@ -76,7 +76,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .attack import TapParams, _ie_dual_tapped, ie_dual
-from .detectors import ClickParity, Detector, SystemParams, arm_efficiency, exclusive_pattern_prob
+from .detectors import _SYSTEM_RANGES, ClickParity, Detector, SystemParams, arm_efficiency, exclusive_pattern_prob
 from .optics import PolPairing, check_range, detector_amplitudes, intensities, is_integer
 from .rates import _event_terms
 
@@ -93,6 +93,10 @@ __all__ = [
 ]
 
 ATTACKS = ("none", "beam_split", "dishonest_bob")
+# SimConfig's rule for each fraction it stores, (name, lo, hi), checked by ``check_range``.
+_FRACTION_RANGES = tuple((name, 0.0, 1.0) for name in ("basis_policy", "check_fraction", "flip_fraction"))
+# The rules of the echoed fields that ``compare_to_analytic`` reads: all but f and flip_fraction.
+_READ_RANGES = tuple(rule for rule in _SYSTEM_RANGES + _FRACTION_RANGES if rule[0] not in ("f", "flip_fraction"))
 
 # A comparison row expecting fewer counts than this carries little
 # statistical power: a 0-sigma result against 0.001 expected events is
@@ -162,8 +166,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.rounds >= 2**63:  # at most 1,024 blocks, and every count fits an int64
             raise ValueError(f"rounds must be below 2**63, got {self.rounds!r}")
-        for name in ("basis_policy", "check_fraction", "flip_fraction"):  # stored as checked, through the dict
-            vars(self)[name] = check_range(name, getattr(self, name), 0.0, 1.0)
+        for name, lo, hi in _FRACTION_RANGES:  # stored as checked, through the dict
+            vars(self)[name] = check_range(name, getattr(self, name), lo, hi)
         if self.attack not in ATTACKS:
             raise ValueError(f"attack must be one of {ATTACKS}, got {self.attack!r}")
 
@@ -333,13 +337,11 @@ def _atoms() -> tuple:
 # Per atom, its cells and its truth-table row.
 _ATOM_CELLS, _ATOM_TABLE = _atoms()
 # Each class's group, the class counts that a report reads: 0 X basis, 1 Z basis, 2 mixed bases, then
-# the representatives (``_PARITY_KEYS``), whose rounds the parity rows count. ``m @ _BASIS_SUMS``
-# gives n_xx, n_zz, the rounds and the representatives' rounds of the group counts m.
+# the representatives (``_PARITY_KEYS``), X-basis classes whose rounds the parity rows count.
 _GROUP = np.where(_XA & _XB, 0, np.where(_XA == _XB, 1, 2))
 _GROUP[[rep for _, rep in _PARITY_KEYS]] = 3, 4
-_BASIS_SUMS = np.array(((1, 0, 1, 0, 0), (0, 1, 1, 0, 0), (0, 0, 1, 0, 0), (1, 0, 1, 1, 0), (1, 0, 1, 0, 1)))
 # A draw category's key: its group, its atom (or none, the last) and its parity cell (or none, the last).
-_KEY_SHAPE = (len(_BASIS_SUMS), len(_ATOM_CELLS) + 1, len(_PARITY_PATHS) + 1)
+_KEY_SHAPE = (5, len(_ATOM_CELLS) + 1, len(_PARITY_PATHS) + 1)
 
 
 def _category_keys() -> np.ndarray:
@@ -378,16 +380,15 @@ def _outcomes(mu_arm: float, p_d: float) -> np.ndarray:
     return states[:, np.arange(4), _STATES].prod(axis=-1)
 
 
-_DrawTables = collections.namedtuple("_DrawTables", "p group atom cell slots")
+_DrawTables = collections.namedtuple("_DrawTables", "p slots")
 _N_ATOMS, _N_COLUMNS = _ATOM_TABLE.shape
 # Per (lot, atom) of up to 8 lots, in C order: where its truth-table row counts in the lots' columns.
 _LOT_COLUMNS = tuple(tuple(lot * _N_COLUMNS + j for j, bit in enumerate(row) if bit)
                      for lot in range(8) for row in _ATOM_TABLE.tolist())
-# A block's count list of Python ints: the sums of ``_BASIS_SUMS``, then from ``_COLUMNS`` each lot's
-# columns, from ``_ATOMS`` each lot's atoms (or an attack's lots) and from ``_CELLS`` the parity cells.
-_COLUMNS = _BASIS_SUMS.shape[1]
-_ATOMS = _COLUMNS + 2 * _N_COLUMNS
-_CELLS = _ATOMS + 2 * _N_ATOMS
+# A block's count list of Python ints: the group counts, then from ``_CELLS`` the parity cells and
+# from ``_ATOMS`` to its end each lot's atoms (an attack's lots extend it).
+_CELLS = _KEY_SHAPE[0]
+_ATOMS = _CELLS + len(_PARITY_PATHS)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -395,10 +396,10 @@ def _tables(mu_arm: float, p_d: float, basis_policy: float, check_fraction: floa
     """The draw categories of a configuration, built once and read by every block: the law of
     (lot, group, atom, parity cell) that the class weights, ``_outcomes`` and the check fraction c
     give, keeping the categories of positive probability ``p`` in ascending order, stable by key
-    (numpy gives the last, the likeliest, the remainder), and each one's group, ``lot * 13 + atom``,
-    parity cell (the last atom and cell: none) and slots in a count list (``_COLUMNS``). A category
-    with an atom is p (1 - c) in lot 0 and p c in lot 1, checked, the rest whole in lot 0; at c = 0
-    the checked lot is 0 and dropped. ``p`` is at most 1: at p_d = 1 the likeliest sum can round above it."""
+    (numpy gives the last, the likeliest, the remainder), and each one's slots in a count list
+    (``_ATOMS``): its group, its parity cell and its (lot, atom), the last two if it has them. A
+    category with an atom is p (1 - c) in lot 0 and p c in lot 1, checked, the rest whole in lot 0; at
+    c = 0 the checked lot is 0 and dropped. ``p`` is at most 1: at p_d = 1 the likeliest sum can round above it."""
     law = _class_weights(basis_policy)[:, None] * _outcomes(mu_arm, p_d)
     whole = np.bincount(_KEYS.ravel(), law.ravel(), math.prod(_KEY_SHAPE)).reshape(_KEY_SHAPE)
     sums = np.zeros((2, *_KEY_SHAPE))
@@ -407,18 +408,15 @@ def _tables(mu_arm: float, p_d: float, basis_policy: float, check_fraction: floa
     sums = sums.ravel()
     keys = np.flatnonzero(sums)
     keys = keys[np.argsort(sums[keys], kind="stable")]
-    lots, groups, atoms, cells = np.unravel_index(keys, (2, *_KEY_SHAPE))
-    basis = [[j for j, bit in enumerate(row) if bit] for row in _BASIS_SUMS.tolist()]
     slots = []
-    for lot, group, atom, cell in zip(*(index.tolist() for index in (lots, groups, atoms, cells))):
-        own = basis[group] + [_CELLS + cell] * (cell < len(_PARITY_PATHS))
+    for lot, group, atom, cell in zip(*(index.tolist() for index in np.unravel_index(keys, (2, *_KEY_SHAPE)))):
+        own = [group] + [_CELLS + cell] * (cell < len(_PARITY_PATHS))
         if atom < _N_ATOMS:
-            own += [*(_COLUMNS + j for j in _LOT_COLUMNS[lot * _N_ATOMS + atom]), _ATOMS + lot * _N_ATOMS + atom]
+            own.append(_ATOMS + lot * _N_ATOMS + atom)
         slots.append(tuple(own))
-    tables = _DrawTables(np.minimum(sums[keys], 1.0), groups, lots * _KEY_SHAPE[1] + atoms, cells, tuple(slots))
-    for array in tables[:-1]:  # callers share a result, so it must be immutable
-        array.flags.writeable = False
-    return tables
+    p = np.minimum(sums[keys], 1.0)
+    p.flags.writeable = False  # callers share a result, so it must be immutable
+    return _DrawTables(p, tuple(slots))
 
 
 def _draw_tables(cfg: SimConfig) -> _DrawTables:
@@ -428,9 +426,9 @@ def _draw_tables(cfg: SimConfig) -> _DrawTables:
 
 
 def _draw(t: _DrawTables, rng: np.random.Generator, size: int) -> list:
-    """Draw step: a block's count list (``_COLUMNS``), from one multinomial over the categories of
+    """Draw step: a block's count list (``_ATOMS``), from one multinomial over the categories of
     ``_tables``, each count added as a Python int to its category's slots."""
-    counts = [0] * (_CELLS + len(_PARITY_PATHS))
+    counts = [0] * (_ATOMS + 2 * _N_ATOMS)
     for n, slots in zip(rng.multinomial(size, t.p).tolist(), t.slots):
         if n:
             for slot in slots:
@@ -472,21 +470,20 @@ def _stream(cfg: SimConfig, kind: int, block: int) -> np.random.Generator:
 
 def _tally(cfg: SimConfig, counts: list) -> dict:
     """Tally step, once per ``simulate`` call: the report counts and parity cells from the block
-    sums of the count list (``_COLUMNS``); flips and Eve's successes come only with their attack,
-    whose lots' columns are their atoms' truth-table rows summed."""
-    columns, atoms = counts[_COLUMNS:_ATOMS], counts[_ATOMS:-len(_PARITY_PATHS)]
+    sums of the count list (``_ATOMS``). Each lot's columns are its atoms' truth-table rows summed;
+    flips and Eve's successes come only with their attack's lots."""
+    columns = [0] * ((len(counts) - _ATOMS) // _N_ATOMS * _N_COLUMNS)
+    for n, slots in zip(counts[_ATOMS:], _LOT_COLUMNS):
+        if n:
+            for slot in slots:
+                columns[slot] += n
+    lots = list(zip(*[iter(columns)] * _N_COLUMNS))
     t = dict.fromkeys(_COUNT_FIELDS, 0)
-    t.update(zip(_TABLE_COUNTS, map(operator.add, columns, columns[_N_COLUMNS:])))
-    t["n_xx"], t["n_zz"], rounds, *reps = counts[:_COLUMNS]
-    t["n_mixed"] = rounds - t["n_xx"] - t["n_zz"]
+    t.update(zip(_TABLE_COUNTS, map(sum, zip(*lots))))
+    xx, t["n_zz"], t["n_mixed"], *reps = counts[:_CELLS]
+    t["n_xx"] = xx + sum(reps)
     t["n_fail_xx"] = t["n_xx"] - t["n_event1"] - t["n_event2"] - t["n_event3"]
-    if len(atoms) > 2 * _N_ATOMS:  # an attack's lots: each one's columns from its atoms
-        columns = [0] * (len(atoms) // _N_ATOMS * _N_COLUMNS)
-        for n, slots in zip(atoms, _LOT_COLUMNS):
-            if n:
-                for slot in slots:
-                    columns[slot] += n
-    for lot, (x1, x2, x3, e1_ph, e2_ph, e2_pol, e3_ph, e3_pol, zc, z_ph) in enumerate(zip(*[iter(columns)] * 10)):
+    for lot, (x1, x2, x3, e1_ph, e2_ph, e2_pol, e3_ph, e3_pol, zc, z_ph) in enumerate(lots):
         f_ph, won = (lot >> 1 & 1, 0) if cfg.attack == "dishonest_bob" else (0, lot >> 1 & 1)
         f_pol, events = lot >> 2 & 1, x1 + x2 + x3
         # Flipping the announced bit of n rows with e errors makes n - e
@@ -500,7 +497,7 @@ def _tally(cfg: SimConfig, counts: list) -> dict:
         else:
             t["n_key_events"] += events
             t["n_eve_success"] += events * won
-    cells, t["parity"] = iter(counts[-len(_PARITY_PATHS):]), {}
+    cells, t["parity"] = iter(counts[_CELLS:_ATOMS]), {}
     for (key, _), n in zip(_PARITY_KEYS, reps):
         group = t["parity"][key] = {"n": n}  # loops: a comprehension with a ** merge would build each group twice
         for name, names in _PARITY_GROUPS:
@@ -510,7 +507,7 @@ def _tally(cfg: SimConfig, counts: list) -> dict:
 
 def _block_tallies(cfg: SimConfig, tables: _DrawTables, block: int, size: int) -> list:
     """Simulate one block: the draw step and the attack's lottery. Returns the
-    count list (``_COLUMNS``) that ``simulate`` sums. Checked is bit 0 of a
+    count list (``_ATOMS``) that ``simulate`` sums. Checked is bit 0 of a
     lot, drawn in the block's one multinomial on the protocol stream
     (``_tables``); an attack's layers split the (lot, atom) counts in place,
     with binomials on the attack stream, seeded only when a layer is drawn:
@@ -528,11 +525,11 @@ def _block_tallies(cfg: SimConfig, tables: _DrawTables, block: int, size: int) -
     else:
         return counts
     if p:
-        rng, split = _stream(cfg, 1, block), counts[_ATOMS:_CELLS]
+        rng, split = _stream(cfg, 1, block), counts[_ATOMS:]
         for _ in range(layers):
             won = rng.binomial(split, p).tolist()
             split = [*map(operator.sub, split, won), *won]
-        counts[_ATOMS:_CELLS] = split
+        counts[_ATOMS:] = split
     return counts
 
 
@@ -618,19 +615,28 @@ def compare_to_analytic(report: SimReport) -> list[dict]:
     with slack, above the optimal USD success (1 - e^-x)^2 on the four
     tapped states (x the tapped intensity) and above the 1 - e^-x that one
     mode gives. The closed forms come from ``_closed_forms``, once per
-    configuration.
+    configuration. A report that no run could make raises a ValueError
+    naming the field: an echoed field that the rows read outside the rules
+    of ``SystemParams`` and ``SimConfig``, or a count outside [0, trials].
     """
-    eta_t = arm_efficiency(report.eta_d, report.alpha, report.l_km)  # SystemParams.eta_t, not checked again
-    # + 0.0 makes a hand-made -0.0 the +0.0 that check_range stores: the cache takes them as one key
-    leak = (report.mu + 0.0, eta_t + 0.0, report.check_fraction + 0.0) if report.attack == "beam_split" else ()
+    mu, alpha, l_km, eta_d, p_d, basis_policy, check_fraction = (
+        check_range(name, getattr(report, name), lo, hi) for name, lo, hi in _READ_RANGES)
     rate, parity, rounds = _RATE_COUNTS(report), report.parity, report.rounds
+    if not (is_integer(rounds) and 1 <= rounds < 2**63):
+        raise ValueError(f"rounds must be an integer in [1, 2**63), got {rounds!r}")
+    if report.attack not in ATTACKS:
+        raise ValueError(f"attack must be one of {ATTACKS}, got {report.attack!r}")
+    eta_t = arm_efficiency(eta_d, alpha, l_km)  # SystemParams.eta_t
+    leak = (mu, eta_t, check_fraction) if report.attack == "beam_split" else ()
     counts = [*zip(rate[::2], rate[1::2]), *((parity[key][name][cell], parity[key]["n"])
                                              for key, name, cell in _PARITY_PATHS)]
     if leak:
         counts.append((report.n_eve_success, report.n_key_events))
     rows = []
-    for (name, p, p_trial), (count, n) in zip(_closed_forms(eta_t * report.mu + 0.0, report.p_d + 0.0,
-                                                            report.basis_policy + 0.0, *leak), counts):
+    for (name, p, p_trial), (count, n) in zip(_closed_forms(eta_t * mu, p_d, basis_policy, *leak), counts):
+        if not 0 <= count <= n:  # the row's fields: its count and trials, or its parity cell
+            read = [*(row[1:] for row in _RATE_ROWS), *_PARITY_PATHS, ("n_eve_success", "n_key_events")][len(rows)]
+            raise ValueError(f"{name} row ({'/'.join(read)}): count must be in [0, {n!r}], got {count!r}")
         expected = n * p
         variance = expected * (1.0 - p)  # without it, sigma is 0 on the mean and inf off it
         per_round = rounds * p_trial * p

@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -270,13 +271,12 @@ def test_results_do_not_depend_on_the_call_history(signs):
 def test_cached_tables_are_read_only(sp):
     for check_fraction in (0.0, 0.3):
         tables = _draw_tables(config(sp=sp, check_fraction=check_fraction))
-        # the law and its indices as arrays, and each category's slots as a tuple of int tuples
-        *arrays, slots = tables
-        assert len(arrays) == 4 and all(isinstance(array, np.ndarray) for array in arrays)
-        for array in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                array[...] = 0
-        assert isinstance(slots, tuple) and len(slots) == tables.p.size
+        # the law as an array, and each category's slots as a tuple of int tuples
+        p, slots = tables
+        assert isinstance(p, np.ndarray)
+        with pytest.raises(ValueError, match="read-only"):
+            p[...] = 0
+        assert isinstance(slots, tuple) and len(slots) == p.size
         assert all(isinstance(own, tuple) and all(type(slot) is int for slot in own) for own in slots)
     forms = montecarlo._closed_forms(sp.mu_arm, sp.p_d, 0.5)
     assert isinstance(forms, tuple) and all(isinstance(form, tuple) for form in forms)
@@ -931,6 +931,23 @@ def category_keys():
     return [[category_key(c, clicks, odd) for clicks, odd in masks] for c in range(64)]
 
 
+def decode_slots(t):
+    """Each category's (lot, group, atom, parity cell) from its slots in a block's count list,
+    written out from the list's layout: the 5 group counts, the 40 parity cells, then each lot's 12
+    atoms. Every category has one group slot and at most one parity-cell and one atom slot; one
+    without an atom is in lot 0 with atom 12, one without a parity cell has cell 40."""
+    keys = []
+    for own in t.slots:
+        kinds = ([], [], [])
+        for slot in own:
+            kinds[(slot >= 5) + (slot >= 45)].append(slot)
+        [group], cells, atoms = kinds
+        assert len(cells) <= 1 and len(atoms) <= 1, own
+        lot, atom = divmod(atoms[0] - 45, 12) if atoms else (0, 12)
+        keys.append((lot, group, atom, cells[0] - 5 if cells else 40))
+    return keys
+
+
 # Patterns by click mask (bit d for detector d): D1H = 1, D2H = 2, D1V = 4,
 # D2V = 8. Event1 is a lone H click, Event2 an H+V pair at one port,
 # Event3 at crossed ports.
@@ -1030,10 +1047,10 @@ def test_drawn_pairs_reduce_like_unique_reference(sp, size):
     # with the law to 1e-12 relative; rounds of four or more add at most
     # their own mass P(N >= 4) to an outcome (their law is the chi-square's
     # above). A block draws one multinomial over the categories and sums
-    # its counts as Python ints into the basis sums, each lot's columns and
-    # atoms and the parity cells, as a loop over the categories' groups,
-    # atoms and cells, reduced through ``_BASIS_SUMS`` and ``_ATOM_TABLE``,
-    # does; without checks the checked lot is drawn as zeros.
+    # its counts as Python ints into the group counts, the parity cells and
+    # each lot's atoms, as a loop over the categories' groups, cells and
+    # atoms (``decode_slots``) does; without checks the checked lot is drawn
+    # as zeros.
     law = montecarlo._outcomes(sp.mu_arm, sp.p_d)
     ref, multi, _, _ = reference_outcomes(sp)
     assert (ref <= law * (1 + 1e-12)).all() and (law <= ref * (1 + 1e-12) + multi[:, None]).all()
@@ -1043,15 +1060,13 @@ def test_drawn_pairs_reduce_like_unique_reference(sp, size):
     [(n, pvals, drawn)] = rng.drawn
     assert n == size and pvals is t.p
     m, atoms, cells = [0] * 5, [0] * 26, [0] * 41
-    for k, group, atom, cell in zip(drawn.tolist(), *(index.tolist() for index in t[1:4])):
+    for k, (lot, group, atom, cell) in zip(drawn.tolist(), decode_slots(t)):
         m[group] += k
-        atoms[atom] += k
+        atoms[lot * 13 + atom] += k
         cells[cell] += k
-    lots = [atoms[:12], atoms[13:25]]
-    assert got == [*(np.array(m) @ montecarlo._BASIS_SUMS).tolist(),
-                   *(np.array(lots) @ montecarlo._ATOM_TABLE).ravel().tolist(), *atoms[:12], *atoms[13:25], *cells[:40]]
+    assert got == [*m, *cells[:40], *atoms[:12], *atoms[13:25]]
     assert atoms[13:] == [0] * 13
-    assert all(type(n) is int for n in got) and sum(m) == size == got[2]
+    assert all(type(n) is int for n in got) and sum(m) == size == sum(got[:5])
     # without light or dark counts no round clicks; else some rounds are events
     assert (sum(atoms[:12]) > 0) != (sp.mu == sp.p_d == 0.0)
 
@@ -1074,8 +1089,9 @@ def test_joint_categories_are_a_law_over_read_cells(sp, basis_policy):
         t = _draw_tables(config(sp=sp, basis_policy=basis_policy, check_fraction=check))
         law = montecarlo._class_weights(basis_policy)[:, None] * montecarlo._outcomes(sp.mu_arm, sp.p_d)
         assert (t.p > 0.0).all() and abs(t.p.sum() - 1.0) <= 1e-12
-        lot, atom = np.divmod(t.atom, 13)
-        keys = np.ravel_multi_index((lot, t.group, atom, t.cell), (2, *montecarlo._KEY_SHAPE))
+        decoded = decode_slots(t)
+        lot, group, atom, cell = np.array(decoded).T
+        keys = np.ravel_multi_index((lot, group, atom, cell), (2, *montecarlo._KEY_SHAPE))
         assert np.array_equal(np.lexsort((keys, t.p)), np.arange(t.p.size)) and t.p[-1] == t.p.max()
         assert lot.max(initial=0) <= (check > 0.0) and (atom[lot == 1] < 12).all()
         merged = {}
@@ -1085,7 +1101,7 @@ def test_joint_categories_are_a_law_over_read_cells(sp, basis_policy):
                 for part in parts:
                     merged[part[0], *key] = merged.get((part[0], *key), 0.0) + part[1]
         want = {key: p for key, p in merged.items() if p > 0.0}
-        got = dict(zip(zip(*(index.tolist() for index in (lot, t.group, atom, t.cell))), t.p.tolist()))
+        got = dict(zip(decoded, t.p.tolist()))
         assert got.keys() == want.keys()
         assert all(abs(got[key] - p) <= 1e-12 * p for key, p in want.items())
 
@@ -1161,13 +1177,13 @@ def test_checks_fold_into_the_draw_law():
     for mu_arm, p_d, basis_policy in FOLDED_LAWS:
         whole = one_lot_tables(mu_arm, p_d, basis_policy)
         plain = montecarlo._tables(mu_arm, p_d, basis_policy, 0.0)
-        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(whole, plain))
         unsplit = dict(zip(zip(*(index.tolist() for index in whole[1:])), whole[0].tolist()))
+        assert np.array_equal(whole[0], plain.p) and whole[0].dtype == plain.p.dtype
+        assert decode_slots(plain) == [(0, *key) for key in unsplit]
         for c in (1e-3, 0.3, 1.0):
             t = montecarlo._tables(mu_arm, p_d, basis_policy, c)
-            lot, atom = np.divmod(t.atom, 13)
             parts = {}
-            for key, p in zip(zip(lot.tolist(), t.group.tolist(), atom.tolist(), t.cell.tolist()), t.p.tolist()):
+            for key, p in zip(decode_slots(t), t.p.tolist()):
                 assert key[0] == 0 or key[2] < 12, key  # only a category with an atom splits
                 parts.setdefault(key[1:], [0.0, 0.0])[key[0]] = p
             assert parts.keys() == unsplit.keys()
@@ -1234,10 +1250,10 @@ def test_tally_step_matches_row_semantics(attack):
     # Every class, every pattern plus 0-, 3- and 4-click masks, every parity
     # mask within the click mask, and every lottery draw the attack makes,
     # each row repeated a seeded 1 to 3 times; the tally step sees them as
-    # the count list that a block returns: the basis sums of the group
-    # counts, the drawn lots' columns, the lottery split over (lottery,
-    # atom), each tallied cell's rows counted in its atom, and the
-    # parity-cell counts (each row's category, ``_KEYS``).
+    # the count list that a block returns: the group counts, the
+    # parity-cell counts (each row's category, ``_KEYS``) and the lottery
+    # split over (lottery, atom), each tallied cell's rows counted in its
+    # atom.
     draws = {"none": [(0, 0, 0)], "beam_split": [(0, 0, 0), (0, 0, 1)],
              "dishonest_bob": [(a, b, 0) for a in (0, 1) for b in (0, 1)]}[attack]
     rows = [(c, clicks, odd, checked, *drawn)
@@ -1257,9 +1273,7 @@ def test_tally_step_matches_row_semantics(attack):
     atoms = len(montecarlo._ATOM_CELLS)
     split = np.bincount((lottery * atoms + atom)[atom >= 0], minlength=lots * atoms).reshape(lots, atoms)
     groups = np.bincount(montecarlo._GROUP, m, 5).astype(np.int64)
-    drawn = split.reshape(-1, 2, atoms).sum(axis=0)  # an attack's layers split the drawn lots 0 and 1
-    counts = [*groups @ montecarlo._BASIS_SUMS, *(drawn @ montecarlo._ATOM_TABLE).ravel(), *split.ravel(),
-              *np.bincount(cell, minlength=41)[:40]]
+    counts = [*groups, *np.bincount(cell, minlength=41)[:40], *split.ravel()]
     got = montecarlo._tally(config(attack=attack), [int(n) for n in counts])
     want = expected_tallies(m, rows)
     assert got == want
@@ -1267,18 +1281,25 @@ def test_tally_step_matches_row_semantics(attack):
     assert (got["n_eve_success"] > 0) == (attack == "beam_split")
 
 
+# n_xx, n_zz, the rounds and the representatives' rounds, each a sum of the group counts (X basis,
+# Z basis, mixed bases, plus_plus, plus_minus)
+BASIS_SUMS = np.array(((1, 0, 1, 0, 0), (0, 1, 1, 0, 0), (0, 0, 1, 0, 0), (1, 0, 1, 1, 0), (1, 0, 1, 0, 1)))
+
+
 def array_reference(cfg):
     """The tallies of ``cfg`` as numpy reduced each block before its counts were summed as Python
     ints: three ``np.bincount``s of the multinomial draw by group, by (lot, atom) and by parity
-    cell; an attack's layers drawn on the (lot, atom) array; the blocks' int64 arrays summed; then
-    the lots' columns ``split @ _ATOM_TABLE`` and the basis sums ``m @ _BASIS_SUMS``, tallied lot by
-    lot."""
+    cell (``decode_slots``); an attack's layers drawn on the (lot, atom) array; the blocks' int64
+    arrays summed; then the lots' columns ``split @ _ATOM_TABLE`` and the basis sums ``m @
+    BASIS_SUMS``, tallied lot by lot."""
     t, total = _draw_tables(cfg), None
+    lot, group, atom, cell = np.array(decode_slots(t)).T
     p, layers = {"beam_split": (montecarlo._ie_dual_tapped((1.0 - cfg.sp.eta_t) * cfg.sp.mu), 1),
                  "dishonest_bob": (cfg.flip_fraction, 2)}.get(cfg.attack, (0.0, 0))
     for block, lo in enumerate(range(0, cfg.rounds, 2**53)):
         k = montecarlo._stream(cfg, 0, block).multinomial(min(2**53, cfg.rounds - lo), t.p)
-        m, atoms, cells = (np.bincount(index, k, n).astype(np.int64) for index, n in zip(t[1:4], (5, 26, 41)))
+        m, atoms, cells = (np.bincount(index, k, n).astype(np.int64)
+                           for index, n in zip((group, lot * 13 + atom, cell), (5, 26, 41)))
         split = atoms.reshape(2, 13)[:, :-1]
         if p:
             rng = montecarlo._stream(cfg, 1, block)
@@ -1290,7 +1311,7 @@ def array_reference(cfg):
     m, cells, split = total
     per_lot = (split @ montecarlo._ATOM_TABLE).tolist()
     want = dict(zip(montecarlo._TABLE_COUNTS, map(sum, zip(*per_lot))))
-    want["n_xx"], want["n_zz"], rounds, *reps = (m @ montecarlo._BASIS_SUMS).tolist()
+    want["n_xx"], want["n_zz"], rounds, *reps = (m @ BASIS_SUMS).tolist()
     want["n_mixed"] = rounds - want["n_xx"] - want["n_zz"]
     want.update(n_check_z_err=0, n_check_x_bits=0, n_check_x_err=0, n_key_events=0, n_eve_success=0)
     for lot, (x1, x2, x3, e1_ph, e2_ph, e2_pol, e3_ph, e3_pol, zc, z_ph) in enumerate(per_lot):
@@ -1356,6 +1377,31 @@ def test_hand_made_negative_zero_leaves_real_rows_alone(attack):
     assert ("eve_leak" in alone) == (attack == "beam_split")
 
 
+def raised_cell(report):
+    """The report's parity with plus_plus's lone h1 odd cell one above its trials."""
+    plus_plus = report.parity["plus_plus"]
+    return {**report.parity, "plus_plus": {**plus_plus, "h1": {"odd": plus_plus["n"] + 1, "even": 0}}}
+
+
+IMPOSSIBLE_REPORTS = (
+    ("basis_policy", lambda report: 2.0), ("check_fraction", lambda report: -0.5), ("rounds", lambda report: 0),
+    ("attack", lambda report: "bogus"), ("l_km", lambda report: math.inf), ("eta_d", lambda report: 2.0),
+    ("n_event1", lambda report: -5), ("n_event1", lambda report: report.n_xx + 1), ("parity", raised_cell),
+)
+
+
+@pytest.mark.parametrize("field, value", IMPOSSIBLE_REPORTS,
+                         ids=("bp2", "check-0.5", "rounds0", "bogus", "l_km-inf", "eta_d2", "count-5", "count>n",
+                              "cell>n"))
+def test_compare_rejects_reports_no_run_could_make(field, value):
+    # A report replaced by hand with an echoed field outside the rules of
+    # SystemParams and SimConfig, or a count outside [0, its trials], gives
+    # no rows but a ValueError that names the field.
+    report = simulate(config(rounds=10**6))
+    with pytest.raises(ValueError, match=re.escape(field)):
+        compare_to_analytic(replace(report, **{field: value(report)}))
+
+
 def test_atoms_partition_the_tallied_cells():
     # Every cell with a non-zero truth-table row lies in exactly one atom,
     # whose row equals its own, and no other cell lies in any: Event1 by
@@ -1386,7 +1432,7 @@ def test_parity_cells_index_the_outcomes():
 
 def lottery_split(cfg, size):
     """The lottery split over (lot, atom) in the count list that one block of ``size`` rounds of ``cfg`` returns."""
-    return np.array(montecarlo._block_tallies(cfg, _draw_tables(cfg), 0, size)[montecarlo._ATOMS:-40]).reshape(-1, 12)
+    return np.array(montecarlo._block_tallies(cfg, _draw_tables(cfg), 0, size)[montecarlo._ATOMS:]).reshape(-1, 12)
 
 
 @pytest.mark.parametrize("attack, lots", (("none", 2), ("beam_split", 4), ("dishonest_bob", 8)))
@@ -1423,7 +1469,7 @@ def test_lottery_draws_nothing_it_does_not_need(monkeypatch):
         split = lottery_split(cfg, 100_000)
         assert split.shape == (lots, 12) and [kind for kind, _ in streams] == kinds, kw
         fresh = real(cfg, 0, 0)
-        atoms = np.array(montecarlo._draw(_draw_tables(cfg), fresh, 100_000)[montecarlo._ATOMS:montecarlo._CELLS])
+        atoms = np.array(montecarlo._draw(_draw_tables(cfg), fresh, 100_000)[montecarlo._ATOMS:])
         assert streams[0][1].bit_generator.state == fresh.bit_generator.state, kw
         assert np.array_equal(split.sum(axis=0), atoms.reshape(2, 12).sum(axis=0)) and atoms.sum() > 0
         if not cfg.check_fraction:
@@ -1515,7 +1561,7 @@ def test_cells_of_mean_zero_never_receive_an_entry(basis_policy):
     impossible = (clicks & silent[:, None]) != 0
     assert not law[impossible].any() and law[~impossible].all()
     counts = montecarlo._draw(_draw_tables(config(sp=sp, basis_policy=basis_policy)), np.random.default_rng(7), 100_000)
-    assert counts[2] == 100_000 and sum(counts[montecarlo._ATOMS:montecarlo._CELLS]) > 0
+    assert sum(counts[:5]) == 100_000 and sum(counts[montecarlo._ATOMS:]) > 0
 
 
 def test_read_classes_are_the_x_and_checked_z_classes():
@@ -1532,20 +1578,23 @@ def test_unread_classes_are_counted_not_split(sp):
     # Mixed-basis and unchecked Z rounds keep their group counts, which n_zz
     # and n_mixed read, but no atom or parity cell: nothing reads their clicks.
     t = _draw_tables(config(sp=sp))
-    assert (t.atom[t.group == 2] == 12).all() and (t.cell[t.group < 3] == 40).all()
+    keys = decode_slots(t)
+    assert all(atom == 12 for _, group, atom, _ in keys if group == 2)
+    assert all(cell == 40 for _, group, _, cell in keys if group < 3)
     counts = montecarlo._draw(t, np.random.default_rng(7), 100_000)
-    n_xx, n_zz, rounds, *reps = counts[:montecarlo._COLUMNS]
-    assert rounds - n_xx > 60_000 and rounds == 100_000  # the Z and mixed rounds
-    assert sum(counts[montecarlo._ATOMS:montecarlo._CELLS]) <= n_xx + n_zz
-    assert sum(counts[montecarlo._CELLS:]) <= sum(reps)
-    assert all(slot < montecarlo._COLUMNS for own, group in zip(t.slots, t.group) if group == 2 for slot in own)
+    x, n_zz, n_mixed, *reps = counts[:5]
+    n_xx = x + sum(reps)
+    assert n_zz + n_mixed > 60_000 and n_xx + n_zz + n_mixed == 100_000  # the Z and mixed rounds
+    assert sum(counts[montecarlo._ATOMS:]) <= n_xx + n_zz
+    assert sum(counts[montecarlo._CELLS:montecarlo._ATOMS]) <= sum(reps)
+    assert all(own == (2,) for own, (_, group, _, _) in zip(t.slots, keys) if group == 2)
 
 
 def test_memory_does_not_grow_with_rounds():
     # No array is sized by rounds or by one-entry rounds: 1e13 rounds at
     # 400 km hold about 2.5e8 one-entry rounds, 2e6 at 100 km about 48k.
     # Nor by blocks: 2^60 rounds at p_d = 1 are 128 blocks, each a count
-    # list of 161 ints with an 8-lot split, summed as they arrive rather
+    # list of 141 ints with an 8-lot split, summed as they arrive rather
     # than held as a list.
     for cfg in (config(sp=FAR, rounds=10**13, basis_policy=1.0), config(rounds=2_000_000),
                 config(sp=SystemParams(p_d=1.0), rounds=2**60, attack="dishonest_bob", flip_fraction=0.1)):
