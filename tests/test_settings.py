@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 PROBE = (
@@ -23,18 +25,32 @@ PROBE = (
 )
 
 
-def test_warning_settings_in_a_fresh_session(tmp_path):
-    # One fresh pytest under the suite's settings. Hypothesis's failure
-    # report touches mypy_extensions.TypedDict where that is installed; the
-    # session must go on past it. The ignored warning is one message of one
-    # category: another deprecation, or the same message as another
-    # category, still fails its test.
-    (tmp_path / "test_probe.py").write_text(PROBE)
+@pytest.fixture(scope="module")
+def probe_output(tmp_path_factory):
+    """Output of one fresh pytest under the suite's settings on PROBE; both tests read it."""
+    cwd = tmp_path_factory.mktemp("probe")
+    (cwd / "test_probe.py").write_text(PROBE)
     done = subprocess.run([sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "-q", "-rA", "-p", "no:cacheprovider",
-                           "test_probe.py"], cwd=tmp_path, capture_output=True, text=True, timeout=300)
+                           "test_probe.py"], cwd=cwd, capture_output=True, text=True, timeout=300)
     out = done.stdout + done.stderr
     assert "INTERNALERROR" not in out
-    for outcome, name in (("FAILED", "test_fails"), ("FAILED", "test_other_deprecation"),
-                          ("FAILED", "test_same_message_other_category"), ("PASSED", "test_passes")):
-        assert re.search(rf"^{outcome} \S+::{name}\b", out, re.MULTILINE), (name, out)
     assert "3 failed, 1 passed" in out, out
+    return out
+
+
+def assert_outcome(out, outcome, name):
+    assert re.search(rf"^{outcome} \S+::{name}\b", out, re.MULTILINE), (name, out)
+
+
+def test_failing_property_test_ends_no_session(probe_output):
+    # Hypothesis's failure report touches mypy_extensions.TypedDict where that
+    # is installed; the session must go on to the passing test after it
+    assert_outcome(probe_output, "FAILED", "test_fails")
+    assert_outcome(probe_output, "PASSED", "test_passes")
+
+
+def test_other_warnings_stay_errors(probe_output):
+    # the ignored warning is one message of one category; another deprecation,
+    # or the same message as another category, still fails its test
+    assert_outcome(probe_output, "FAILED", "test_other_deprecation")
+    assert_outcome(probe_output, "FAILED", "test_same_message_other_category")
